@@ -18,6 +18,7 @@ import numpy as np
 
 from . import transform as tr
 from .errors import ConfigError, ObjectiveError, ShapeError
+from .pipeline import stable_int
 from .system import AuthSystem
 
 
@@ -270,7 +271,7 @@ def hill_climb_attack(system: AuthSystem, subject: str,
             if config.restarts is not None and restart >= config.restarts:
                 break
             rng = np.random.default_rng(
-                [config.seed, _stable_int(subject), restart])
+                [config.seed, stable_int(subject), restart])
             restart += 1
             x0 = rng.uniform(bounds[:, 0], bounds[:, 1])
             x, f, _ = nelder_mead(oracle, x0,
@@ -472,9 +473,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     """
     theta = system.config.theta if theta is None else theta
     rng = np.random.default_rng(seed)
-    scores, successes, sims = [], 0, []
-    per_solution = []
-    n_tests = 0
+    scores, sims, per_solution = [], [], []
     for solution in solutions:
         account = system.users[solution.subject]
         sol_scores = []
@@ -484,23 +483,17 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
                 new_key += 1
             fresh = system.reissue(solution.subject, new_key)
             if solution.kind == "feature":
-                z1 = system.standardize_a(solution.payload[:system.dim])
-                z2 = system.standardize_b(solution.payload[system.dim:])
-                r = tr.project(tr.combine(z1, z2, fresh.params), fresh.params)
-                bits = tr.gray_encode(r, fresh.template.meta.quant_range)
+                frames = solution.payload.reshape(2, 1, system.dim)
+                bits = system.account_bits(fresh, frames[0], frames[1])
             elif solution.kind == "template":
                 bits = solution.payload.astype(np.uint8)
             else:
                 raise ConfigError(f"unknown solution kind {solution.kind!r}")
-            _, score = tr.hamming_score(bits, fresh.template.bits)
-            sol_scores.append(score)
-            n_tests += 1
-            if score <= theta:
-                successes += 1
-            if solution.kind == "template":
-                sims.append(1.0 - score)
+            sol_scores.append(tr.hamming_score(bits, fresh.template.bits)[1])
         if solution.kind == "feature":
             sims.append(cosine_similarity(solution.payload, account.true_features))
+        else:
+            sims.extend(1.0 - score for score in sol_scores)
         scores.extend(sol_scores)
         per_solution.append({
             "subject": solution.subject, "kind": solution.kind,
@@ -508,6 +501,8 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
             "score_mean": float(np.mean(sol_scores)),
             "successes": int(sum(s <= theta for s in sol_scores)),
         })
+    n_tests = len(scores)
+    successes = sum(entry["successes"] for entry in per_solution)
     return SecondAttackReport(
         n_tests=n_tests, n_successes=successes,
         sar=successes / n_tests if n_tests else 0.0,
@@ -542,8 +537,3 @@ def brute_force_space(dim: int, bits_per_dim: int) -> int:
     if dim < 1 or bits_per_dim < 1:
         raise ConfigError("dimension and bit depth must be positive")
     return 2 * dim * bits_per_dim
-
-
-def _stable_int(text: str) -> int:
-    import hashlib
-    return int.from_bytes(hashlib.blake2s(text.encode(), digest_size=4).digest(), "big")

@@ -93,7 +93,9 @@ def _deep_merge(base: dict, update: dict, path="") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {where!r} must be an object")
             out[key] = _deep_merge(base[key], value, where)
         else:
             out[key] = value
@@ -117,6 +119,8 @@ def _apply_override(config: dict, token: str) -> None:
         node = node[part]
     if leaf not in node:
         raise ConfigError(f"unknown config path {dotted!r}")
+    if isinstance(node[leaf], dict):
+        raise ConfigError(f"{dotted!r} is a config section; override its keys one by one")
     node[leaf] = value
 
 
@@ -138,6 +142,7 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
         config["master_seed"] = int(env_seed)
     if seed_flag is not None:
         config["master_seed"] = seed_flag
+    system_config(config).validate()
     return config
 
 
@@ -395,8 +400,7 @@ def eval(config_path, seed_flag, overrides):
         _atomic_write(out / "eval_report.json", report.to_json())
         _atomic_csv(out / "roc.csv", ["threshold", "far", "frr"],
                     ([repr(v) for v in row] for row in report.roc))
-        scores = me.protocol_score_set(dataset, sys_cfg.enroll_frames,
-                                       sys_cfg.query_frames, sys_cfg)
+        scores = report.scores
         edges = np.linspace(0.0, 1.0, 51)
         g_hist = np.histogram(scores.genuine, bins=edges)[0]
         i_hist = np.histogram(scores.impostor, bins=edges)[0]

@@ -26,7 +26,6 @@ class ConnectivityGraph:
 
     adjacency: np.ndarray
     bin_count: int
-    metric_tag: str = "rho"
 
     @property
     def n_nodes(self) -> int:

@@ -7,7 +7,6 @@ efficiency, radius, and diameter, in that order.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,39 +286,15 @@ def distance_matrix(graph) -> np.ndarray:
     """All-pairs shortest path lengths with edge length 1/weight.
 
     Zero-weight pairs have infinite direct length; indirect routes may still
-    connect them. Computed by a single-source Dijkstra search per node
-    (scipy's compiled implementation for graphs beyond a handful of nodes,
-    a plain heap-based search below that).
+    connect them. Computed by scipy's compiled Dijkstra search from every node.
     """
     w = _adjacency(graph)
     if w.min() < 0 or w.max() > 1:
         raise ConfigError("edge weights must lie in [0, 1]")
-    n = w.shape[0]
     with np.errstate(divide="ignore"):
-        lengths = np.where(w > 0, 1.0 / w, np.inf)
+        lengths = np.where(w > 0, 1.0 / w, 0.0)  # csgraph reads 0 as "no edge"
     np.fill_diagonal(lengths, 0.0)
-    if n > 12:
-        finite = np.where(np.isfinite(lengths), lengths, 0.0)
-        return scipy.sparse.csgraph.shortest_path(finite, method="D", directed=False)
-    dist = np.full((n, n), np.inf)
-    for source in range(n):
-        d = dist[source]
-        d[source] = 0.0
-        visited = np.zeros(n, dtype=bool)
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if visited[u]:
-                continue
-            visited[u] = True
-            for v in range(n):
-                if visited[v] or v == u or not np.isfinite(lengths[u, v]):
-                    continue
-                alt = du + lengths[u, v]
-                if alt < d[v]:
-                    d[v] = alt
-                    heapq.heappush(heap, (alt, v))
-    return dist
+    return scipy.sparse.csgraph.shortest_path(lengths, method="D", directed=False)
 
 
 def global_descriptors(graph) -> tuple[float, float, float, float]:

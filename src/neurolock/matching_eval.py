@@ -10,7 +10,7 @@ query. All scores are normalized Hamming distances (smaller = more similar).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,16 +25,12 @@ class ScoreSet:
     genuine: np.ndarray
     impostor: np.ndarray
     pseudo_impostor: np.ndarray | None = None
-    mated: np.ndarray | None = None
-    non_mated: np.ndarray | None = None
 
     def __post_init__(self):
         self.genuine = np.asarray(self.genuine, dtype=float)
         self.impostor = np.asarray(self.impostor, dtype=float)
-        for name in ("pseudo_impostor", "mated", "non_mated"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, np.asarray(value, dtype=float))
+        if self.pseudo_impostor is not None:
+            self.pseudo_impostor = np.asarray(self.pseudo_impostor, dtype=float)
 
 
 @dataclass
@@ -66,10 +62,14 @@ class EvalReport:
     seeds: dict = field(default_factory=dict)
     config_hash: str = ""
     version: str = ""
+    # the scores behind the report, kept for histograms; not serialized
+    scores: ScoreSet | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         out = {}
         for key, value in self.__dict__.items():
+            if key == "scores":
+                continue
             if key == "roc":
                 out[key] = [[float(a), float(b), float(c)] for a, b, c in value]
             elif isinstance(value, (np.floating, np.integer)):
@@ -169,42 +169,43 @@ def unlinkability(mated: np.ndarray, non_mated: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: int,
-                   config: SystemConfig | None = None
-                   ) -> tuple[list, list]:
-    """Genuine and impostor (enrolled, query) template pairs per the frame schedule.
+                   config: SystemConfig | None = None,
+                   system: AuthSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Genuine and impostor (enrolled, query) bit-string pairs per the frame schedule.
 
     Genuine: per subject, one query per consecutive group of query_frames
     after the enrollment block. Impostor: per subject, one query from every
     other subject's first post-enrollment frame group, transformed with the
-    claimed account's parameters.
+    claimed account's parameters. Each result is a (tests, 2, n_bits) array.
+    A `system` already built over `dataset` with these frame counts is
+    reused instead of enrolling the population again.
     """
-    if config is None:
-        config = SystemConfig()
-    config = SystemConfig(**{**config.__dict__,
-                             "enroll_frames": enroll_frames,
-                             "query_frames": query_frames})
-    system = AuthSystem(dataset, config)
-    proto_a, proto_b = config.protocol_pair
-    genuine, impostor = [], []
-    for subject in system.subjects:
-        enrolled = system.users[subject].template
-        n_frames = min(dataset.n_frames(subject, proto_a),
-                       dataset.n_frames(subject, proto_b))
-        n_queries = (n_frames - enroll_frames) // query_frames
-        for g in range(n_queries):
-            query = system.query_template(
-                subject, subject, enroll_frames + g * query_frames, query_frames)
-            genuine.append((enrolled, query))
-        for other in system.subjects:
-            if other == subject:
-                continue
-            query = system.query_template(subject, other, enroll_frames, query_frames)
-            impostor.append((enrolled, query))
-    return genuine, impostor
+    if system is None:
+        config = SystemConfig() if config is None else config
+        system = AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
+                                             query_frames=query_frames))
+    proto_a, proto_b = system.config.protocol_pair
+    subjects = system.subjects
+    n_queries = [(min(dataset.n_frames(s, proto_a), dataset.n_frames(s, proto_b))
+                  - enroll_frames) // query_frames for s in subjects]
+    genuine = np.empty((sum(n_queries), 2, system.n_bits), dtype=np.uint8)
+    impostor = np.empty((len(subjects), len(subjects) - 1, 2, system.n_bits),
+                        dtype=np.uint8)
+    row = 0
+    for index, subject in enumerate(subjects):
+        starts = enroll_frames + query_frames * np.arange(n_queries[index])
+        others = subjects[:index] + subjects[index + 1:]
+        for pairs, source, start in ((genuine[row:row + len(starts)], subject, starts),
+                                     (impostor[index], others, enroll_frames)):
+            pairs[:, 0] = system.users[subject].template.bits
+            pairs[:, 1] = system.query_template(subject, source, start, query_frames).bits
+        row += len(starts)
+    return genuine, impostor.reshape(-1, 2, system.n_bits)
 
 
-def score_pairs(pairs: list) -> np.ndarray:
-    return np.array([tr.hamming_score(q.bits, e.bits)[1] for e, q in pairs])
+def score_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Normalized Hamming distance of every (enrolled, query) pair."""
+    return tr.hamming_score(pairs[:, 0], pairs[:, 1])[1]
 
 
 def protocol_score_set(dataset: FeatureDataset, enroll_frames: int,
@@ -219,54 +220,55 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
     """Per-user single-frame score distributions.
 
     Genuine: every unordered pair of the subject's frame templates. Impostor:
-    every subject frame against every frame of every other subject. All
-    templates share the claimed subject's parameters (and their calibrated
-    quantization range), exactly as queries against that account would.
+    every subject frame against every frame of every other subject, scored
+    one other subject at a time. All templates share the claimed subject's
+    parameters (and their calibrated quantization range), exactly as queries
+    against that account would.
     """
     if config is None:
         config = SystemConfig()
     system = AuthSystem(dataset, config)
     proto_a, proto_b = config.protocol_pair
 
-    def frame_bits(source: str) -> list[np.ndarray]:
+    def frame_bits(source: str) -> np.ndarray:
         v1 = dataset.frames(source, proto_a)
         v2 = dataset.frames(source, proto_b)
         count = min(v1.shape[0], v2.shape[0])
-        return [system.feature_query_bits(subject, v1[f], v2[f])
-                for f in range(count)]
+        return system.feature_query_bits(subject, v1[:count], v2[:count])
 
     own_bits = frame_bits(subject)
-    n_own = len(own_bits)
-    genuine = [tr.hamming_score(own_bits[i], own_bits[j])[1]
-               for i in range(n_own) for j in range(i + 1, n_own)]
-    impostor = []
-    for other in dataset.subjects:
-        if other == subject:
-            continue
-        for ob in frame_bits(other):
-            for sb in own_bits:
-                impostor.append(tr.hamming_score(sb, ob)[1])
-    return ScoreSet(genuine=np.array(genuine), impostor=np.array(impostor))
+    first, second = np.triu_indices(own_bits.shape[0], k=1)
+    genuine = tr.hamming_score(own_bits[first], own_bits[second])[1]
+    impostor = [tr.hamming_score(own_bits, frame_bits(other)[:, None, :])[1].ravel()
+                for other in dataset.subjects if other != subject]
+    return ScoreSet(genuine=genuine, impostor=np.concatenate(impostor))
 
 
 def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
                         params_list: list[tr.TransformParams],
                         enrolled_templates: list[tr.CancellableTemplate]
                         ) -> np.ndarray:
-    """Pseudo-impostor scores: original templates vs same-feature new-key templates."""
+    """Pseudo-impostor scores: original templates vs same-feature new-key templates.
+
+    `user_features` holds standardized (v1, v2) frames of shape (..., F, dim).
+    The enrolled templates' bits stack along a leading axis that broadcasts
+    against the feature batch: several templates of one user's features, or
+    one template per user of a batch. Scores are ordered by template, then key.
+    """
     enrolled_ids = {t.meta.key_id for t in enrolled_templates}
     for params in params_list:
         if params.key_id in enrolled_ids:
             raise ConfigError(
                 f"revocation key list contains the enrolled key {params.key_id}")
+    n_frames = enrolled_templates[0].meta.frames_averaged
+    if any(t.meta.frames_averaged != n_frames for t in enrolled_templates):
+        raise ConfigError("enrolled templates must average the same number of frames")
+    enrolled = np.stack([t.bits for t in enrolled_templates])
     v1, v2 = user_features
-    scores = []
-    for params in params_list:
-        for enrolled in enrolled_templates:
-            pseudo = tr.make_template(v1, v2, params, enrolled.meta.frames_averaged,
-                                      subject_id=enrolled.meta.subject_id)
-            scores.append(tr.hamming_score(enrolled.bits, pseudo.bits)[1])
-    return np.array(scores)
+    scores = [tr.hamming_score(enrolled,
+                               tr.make_template(v1, v2, params, n_frames).bits)[1]
+              for params in params_list]
+    return np.stack(scores, axis=-1).ravel()
 
 
 def revocability_protocol(dataset: FeatureDataset, config: SystemConfig | None = None,
@@ -274,19 +276,19 @@ def revocability_protocol(dataset: FeatureDataset, config: SystemConfig | None =
     """Genuine/impostor/pseudo-impostor distributions over the whole population."""
     if config is None:
         config = SystemConfig()
-    base = protocol_score_set(dataset, config.enroll_frames, config.query_frames, config)
     system = AuthSystem(dataset, config)
-    rng = np.random.default_rng(seed)
-    enrolled_keys = {system.users[s].params.user_key for s in system.subjects}
-    keys = _fresh_keys(rng, n_keys, forbidden=enrolled_keys)
-    params_list = [system.calibrated_params(k) for k in keys]
-    pseudo = []
-    for subject in system.subjects:
-        account = system.users[subject]
-        pseudo.append(revocability_scores(
-            (account.enroll_v1, account.enroll_v2), params_list, [account.template]))
-    return ScoreSet(genuine=base.genuine, impostor=base.impostor,
-                    pseudo_impostor=np.concatenate(pseudo))
+    genuine, impostor = protocol_tests(dataset, config.enroll_frames,
+                                       config.query_frames, system=system)
+    accounts = [system.users[s] for s in system.subjects]
+    keys = _fresh_keys(np.random.default_rng(seed), n_keys,
+                       forbidden={a.params.user_key for a in accounts})
+    pseudo = revocability_scores(
+        (np.stack([a.enroll_v1 for a in accounts]),
+         np.stack([a.enroll_v2 for a in accounts])),
+        [system.calibrated_params(k) for k in keys],
+        [a.template for a in accounts])
+    return ScoreSet(genuine=score_pairs(genuine), impostor=score_pairs(impostor),
+                    pseudo_impostor=pseudo)
 
 
 def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None = None,
@@ -297,7 +299,7 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     Mated: templates built from the same disjoint window of a subject's
     frames under two different keys; every window contributes, which
     multiplies the mated sample count (histogram densities need it).
-    Non-mated: different subjects under different keys.
+    Non-mated: different subjects' first windows under different keys.
     """
     if config is None:
         config = SystemConfig()
@@ -310,31 +312,26 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
         min(dataset.n_frames(s, proto_a), dataset.n_frames(s, proto_b))
         // window_frames
         for s in subjects)
-    templates: dict[tuple[int, str, int], np.ndarray] = {}
-    for key in keys:
-        params = system.calibrated_params(key)
-        for subject in subjects:
-            v1 = system.standardize_a(dataset.frames(subject, proto_a))
-            v2 = system.standardize_b(dataset.frames(subject, proto_b))
-            for w in range(n_windows):
-                sl = slice(w * window_frames, (w + 1) * window_frames)
-                templates[(key, subject, w)] = tr.make_template(
-                    v1[sl], v2[sl], params, window_frames, subject_id=subject).bits
+    shape = (len(subjects), n_windows, window_frames, system.dim)
+
+    def windows(standardize, protocol) -> np.ndarray:
+        frames = [dataset.frames(s, protocol)[:n_windows * window_frames]
+                  for s in subjects]
+        return standardize(np.reshape(frames, shape))
+
+    v1 = windows(system.standardize_a, proto_a)
+    v2 = windows(system.standardize_b, proto_b)
+    # one (subjects, windows, n_bits) database per key
+    bits = [tr.make_template(v1, v2, system.calibrated_params(key), window_frames).bits
+            for key in keys]
+    other = ~np.eye(len(subjects), dtype=bool)
     mated, non_mated = [], []
     for a_idx in range(n_keys):
         for b_idx in range(a_idx + 1, n_keys):
-            key_a, key_b = keys[a_idx], keys[b_idx]
-            for subj_a in subjects:
-                for w in range(n_windows):
-                    mated.append(tr.hamming_score(
-                        templates[(key_a, subj_a, w)],
-                        templates[(key_b, subj_a, w)])[1])
-                bits_a = templates[(key_a, subj_a, 0)]
-                for subj_b in subjects:
-                    if subj_b != subj_a:
-                        non_mated.append(tr.hamming_score(
-                            bits_a, templates[(key_b, subj_b, 0)])[1])
-    return np.array(mated), np.array(non_mated)
+            mated.append(tr.hamming_score(bits[a_idx], bits[b_idx])[1].ravel())
+            firsts = tr.hamming_score(bits[a_idx][:, None, 0], bits[b_idx][None, :, 0])
+            non_mated.append(firsts[1][other])
+    return np.concatenate(mated), np.concatenate(non_mated)
 
 
 def _fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> list[int]:
@@ -377,6 +374,7 @@ def evaluate(dataset: FeatureDataset, config: SystemConfig | None = None,
         seeds={"master": seed},
         config_hash=config_hash,
         version=version,
+        scores=scores,
     )
     if scores.pseudo_impostor is not None:
         report.pseudo_impostor_mean = float(scores.pseudo_impostor.mean())

@@ -70,11 +70,9 @@ class FeatureDataset:
         return self.frames(subject, protocol).shape[0]
 
 
-def _frame_seed(subject_id: str, frame_index: int) -> int:
-    """Stable per-frame seed so parallel extraction order cannot change output."""
-    digest = hashlib.blake2s(f"{subject_id}:{frame_index}".encode(),
-                             digest_size=4).digest()
-    return int.from_bytes(digest, "big")
+def stable_int(text: str) -> int:
+    """32-bit seed from a string's blake2s digest, the same in every process."""
+    return int.from_bytes(hashlib.blake2s(text.encode(), digest_size=4).digest(), "big")
 
 
 def extract_frame_features(recording: Recording, config: DspConfig,
@@ -97,7 +95,8 @@ def extract_frame_features(recording: Recording, config: DspConfig,
             phase = dsp.instantaneous_phase(fr)
             graph = connectivity.build_graph(phase, config.rho_bins)
             feat = graph_features.extract_features(
-                graph, seed=_frame_seed(fr.subject_id, fr.frame_index),
+                # per-frame seeds keep the output independent of extraction order
+                graph, seed=stable_int(f"{fr.subject_id}:{fr.frame_index}"),
                 subject_id=fr.subject_id, protocol_tag=fr.protocol_tag,
                 frame_index=fr.frame_index)
             rows.append(feat.values)
@@ -139,14 +138,6 @@ def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
         for idx, row in enumerate(matrix):
             writer.writerow([idx] + [repr(float(v)) for v in row])
     os.replace(tmp, path)
-
-
-def read_feature_csv(path) -> tuple[np.ndarray, list[str]]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row[1:]] for row in reader if row]
-    return np.array(rows, dtype=float), header[1:]
 
 
 def random_feature_dataset(n_subjects: int, n_frames: int, dim: int, seed: int,

@@ -11,7 +11,6 @@ false acceptance rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,7 +251,3 @@ def pitfall_report(dataset: dict[str, np.ndarray], configs: list[dict] | None = 
             row[field_name] = float(np.mean([m[field_name] for m in metrics]))
         rows.append(row)
     return rows
-
-
-def report_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True)

@@ -9,14 +9,15 @@ drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import transform as tr
 from .errors import ConfigError
 from .ingest import Protocol
-from .pipeline import FeatureDataset
+from .pipeline import FeatureDataset, stable_int
 
 
 @dataclass
@@ -33,10 +34,15 @@ class SystemConfig:
     calibration_margin: float = 1.0
 
     def validate(self) -> None:
-        if not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.theta}")
-        if self.enroll_frames < 1 or self.query_frames < 1:
-            raise ConfigError("frame counts must be at least 1")
+        """Check types and ranges; cheap enough to run before any extraction."""
+        if not _is_a(self.delta, numbers.Real) or not (0.0 < self.delta < 1.0):
+            raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
+        if not _is_a(self.theta, numbers.Real) or not (0.0 <= self.theta <= 1.0):
+            raise ConfigError(f"threshold must be a number in [0, 1], got {self.theta!r}")
+        for name in ("enroll_frames", "query_frames"):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass
@@ -88,27 +94,22 @@ class AuthSystem:
         pooled_b = np.concatenate([raw[s][1] for s in dataset.subjects])
         self._mean_a, self._scale_a = _standardizer(pooled_a)
         self._mean_b, self._scale_b = _standardizer(pooled_b)
-        enrollments = {
-            s: (self.standardize_a(raw[s][0]), self.standardize_b(raw[s][1]))
-            for s in dataset.subjects
-        }
-        self._population_v1 = np.concatenate(
-            [enrollments[s][0] for s in dataset.subjects])
-        self._population_v2 = np.concatenate(
-            [enrollments[s][1] for s in dataset.subjects])
+        self._population_v1 = self.standardize_a(pooled_a)
+        self._population_v2 = self.standardize_b(pooled_b)
         self._params_cache: dict[int, tr.TransformParams] = {}
 
         self.users: dict[str, UserAccount] = {}
-        for subject in dataset.subjects:
+        for index, subject in enumerate(dataset.subjects):
             if user_keys is not None:
                 key = user_keys[subject]
             elif config.lost_key:
                 key = config.master_key
             else:
                 key = int(np.random.default_rng(
-                    [config.master_key, hash_subject(subject)]).integers(0, 2 ** 63))
+                    [config.master_key, stable_int(subject)]).integers(0, 2 ** 63))
             params = self.calibrated_params(key)
-            enroll_v1, enroll_v2 = enrollments[subject]
+            own = slice(index * config.enroll_frames, (index + 1) * config.enroll_frames)
+            enroll_v1, enroll_v2 = self._population_v1[own], self._population_v2[own]
             template = tr.make_template(enroll_v1, enroll_v2, params,
                                         config.enroll_frames, subject_id=subject)
             self.users[subject] = UserAccount(subject, params, template,
@@ -141,34 +142,50 @@ class AuthSystem:
 
     # -- query construction -------------------------------------------------
 
-    def query_template(self, claimed: str, source: str, start_frame: int,
+    def account_bits(self, account: UserAccount, v1: np.ndarray,
+                     v2: np.ndarray) -> np.ndarray:
+        """Bits raw feature frames give under an account's key and range.
+
+        Frames run along axis -2 and their projections are averaged, as at
+        enrollment; leading axes are a batch of queries.
+        """
+        fused = tr.combine(self.standardize_a(v1), self.standardize_b(v2),
+                           account.params)
+        projected = tr.project(fused, account.params).mean(axis=-2)
+        return tr.gray_encode(projected, account.template.meta.quant_range)
+
+    def query_template(self, claimed: str, source, start_frame,
                        n_frames: int | None = None) -> tr.CancellableTemplate:
         """Template for frames of `source` presented against `claimed`'s account.
 
         Uses the claimed account's parameters and quantization range, exactly
-        as the deployed matcher would.
+        as the deployed matcher would. `source` (a subject or a sequence of
+        subjects) broadcasts against `start_frame`; a batch gives one row of
+        bits per (source, start) window.
         """
-        account = self.users[claimed]
         n_frames = self.config.query_frames if n_frames is None else n_frames
-        proto_a, proto_b = self.config.protocol_pair
-        v1 = self.dataset.frames(source, proto_a)[start_frame:start_frame + n_frames]
-        v2 = self.dataset.frames(source, proto_b)[start_frame:start_frame + n_frames]
-        if v1.shape[0] < n_frames or v2.shape[0] < n_frames:
-            raise ConfigError(
-                f"subject {source}: not enough frames at offset {start_frame}")
-        return tr.make_template(self.standardize_a(v1), self.standardize_b(v2),
-                                account.params, n_frames,
-                                quant_range=account.template.meta.quant_range,
-                                subject_id=source)
+        sources, starts = np.broadcast_arrays(np.asarray(source), np.asarray(start_frame))
+        windows = []
+        for subject, start in zip(sources.flat, starts.flat):
+            for protocol in self.config.protocol_pair:
+                windows.append(self.dataset.frames(subject, protocol)[start:start + n_frames])
+                if len(windows[-1]) < n_frames:
+                    raise ConfigError(
+                        f"subject {subject}: not enough frames at offset {start}")
+        frames = np.reshape(windows, sources.shape + (2, n_frames, self.dim))
+        account = self.users[claimed]
+        meta = replace(account.template.meta, frames_averaged=n_frames,
+                       subject_id=source if isinstance(source, str) else "")
+        return tr.CancellableTemplate(
+            bits=self.account_bits(account, frames[..., 0, :, :], frames[..., 1, :, :]),
+            meta=meta)
 
     def feature_query_bits(self, claimed: str, v1: np.ndarray,
                            v2: np.ndarray) -> np.ndarray:
-        """Bits a single raw feature-pair query produces against `claimed`'s account."""
-        account = self.users[claimed]
-        z1 = self.standardize_a(v1)
-        z2 = self.standardize_b(v2)
-        r = tr.project(tr.combine(z1, z2, account.params), account.params)
-        return tr.gray_encode(r, account.template.meta.quant_range)
+        """Bits single raw feature-pair queries (last axis) produce against
+        `claimed`'s account."""
+        return self.account_bits(self.users[claimed], np.asarray(v1)[..., None, :],
+                                 np.asarray(v2)[..., None, :])
 
     # -- scoring -------------------------------------------------------------
 
@@ -199,9 +216,9 @@ class AuthSystem:
         self.users[subject] = self.reissue(subject, new_key)
 
 
-def hash_subject(subject: str) -> int:
-    import hashlib
-    return int.from_bytes(hashlib.blake2s(subject.encode(), digest_size=4).digest(), "big")
+def _is_a(value, kind) -> bool:
+    """isinstance check that does not count a bool as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _standardizer(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

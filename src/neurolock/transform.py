@@ -85,32 +85,47 @@ class TemplateMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TemplateMeta":
-        return cls(
-            subject_id=d["subject_id"],
-            key_id=d["key_id"],
-            delta=float(d["delta"]),
-            frames_averaged=int(d["frames_averaged"]),
-            quant_range=np.asarray(d["quant_range"], dtype=float),
-        )
+        """Metadata from its stored JSON form; a malformed field raises ParseError."""
+        if not isinstance(d, dict):
+            raise ParseError(f"metadata is a {type(d).__name__}, not an object")
+        if not isinstance(d["subject_id"], str) or not isinstance(d["key_id"], str):
+            raise ParseError("subject_id and key_id must be strings")
+        delta, frames = d["delta"], d["frames_averaged"]
+        if type(delta) not in (int, float) or not (0.0 < delta < 1.0):
+            raise ParseError(f"delta must be a number in (0, 1), got {delta!r}")
+        if type(frames) is not int or frames < 1:
+            raise ParseError(f"frames_averaged must be a positive integer, got {frames!r}")
+        quant_range = np.asarray(d["quant_range"], dtype=float)
+        if (quant_range.ndim != 2 or quant_range.shape[1] != 2
+                or not np.isfinite(quant_range).all()
+                or (quant_range[:, 0] >= quant_range[:, 1]).any()):
+            raise ParseError("quant_range must be finite n x 2 [lo, hi] rows with lo < hi")
+        return cls(subject_id=d["subject_id"], key_id=d["key_id"], delta=float(delta),
+                   frames_averaged=frames, quant_range=quant_range)
 
 
 @dataclass
 class CancellableTemplate:
-    """Fixed-length bit string plus public metadata."""
+    """Fixed-length bit string plus public metadata.
 
-    bits: np.ndarray  # 1-D uint8 array of 0/1
+    Leading axes of ``bits`` hold a batch of bit strings that share the
+    metadata (same key, range and frame count).
+    """
+
+    bits: np.ndarray  # uint8 array of 0/1, shape (..., n_bits)
     meta: TemplateMeta
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1 or self.bits.size % BITS_PER_DIM:
-            raise ShapeError(f"bit length {self.bits.size} not a multiple of {BITS_PER_DIM}")
+        if self.bits.ndim < 1 or self.bits.shape[-1] % BITS_PER_DIM:
+            raise ShapeError(
+                f"bit length {self.bits.shape[-1:]} not a multiple of {BITS_PER_DIM}")
         if self.meta.frames_averaged < 1:
             raise ConfigError("template must average at least one frame")
 
     @property
     def n_bits(self) -> int:
-        return self.bits.size
+        return self.bits.shape[-1]
 
 
 @dataclass
@@ -150,28 +165,34 @@ def derive_params(user_key: int, dim: int, delta: float) -> TransformParams:
 def combine(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
     """Permute the first vector and take the elementwise product with the second.
 
-    Convention: out[i] = v1[permutation[i]] * v2[i].
+    Convention: out[..., i] = v1[..., permutation[i]] * v2[..., i]; leading
+    axes are a batch.
     """
-    v1 = np.asarray(v1, dtype=float).ravel()
-    v2 = np.asarray(v2, dtype=float).ravel()
-    if v1.size != params.dim or v2.size != params.dim:
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    if v1.shape[-1:] != (params.dim,) or v2.shape[-1:] != (params.dim,):
         raise ShapeError(
-            f"feature dims ({v1.size}, {v2.size}) do not match params dim {params.dim}")
-    return v1[params.permutation] * v2
+            f"feature shapes {v1.shape} and {v2.shape} do not match params dim {params.dim}")
+    return v1.take(params.permutation, axis=-1) * v2
 
 
 def project(c: np.ndarray, params: TransformParams) -> np.ndarray:
-    """Project the fused vector to round(delta * dim) dimensions."""
-    c = np.asarray(c, dtype=float).ravel()
-    if c.size != params.dim:
-        raise ShapeError(f"vector of {c.size} entries, projection expects {params.dim}")
-    return c @ params.projection
+    """Project fused vectors (last axis) to round(delta * dim) dimensions.
+
+    One vector-matrix product per row, so a row projects exactly as it would
+    alone: a blocked batch C @ P moves the last ulp of most rows, which can
+    shift a gray level.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1:] != (params.dim,):
+        raise ShapeError(f"vectors of shape {c.shape}, projection expects {params.dim}")
+    return np.matmul(c[..., None, :], params.projection)[..., 0, :]
 
 
 def _gray_levels(x: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
     lo = quant_range[:, 0]
     hi = quant_range[:, 1]
-    clipped = np.clip(x, lo, hi)
+    clipped = np.minimum(np.maximum(x, lo), hi)
     scaled = (clipped - lo) * (LEVELS / (hi - lo))
     return np.minimum(np.floor(scaled + 0.5), LEVELS).astype(np.uint8)
 
@@ -180,16 +201,18 @@ def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
     """Quantize each entry to 256 levels over its range and emit 8-bit gray codes.
 
     Values are clamped into the range first; bits are MSB-first per dimension.
+    The last axis holds one vector's values; leading axes are a batch.
     """
-    r = np.asarray(r, dtype=float).ravel()
+    r = np.asarray(r, dtype=float)
     quant_range = np.asarray(quant_range, dtype=float).reshape(-1, 2)
-    if quant_range.shape[0] != r.size:
-        raise ShapeError(f"{r.size} values but {quant_range.shape[0]} quantization ranges")
-    if np.any(quant_range[:, 0] >= quant_range[:, 1]):
+    if quant_range.shape[0] != r.shape[-1]:
+        raise ShapeError(
+            f"{r.shape[-1]} values but {quant_range.shape[0]} quantization ranges")
+    if (quant_range[:, 0] >= quant_range[:, 1]).any():
         raise ConfigError("every quantization range needs r_min < r_max")
     levels = _gray_levels(r, quant_range)
     gray = levels ^ (levels >> 1)
-    return np.unpackbits(gray)
+    return np.unpackbits(gray, axis=-1)
 
 
 def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
@@ -220,7 +243,8 @@ def quant_range_from_samples(projected: np.ndarray,
     identity. A degenerate dimension falls back to a magnitude-proportional
     margin so the range stays non-empty.
     """
-    samples = np.atleast_2d(np.asarray(projected, dtype=float))
+    samples = np.asarray(projected, dtype=float)
+    samples = samples.reshape(-1, samples.shape[-1])
     lo = samples.min(axis=0)
     hi = samples.max(axis=0)
     width = hi - lo
@@ -239,11 +263,8 @@ def calibrate_params(params: TransformParams, population_frames_v1,
     inputs; the result is stored on the returned params (and later mirrored
     into public template metadata).
     """
-    projected = np.stack([
-        project(combine(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float),
-                        params), params)
-        for v1, v2 in zip(population_frames_v1, population_frames_v2)
-    ])
+    projected = project(combine(population_frames_v1, population_frames_v2, params),
+                        params)
     params.quant_range = quant_range_from_samples(projected, margin)
     return params
 
@@ -253,23 +274,23 @@ def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
                   subject_id: str = "") -> CancellableTemplate:
     """Fuse, project, and average the first n_frames vector pairs, then encode.
 
-    The quantization range comes from (in order of precedence) the explicit
-    argument, the calibrated params, or as a last resort the enrollment
-    frames themselves. Enrolled and query templates must quantize over the
-    same range for their bits to be comparable.
+    Frames run along axis -2 and features along axis -1; leading axes give a
+    batch of templates that share one metadata record, with bits of shape
+    (..., n_bits). The quantization range comes from (in order of
+    precedence) the explicit argument, the calibrated params, or as a last
+    resort the enrollment frames themselves. Enrolled and query templates
+    must quantize over the same range for their bits to be comparable.
     """
     if n_frames < 1:
         raise ConfigError("need at least one frame")
-    if len(frames_v1) < n_frames or len(frames_v2) < n_frames:
+    frames_v1 = np.asarray(frames_v1, dtype=float)[..., :n_frames, :]
+    frames_v2 = np.asarray(frames_v2, dtype=float)[..., :n_frames, :]
+    available = min(frames_v1.shape[-2], frames_v2.shape[-2])
+    if available < n_frames:
         raise ConfigError(
-            f"requested {n_frames} frames but only "
-            f"{min(len(frames_v1), len(frames_v2))} available")
-    projected = np.stack([
-        project(combine(np.asarray(frames_v1[f], dtype=float),
-                        np.asarray(frames_v2[f], dtype=float), params), params)
-        for f in range(n_frames)
-    ])
-    mean_r = projected.mean(axis=0)
+            f"requested {n_frames} frames but only {available} available")
+    projected = project(combine(frames_v1, frames_v2, params), params)
+    mean_r = projected.mean(axis=-2)
     if quant_range is None:
         quant_range = params.quant_range
     if quant_range is None:
@@ -282,21 +303,25 @@ def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
     return CancellableTemplate(bits=bits, meta=meta)
 
 
-def hamming_score(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple[int, float]:
-    """Raw and normalized Hamming distance between equal-length bit arrays."""
-    if bits_a.size != bits_b.size:
+def hamming_score(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple:
+    """Raw and normalized Hamming distance between equal-length bit strings.
+
+    Bit strings run along the last axis and leading axes broadcast, giving
+    arrays of distances; two 1-D strings give (int, float).
+    """
+    n_bits = bits_a.shape[-1]
+    if bits_b.shape[-1] != n_bits:
         raise IncompatibleTemplates(
-            f"bit lengths differ: {bits_a.size} vs {bits_b.size}")
-    raw = int(np.bitwise_xor(bits_a, bits_b).sum())
-    return raw, raw / bits_a.size
+            f"bit lengths differ: {n_bits} vs {bits_b.shape[-1]}")
+    raw = np.bitwise_xor(bits_a, bits_b).sum(axis=-1)
+    if raw.ndim == 0:
+        raw = int(raw)
+    return raw, raw / n_bits
 
 
 def match(query: CancellableTemplate, enrolled: CancellableTemplate,
           threshold: float) -> MatchResult:
     """XOR-and-count matcher; accepts when the normalized distance is <= threshold."""
-    if query.n_bits != enrolled.n_bits:
-        raise IncompatibleTemplates(
-            f"bit lengths differ: {query.n_bits} vs {enrolled.n_bits}")
     if query.meta.key_id != enrolled.meta.key_id:
         raise IncompatibleTemplates(
             f"key ids differ: {query.meta.key_id} vs {enrolled.meta.key_id}")
@@ -310,6 +335,8 @@ def match(query: CancellableTemplate, enrolled: CancellableTemplate,
 
 def save_template(template: CancellableTemplate, path) -> None:
     """Write the CEEG1 container: magic, meta JSON, packed bit payload."""
+    if template.bits.ndim != 1:
+        raise ShapeError("a template file holds a single bit string")
     meta_bytes = json.dumps(template.meta.to_dict(), sort_keys=True).encode("utf-8")
     payload = np.packbits(template.bits).tobytes()
     blob = (TEMPLATE_MAGIC + len(meta_bytes).to_bytes(4, "big") + meta_bytes + payload)
@@ -326,7 +353,7 @@ def load_template(path) -> CancellableTemplate:
     meta_len = int.from_bytes(raw[5:9], "big")
     try:
         meta = TemplateMeta.from_dict(json.loads(raw[9:9 + meta_len].decode("utf-8")))
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"corrupt template metadata: {exc}", offset=9) from None
     payload = raw[9 + meta_len:]
     n_dims = meta.quant_range.shape[0]

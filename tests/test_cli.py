@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from neurolock import cli, matching_eval
 from neurolock.cli import main
 
 SMALL = [
@@ -140,7 +142,48 @@ class TestEnrollVerify:
         assert result.exit_code == 2
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("override", [
+        '--transform.delta="x"', '--transform.enroll_frames="3"',
+        "--transform.delta=1.5", "--transform.theta=-0.1",
+        "--transform.query_frames=0", "--transform.enroll_frames=2.5",
+        "--transform=5",
+    ])
+    def test_bad_transform_value_exits_before_extraction(self, tmp_path, monkeypatch,
+                                                         override):
+        calls = []
+        monkeypatch.setattr(cli, "load_features", lambda config: calls.append(config))
+        result = invoke(["enroll", "--subject=S001", "--key=1",
+                         f"--output_dir={tmp_path}", override])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert calls == []
+
+
 class TestReports:
+    def test_eval_scores_the_protocol_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = matching_eval.protocol_tests
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(matching_eval, "protocol_tests", counted)
+        for revocability_keys in (0, 3):
+            calls.clear()
+            result = invoke(["eval", f"--output_dir={tmp_path}",
+                             f"--eval.revocability_keys={revocability_keys}"] + SMALL)
+            assert result.exit_code == 0, result.output
+            assert len(calls) == 1
+            histogram = (tmp_path / "score_histograms.csv").read_text().splitlines()
+            report = json.loads((tmp_path / "eval_report.json").read_text())
+            assert sum(int(row.split(",")[2]) for row in histogram[1:]) \
+                == report["n_genuine"]
+            assert sum(int(row.split(",")[3]) for row in histogram[1:]) \
+                == report["n_impostor"]
+
+
     def test_eval_report_and_reproducibility(self, tmp_path):
         args = ["eval", f"--output_dir={tmp_path}",
                 "--eval.revocability_keys=4", "--eval.unlink_keys=4",
@@ -204,6 +247,13 @@ class TestReports:
             (tmp_path / "from_config" / "dataset" / "manifest.json").read_text())
         assert manifest["master_seed"] == 555
         assert len(manifest["subjects"]) == 3
+
+    def test_config_file_with_scalar_section_rejected(self, tmp_path):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({"transform": 0.5}))
+        result = invoke(["synth", f"--config={config_path}"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
 
     def test_config_file_with_unknown_key_rejected(self, tmp_path):
         config_path = tmp_path / "bad.json"

@@ -201,7 +201,7 @@ class TestDistances:
         assert dist[0, 2] == pytest.approx(2.0)
 
     def test_matches_floyd_warshall(self, rng):
-        for n in (4, 6, 14):  # exercises both the heap and the scipy path
+        for n in (4, 6, 14):  # small and mid-size graphs, one Dijkstra path for all
             for _ in range(3):
                 w = random_graph(rng, n, zero_fraction=0.4)
                 assert gf.distance_matrix(w) == pytest.approx(

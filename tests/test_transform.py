@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,25 @@ class TestTemplateFile:
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.ceeg"
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
+        with pytest.raises(ParseError):
+            tr.load_template(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: {**meta, "delta": "x"},
+        lambda meta: {**meta, "frames_averaged": None},
+        lambda meta: [meta],
+        lambda meta: {**meta, "quant_range": [[1.0, 0.0]]},
+        lambda meta: {**meta, "quant_range": [[float("nan"), 1.0]]},
+    ], ids=["string_delta", "null_frames", "list_metadata", "inverted_range",
+            "nan_range"])
+    def test_malformed_metadata_raises_parse_error(self, tmp_path, rng, corrupt):
+        params = tr.derive_params(44, 2, 0.5)
+        tpl = tr.make_template(rng.uniform(0.1, 1.0, (2, 2)),
+                               rng.uniform(0.1, 1.0, (2, 2)), params, 2)
+        meta = json.dumps(corrupt(tpl.meta.to_dict())).encode()
+        path = tmp_path / "t.ceeg"
+        path.write_bytes(tr.TEMPLATE_MAGIC + len(meta).to_bytes(4, "big") + meta
+                         + np.packbits(tpl.bits).tobytes())
         with pytest.raises(ParseError):
             tr.load_template(path)
 
