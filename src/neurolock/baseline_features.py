@@ -4,14 +4,11 @@ spectral band powers, and fuzzy entropy."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 
-from .errors import ConfigError, DegenerateSignal, LengthError, ShapeError
-from .dsp import Frame
-from .ingest import Protocol
+from .errors import ConfigError, DegenerateSignal, LengthError
 
 # band edges in Hz: delta, theta, alpha, beta, gamma
 BANDS = ((0.5, 4.0), (4.0, 8.0), (8.0, 13.0), (13.0, 30.0), (30.0, 42.0))
@@ -24,28 +21,12 @@ class BaselineKind(enum.Enum):
     FUZZEN = "fuzzen"  # 1 entropy value per channel
     CONCAT = "concat"  # AR then PSD then FuzzEn
 
-    def vector_length(self, n_channels: int) -> int:
-        return {"ar": 5, "psd": 5, "fuzzen": 1, "concat": 11}[self.value] * n_channels
 
-
-@dataclass
-class BaselineFeatureVector:
-    values: np.ndarray
-    kind: BaselineKind
-    n_channels: int
-    protocol_tag: Protocol = Protocol.OTHER
-    subject_id: str = ""
-    frame_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = self.kind.vector_length(self.n_channels)
-        if self.values.size != expected:
-            raise ShapeError(
-                f"{self.kind.value} vector for {self.n_channels} channels must have "
-                f"{expected} entries, got {self.values.size}")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("baseline feature vector contains non-finite entries")
+# per-channel component names of each single kind; CONCAT joins the kinds
+# in this order
+_COMPONENTS = {BaselineKind.AR: [f"ar_k{i + 1}" for i in range(5)],
+               BaselineKind.PSD: [f"bp_{b}" for b in BAND_NAMES],
+               BaselineKind.FUZZEN: ["fuzzen"]}
 
 
 def ar_reflection_coeffs(channel: np.ndarray, order: int = 5) -> np.ndarray:
@@ -127,54 +108,24 @@ def fuzzy_entropy(channel: np.ndarray, m: int = 2, r_factor: float = 0.2,
     return float(-np.log(phi(m + 1) / phi(m)))
 
 
-def concat_baselines(ar: BaselineFeatureVector, psd: BaselineFeatureVector,
-                     fuzzen: BaselineFeatureVector) -> BaselineFeatureVector:
-    """Stack AR, PSD, and FuzzEn vectors (in that order) into one vector."""
-    kinds = (ar.kind, psd.kind, fuzzen.kind)
-    if kinds != (BaselineKind.AR, BaselineKind.PSD, BaselineKind.FUZZEN):
-        raise ShapeError(f"expected (ar, psd, fuzzen) inputs, got {[k.value for k in kinds]}")
-    if not (ar.n_channels == psd.n_channels == fuzzen.n_channels):
-        raise ShapeError("channel counts differ across baseline vectors")
-    return BaselineFeatureVector(
-        values=np.concatenate([ar.values, psd.values, fuzzen.values]),
-        kind=BaselineKind.CONCAT,
-        n_channels=ar.n_channels,
-        protocol_tag=ar.protocol_tag,
-        subject_id=ar.subject_id,
-        frame_index=ar.frame_index,
-    )
-
-
-def baseline_vector(fr: Frame, kind: BaselineKind) -> BaselineFeatureVector:
-    """Per-frame baseline feature vector, channel-major ordering."""
-    tags = dict(protocol_tag=fr.protocol_tag, subject_id=fr.subject_id,
-                frame_index=fr.frame_index)
+def baseline_vector(data: np.ndarray, fs: float, kind: BaselineKind) -> np.ndarray:
+    """Baseline feature vector of one (channels, samples) frame, channel-major."""
     if kind == BaselineKind.CONCAT:
-        return concat_baselines(baseline_vector(fr, BaselineKind.AR),
-                                baseline_vector(fr, BaselineKind.PSD),
-                                baseline_vector(fr, BaselineKind.FUZZEN))
+        return np.concatenate([baseline_vector(data, fs, part) for part in _COMPONENTS])
     if kind == BaselineKind.AR:
-        values = np.concatenate([ar_reflection_coeffs(ch) for ch in fr.data])
+        values = np.concatenate([ar_reflection_coeffs(ch) for ch in data])
     elif kind == BaselineKind.PSD:
-        values = np.concatenate([band_powers(ch, fr.fs) for ch in fr.data])
+        values = np.concatenate([band_powers(ch, fs) for ch in data])
     elif kind == BaselineKind.FUZZEN:
-        values = np.array([fuzzy_entropy(ch) for ch in fr.data])
+        values = np.array([fuzzy_entropy(ch) for ch in data])
     else:
         raise ConfigError(f"unknown baseline kind {kind}")
-    return BaselineFeatureVector(values=values, kind=kind,
-                                 n_channels=fr.n_channels, **tags)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("baseline feature vector contains non-finite entries")
+    return values
 
 
 def baseline_feature_names(kind: BaselineKind, n_channels: int) -> list[str]:
-    names: list[str] = []
-    if kind == BaselineKind.AR:
-        names = [f"ch{c:02d}_ar_k{i+1}" for c in range(n_channels) for i in range(5)]
-    elif kind == BaselineKind.PSD:
-        names = [f"ch{c:02d}_bp_{b}" for c in range(n_channels) for b in BAND_NAMES]
-    elif kind == BaselineKind.FUZZEN:
-        names = [f"ch{c:02d}_fuzzen" for c in range(n_channels)]
-    elif kind == BaselineKind.CONCAT:
-        names = (baseline_feature_names(BaselineKind.AR, n_channels)
-                 + baseline_feature_names(BaselineKind.PSD, n_channels)
-                 + baseline_feature_names(BaselineKind.FUZZEN, n_channels))
-    return names
+    parts = list(_COMPONENTS) if kind == BaselineKind.CONCAT else [kind]
+    return [f"ch{c:02d}_{name}" for part in parts for c in range(n_channels)
+            for name in _COMPONENTS[part]]

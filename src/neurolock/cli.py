@@ -142,7 +142,8 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
         config["master_seed"] = int(env_seed)
     if seed_flag is not None:
         config["master_seed"] = seed_flag
-    system_config(config).validate()
+    for section in (system_config(config), dsp_config(config), synthetic_spec(config)):
+        section.validate()
     return config
 
 
@@ -173,12 +174,7 @@ def _atomic_csv(path: Path, header: list, rows) -> None:
 def load_recordings(config: dict) -> list:
     ds = config["dataset"]
     if ds["kind"] == "synthetic":
-        syn = ds["synthetic"]
-        spec = SyntheticSpec(
-            n_subjects=syn["n_subjects"], n_channels=syn["n_channels"],
-            duration_s=syn["duration_s"], fs=syn["fs"],
-            master_seed=config["master_seed"], noise_level=syn["noise_level"])
-        return synthesize(spec)
+        return synthesize(synthetic_spec(config))
     if ds["path"] is None:
         raise ConfigError(f"dataset kind {ds['kind']!r} needs dataset.path")
     root = Path(ds["path"])
@@ -208,12 +204,22 @@ def load_recordings(config: dict) -> list:
 
 
 def load_features(config: dict) -> FeatureDataset:
-    recordings = load_recordings(config)
-    dsp_cfg = config["dsp"]
-    dc = DspConfig(prefilter=tuple(dsp_cfg["prefilter"]), band=tuple(dsp_cfg["band"]),
-                   frame_seconds=dsp_cfg["frame_seconds"], overlap=dsp_cfg["overlap"],
-                   fir_order=dsp_cfg["fir_order"], rho_bins=dsp_cfg["rho_bins"])
-    return build_feature_dataset(recordings, dc, config["features"]["kind"])
+    return build_feature_dataset(load_recordings(config), dsp_config(config),
+                                 config["features"]["kind"])
+
+
+def synthetic_spec(config: dict) -> SyntheticSpec:
+    syn = config["dataset"]["synthetic"]
+    return SyntheticSpec(n_subjects=syn["n_subjects"], n_channels=syn["n_channels"],
+                         duration_s=syn["duration_s"], fs=syn["fs"],
+                         master_seed=config["master_seed"], noise_level=syn["noise_level"])
+
+
+def dsp_config(config: dict) -> DspConfig:
+    d = config["dsp"]
+    return DspConfig(prefilter=d["prefilter"], band=d["band"],
+                     frame_seconds=d["frame_seconds"], overlap=d["overlap"],
+                     fir_order=d["fir_order"], rho_bins=d["rho_bins"])
 
 
 def system_config(config: dict) -> SystemConfig:

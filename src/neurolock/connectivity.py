@@ -10,26 +10,12 @@ symmetric weighted graph with a zero diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LengthError
-from .dsp import PhaseFrame
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass
-class ConnectivityGraph:
-    """Weighted synchronization graph: symmetric adjacency, entries in [0, 1]."""
-
-    adjacency: np.ndarray
-    bin_count: int
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
 
 
 def default_bin_count(n_samples: int) -> int:
@@ -71,16 +57,17 @@ def rho_index(rel_phase: np.ndarray, bins: int) -> float:
     p = counts[counts > 0] / rel_phase.size
     entropy = float(-(p * np.log(p)).sum())
     max_entropy = math.log(bins)
-    return (max_entropy - entropy) / max_entropy
+    # rounding can leave an exactly uniform histogram a hair below zero
+    return max(0.0, (max_entropy - entropy) / max_entropy)
 
 
-def build_graph(phase_frame: PhaseFrame, bins: int | None = None) -> ConnectivityGraph:
-    """Synchronization index on every unordered channel pair; diagonal zero.
+def build_graph(phase: np.ndarray, bins: int | None = None) -> np.ndarray:
+    """Adjacency of one (channels, samples) phase frame: the synchronization
+    index on every unordered channel pair, symmetric, diagonal zero.
 
     All pairs are computed in one vectorized pass (identical arithmetic to
     rho_index on each pair).
     """
-    phase = phase_frame.phase
     n, length = phase.shape
     if n < 2:
         raise ConfigError(f"need at least 2 channels to build a graph, got {n}")
@@ -98,8 +85,8 @@ def build_graph(phase_frame: PhaseFrame, bins: int | None = None) -> Connectivit
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
     entropy = -terms.sum(axis=1)
-    values = (math.log(bins) - entropy) / math.log(bins)
+    values = np.maximum((math.log(bins) - entropy) / math.log(bins), 0.0)  # as rho_index
     adjacency = np.zeros((n, n), dtype=float)
     adjacency[iu, ju] = values
     adjacency[ju, iu] = values
-    return ConnectivityGraph(adjacency=adjacency, bin_count=bins)
+    return adjacency

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.signal
 
 from .errors import ConfigError, DegenerateSignal, LengthError
-from .ingest import Protocol, Recording
+from .ingest import Recording
 
 
 @dataclass
@@ -39,35 +39,6 @@ class FirFilter:
         return float(np.abs(h[0]))
 
 
-@dataclass
-class Frame:
-    """One analysis window cut from a recording (channels x samples)."""
-
-    data: np.ndarray
-    subject_id: str
-    protocol_tag: Protocol
-    frame_index: int
-    fs: float
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class PhaseFrame:
-    """Instantaneous phase of a frame, entries in (-pi, pi]."""
-
-    phase: np.ndarray
-    subject_id: str
-    protocol_tag: Protocol
-    frame_index: int
-
-
 def detrend(recording: Recording) -> Recording:
     """Remove the least-squares line from each channel."""
     if recording.n_samples < 2:
@@ -81,11 +52,6 @@ def detrend(recording: Recording) -> Recording:
     means = data.mean(axis=1)
     fitted = means[:, None] + slopes[:, None] * x_centered[None, :]
     return replace(recording, data=data - fitted)
-
-
-def remove_artifacts(recording: Recording) -> Recording:
-    """Placeholder artifact-removal stage: identity pass-through."""
-    return recording
 
 
 def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> FirFilter:
@@ -112,8 +78,8 @@ def filter_zero_phase(recording: Recording, filt: FirFilter) -> Recording:
 
 
 def frame(recording: Recording, frame_seconds: float,
-          overlap_fraction: float = 0.0) -> list[Frame]:
-    """Cut a recording into fixed-length frames; the trailing remainder is dropped."""
+          overlap_fraction: float = 0.0) -> np.ndarray:
+    """Cut a recording into (frames, channels, samples); the remainder is dropped."""
     if not (0.0 <= overlap_fraction < 1.0):
         raise ConfigError(f"overlap fraction must be in [0, 1), got {overlap_fraction}")
     length = int(round(frame_seconds * recording.fs))
@@ -122,37 +88,24 @@ def frame(recording: Recording, frame_seconds: float,
     if recording.n_samples < length:
         raise LengthError(
             f"recording has {recording.n_samples} samples, one frame needs {length}")
-    step = int(round(length * (1.0 - overlap_fraction)))
-    step = max(step, 1)
+    step = max(int(round(length * (1.0 - overlap_fraction))), 1)
     count = (recording.n_samples - length) // step + 1
-    return [
-        Frame(
-            data=recording.data[:, k * step: k * step + length].copy(),
-            subject_id=recording.subject_id,
-            protocol_tag=recording.protocol_tag,
-            frame_index=k,
-            fs=recording.fs,
-        )
-        for k in range(count)
-    ]
+    return np.stack([recording.data[:, k * step: k * step + length] for k in range(count)])
 
 
-def instantaneous_phase(fr: Frame) -> PhaseFrame:
-    """Phase of the analytic signal, computed per channel over the whole frame.
+def instantaneous_phase(x: np.ndarray) -> np.ndarray:
+    """Phase in (-pi, pi] of the analytic signal of each row of a (channels, samples)
+    frame or a (frames, channels, samples) stack.
 
-    The analytic signal is built with a full-frame DFT: negative frequencies
-    zeroed, positive doubled, DC and Nyquist kept.
+    The analytic signal is built with a full-length DFT of each row: negative
+    frequencies zeroed, positive doubled, DC and Nyquist kept.
     """
-    if fr.n_samples < 8:
-        raise LengthError(f"need at least 8 samples for phase, got {fr.n_samples}")
-    energies = np.abs(fr.data).max(axis=1)
-    dead = np.flatnonzero(energies == 0.0)
+    if x.shape[-1] < 8:
+        raise LengthError(f"need at least 8 samples for phase, got {x.shape[-1]}")
+    dead = np.argwhere(np.abs(x).max(axis=-1) == 0.0)
     if dead.size:
-        raise DegenerateSignal(f"all-zero channel(s) {dead.tolist()}: phase undefined")
-    analytic = scipy.signal.hilbert(fr.data, axis=-1)
-    return PhaseFrame(
-        phase=np.angle(analytic),
-        subject_id=fr.subject_id,
-        protocol_tag=fr.protocol_tag,
-        frame_index=fr.frame_index,
-    )
+        axes = ("frame", "channel")[-dead.shape[1]:]
+        where = ", ".join(" ".join(f"{axis} {i}" for axis, i in zip(axes, index))
+                          for index in dead.tolist())
+        raise DegenerateSignal(f"all-zero {where}: phase undefined")
+    return np.angle(scipy.signal.hilbert(x, axis=-1))

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config type check."""
+
+
+def is_a(value, kind) -> bool:
+    """isinstance check that does not count a bool as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class NeurolockError(Exception):

@@ -7,15 +7,11 @@ efficiency, radius, and diameter, in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse.csgraph
 
-from .connectivity import ConnectivityGraph
 from .errors import (ConfigError, ConvergenceError, DegenerateGraph,
                      DisconnectedGraph)
-from .ingest import Protocol
 
 GLOBAL_FEATURE_NAMES = ("transitivity", "modularity", "char_path_length",
                         "global_efficiency", "radius", "diameter")
@@ -25,27 +21,12 @@ GLOBAL_FEATURE_NAMES = ("transitivity", "modularity", "char_path_length",
 _EXACT_MODULARITY_NODES = 8
 
 
-@dataclass
-class FeatureVector:
-    """Length-(N+6) frame feature vector with provenance tags."""
-
-    values: np.ndarray
-    protocol_tag: Protocol = Protocol.OTHER
-    subject_id: str = ""
-    frame_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("feature vector contains non-finite entries")
-
-
 def feature_names(n_nodes: int) -> list[str]:
     return [f"centrality_{i:03d}" for i in range(n_nodes)] + list(GLOBAL_FEATURE_NAMES)
 
 
 def _adjacency(graph) -> np.ndarray:
-    w = graph.adjacency if isinstance(graph, ConnectivityGraph) else np.asarray(graph, float)
+    w = np.asarray(graph, float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ConfigError("adjacency must be a square matrix")
     return w
@@ -311,9 +292,7 @@ def global_descriptors(graph) -> tuple[float, float, float, float]:
     return lam, efficiency, float(eccentricity.min()), float(eccentricity.max())
 
 
-def extract_features(graph, seed: int = 0, subject_id: str = "",
-                     protocol_tag: Protocol = Protocol.OTHER,
-                     frame_index: int = 0) -> FeatureVector:
+def extract_features(graph, seed: int = 0) -> np.ndarray:
     """Concatenate centrality scores with the six global descriptors."""
     centrality = pagerank_centrality(graph)
     trans = transitivity(graph)
@@ -321,5 +300,6 @@ def extract_features(graph, seed: int = 0, subject_id: str = "",
     lam, efficiency, radius, diameter = global_descriptors(graph)
     values = np.concatenate([centrality,
                              [trans, q, lam, efficiency, radius, diameter]])
-    return FeatureVector(values=values, protocol_tag=protocol_tag,
-                         subject_id=subject_id, frame_index=frame_index)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("feature vector contains non-finite entries")
+    return values

@@ -10,14 +10,15 @@ a subject and distinct across subjects.
 from __future__ import annotations
 
 import csv
-import os
 import enum
+import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRecording, ParseError
+from .errors import ConfigError, EmptyRecording, ParseError, is_a
 
 EDF_HEADER_BYTES = 256
 EDF_PER_SIGNAL_BYTES = 256
@@ -357,6 +358,24 @@ class SyntheticSpec:
     coupling: np.ndarray | None = None    # optional N x N override, used for all subjects
     base_freqs: np.ndarray | None = None  # optional length-N override, used for all subjects
 
+    def validate(self) -> None:
+        """Check types and ranges; cheap enough to run before any synthesis."""
+        for names, kind, what in (
+                (("n_subjects", "n_channels", "master_seed"), numbers.Integral,
+                 "a non-negative integer"),
+                (("duration_s", "fs", "noise_level"), numbers.Real,
+                 "a finite non-negative number")):
+            for name in names:
+                value = getattr(self, name)
+                if not is_a(value, kind) or not 0 <= value < np.inf:
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if self.n_channels < 2:
+            raise ConfigError(f"need at least 2 channels, got {self.n_channels}")
+        if self.n_subjects < 1:
+            raise ConfigError("need at least one subject")
+        if int(round(self.duration_s * self.fs)) < 1:
+            raise ConfigError("duration too short for one sample")
+
     def subject_ids(self) -> list[str]:
         return [f"S{i + 1:03d}" for i in range(self.n_subjects)]
 
@@ -422,13 +441,8 @@ def synthesize(spec: SyntheticSpec) -> list[Recording]:
     Seeding is per (master_seed, subject, protocol), so output is independent
     of generation order.
     """
-    if spec.n_channels < 2:
-        raise ConfigError(f"need at least 2 channels, got {spec.n_channels}")
-    if spec.n_subjects < 1:
-        raise ConfigError("need at least one subject")
+    spec.validate()
     n_samples = int(round(spec.duration_s * spec.fs))
-    if n_samples < 1:
-        raise ConfigError("duration too short for one sample")
     t = np.arange(n_samples) / spec.fs
 
     recordings = []

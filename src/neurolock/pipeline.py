@@ -1,16 +1,17 @@
 """End-to-end feature extraction: recordings in, per-frame feature vectors out.
 
-Stages: detrend, artifact pass-through, wide pre-filter, then either the
-graph path (beta-band filter, framing, instantaneous phase, synchronization
-graph, graph features) or a classical per-channel feature path on the
-pre-filtered frames.
+Stages: detrend, wide pre-filter, then either the graph path (beta-band
+filter, framing into a (frames, channels, samples) array, instantaneous phase
+of all frames at once, one synchronization graph and feature vector per
+frame) or a classical per-channel feature path on the pre-filtered frames.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import hashlib
+import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
-from .errors import ConfigError
+from .errors import ConfigError, NeurolockError, is_a
 from .ingest import Protocol, Recording
 
 FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
@@ -33,10 +34,25 @@ class DspConfig:
     fir_order: int = 330
     rho_bins: int | None = None
 
-    def validate(self, fs: float) -> None:
-        for lo, hi in (self.prefilter, self.band):
-            if not (0 < lo < hi < fs / 2):
-                raise ConfigError(f"band [{lo}, {hi}] invalid for fs={fs}")
+    def validate(self) -> None:
+        """Check types and ranges before any extraction; band edges are checked
+        against each recording's Nyquist frequency where its filters are designed."""
+        def band(pair):
+            return len(pair) == 2 and all(is_a(v, numbers.Real) for v in pair) \
+                and 0 < pair[0] < pair[1]
+
+        pair_rule = ((list, tuple), band, "a [low, high] pair with 0 < low < high")
+        rules = (("prefilter", *pair_rule), ("band", *pair_rule),
+                 ("frame_seconds", numbers.Real, lambda v: 0 < v < np.inf, "a positive number"),
+                 ("overlap", numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+                 ("fir_order", numbers.Integral, lambda v: v > 0 and v % 2 == 0,
+                  "an even positive integer"),
+                 ("rho_bins", (numbers.Integral, type(None)), lambda v: v is None or v >= 2,
+                  "null or an integer of at least 2"))
+        for name, kind, ok, what in rules:
+            value = getattr(self, name)
+            if not is_a(value, kind) or not ok(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -77,40 +93,29 @@ def stable_int(text: str) -> int:
 
 def extract_frame_features(recording: Recording, config: DspConfig,
                            kind: str = "graph") -> np.ndarray:
-    """Run one recording through the pipeline; rows are frames."""
+    """Run one recording through the pipeline; rows are frames. Errors name the recording."""
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    config.validate(recording.fs)
-    rec = dsp.detrend(recording)
-    rec = dsp.remove_artifacts(rec)
-    pre = dsp.design_bandpass(rec.fs, *config.prefilter, config.fir_order)
-    rec = dsp.filter_zero_phase(rec, pre)
-
-    if kind == "graph":
+    config.validate()
+    try:
+        rec = dsp.detrend(recording)
+        pre = dsp.design_bandpass(rec.fs, *config.prefilter, config.fir_order)
+        rec = dsp.filter_zero_phase(rec, pre)
+        if kind != "graph":
+            frames = dsp.frame(rec, config.frame_seconds, config.overlap)
+            return np.stack([bf.baseline_vector(fr, rec.fs, bf.BaselineKind(kind))
+                             for fr in frames])
         beta = dsp.design_bandpass(rec.fs, *config.band, config.fir_order)
         rec = dsp.filter_zero_phase(rec, beta)
-        frames = dsp.frame(rec, config.frame_seconds, config.overlap)
-        rows = []
-        for fr in frames:
-            phase = dsp.instantaneous_phase(fr)
-            graph = connectivity.build_graph(phase, config.rho_bins)
-            feat = graph_features.extract_features(
-                # per-frame seeds keep the output independent of extraction order
-                graph, seed=stable_int(f"{fr.subject_id}:{fr.frame_index}"),
-                subject_id=fr.subject_id, protocol_tag=fr.protocol_tag,
-                frame_index=fr.frame_index)
-            rows.append(feat.values)
-        return np.stack(rows)
-
-    frames = dsp.frame(rec, config.frame_seconds, config.overlap)
-    kind_enum = bf.BaselineKind(kind)
-    return np.stack([bf.baseline_vector(fr, kind_enum).values for fr in frames])
-
-
-def dataset_feature_names(kind: str, n_channels: int) -> list[str]:
-    if kind == "graph":
-        return graph_features.feature_names(n_channels)
-    return bf.baseline_feature_names(bf.BaselineKind(kind), n_channels)
+        phases = dsp.instantaneous_phase(dsp.frame(rec, config.frame_seconds, config.overlap))
+        return np.stack([graph_features.extract_features(
+            connectivity.build_graph(phase, config.rho_bins),
+            # per-frame seeds keep the output independent of extraction order
+            seed=stable_int(f"{recording.subject_id}:{k}")) for k, phase in enumerate(phases)])
+    except NeurolockError as exc:
+        exc.args = (f"subject {recording.subject_id!r} / {recording.protocol_tag.value}: "
+                    f"{exc}",)
+        raise
 
 
 def build_feature_dataset(recordings: list[Recording], config: DspConfig,
@@ -124,7 +129,9 @@ def build_feature_dataset(recordings: list[Recording], config: DspConfig,
         if key in vectors:
             raise ConfigError(f"duplicate recording for {key}")
         vectors[key] = extract_frame_features(rec, config, kind)
-    names = dataset_feature_names(kind, recordings[0].n_channels)
+    n_channels = recordings[0].n_channels
+    names = (graph_features.feature_names(n_channels) if kind == "graph"
+             else bf.baseline_feature_names(bf.BaselineKind(kind), n_channels))
     return FeatureDataset(vectors=vectors, feature_kind=kind, names=names)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError
+from .errors import ConfigError, is_a
 from .ingest import Protocol
 from .pipeline import FeatureDataset, stable_int
 
@@ -35,13 +35,13 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Check types and ranges; cheap enough to run before any extraction."""
-        if not _is_a(self.delta, numbers.Real) or not (0.0 < self.delta < 1.0):
+        if not is_a(self.delta, numbers.Real) or not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
-        if not _is_a(self.theta, numbers.Real) or not (0.0 <= self.theta <= 1.0):
+        if not is_a(self.theta, numbers.Real) or not (0.0 <= self.theta <= 1.0):
             raise ConfigError(f"threshold must be a number in [0, 1], got {self.theta!r}")
         for name in ("enroll_frames", "query_frames"):
             value = getattr(self, name)
-            if not _is_a(value, numbers.Integral) or value < 1:
+            if not is_a(value, numbers.Integral) or value < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
@@ -214,11 +214,6 @@ class AuthSystem:
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""
         self.users[subject] = self.reissue(subject, new_key)
-
-
-def _is_a(value, kind) -> bool:
-    """isinstance check that does not count a bool as a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _standardizer(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from neurolock import baseline_features as bf
-from neurolock.dsp import Frame
-from neurolock.errors import DegenerateSignal, LengthError, ShapeError
-from neurolock.ingest import Protocol
+from neurolock.errors import ConfigError, DegenerateSignal, LengthError
 
 
 def fuzzy_entropy_reference(x, m=2, r_factor=0.2, n_exp=2.0):
@@ -117,41 +115,35 @@ class TestFuzzyEntropy:
 
 
 class TestVectors:
-    def make_frame(self, rng, n_channels=3):
-        return Frame(data=rng.standard_normal((n_channels, 320)), subject_id="S",
-                     protocol_tag=Protocol.EO, frame_index=0, fs=160.0)
-
     def test_lengths_per_kind(self, rng):
-        fr = self.make_frame(rng)
-        assert bf.baseline_vector(fr, bf.BaselineKind.AR).values.size == 15
-        assert bf.baseline_vector(fr, bf.BaselineKind.PSD).values.size == 15
-        assert bf.baseline_vector(fr, bf.BaselineKind.FUZZEN).values.size == 3
-        assert bf.baseline_vector(fr, bf.BaselineKind.CONCAT).values.size == 33
+        data = rng.standard_normal((3, 320))
+        assert bf.baseline_vector(data, 160.0, bf.BaselineKind.AR).shape == (15,)
+        assert bf.baseline_vector(data, 160.0, bf.BaselineKind.PSD).shape == (15,)
+        assert bf.baseline_vector(data, 160.0, bf.BaselineKind.FUZZEN).shape == (3,)
+        assert bf.baseline_vector(data, 160.0, bf.BaselineKind.CONCAT).shape == (33,)
 
     def test_concat_order(self, rng):
-        fr = self.make_frame(rng)
-        ar = bf.baseline_vector(fr, bf.BaselineKind.AR)
-        psd = bf.baseline_vector(fr, bf.BaselineKind.PSD)
-        fz = bf.baseline_vector(fr, bf.BaselineKind.FUZZEN)
-        cat = bf.concat_baselines(ar, psd, fz)
-        assert np.array_equal(cat.values,
-                              np.concatenate([ar.values, psd.values, fz.values]))
+        data = rng.standard_normal((3, 320))
+        parts = [bf.baseline_vector(data, 160.0, kind) for kind in
+                 (bf.BaselineKind.AR, bf.BaselineKind.PSD, bf.BaselineKind.FUZZEN)]
+        cat = bf.baseline_vector(data, 160.0, bf.BaselineKind.CONCAT)
+        assert np.array_equal(cat, np.concatenate(parts))
 
-    def test_concat_rejects_wrong_order(self, rng):
-        fr = self.make_frame(rng)
-        ar = bf.baseline_vector(fr, bf.BaselineKind.AR)
-        psd = bf.baseline_vector(fr, bf.BaselineKind.PSD)
-        fz = bf.baseline_vector(fr, bf.BaselineKind.FUZZEN)
-        with pytest.raises(ShapeError):
-            bf.concat_baselines(psd, ar, fz)
+    def test_non_finite_values_raise(self, rng):
+        data = rng.standard_normal((2, 320))
+        data[1, 5] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            bf.baseline_vector(data, 160.0, bf.BaselineKind.PSD)
 
     def test_deterministic(self, rng):
-        fr = self.make_frame(rng)
-        a = bf.baseline_vector(fr, bf.BaselineKind.CONCAT).values
-        b = bf.baseline_vector(fr, bf.BaselineKind.CONCAT).values
+        data = rng.standard_normal((3, 320))
+        a = bf.baseline_vector(data, 160.0, bf.BaselineKind.CONCAT)
+        b = bf.baseline_vector(data, 160.0, bf.BaselineKind.CONCAT)
         assert np.array_equal(a, b)
 
-    def test_names_match_lengths(self):
+    def test_names_match_lengths(self, rng):
+        data = rng.standard_normal((4, 320))
         for kind in bf.BaselineKind:
             names = bf.baseline_feature_names(kind, 4)
-            assert len(names) == kind.vector_length(4)
+            assert len(names) == len(set(names))
+            assert len(names) == bf.baseline_vector(data, 160.0, kind).size

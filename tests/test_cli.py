@@ -161,6 +161,31 @@ class TestConfigValidation:
         assert calls == []
 
 
+    @pytest.mark.parametrize("command,override", [
+        ("synth", '--dataset.synthetic.n_subjects="x"'),
+        ("synth", "--dataset.synthetic.duration_s=-1"),
+        ("extract", '--dsp.fir_order="x"'),
+        ("extract", "--dsp.fir_order=331"),
+        ("extract", "--dsp.band=5"),
+        ("extract", "--dsp.band=[30, 13]"),
+        ("extract", "--dsp.prefilter=[0.5]"),
+        ("extract", "--dsp.overlap=1.0"),
+        ("extract", "--dsp.rho_bins=1"),
+        ("enroll", "--dsp.frame_seconds=0"),
+    ])
+    def test_bad_dsp_or_dataset_value_exits_before_loading(self, tmp_path, monkeypatch,
+                                                           command, override):
+        def never(config):
+            raise AssertionError("load_recordings called")
+        monkeypatch.setattr(cli, "load_recordings", never)
+        extra = ["--subject=S001", "--key=1"] if command == "enroll" else []
+        result = invoke([command, f"--output_dir={tmp_path}", override] + extra)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: ")
+        assert "Traceback" not in result.output
+
+
 class TestReports:
     def test_eval_scores_the_protocol_once(self, tmp_path, monkeypatch):
         calls = []

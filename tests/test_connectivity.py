@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurolock import dsp
 from neurolock.connectivity import (build_graph, default_bin_count,
                                     relative_phase, rho_index)
 from neurolock.errors import ConfigError, LengthError
-from neurolock.ingest import Protocol
-
-
-def phase_frame(phase):
-    return dsp.PhaseFrame(phase=np.asarray(phase, dtype=float), subject_id="S",
-                          protocol_tag=Protocol.EO, frame_index=0)
 
 
 class TestRelativePhase:
@@ -50,6 +43,13 @@ class TestRhoIndex:
         centers = (np.arange(bins) + 0.5) * 2 * np.pi / bins
         series = np.tile(centers, 5)
         assert rho_index(series, bins=bins) == 0.0
+
+    def test_uniform_occupancy_never_rounds_below_zero(self):
+        # five bins of two samples each: the entropy rounds a hair above ln(5)
+        series = np.array([0.0, 0.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 6.0, 6.0])
+        assert rho_index(series, bins=5) == 0.0
+        phase = np.stack([series - np.pi, np.full(series.size, -np.pi)])
+        assert build_graph(phase, bins=5)[0, 1] == 0.0
 
     def test_hand_entropy_fixture(self):
         # occupancy {3, 2, 1} over three bins of [0, 2*pi)
@@ -108,35 +108,34 @@ class TestDefaultBinCount:
 class TestBuildGraph:
     def test_identical_channels_fully_coupled(self):
         phase = np.tile(np.linspace(-np.pi + 0.01, np.pi - 0.01, 320), (4, 1))
-        graph = build_graph(phase_frame(phase))
-        off = graph.adjacency[~np.eye(4, dtype=bool)]
+        adjacency = build_graph(phase)
+        off = adjacency[~np.eye(4, dtype=bool)]
         assert np.all(off == 1.0)
-        assert np.all(np.diag(graph.adjacency) == 0.0)
+        assert np.all(np.diag(adjacency) == 0.0)
 
     def test_independent_channels_weakly_coupled(self):
         rho_values = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
             phase = rng.uniform(-np.pi, np.pi, size=(2, 2000))
-            graph = build_graph(phase_frame(phase))
-            rho_values.append(graph.adjacency[0, 1])
+            rho_values.append(build_graph(phase)[0, 1])
         assert np.mean(rho_values) < 0.1
 
     def test_matches_pairwise_oracle(self, rng):
         phase = rng.uniform(-np.pi, np.pi, size=(3, 100))
-        graph = build_graph(phase_frame(phase), bins=9)
+        adjacency = build_graph(phase, bins=9)
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
                 expected = rho_index(relative_phase(phase[i], phase[j]), 9)
-                assert graph.adjacency[i, j] == pytest.approx(expected, abs=1e-14)
+                assert adjacency[i, j] == pytest.approx(expected, abs=1e-14)
 
     def test_symmetry_exact(self, rng):
         phase = rng.uniform(-np.pi, np.pi, size=(6, 64))
-        graph = build_graph(phase_frame(phase), bins=8)
-        assert np.array_equal(graph.adjacency, graph.adjacency.T)
+        adjacency = build_graph(phase, bins=8)
+        assert np.array_equal(adjacency, adjacency.T)
 
     def test_single_channel_raises(self):
         with pytest.raises(ConfigError):
-            build_graph(phase_frame(np.zeros((1, 100))))
+            build_graph(np.zeros((1, 100)))

@@ -124,8 +124,7 @@ class TestFrame:
     def test_60s_at_160hz_gives_30_frames(self, rng):
         rec = make_recording(rng.normal(size=(2, 9600)))
         frames = dsp.frame(rec, 2.0)
-        assert len(frames) == 30
-        assert all(f.n_samples == 320 for f in frames)
+        assert frames.shape == (30, 2, 320)
 
     def test_remainder_dropped(self, rng):
         rec = make_recording(rng.normal(size=(1, int(3.9 * 160))))
@@ -134,15 +133,23 @@ class TestFrame:
     def test_exact_two_seconds_is_one_frame(self, rng):
         rec = make_recording(rng.normal(size=(1, 320)))
         frames = dsp.frame(rec, 2.0)
-        assert len(frames) == 1
-        assert np.array_equal(frames[0].data, rec.data)
+        assert frames.shape == (1, 1, 320)
+        assert np.array_equal(frames[0], rec.data)
 
     def test_frames_non_overlapping_and_ordered(self, rng):
         rec = make_recording(rng.normal(size=(1, 1000)))
         frames = dsp.frame(rec, 2.0)
         for k, fr in enumerate(frames):
-            assert fr.frame_index == k
-            assert np.array_equal(fr.data, rec.data[:, k * 320:(k + 1) * 320])
+            assert np.array_equal(fr, rec.data[:, k * 320:(k + 1) * 320])
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5])
+    def test_rows_equal_recording_slices(self, rng, overlap):
+        rec = make_recording(rng.normal(size=(3, 1000)))
+        frames = dsp.frame(rec, 2.0, overlap)
+        step = int(round(320 * (1 - overlap)))
+        assert not np.shares_memory(frames, rec.data)
+        for k, fr in enumerate(frames):
+            assert np.array_equal(fr, rec.data[:, k * step:k * step + 320])
 
     def test_count_formula_matches_enumeration(self, rng):
         for n_samples in (320, 321, 640, 959, 960, 1234):
@@ -167,7 +174,7 @@ class TestInstantaneousPhase:
         fs, f0 = 160.0, 20.0
         t = np.arange(320) / fs
         fr = dsp.frame(make_recording(np.cos(2 * np.pi * f0 * t), fs), 2.0)[0]
-        phase = dsp.instantaneous_phase(fr).phase[0]
+        phase = dsp.instantaneous_phase(fr)[0]
         deriv = np.diff(np.unwrap(phase))
         edge = 32  # exclude 10% of samples at each edge
         expected = 2 * np.pi * f0 / fs
@@ -178,27 +185,42 @@ class TestInstantaneousPhase:
         t = np.arange(320) / fs
         data = np.stack([np.cos(2 * np.pi * f0 * t), np.sin(2 * np.pi * f0 * t)])
         fr = dsp.frame(make_recording(data, fs), 2.0)[0]
-        phase = dsp.instantaneous_phase(fr).phase
+        phase = dsp.instantaneous_phase(fr)
         mid = 160
         diff = np.angle(np.exp(1j * (phase[0, mid] - phase[1, mid])))
         assert diff == pytest.approx(np.pi / 2, abs=0.05)
 
     def test_all_zero_channel_raises(self):
         fr = dsp.frame(make_recording(np.zeros((1, 320))), 2.0)[0]
-        with pytest.raises(DegenerateSignal):
+        with pytest.raises(DegenerateSignal, match="channel 0"):
             dsp.instantaneous_phase(fr)
+
+    def test_dead_channel_names_frame_and_channel(self, rng):
+        data = rng.normal(size=(3, 1600))
+        data[1, 640:960] = 0.0  # channel 1 is silent for exactly frame 2
+        frames = dsp.frame(make_recording(data), 2.0)
+        with pytest.raises(DegenerateSignal, match=r"all-zero frame 2 channel 1: "):
+            dsp.instantaneous_phase(frames)
 
     def test_phase_range(self, rng):
         fr = dsp.frame(make_recording(rng.normal(size=(4, 320))), 2.0)[0]
-        phase = dsp.instantaneous_phase(fr).phase
+        phase = dsp.instantaneous_phase(fr)
         assert np.all(phase > -np.pi)
         assert np.all(phase <= np.pi)
 
     def test_short_frame_raises(self):
-        fr = dsp.Frame(data=np.ones((2, 4)), subject_id="S",
-                       protocol_tag=Protocol.EO, frame_index=0, fs=160.0)
         with pytest.raises(LengthError):
-            dsp.instantaneous_phase(fr)
+            dsp.instantaneous_phase(np.ones((2, 4)))
+
+    def test_batched_frames_equal_per_frame_calls(self, rng, small_recordings):
+        band = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        for rec in (make_recording(rng.normal(size=(5, 3200))),
+                    dsp.filter_zero_phase(small_recordings[0], band)):
+            frames = dsp.frame(rec, 2.0)
+            batched = dsp.instantaneous_phase(frames)
+            per_frame = np.stack([dsp.instantaneous_phase(fr) for fr in frames])
+            assert batched.shape == frames.shape
+            assert np.array_equal(batched, per_frame)
 
 
 def test_pipeline_determinism(small_recordings):
@@ -207,3 +229,14 @@ def test_pipeline_determinism(small_recordings):
     a = extract_frame_features(rec, DspConfig(), "graph")
     b = extract_frame_features(rec, DspConfig(), "graph")
     assert np.array_equal(a, b)
+
+
+def test_pipeline_errors_name_the_recording(rng):
+    from neurolock.pipeline import DspConfig, extract_frame_features
+    data = rng.normal(size=(3, 1600))
+    data[2] = 0.0
+    rec = Recording(channels=["a", "b", "c"], fs=160.0, data=data,
+                    protocol_tag=Protocol.EC, subject_id="S042")
+    with pytest.raises(DegenerateSignal,
+                       match=r"^subject 'S042' / EC: all-zero frame 0 channel 2, "):
+        extract_frame_features(rec, DspConfig(), "graph")

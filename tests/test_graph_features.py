@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from neurolock import graph_features as gf
-from neurolock.connectivity import ConnectivityGraph
 from neurolock.errors import (ConfigError, DegenerateGraph, DisconnectedGraph)
 
 
@@ -252,21 +251,18 @@ class TestGlobalDescriptors:
 class TestExtractFeatures:
     def test_three_node_uniform_fixture(self):
         w = np.ones((3, 3)) - np.eye(3)
-        graph = ConnectivityGraph(adjacency=w, bin_count=8)
-        feat = gf.extract_features(graph)
         expected = [1 / 3, 1 / 3, 1 / 3, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
-        assert feat.values == pytest.approx(expected, abs=1e-9)
+        assert gf.extract_features(w) == pytest.approx(expected, abs=1e-9)
 
     def test_length_is_n_plus_six(self, rng):
         w = random_graph(rng, 9)
-        graph = ConnectivityGraph(adjacency=w, bin_count=8)
-        assert gf.extract_features(graph).values.size == 15
+        assert gf.extract_features(w).shape == (15,)
 
     def test_global_block_invariant_under_relabeling(self, rng):
         w = random_graph(rng, 6)
         perm = rng.permutation(6)
-        a = gf.extract_features(ConnectivityGraph(w, 8)).values
-        b = gf.extract_features(ConnectivityGraph(w[np.ix_(perm, perm)], 8)).values
+        a = gf.extract_features(w)
+        b = gf.extract_features(w[np.ix_(perm, perm)])
         assert b[6:] == pytest.approx(a[6:], abs=1e-9)
         assert b[:6] == pytest.approx(a[perm], abs=1e-9)
 

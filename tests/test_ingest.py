@@ -193,8 +193,8 @@ class TestSynthesize:
             base_freqs=np.full(n, 17.0))
         rec = synthesize(spec)[0]
         frame = dsp.frame(rec, 2.0)[0]
-        graph = connectivity.build_graph(dsp.instantaneous_phase(frame))
-        off_diag = graph.adjacency[~np.eye(n, dtype=bool)]
+        adjacency = connectivity.build_graph(dsp.instantaneous_phase(frame))
+        off_diag = adjacency[~np.eye(n, dtype=bool)]
         assert np.all(off_diag == 1.0)
 
     def test_within_subject_features_more_similar_than_across(self, small_dataset):
