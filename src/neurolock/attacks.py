@@ -11,13 +11,13 @@ query counts against the attempt budget.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError, ObjectiveError, ShapeError
+from .errors import ConfigError, ObjectiveError, ShapeError, require
 from .pipeline import stable_int
 from .system import AuthSystem
 
@@ -27,9 +27,12 @@ class AttackCase(enum.Enum):
     TEMPLATE_SPACE = "template_space"  # Case II: recover the stored template
 
 
+CASES = tuple(case.value for case in AttackCase)
+
+
 @dataclass
 class AttackConfig:
-    case: AttackCase = AttackCase.FEATURE_SPACE
+    case: AttackCase = AttackCase.FEATURE_SPACE  # or its value, e.g. "feature_space"
     theta: float = 0.389
     max_attempts: int = 20000
     restarts: int | None = None  # None: restart until the attempt budget is spent
@@ -37,10 +40,15 @@ class AttackConfig:
     bounds: np.ndarray | None = None  # per-dimension [lo, hi]; default: public stats
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigError("attack needs at least one attempt")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.theta}")
+        for name, kind, ok, what in (
+                ("case", (AttackCase, str), lambda v: isinstance(v, AttackCase) or v in CASES,
+                 f"one of {', '.join(CASES)}"),
+                ("theta", numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+                ("max_attempts", numbers.Integral, lambda v: v >= 1,
+                 "an integer of at least 1"),
+                ("seed", numbers.Integral, lambda v: v >= 0, "a non-negative integer")):
+            require(name, getattr(self, name), kind, ok, what)
+        self.case = AttackCase(self.case)
 
 
 @dataclass
@@ -87,9 +95,6 @@ class AttackReport:
                 for o in self.outcomes
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +205,19 @@ class _OracleSuccess(Exception):
 class ScoreOracle:
     """Counts every matcher query and stops the search on first acceptance."""
 
-    def __init__(self, score_fn, theta: float, max_attempts: int,
-                 keep_trace: bool = True):
+    def __init__(self, score_fn, theta: float, max_attempts: int):
         self.score_fn = score_fn
         self.theta = theta
         self.max_attempts = max_attempts
         self.attempts = 0
         self.trace: list[tuple[int, float]] = []
-        self.keep_trace = keep_trace
 
     def __call__(self, candidate: np.ndarray) -> float:
         if self.attempts >= self.max_attempts:
             raise _BudgetExhausted()
         score = self.score_fn(candidate)
         self.attempts += 1
-        if self.keep_trace:
-            self.trace.append((self.attempts, score))
+        self.trace.append((self.attempts, score))
         if score <= self.theta:
             raise _OracleSuccess(np.array(candidate, dtype=float), score, self.attempts)
         return score
@@ -452,14 +454,7 @@ class SecondAttackReport:
     per_solution: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_tests": self.n_tests, "n_successes": self.n_successes,
-            "sar": self.sar, "score_mean": self.score_mean,
-            "score_std": self.score_std,
-            "similarity_mean": self.similarity_mean,
-            "similarity_std": self.similarity_std,
-            "per_solution": self.per_solution,
-        }
+        return asdict(self)
 
 
 def second_attack(system: AuthSystem, solutions: list[Solution],

@@ -13,10 +13,11 @@ reject (verify only).
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import json
+import numbers
 import os
+import re
 from pathlib import Path
 
 import click
@@ -27,16 +28,18 @@ from . import attacks as atk
 from . import matching_eval as me
 from . import sl_eval
 from . import transform as tr
-from .errors import ConfigError, NeurolockError
-from .ingest import (Protocol, SyntheticSpec, read_csv_matrix, read_edf,
-                     synthesize, write_csv_matrix)
-from .pipeline import (DspConfig, FeatureDataset, build_feature_dataset,
+from .errors import ConfigError, NeurolockError, require
+from .ingest import (Protocol, SyntheticSpec, atomic_write, csv_text, read_csv_matrix,
+                     read_edf, synthesize, write_csv_matrix)
+from .pipeline import (FEATURE_KINDS, DspConfig, FeatureDataset, build_feature_dataset,
                        write_feature_csv)
 from .system import AuthSystem, SystemConfig
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_REJECT = 4
+
+DATASET_KINDS = ("synthetic", "csv", "edf")
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -126,6 +129,11 @@ def _apply_override(config: dict, token: str) -> None:
 
 def load_config(config_path: str | None, overrides: tuple[str, ...],
                 seed_flag: int | None) -> dict:
+    """Defaults, then the config file, overrides, NEUROLOCK_SEED and --seed.
+
+    Every value is checked here, before any data is read or synthesized: the
+    dataclass sections by their constructors, the rest by the rules below.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if config_path:
         try:
@@ -139,32 +147,49 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
         _apply_override(config, token)
     env_seed = os.environ.get("NEUROLOCK_SEED")
     if env_seed is not None:
+        require("NEUROLOCK_SEED", env_seed, str,
+                lambda v: re.fullmatch(r"\s*[+-]?\d+\s*", v) is not None, "an integer")
         config["master_seed"] = int(env_seed)
     if seed_flag is not None:
         config["master_seed"] = seed_flag
-    for section in (system_config(config), dsp_config(config), synthetic_spec(config)):
-        section.validate()
+    ds, slx = config["dataset"], config["slx"]
+    non_negative = (numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+    for name, value, kind, ok, what in (
+            ("dataset.kind", ds["kind"], str, lambda v: v in DATASET_KINDS,
+             f"one of {', '.join(DATASET_KINDS)}"),
+            ("dataset.path", ds["path"], (str, type(None)),
+             lambda v: v is not None or ds["kind"] == "synthetic",
+             "null or a directory path (required when dataset.kind is csv or edf)"),
+            ("dataset.fs", ds["fs"], numbers.Real, lambda v: 0 < v < np.inf,
+             "a finite positive number"),
+            ("features.kind", config["features"]["kind"], str, lambda v: v in FEATURE_KINDS,
+             f"one of {', '.join(FEATURE_KINDS)}"),
+            ("eval.revocability_keys", config["eval"]["revocability_keys"], *non_negative),
+            ("eval.unlink_keys", config["eval"]["unlink_keys"], numbers.Integral,
+             lambda v: v == 0 or v >= 2, "0 or an integer of at least 2"),
+            ("attack.second_attack_keys", config["attack"]["second_attack_keys"],
+             *non_negative),
+            ("slx.split", slx["split"], numbers.Real, lambda v: 0 < v < 1,
+             "a number in (0, 1)"),
+            ("slx.n_users", slx["n_users"], (numbers.Integral, type(None)),
+             lambda v: v is None or v >= 2, "null or an integer of at least 2"),
+            ("slx.seeds", slx["seeds"], numbers.Integral, lambda v: v >= 1,
+             "an integer of at least 1"),
+            ("output_dir", config["output_dir"], str, lambda v: True, "a string"),
+            ("master_seed", config["master_seed"], *non_negative)):
+        require(name, value, kind, ok, what)
+    for section, build in (("transform", system_config), ("dsp", dsp_config),
+                           ("dataset.synthetic", synthetic_spec), ("attack", attack_config)):
+        try:
+            build(config)
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
     return config
 
 
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_csv(path: Path, header: list, rows) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +200,6 @@ def load_recordings(config: dict) -> list:
     ds = config["dataset"]
     if ds["kind"] == "synthetic":
         return synthesize(synthetic_spec(config))
-    if ds["path"] is None:
-        raise ConfigError(f"dataset kind {ds['kind']!r} needs dataset.path")
     root = Path(ds["path"])
     suffix = ".csv" if ds["kind"] == "csv" else ".edf"
     paths = sorted(root.glob(f"*{suffix}"))
@@ -209,64 +232,66 @@ def load_features(config: dict) -> FeatureDataset:
 
 
 def synthetic_spec(config: dict) -> SyntheticSpec:
-    syn = config["dataset"]["synthetic"]
-    return SyntheticSpec(n_subjects=syn["n_subjects"], n_channels=syn["n_channels"],
-                         duration_s=syn["duration_s"], fs=syn["fs"],
-                         master_seed=config["master_seed"], noise_level=syn["noise_level"])
+    return SyntheticSpec(**config["dataset"]["synthetic"], master_seed=config["master_seed"])
 
 
 def dsp_config(config: dict) -> DspConfig:
-    d = config["dsp"]
-    return DspConfig(prefilter=d["prefilter"], band=d["band"],
-                     frame_seconds=d["frame_seconds"], overlap=d["overlap"],
-                     fir_order=d["fir_order"], rho_bins=d["rho_bins"])
+    return DspConfig(**config["dsp"])
 
 
 def system_config(config: dict) -> SystemConfig:
-    t = config["transform"]
-    return SystemConfig(delta=t["delta"], enroll_frames=t["enroll_frames"],
-                        query_frames=t["query_frames"], theta=t["theta"],
-                        lost_key=t["lost_key"], master_key=t["master_key"],
-                        calibration_margin=t["calibration_margin"])
+    return SystemConfig(**config["transform"])
+
+
+def attack_config(config: dict) -> atk.AttackConfig:
+    a = config["attack"]
+    return atk.AttackConfig(case=a["case"], theta=a["theta"],
+                            max_attempts=a["max_attempts"], seed=a["seed"])
 
 
 # ---------------------------------------------------------------------------
 # CLI scaffolding
 # ---------------------------------------------------------------------------
 
-def run_guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        raise SystemExit(EXIT_CONFIG)
-    except NeurolockError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        raise SystemExit(EXIT_DATA)
-    except FileNotFoundError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        raise SystemExit(EXIT_DATA)
+@click.group()
+@click.version_option(version=__version__, prog_name="neurolock")
+def main():
+    """Cancellable EEG-template pipeline and evaluation harness."""
 
 
-_common = [
+_SHARED_OPTIONS = (
     click.option("--config", "config_path", type=str, default=None,
                  help="JSON config file."),
     click.option("--seed", "seed_flag", type=int, default=None,
                  help="Override the master seed."),
     click.argument("overrides", nargs=-1, type=click.UNPROCESSED),
-]
+)
 
 
-def common_options(fn):
-    for option in reversed(_common):
-        fn = option(fn)
-    return fn
+def command(*extra_options):
+    """Register a subcommand of ``main`` that takes the loaded config.
 
-
-@click.group()
-@click.version_option(version=__version__, prog_name="neurolock")
-def main():
-    """Cancellable EEG-template pipeline and evaluation harness."""
+    The command gets ``extra_options`` plus --config, --seed and the
+    ``--section.key=value`` overrides. A ConfigError exits 2; any other
+    NeurolockError or a missing file exits 3; a SystemExit raised by the
+    command (verify's reject) passes through.
+    """
+    def register(body):
+        def run(config_path, seed_flag, overrides, **options):
+            try:
+                body(load_config(config_path, overrides, seed_flag), **options)
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                raise SystemExit(EXIT_CONFIG)
+            except (NeurolockError, FileNotFoundError) as exc:
+                click.echo(f"data error: {exc}", err=True)
+                raise SystemExit(EXIT_DATA)
+        run.__doc__ = body.__doc__
+        for option in reversed(extra_options + _SHARED_OPTIONS):
+            run = option(run)
+        return main.command(body.__name__,
+                            context_settings={"ignore_unknown_options": True})(run)
+    return register
 
 
 def _out_dir(config: dict) -> Path:
@@ -281,213 +306,167 @@ def _stamp(config: dict) -> dict:
             "version": __version__}
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@common_options
-def synth(config_path, seed_flag, overrides):
+@command()
+def synth(config):
     """Write the synthetic dataset as CSV matrices."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        out = _out_dir(config) / "dataset"
-        out.mkdir(parents=True, exist_ok=True)
-        recordings = load_recordings({**config,
-                                      "dataset": {**config["dataset"],
-                                                  "kind": "synthetic"}})
-        for rec in recordings:
-            write_csv_matrix(rec, out / f"{rec.subject_id}_{rec.protocol_tag.value}.csv")
-        manifest = {"fs": recordings[0].fs,
-                    "subjects": sorted({r.subject_id for r in recordings}),
-                    "protocols": sorted({r.protocol_tag.value for r in recordings}),
-                    **_stamp(config)}
-        _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-        click.echo(f"wrote {len(recordings)} recordings to {out}")
-    run_guarded(body)
+    out = _out_dir(config) / "dataset"
+    out.mkdir(parents=True, exist_ok=True)
+    recordings = synthesize(synthetic_spec(config))
+    for rec in recordings:
+        write_csv_matrix(rec, out / f"{rec.subject_id}_{rec.protocol_tag.value}.csv")
+    manifest = {"fs": recordings[0].fs,
+                "subjects": sorted({r.subject_id for r in recordings}),
+                "protocols": sorted({r.protocol_tag.value for r in recordings}),
+                **_stamp(config)}
+    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    click.echo(f"wrote {len(recordings)} recordings to {out}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@common_options
-def extract(config_path, seed_flag, overrides):
+@command()
+def extract(config):
     """Extract per-frame feature vectors to one CSV per subject and protocol."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        dataset = load_features(config)
-        out = _out_dir(config) / "features"
-        out.mkdir(parents=True, exist_ok=True)
-        for (subject, protocol), matrix in sorted(dataset.vectors.items(),
-                                                  key=lambda kv: (kv[0][0], kv[0][1].value)):
-            write_feature_csv(out / f"{subject}_{protocol.value}.csv", matrix,
-                              dataset.names)
-        manifest = {"feature_kind": dataset.feature_kind, "dim": dataset.dim,
-                    "subjects": dataset.subjects,
-                    "protocols": [p.value for p in dataset.protocols],
-                    **_stamp(config)}
-        _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-        click.echo(f"wrote {len(dataset.vectors)} feature files to {out}")
-    run_guarded(body)
+    dataset = load_features(config)
+    out = _out_dir(config) / "features"
+    out.mkdir(parents=True, exist_ok=True)
+    for (subject, protocol), matrix in sorted(dataset.vectors.items(),
+                                              key=lambda kv: (kv[0][0], kv[0][1].value)):
+        write_feature_csv(out / f"{subject}_{protocol.value}.csv", matrix, dataset.names)
+    manifest = {"feature_kind": dataset.feature_kind, "dim": dataset.dim,
+                "subjects": dataset.subjects,
+                "protocols": [p.value for p in dataset.protocols],
+                **_stamp(config)}
+    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    click.echo(f"wrote {len(dataset.vectors)} feature files to {out}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--subject", required=True, help="Subject id to enroll.")
-@click.option("--key", "user_key", type=int, required=True, help="User key.")
-@click.option("--out", "template_path", type=str, default=None,
-              help="Template file path (default: <output_dir>/<subject>.ceeg).")
-@common_options
-def enroll(subject, user_key, template_path, config_path, seed_flag, overrides):
+@command(click.option("--subject", required=True, help="Subject id to enroll."),
+         click.option("--key", "user_key", type=int, required=True, help="User key."),
+         click.option("--out", "template_path", type=str, default=None,
+                      help="Template file path (default: <output_dir>/<subject>.ceeg)."))
+def enroll(config, subject, user_key, template_path):
     """Enroll one subject and write the template file."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        dataset = load_features(config)
-        if subject not in dataset.subjects:
-            raise ConfigError(f"unknown subject {subject!r}")
-        sys_cfg = system_config(config)
-        keys = {s: (user_key if s == subject else sys_cfg.master_key)
-                for s in dataset.subjects}
-        system = AuthSystem(dataset, sys_cfg, user_keys=keys)
-        path = Path(template_path) if template_path else \
-            _out_dir(config) / f"{subject}.ceeg"
-        tr.save_template(system.users[subject].template, path)
-        click.echo(f"enrolled {subject} -> {path}")
-    run_guarded(body)
+    dataset = load_features(config)
+    if subject not in dataset.subjects:
+        raise ConfigError(f"unknown subject {subject!r}")
+    sys_cfg = system_config(config)
+    keys = {s: (user_key if s == subject else sys_cfg.master_key)
+            for s in dataset.subjects}
+    system = AuthSystem(dataset, sys_cfg, user_keys=keys)
+    path = Path(template_path) if template_path else _out_dir(config) / f"{subject}.ceeg"
+    tr.save_template(system.users[subject].template, path)
+    click.echo(f"enrolled {subject} -> {path}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--template", "template_path", required=True, help="Template file.")
-@click.option("--subject", required=True, help="Subject supplying query frames.")
-@click.option("--key", "user_key", type=int, required=True,
-              help="User key the account is provisioned with.")
-@click.option("--theta", type=float, default=None,
-              help="Decision threshold (default from config).")
-@click.option("--from-frame", "from_frame", type=int, default=None,
-              help="First query frame (default: first post-enrollment frame).")
-@click.option("--frames", "n_frames", type=int, default=None,
-              help="Frames averaged into the query (default: query_frames).")
-@common_options
-def verify(template_path, subject, user_key, theta, from_frame, n_frames,
-           config_path, seed_flag, overrides):
+@command(click.option("--template", "template_path", required=True, help="Template file."),
+         click.option("--subject", required=True, help="Subject supplying query frames."),
+         click.option("--key", "user_key", type=int, required=True,
+                      help="User key the account is provisioned with."),
+         click.option("--theta", type=float, default=None,
+                      help="Decision threshold (default from config)."),
+         click.option("--from-frame", "from_frame", type=int, default=None,
+                      help="First query frame (default: first post-enrollment frame)."),
+         click.option("--frames", "n_frames", type=int, default=None,
+                      help="Frames averaged into the query (default: query_frames)."))
+def verify(config, template_path, subject, user_key, theta, from_frame, n_frames):
     """Generate a query from the subject's frames and match the template."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        enrolled = tr.load_template(template_path)
-        dataset = load_features(config)
-        if subject not in dataset.subjects:
-            raise ConfigError(f"unknown subject {subject!r}")
-        sys_cfg = system_config(config)
-        claimed = enrolled.meta.subject_id
-        if claimed not in dataset.subjects:
-            raise ConfigError(f"template subject {claimed!r} not in dataset")
-        keys = {s: (user_key if s == claimed else sys_cfg.master_key)
-                for s in dataset.subjects}
-        system = AuthSystem(dataset, sys_cfg, user_keys=keys)
-        start = sys_cfg.enroll_frames if from_frame is None else from_frame
-        query = system.query_template(claimed, subject, start, n_frames)
-        threshold = sys_cfg.theta if theta is None else theta
-        result = tr.match(query, enrolled, threshold)
-        decision = "ACCEPT" if result.decision else "REJECT"
-        click.echo(f"{decision} score={result.score:.6f} raw={result.raw} "
-                   f"threshold={result.threshold}")
-        if not result.decision:
-            raise SystemExit(EXIT_REJECT)
-    run_guarded(body)
+    enrolled = tr.load_template(template_path)
+    dataset = load_features(config)
+    if subject not in dataset.subjects:
+        raise ConfigError(f"unknown subject {subject!r}")
+    sys_cfg = system_config(config)
+    claimed = enrolled.meta.subject_id
+    if claimed not in dataset.subjects:
+        raise ConfigError(f"template subject {claimed!r} not in dataset")
+    keys = {s: (user_key if s == claimed else sys_cfg.master_key)
+            for s in dataset.subjects}
+    system = AuthSystem(dataset, sys_cfg, user_keys=keys)
+    start = sys_cfg.enroll_frames if from_frame is None else from_frame
+    query = system.query_template(claimed, subject, start, n_frames)
+    threshold = sys_cfg.theta if theta is None else theta
+    result = tr.match(query, enrolled, threshold)
+    decision = "ACCEPT" if result.decision else "REJECT"
+    click.echo(f"{decision} score={result.score:.6f} raw={result.raw} "
+               f"threshold={result.threshold}")
+    if not result.decision:
+        raise SystemExit(EXIT_REJECT)
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@common_options
-def eval(config_path, seed_flag, overrides):
+@command()
+def eval(config):
     """Run the evaluation protocol and emit report, ROC, and histograms."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        dataset = load_features(config)
-        sys_cfg = system_config(config)
-        report = me.evaluate(dataset, sys_cfg,
-                             revocability_keys=config["eval"]["revocability_keys"],
-                             unlink_keys=config["eval"]["unlink_keys"],
-                             seed=config["master_seed"],
-                             config_hash=config_hash(config), version=__version__)
-        out = _out_dir(config)
-        _atomic_write(out / "eval_report.json", report.to_json())
-        _atomic_csv(out / "roc.csv", ["threshold", "far", "frr"],
-                    ([repr(v) for v in row] for row in report.roc))
-        scores = report.scores
-        edges = np.linspace(0.0, 1.0, 51)
-        g_hist = np.histogram(scores.genuine, bins=edges)[0]
-        i_hist = np.histogram(scores.impostor, bins=edges)[0]
-        _atomic_csv(out / "score_histograms.csv",
-                    ["bin_low", "bin_high", "genuine", "impostor"],
-                    ([repr(edges[k]), repr(edges[k + 1]), int(g_hist[k]),
-                      int(i_hist[k])] for k in range(50)))
-        click.echo(f"EER {report.eer:.4f} at threshold {report.threshold_at_eer:.4f}; "
-                   f"|d'| {report.d_prime_abs:.3f}; reports in {out}")
-    run_guarded(body)
+    dataset = load_features(config)
+    report = me.evaluate(dataset, system_config(config),
+                         revocability_keys=config["eval"]["revocability_keys"],
+                         unlink_keys=config["eval"]["unlink_keys"],
+                         seed=config["master_seed"],
+                         config_hash=config_hash(config), version=__version__)
+    out = _out_dir(config)
+    atomic_write(out / "eval_report.json", report.to_json())
+    atomic_write(out / "roc.csv", csv_text(
+        [["threshold", "far", "frr"], *([repr(v) for v in row] for row in report.roc)]))
+    scores = report.scores
+    edges = np.linspace(0.0, 1.0, 51)
+    g_hist = np.histogram(scores.genuine, bins=edges)[0]
+    i_hist = np.histogram(scores.impostor, bins=edges)[0]
+    atomic_write(out / "score_histograms.csv", csv_text(
+        [["bin_low", "bin_high", "genuine", "impostor"],
+         *([repr(edges[k]), repr(edges[k + 1]), int(g_hist[k]), int(i_hist[k])]
+           for k in range(50))]))
+    click.echo(f"EER {report.eer:.4f} at threshold {report.threshold_at_eer:.4f}; "
+               f"|d'| {report.d_prime_abs:.3f}; reports in {out}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@common_options
-def attack(config_path, seed_flag, overrides):
+@command()
+def attack(config):
     """Run the hill-climbing campaign (and optional second attack)."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        dataset = load_features(config)
-        sys_cfg = system_config(config)
-        system = AuthSystem(dataset, sys_cfg)
-        a_cfg = config["attack"]
-        attack_config = atk.AttackConfig(
-            case=atk.AttackCase(a_cfg["case"]), theta=a_cfg["theta"],
-            max_attempts=a_cfg["max_attempts"], seed=a_cfg["seed"])
-        report = atk.run_hill_climb_campaign(system, attack_config,
-                                             config_hash=config_hash(config))
-        out = _out_dir(config)
-        payload = report.to_json_dict()
-        payload["master_seed"] = config["master_seed"]
-        if a_cfg["second_attack_keys"]:
-            solutions = [atk.Solution(o.subject, "feature", o.solution,
-                                      "computational")
-                         for o in report.outcomes
-                         if o.success and attack_config.case is atk.AttackCase.FEATURE_SPACE]
-            second = atk.second_attack(system, solutions,
-                                       n_keys=a_cfg["second_attack_keys"],
-                                       theta=attack_config.theta,
-                                       seed=config["master_seed"])
-            payload["second_attack"] = second.to_json_dict()
-        _atomic_write(out / "attack_report.json",
-                      json.dumps(payload, indent=2, sort_keys=True))
-        _atomic_csv(out / "attack_trace.csv", ["subject", "attempt", "score"],
-                    ([outcome.subject, attempt, repr(score)]
-                     for outcome in report.outcomes
-                     for attempt, score in outcome.trace))
-        click.echo(f"SR {report.success_rate:.3f}; reports in {out}")
-    run_guarded(body)
+    dataset = load_features(config)
+    system = AuthSystem(dataset, system_config(config))
+    a_cfg = attack_config(config)
+    report = atk.run_hill_climb_campaign(system, a_cfg, config_hash=config_hash(config))
+    out = _out_dir(config)
+    payload = report.to_json_dict()
+    payload["master_seed"] = config["master_seed"]
+    if config["attack"]["second_attack_keys"]:
+        solutions = [atk.Solution(o.subject, "feature", o.solution, "computational")
+                     for o in report.outcomes
+                     if o.success and a_cfg.case is atk.AttackCase.FEATURE_SPACE]
+        second = atk.second_attack(system, solutions,
+                                   n_keys=config["attack"]["second_attack_keys"],
+                                   theta=a_cfg.theta, seed=config["master_seed"])
+        payload["second_attack"] = second.to_json_dict()
+    atomic_write(out / "attack_report.json", json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write(out / "attack_trace.csv", csv_text(
+        [["subject", "attempt", "score"],
+         *([outcome.subject, attempt, repr(score)]
+           for outcome in report.outcomes for attempt, score in outcome.trace)]))
+    click.echo(f"SR {report.success_rate:.3f}; reports in {out}")
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@common_options
-def slx(config_path, seed_flag, overrides):
+@command()
+def slx(config):
     """Compare classification-style vs authentication-style evaluation."""
-    def body():
-        config = load_config(config_path, overrides, seed_flag)
-        dataset = load_features(config)
-        proto = dataset.protocols[0]
-        per_subject = {s: dataset.frames(s, proto) for s in dataset.subjects}
-        seeds = tuple(range(config["slx"]["seeds"]))
-        rows = sl_eval.pitfall_report(
-            per_subject,
-            configs=[
-                {"evaluation": "classification", "split": config["slx"]["split"]},
-                {"evaluation": "authentication", "split": config["slx"]["split"],
-                 "n_users": config["slx"]["n_users"]},
-            ],
-            seeds=seeds)
-        out = _out_dir(config)
-        payload = {"rows": rows, **_stamp(config)}
-        _atomic_write(out / "slx_report.json",
-                      json.dumps(payload, indent=2, sort_keys=True))
-        _atomic_csv(out / "slx_table.csv",
-                    ["method", "evaluation", "split", "n_users",
-                     "accuracy", "far", "frr", "classifier_eer"],
-                    ([row["method"], row["evaluation"], row["split"],
-                      row["n_users"], repr(row["accuracy"]), repr(row["far"]),
-                      repr(row["frr"]), repr(row["classifier_eer"])]
-                     for row in rows))
-        click.echo(f"wrote pitfall table ({len(rows)} rows) to {out}")
-    run_guarded(body)
+    dataset = load_features(config)
+    proto = dataset.protocols[0]
+    per_subject = {s: dataset.frames(s, proto) for s in dataset.subjects}
+    split = config["slx"]["split"]
+    rows = sl_eval.pitfall_report(
+        per_subject,
+        configs=[
+            {"evaluation": "classification", "split": split},
+            {"evaluation": "authentication", "split": split,
+             "n_users": config["slx"]["n_users"]},
+        ],
+        seeds=tuple(range(config["slx"]["seeds"])))
+    out = _out_dir(config)
+    payload = {"rows": rows, **_stamp(config)}
+    atomic_write(out / "slx_report.json", json.dumps(payload, indent=2, sort_keys=True))
+    atomic_write(out / "slx_table.csv", csv_text(
+        [["method", "evaluation", "split", "n_users",
+          "accuracy", "far", "frr", "classifier_eer"],
+         *([row["method"], row["evaluation"], row["split"], row["n_users"],
+            repr(row["accuracy"]), repr(row["far"]), repr(row["frr"]),
+            repr(row["classifier_eer"])] for row in rows)]))
+    click.echo(f"wrote pitfall table ({len(rows)} rows) to {out}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,15 @@
-"""Exception hierarchy shared across the package, and the config type check."""
+"""Exception hierarchy shared across the package, and the config value rule."""
 
 
 def is_a(value, kind) -> bool:
-    """isinstance check that does not count a bool as a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance check that counts a bool only as a bool, never as a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def require(name: str, value, kind, ok, what: str) -> None:
+    """Raise ConfigError unless value is a `kind` (see is_a) and ok(value) holds."""
+    if not is_a(value, kind) or not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class NeurolockError(Exception):

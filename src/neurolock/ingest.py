@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import numbers
 import os
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRecording, ParseError, is_a
+from .errors import ConfigError, EmptyRecording, ParseError, require
 
 EDF_HEADER_BYTES = 256
 EDF_PER_SIGNAL_BYTES = 256
@@ -90,9 +91,12 @@ def _edf_int(raw: bytes, start: int, length: int, what: str) -> int:
 def _edf_float(raw: bytes, start: int, length: int, what: str) -> float:
     text = _edf_field(raw, start, length)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"non-numeric EDF {what} field {text!r}", offset=start) from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise ParseError(f"EDF {what} field {text!r} is not a finite number", offset=start)
+    return value
 
 
 def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
@@ -148,9 +152,10 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
     samples_per_record = [_edf_int(raw, off_samples + 8 * i, 8, "samples-per-record")
                           for i in range(n_signals)]
 
+    if min(samples_per_record) < 1:
+        raise ParseError("EDF declares a signal with no samples per record",
+                         offset=off_samples)
     record_bytes = 2 * sum(samples_per_record)
-    if record_bytes == 0:
-        raise ParseError("EDF declares zero samples per record", offset=off_samples)
     payload = len(raw) - expected_header
     if n_records < 0:
         # -1 means "unknown"; infer from the payload when it divides evenly
@@ -175,6 +180,8 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
     if record_duration <= 0:
         raise ParseError("non-positive record duration", offset=244)
     fs = samples_per_record[keep[0]] / record_duration
+    if not np.isfinite(fs):
+        raise ParseError(f"record duration {record_duration} is too short", offset=244)
 
     gains, offsets = [], []
     for i in keep:
@@ -322,12 +329,22 @@ def read_csv_matrix(path, fs: float, protocol_tag: Protocol = Protocol.OTHER,
 
 def write_csv_matrix(recording: Recording, path) -> None:
     """Write recording data as CSV, one row per channel; atomic replace."""
+    atomic_write(path, csv_text([repr(float(v)) for v in ch] for ch in recording.data))
+
+
+def csv_text(rows) -> str:
+    """Rows rendered by the csv module's default dialect (CRLF line ends)."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes to a temporary sibling, then rename it over path,
+    so a reader never sees a half-written file."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for ch in recording.data:
-            writer.writerow([repr(float(v)) for v in ch])
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
@@ -358,23 +375,20 @@ class SyntheticSpec:
     coupling: np.ndarray | None = None    # optional N x N override, used for all subjects
     base_freqs: np.ndarray | None = None  # optional length-N override, used for all subjects
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Check types and ranges; cheap enough to run before any synthesis."""
-        for names, kind, what in (
-                (("n_subjects", "n_channels", "master_seed"), numbers.Integral,
-                 "a non-negative integer"),
-                (("duration_s", "fs", "noise_level"), numbers.Real,
+        for name, kind, ok, what in (
+                ("n_subjects", numbers.Integral, lambda v: v >= 1, "an integer of at least 1"),
+                ("n_channels", numbers.Integral, lambda v: v >= 2, "an integer of at least 2"),
+                ("master_seed", numbers.Integral, lambda v: v >= 0, "a non-negative integer"),
+                ("duration_s", numbers.Real, lambda v: 0 < v < np.inf,
+                 "a finite positive number"),
+                ("fs", numbers.Real, lambda v: 0 < v < np.inf, "a finite positive number"),
+                ("noise_level", numbers.Real, lambda v: 0 <= v < np.inf,
                  "a finite non-negative number")):
-            for name in names:
-                value = getattr(self, name)
-                if not is_a(value, kind) or not 0 <= value < np.inf:
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if self.n_channels < 2:
-            raise ConfigError(f"need at least 2 channels, got {self.n_channels}")
-        if self.n_subjects < 1:
-            raise ConfigError("need at least one subject")
-        if int(round(self.duration_s * self.fs)) < 1:
-            raise ConfigError("duration too short for one sample")
+            require(name, getattr(self, name), kind, ok, what)
+        require("duration_s", self.duration_s, numbers.Real,
+                lambda v: v * self.fs > 0.5, f"at least one sample at fs={self.fs}")
 
     def subject_ids(self) -> list[str]:
         return [f"S{i + 1:03d}" for i in range(self.n_subjects)]
@@ -441,7 +455,6 @@ def synthesize(spec: SyntheticSpec) -> list[Recording]:
     Seeding is per (master_seed, subject, protocol), so output is independent
     of generation order.
     """
-    spec.validate()
     n_samples = int(round(spec.duration_s * spec.fs))
     t = np.arange(n_samples) / spec.fs
 

@@ -301,6 +301,8 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     multiplies the mated sample count (histogram densities need it).
     Non-mated: different subjects' first windows under different keys.
     """
+    if n_keys < 2:
+        raise ConfigError(f"unlinkability needs at least two keys, got {n_keys}")
     if config is None:
         config = SystemConfig()
     rng = np.random.default_rng(seed)

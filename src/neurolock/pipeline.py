@@ -8,19 +8,16 @@ frame) or a classical per-channel feature path on the pre-filtered frames.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import numbers
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
-from .errors import ConfigError, NeurolockError, is_a
-from .ingest import Protocol, Recording
+from .errors import ConfigError, NeurolockError, is_a, require
+from .ingest import Protocol, Recording, atomic_write, csv_text
 
 FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
 
@@ -34,7 +31,7 @@ class DspConfig:
     fir_order: int = 330
     rho_bins: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Check types and ranges before any extraction; band edges are checked
         against each recording's Nyquist frequency where its filters are designed."""
         def band(pair):
@@ -50,9 +47,7 @@ class DspConfig:
                  ("rho_bins", (numbers.Integral, type(None)), lambda v: v is None or v >= 2,
                   "null or an integer of at least 2"))
         for name, kind, ok, what in rules:
-            value = getattr(self, name)
-            if not is_a(value, kind) or not ok(value):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            require(name, getattr(self, name), kind, ok, what)
 
 
 @dataclass
@@ -96,7 +91,6 @@ def extract_frame_features(recording: Recording, config: DspConfig,
     """Run one recording through the pipeline; rows are frames. Errors name the recording."""
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    config.validate()
     try:
         rec = dsp.detrend(recording)
         pre = dsp.design_bandpass(rec.fs, *config.prefilter, config.fir_order)
@@ -137,14 +131,9 @@ def build_feature_dataset(recordings: list[Recording], config: DspConfig,
 
 def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
     """One row per frame, header with component names; written atomically."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index"] + list(names))
-        for idx, row in enumerate(matrix):
-            writer.writerow([idx] + [repr(float(v)) for v in row])
-    os.replace(tmp, path)
+    atomic_write(path, csv_text([["frame_index", *names]]
+                                + [[idx] + [repr(float(v)) for v in row]
+                                   for idx, row in enumerate(matrix)]))
 
 
 def random_feature_dataset(n_subjects: int, n_frames: int, dim: int, seed: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError, is_a
+from .errors import ConfigError, require
 from .ingest import Protocol
 from .pipeline import FeatureDataset, stable_int
 
@@ -33,16 +33,19 @@ class SystemConfig:
     # generous margins keep out-of-population queries unclamped
     calibration_margin: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Check types and ranges; cheap enough to run before any extraction."""
-        if not is_a(self.delta, numbers.Real) or not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must be a number in (0, 1), got {self.delta!r}")
-        if not is_a(self.theta, numbers.Real) or not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"threshold must be a number in [0, 1], got {self.theta!r}")
-        for name in ("enroll_frames", "query_frames"):
-            value = getattr(self, name)
-            if not is_a(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        count = (numbers.Integral, lambda v: v >= 1, "an integer of at least 1")
+        for name, kind, ok, what in (
+                ("delta", numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)"),
+                ("enroll_frames", *count), ("query_frames", *count),
+                ("theta", numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+                ("lost_key", bool, lambda v: True, "true or false"),
+                ("master_key", numbers.Integral, lambda v: 0 <= v < 2 ** 64,
+                 "an unsigned 64-bit integer"),
+                ("calibration_margin", numbers.Real, lambda v: 0 <= v < float("inf"),
+                 "a finite non-negative number")):
+            require(name, getattr(self, name), kind, ok, what)
 
 
 @dataclass
@@ -72,7 +75,6 @@ class AuthSystem:
 
     def __init__(self, dataset: FeatureDataset, config: SystemConfig,
                  user_keys: dict[str, int] | None = None):
-        config.validate()
         self.dataset = dataset
         self.config = config
         self.dim = dataset.dim

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import (ConfigError, IncompatibleTemplates, ParseError,
                      ShapeError)
+from .ingest import atomic_write
 
 TEMPLATE_MAGIC = b"CEEG1"
 BITS_PER_DIM = 8
@@ -339,11 +339,8 @@ def save_template(template: CancellableTemplate, path) -> None:
         raise ShapeError("a template file holds a single bit string")
     meta_bytes = json.dumps(template.meta.to_dict(), sort_keys=True).encode("utf-8")
     payload = np.packbits(template.bits).tobytes()
-    blob = (TEMPLATE_MAGIC + len(meta_bytes).to_bytes(4, "big") + meta_bytes + payload)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    atomic_write(path, TEMPLATE_MAGIC + len(meta_bytes).to_bytes(4, "big") + meta_bytes
+                 + payload)
 
 
 def load_template(path) -> CancellableTemplate:

@@ -128,6 +128,13 @@ class TestHillClimb:
             atk.AttackConfig(theta=1.5)
         with pytest.raises(ConfigError):
             atk.AttackConfig(max_attempts=0)
+        with pytest.raises(ConfigError, match="case must be one of"):
+            atk.AttackConfig(case="feature")
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            atk.AttackConfig(seed="x")
+
+    def test_case_given_by_value(self):
+        assert atk.AttackConfig(case="template_space").case is atk.AttackCase.TEMPLATE_SPACE
 
 
 class TestArm:
@@ -254,6 +261,9 @@ class TestSecondAttack:
         report = atk.second_attack(system, solutions, n_keys=25, theta=0.05, seed=3)
         assert report.n_tests == 25
         assert report.similarity_mean == pytest.approx(1.0 - report.score_mean)
+        assert sorted(report.to_json_dict()) == [
+            "n_successes", "n_tests", "per_solution", "sar", "score_mean", "score_std",
+            "similarity_mean", "similarity_std"]
 
 
 class TestBruteForce:

@@ -26,6 +26,29 @@ def invoke(args):
     return CliRunner().invoke(main, args)
 
 
+def leaves(config, prefix=""):
+    """Dotted paths of every non-section value in a config dict."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def invoke_never_loading(monkeypatch, args):
+    """Run a command that must stop with exit 2 before any data is read."""
+    def never(config):
+        raise AssertionError("data read or synthesized")
+    monkeypatch.setattr(cli, "load_recordings", never)
+    monkeypatch.setattr(cli, "synthesize", never)
+    extra = ["--subject=S001", "--key=1"] if args[0] == "enroll" else []
+    result = invoke(args + extra)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    return result
+
+
 class TestSynthExtract:
     def test_synth_writes_dataset(self, tmp_path):
         result = invoke(["synth", f"--output_dir={tmp_path}"] + SMALL)
@@ -135,6 +158,16 @@ class TestEnrollVerify:
         assert result.exit_code == 4
         assert "REJECT" in result.output
 
+    def test_missing_template_exits_data_error_before_loading(self, tmp_path,
+                                                               monkeypatch):
+        def never(config):
+            raise AssertionError("load_features called")
+        monkeypatch.setattr(cli, "load_features", never)
+        result = invoke(["verify", f"--template={tmp_path / 'none.ceeg'}",
+                         "--subject=S001", "--key=1", f"--output_dir={tmp_path}"])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("data error: ")
+
     def test_enroll_too_few_frames_is_config_error(self, tmp_path):
         result = invoke(["enroll", "--subject=S001", "--key=1",
                          f"--output_dir={tmp_path}",
@@ -172,18 +205,45 @@ class TestConfigValidation:
         ("extract", "--dsp.overlap=1.0"),
         ("extract", "--dsp.rho_bins=1"),
         ("enroll", "--dsp.frame_seconds=0"),
+        ("attack", "--attack.case=foo"),
+        ("attack", '--attack.seed="x"'),
+        ("attack", "--attack.max_attempts=0"),
+        ("attack", "--attack.second_attack_keys=-1"),
+        ("eval", "--eval.unlink_keys=1"),
+        ("eval", '--eval.revocability_keys="x"'),
+        ("slx", '--slx.seeds="x"'),
+        ("slx", '--slx.n_users="x"'),
+        ("slx", "--slx.split=5"),
+        ("extract", '--dataset.fs="x"'),
+        ("extract", "--dataset.path=5"),
+        ("extract", "--dataset.kind=foo"),
+        ("extract", "--dataset.kind=csv"),
+        ("extract", "--features.kind=foo"),
+        ("synth", "--master_seed=-1"),
+        ("synth", "--output_dir=5"),
     ])
     def test_bad_dsp_or_dataset_value_exits_before_loading(self, tmp_path, monkeypatch,
                                                            command, override):
-        def never(config):
-            raise AssertionError("load_recordings called")
-        monkeypatch.setattr(cli, "load_recordings", never)
-        extra = ["--subject=S001", "--key=1"] if command == "enroll" else []
-        result = invoke([command, f"--output_dir={tmp_path}", override] + extra)
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
+        result = invoke_never_loading(monkeypatch, [command, f"--output_dir={tmp_path}",
+                                                    override])
         assert result.output.startswith("config error: ")
-        assert "Traceback" not in result.output
+
+    def test_non_integer_seed_env_exits_before_loading(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NEUROLOCK_SEED", "x")
+        result = invoke_never_loading(monkeypatch, ["synth", f"--output_dir={tmp_path}"])
+        assert result.output == "config error: NEUROLOCK_SEED must be an integer, got 'x'\n"
+
+    @pytest.mark.parametrize("dotted,value", [
+        *((dotted, '"x"') for dotted in leaves(cli.DEFAULT_CONFIG)
+          if dotted not in ("dataset.path", "output_dir")),
+        ("dataset.kind", "foo"), ("features.kind", "foo"), ("attack.case", "foo"),
+    ])
+    def test_every_config_leaf_is_checked(self, tmp_path, monkeypatch, dotted, value):
+        """A key added to DEFAULT_CONFIG without a rule fails here."""
+        result = invoke_never_loading(monkeypatch, ["extract", f"--output_dir={tmp_path}",
+                                                    f"--{dotted}={value}"])
+        assert result.output.startswith("config error: ")
+        assert dotted.rsplit(".", 1)[-1] in result.output
 
 
 class TestReports:

@@ -83,6 +83,28 @@ class TestReadEdf:
         with pytest.raises(ParseError):
             read_edf(path)
 
+    @pytest.mark.parametrize("field,kwargs,offset", [
+        ("record-duration", {"record_duration": "nan"}, 244),
+        ("record-duration", {"record_duration": "inf"}, 244),
+        ("phys-min", {"phys": ("nan", 100.0)}, 256 + 104),
+        ("phys-max", {"phys": (-100.0, "-inf")}, 256 + 112),
+    ])
+    def test_non_finite_header_number_is_parse_error(self, tmp_path, field, kwargs,
+                                                     offset):
+        path = tmp_path / "nonfinite.edf"
+        path.write_bytes(build_edf_bytes(**kwargs))
+        with pytest.raises(ParseError, match=f"EDF {field} field") as err:
+            read_edf(path)
+        assert err.value.offset == offset
+
+    def test_non_positive_samples_per_record_is_parse_error(self, tmp_path):
+        # -1 samples per record with an unknown (-1) record count used to reach numpy
+        blob = build_edf_bytes(samples_per_record=4).replace(b"4" + b" " * 7, b"-1" + b" " * 6)
+        path = tmp_path / "spr.edf"
+        path.write_bytes(blob[:236] + b"-1".ljust(8) + blob[244:])
+        with pytest.raises(ParseError, match="no samples per record"):
+            read_edf(path)
+
     def test_annotation_channels_dropped(self, tmp_path):
         digital = np.zeros((2, 4), dtype="<i2")
         path = tmp_path / "ann.edf"

@@ -155,6 +155,12 @@ class TestUnlinkability:
         with pytest.raises(LengthError):
             me.unlinkability(np.zeros(10), np.zeros(200))
 
+    @pytest.mark.parametrize("n_keys", [0, 1])
+    def test_protocol_needs_two_keys(self, random_dataset, n_keys):
+        with pytest.raises(ConfigError, match="at least two keys"):
+            me.unlinkability_protocol(random_dataset, SystemConfig(enroll_frames=5),
+                                      n_keys=n_keys)
+
     def test_protocol_produces_enough_samples(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
         mated, non_mated = me.unlinkability_protocol(random_dataset, config,
