@@ -7,7 +7,10 @@ efficiency, radius, and diameter, in that order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.sparse
 import scipy.sparse.csgraph
 
 from .errors import (ConfigError, ConvergenceError, DegenerateGraph,
@@ -78,14 +81,48 @@ def transitivity(graph) -> float:
 
 def _partition_quality(w: np.ndarray, labels: np.ndarray, total: float) -> float:
     """Q = (1/l) sum_ij [w_ij - k_i k_j / l] delta(c_i, c_j), diagonal included."""
-    strengths = w.sum(axis=1)
+    order = np.argsort(labels, kind="stable")
+    ws = w[np.ix_(order, order)]
+    strengths = w.sum(axis=1)[order]
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
     q = 0.0
-    for c in np.unique(labels):
-        members = labels == c
-        s_in = float(w[np.ix_(members, members)].sum())
-        s_tot = float(strengths[members].sum())
+    for a, b in zip(cuts, cuts[1:]):
+        # a contiguous copy sums the community block in the order w[np.ix_(m, m)] would
+        s_in = float(ws[a:b, a:b].copy().sum())
+        s_tot = float(strengths[a:b].sum())
         q += s_in / total - (s_tot / total) ** 2
     return q
+
+
+@functools.lru_cache(maxsize=_EXACT_MODULARITY_NODES)
+def _set_partitions(n: int) -> np.ndarray:
+    """Every set partition of n nodes, one row of block bitmasks each, padded with 0.
+
+    Rows come in the order of the recursion below: the block holding the lowest
+    unassigned node is chosen first, its other members in decreasing bitmask order.
+    """
+    rows: list[list[int]] = []
+    blocks: list[int] = []
+
+    def recurse(rest: int):
+        if not rest:
+            rows.append(blocks + [0] * (n - len(blocks)))
+            return
+        low = rest & -rest
+        others = rest ^ low
+        sub = others
+        while True:
+            blocks.append(low | sub)
+            recurse(rest ^ blocks[-1])
+            blocks.pop()
+            if sub == 0:
+                break
+            sub = (sub - 1) & others
+
+    recurse((1 << n) - 1)
+    table = np.array(rows, dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def _exact_best_partition(w: np.ndarray, total: float) -> tuple[np.ndarray, float]:
@@ -96,8 +133,8 @@ def _exact_best_partition(w: np.ndarray, total: float) -> tuple[np.ndarray, floa
     """
     n = w.shape[0]
     strengths = w.sum(axis=1)
-    pair_term = w / total - np.outer(strengths, strengths) / total ** 2
-    q_sub = np.zeros(1 << n)
+    pair_term = (w / total - np.outer(strengths, strengths) / total ** 2).tolist()
+    q_sub = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
         v = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << v)
@@ -105,39 +142,23 @@ def _exact_best_partition(w: np.ndarray, total: float) -> tuple[np.ndarray, floa
         m = rest
         while m:
             u = (m & -m).bit_length() - 1
-            cross += pair_term[v, u]
+            cross += pair_term[v][u]
             m &= m - 1
-        q_sub[mask] = q_sub[rest] + 2.0 * cross + pair_term[v, v]
+        q_sub[mask] = q_sub[rest] + 2.0 * cross + pair_term[v][v]
 
-    best_q = -np.inf
-    best_blocks: list[int] = []
-    blocks: list[int] = []
-
-    def recurse(rest: int, acc: float):
-        nonlocal best_q, best_blocks
-        if not rest:
-            if acc > best_q:
-                best_q, best_blocks = acc, blocks.copy()
-            return
-        low = rest & -rest
-        others = rest ^ low
-        sub = others
-        while True:
-            block = low | sub
-            blocks.append(block)
-            recurse(rest ^ block, acc + q_sub[block])
-            blocks.pop()
-            if sub == 0:
-                break
-            sub = (sub - 1) & others
-
-    recurse((1 << n) - 1, 0.0)
+    table = _set_partitions(n)
+    q_sub = np.array(q_sub)
+    # left to right, one block per step, as a running sum over each row's blocks
+    q = 0.0 + q_sub[table[:, 0]]
+    for col in range(1, n):
+        q += q_sub[table[:, col]]
+    best = int(np.argmax(q))  # the first maximum, in enumeration order
     labels = np.zeros(n, dtype=int)
-    for lab, block in enumerate(best_blocks):
+    for lab, block in enumerate(table[best].tolist()):
         for v in range(n):
             if block >> v & 1:
                 labels[v] = lab
-    return labels, float(best_q)
+    return labels, float(q[best])
 
 
 def _greedy_level(w: np.ndarray, total: float, rng: np.random.Generator) -> np.ndarray:
@@ -148,75 +169,65 @@ def _greedy_level(w: np.ndarray, total: float, rng: np.random.Generator) -> np.n
     isolating the node.
     """
     n = w.shape[0]
-    strengths = w.sum(axis=1)
-    labels = np.arange(n)
-    s_tot = {int(c): float(strengths[c]) for c in range(n)}
-    size = {int(c): 1 for c in range(n)}
-    fresh = n
+    strengths = w.sum(axis=1).tolist()
+    rows = w.tolist()
+    for i, row in enumerate(rows):
+        row[i] = 0.0  # a node never links to itself
+    total_sq = total ** 2
+    labels = list(range(n))
+    s_tot = strengths.copy()
+    size = [1] * n
     moved = True
     while moved:
         moved = False
-        for i in rng.permutation(n):
-            i = int(i)
-            cur = int(labels[i])
-            s_tot[cur] -= strengths[i]
+        for i in rng.permutation(n).tolist():
+            k_i = strengths[i]
+            cur = labels[i]
+            s_tot[cur] -= k_i
             size[cur] -= 1
             link: dict[int, float] = {}
-            row = w[i]
-            for j in np.flatnonzero(row > 0):
-                j = int(j)
-                if j != i:
-                    c = int(labels[j])
-                    link[c] = link.get(c, 0.0) + 2.0 * row[j]
-
-            def gain(c: int) -> float:
-                return link.get(c, 0.0) / total - 2.0 * s_tot[c] * strengths[i] / total ** 2
-
-            options: dict[int | None, float] = {None: 0.0}  # None = stay singleton
-            for c in link:
-                options[c] = gain(c)
-            home = cur if size[cur] > 0 else None
-            if home is not None and home not in options:
-                options[home] = gain(home)
-            best_c, best_gain = home, options[home]
-            for c, g in options.items():
-                if g > best_gain + 1e-15:
-                    best_c, best_gain = c, g
-            if best_c == home:
-                target = cur
-            elif best_c is None:
-                target = fresh
-                fresh += 1
-                s_tot[target] = 0.0
-                size[target] = 0
+            for c, w_ij in zip(labels, rows[i]):  # j ascending
+                if w_ij > 0:
+                    link[c] = link.get(c, 0.0) + 2.0 * w_ij
+            # staying put is the default; isolating the node is scanned next, then
+            # the linked communities in first-seen order
+            alone = len(size) if size[cur] else cur  # the label that isolates node i
+            best, best_gain = cur, 0.0
+            if size[cur]:
+                best_gain = link.get(cur, 0.0) / total - 2.0 * s_tot[cur] * k_i / total_sq
+                if 0.0 > best_gain + 1e-15:
+                    best, best_gain = alone, 0.0
+            for c, link_c in link.items():
+                gain = link_c / total - 2.0 * s_tot[c] * k_i / total_sq
+                if gain > best_gain + 1e-15:
+                    best, best_gain = c, gain
+            if best == len(size):  # a fresh label
+                s_tot.append(0.0)
+                size.append(0)
+            if best != cur:
                 moved = True
-            else:
-                target = int(best_c)
-                moved = True
-            labels[i] = target
-            s_tot[target] = s_tot.get(target, 0.0) + float(strengths[i])
-            size[target] = size.get(target, 0) + 1
-    _, compact = np.unique(labels, return_inverse=True)
-    return compact
+            labels[i] = best
+            s_tot[best] += k_i
+            size[best] += 1
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def _aggregate(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    k = labels.max() + 1
+    members = [np.flatnonzero(labels == a) for a in range(labels.max() + 1)]
+    k = len(members)
     agg = np.zeros((k, k))
     for a in range(k):
-        ia = labels == a
         for b in range(a, k):
-            ib = labels == b
-            agg[a, b] = agg[b, a] = float(w[np.ix_(ia, ib)].sum())
+            agg[a, b] = agg[b, a] = float(w[np.ix_(members[a], members[b])].sum())
     return agg
 
 
-def _greedy_best_partition(w: np.ndarray, total: float,
-                           rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _greedy_best_partition(w: np.ndarray, total: float, rng: np.random.Generator,
+                           singleton_q: float) -> tuple[np.ndarray, float]:
     """Multi-level greedy agglomeration (local moves + aggregation)."""
     node_labels = np.arange(w.shape[0])
-    level = w.copy()
-    best_q = _partition_quality(w, node_labels, total)
+    level = w
+    best_q = singleton_q
     while True:
         level_labels = _greedy_level(level, total, rng)
         node_labels_next = level_labels[node_labels]
@@ -243,10 +254,11 @@ def best_partition(graph, seed: int = 0, restarts: int = 8) -> tuple[np.ndarray,
         raise DegenerateGraph("zero total weight: modularity undefined")
     if w.shape[0] <= _EXACT_MODULARITY_NODES:
         return _exact_best_partition(w, total)
+    singleton_q = _partition_quality(w, np.arange(w.shape[0]), total)
     best_labels, best_q = None, -np.inf
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        labels, q = _greedy_best_partition(w, total, rng)
+        labels, q = _greedy_best_partition(w, total, rng, singleton_q)
         if q > best_q:
             best_q, best_labels = q, labels
     if best_q < 0.0:
@@ -275,7 +287,8 @@ def distance_matrix(graph) -> np.ndarray:
     with np.errstate(divide="ignore"):
         lengths = np.where(w > 0, 1.0 / w, 0.0)  # csgraph reads 0 as "no edge"
     np.fill_diagonal(lengths, 0.0)
-    return scipy.sparse.csgraph.shortest_path(lengths, method="D", directed=False)
+    return scipy.sparse.csgraph.shortest_path(scipy.sparse.csr_array(lengths), method="D",
+                                              directed=False)
 
 
 def global_descriptors(graph) -> tuple[float, float, float, float]:

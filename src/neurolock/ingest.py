@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -188,8 +189,14 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
         if dig_max[i] == dig_min[i]:
             raise ParseError(f"signal {i}: digital min equals digital max", offset=off_dig_min)
         g = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
+        offset = phys_min[i] - g * dig_min[i]
+        # every sample maps between these two; a non-finite gain or offset makes them
+        # non-finite too
+        if not (math.isfinite(-32768 * g + offset) and math.isfinite(32767 * g + offset)):
+            raise ParseError(f"signal {i}: physical range [{phys_min[i]}, {phys_max[i]}] "
+                             "maps samples out of float range", offset=off_phys_min + 8 * i)
         gains.append(g)
-        offsets.append(phys_min[i] - g * dig_min[i])
+        offsets.append(offset)
 
     digital = np.frombuffer(raw, dtype="<i2", offset=expected_header)
     data = np.empty((len(keep), n_records * samples_per_record[keep[0]]), dtype=float)

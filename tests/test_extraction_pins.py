@@ -3,7 +3,10 @@
 The sha256 digests were taken from the earlier implementation, which wrapped
 every frame, phase, graph and feature vector in its own dataclass, on numpy
 2.4 and scipy 1.17; the array path must reproduce every feature matrix bit
-for bit and in the same order.
+for bit and in the same order. The 9- and 12-channel digests were taken from
+the modularity search that indexed numpy arrays per element and recursed over
+the set partitions of every small graph; the Python-scalar search and its
+cached partition table must reproduce them too.
 """
 
 import hashlib
@@ -11,12 +14,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from neurolock.graph_features import _set_partitions
 from neurolock.ingest import SyntheticSpec, synthesize
 from neurolock.pipeline import DspConfig, build_feature_dataset, extract_frame_features
 
 PINNED = {
     "graph_small_8ch":
         "bb2d318793d6c1f60d6a119b2af5506b258fc6163700a84a98bc8c6e30f40453",
+    "graph_9ch_seed7":
+        "c9838993c75f04d0b37e28a9f24bd5bb494f6478c86a53f40489afc8d8540230",
+    "graph_12ch_seed7":
+        "c5ee7163a978af81a6b46a0713566bf085425cee3995c55b3ad04001e671de2f",
     "graph_desk_16ch_seed7":
         "f8cd1261d306c49a52c6e73a5de48b9cdf7adc9627f15b8c9f974a3c5742e072",
     "ar": "868fcfa9edbab60d9c16c2d6bc36be7d6932707263ddfc604115386a409d44f3",
@@ -50,6 +58,28 @@ def test_graph_features_desk_channels():
     dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
     assert sum(m.shape[0] for m in dataset.vectors.values()) == 4 * 31
     assert _dataset_sha(dataset) == PINNED["graph_desk_16ch_seed7"]
+
+
+@pytest.mark.parametrize("n_channels", [9, 12])
+def test_graph_features_greedy_boundary(n_channels):
+    # just past the exact search's 8 nodes: the greedy path on small graphs
+    spec = SyntheticSpec(n_subjects=2, n_channels=n_channels, duration_s=62.0, fs=160.0,
+                         master_seed=7)
+    dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
+    assert _dataset_sha(dataset) == PINNED[f"graph_{n_channels}ch_seed7"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_set_partition_table(n):
+    table = _set_partitions(n)
+    assert table.shape == ((1, 2, 5, 15, 52, 203, 877, 4140)[n - 1], n)
+    assert not table.flags.writeable
+    full = (1 << n) - 1
+    for row in table.tolist():
+        blocks = [b for b in row if b]
+        assert row == blocks + [0] * (n - len(blocks))  # padding only at the end
+        assert sum(blocks) == full and np.bitwise_or.reduce(blocks) == full  # disjoint cover
+    assert len({tuple(row) for row in table.tolist()}) == len(table)
 
 
 @pytest.mark.parametrize("kind", ["ar", "psd", "fuzzen", "concat"])

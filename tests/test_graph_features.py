@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 from neurolock import graph_features as gf
 from neurolock.errors import (ConfigError, DegenerateGraph, DisconnectedGraph)
@@ -205,6 +206,20 @@ class TestDistances:
                 w = random_graph(rng, n, zero_fraction=0.4)
                 assert gf.distance_matrix(w) == pytest.approx(
                     floyd_warshall(w), abs=1e-10, nan_ok=False)
+
+    def test_sparse_search_equals_dense_search(self, rng):
+        # zero and subnormal weights (length inf) are no edge in either input form
+        for n in (8, 16):
+            for zero_fraction in (0.0, 0.5):
+                w = random_graph(rng, n, zero_fraction)
+                w[0, 1] = w[1, 0] = 1e-320
+                with np.errstate(divide="ignore", over="ignore"):
+                    lengths = np.where(w > 0, 1.0 / w, 0.0)
+                    dist = gf.distance_matrix(w)
+                np.fill_diagonal(lengths, 0.0)
+                dense = scipy.sparse.csgraph.shortest_path(lengths, method="D",
+                                                           directed=False)
+                assert np.array_equal(dist, dense)
 
     def test_out_of_range_weights_raise(self):
         with pytest.raises(ConfigError):

@@ -97,6 +97,18 @@ class TestReadEdf:
             read_edf(path)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("phys,dig", [
+        (("-1e308", "1e308"), (-32768, 32767)),  # the gain overflows
+        ((0.0, "1e305"), (0, 1)),                 # digital 32767 maps past 1.8e308
+        (("1e308", "1.7e308"), (-30000, -29999)),  # finite gain, the offset overflows
+    ])
+    def test_physical_range_out_of_float_range_is_parse_error(self, tmp_path, phys, dig):
+        path = tmp_path / "huge.edf"
+        path.write_bytes(build_edf_bytes(n_signals=2, phys=phys, dig=dig))
+        with pytest.raises(ParseError, match="signal 0: physical range") as err:
+            read_edf(path)
+        assert err.value.offset == 256 + 104 * 2
+
     def test_non_positive_samples_per_record_is_parse_error(self, tmp_path):
         # -1 samples per record with an unknown (-1) record count used to reach numpy
         blob = build_edf_bytes(samples_per_record=4).replace(b"4" + b" " * 7, b"-1" + b" " * 6)
