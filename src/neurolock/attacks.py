@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class AttackConfig:
     case: AttackCase = AttackCase.FEATURE_SPACE  # or its value, e.g. "feature_space"
     theta: float = 0.389
     max_attempts: int = 20000
-    restarts: int | None = None  # None: restart until the attempt budget is spent
     seed: int = 0
     bounds: np.ndarray | None = None  # per-dimension [lo, hi]; default: public stats
 
@@ -77,24 +76,11 @@ class AttackReport:
     config_hash: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "theta": self.theta,
-            "success_rate": self.success_rate,
-            "mean_attempts_to_success": self.mean_attempts_to_success,
-            "similarity_mean": self.similarity_mean,
-            "similarity_std": self.similarity_std,
-            "score_mean": self.score_mean,
-            "score_std": self.score_std,
-            "seeds": self.seeds,
-            "config_hash": self.config_hash,
-            "per_user": [
-                {"subject": o.subject, "success": o.success,
-                 "attempts": o.attempts, "best_score": o.best_score,
-                 "similarity": o.similarity}
-                for o in self.outcomes
-            ],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "outcomes"}
+        out["per_user"] = [{key: getattr(o, key) for key in
+                            ("subject", "success", "attempts", "best_score", "similarity")}
+                           for o in self.outcomes]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +182,14 @@ def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
 # ---------------------------------------------------------------------------
 
 class _OracleSuccess(Exception):
-    def __init__(self, candidate, score, attempts):
+    def __init__(self, candidate, score):
         self.candidate = candidate
         self.score = score
-        self.attempts = attempts
 
 
 class ScoreOracle:
-    """Counts every matcher query and stops the search on first acceptance."""
+    """Counts every matcher query, and alone ends the search: at the first
+    accepted query, or at the first query past the attempt budget."""
 
     def __init__(self, score_fn, theta: float, max_attempts: int):
         self.score_fn = score_fn
@@ -219,19 +205,17 @@ class ScoreOracle:
         self.attempts += 1
         self.trace.append((self.attempts, score))
         if score <= self.theta:
-            raise _OracleSuccess(np.array(candidate, dtype=float), score, self.attempts)
+            raise _OracleSuccess(np.array(candidate, dtype=float), score)
         return score
 
 
 def default_feature_bounds(system: AuthSystem) -> np.ndarray:
     """Search box from population feature statistics (the public-data assumption)."""
-    proto_a, proto_b = system.config.protocol_pair
-    stacked_a = np.concatenate([system.dataset.frames(s, proto_a)
-                                for s in system.subjects])
-    stacked_b = np.concatenate([system.dataset.frames(s, proto_b)
-                                for s in system.subjects])
-    both = np.concatenate([np.stack([stacked_a.min(axis=0), stacked_a.max(axis=0)], 1),
-                           np.stack([stacked_b.min(axis=0), stacked_b.max(axis=0)], 1)])
+    ranges = []
+    for proto in system.config.protocol_pair:
+        stacked = np.concatenate([system.dataset.frames(s, proto) for s in system.subjects])
+        ranges.append(np.stack([stacked.min(axis=0), stacked.max(axis=0)], axis=1))
+    both = np.concatenate(ranges)
     width = both[:, 1] - both[:, 0]
     pad = np.maximum(0.1 * width, 1e-6)
     return np.stack([both[:, 0] - pad, both[:, 1] + pad], axis=1)
@@ -239,75 +223,57 @@ def default_feature_bounds(system: AuthSystem) -> np.ndarray:
 
 def hill_climb_attack(system: AuthSystem, subject: str,
                       config: AttackConfig) -> HillClimbOutcome:
-    """Simplex search against one account's score oracle with seeded restarts."""
+    """Simplex search against one account's score oracle with seeded restarts.
+
+    Alternates exploration (a simplex from a fresh seeded uniform draw over
+    the bounds) with refinement sweeps that restart the simplex at the
+    incumbent with shrinking scales, run only when the incumbent improved:
+    otherwise the deterministic sweep would just retrace itself.
+    """
     account = system.users[subject]
-    if config.case == AttackCase.FEATURE_SPACE:
-        bounds = config.bounds if config.bounds is not None \
-            else default_feature_bounds(system)
+    feature_space = config.case == AttackCase.FEATURE_SPACE
+    if feature_space:
         dim = system.dim
 
         def score_fn(x):
             return system.score_bits(
                 subject, system.feature_query_bits(subject, x[:dim], x[dim:]))
     else:
-        bounds = config.bounds if config.bounds is not None \
-            else account.template.meta.quant_range
+        quant_range = account.template.meta.quant_range
 
         def score_fn(x):
-            return system.score_bits(
-                subject,
-                tr.gray_encode(x, account.template.meta.quant_range))
-
+            return system.score_bits(subject, tr.gray_encode(x, quant_range))
+    bounds = config.bounds
+    if bounds is None:
+        bounds = default_feature_bounds(system) if feature_space else quant_range
     bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
     oracle = ScoreOracle(score_fn, config.theta, config.max_attempts)
     width = bounds[:, 1] - bounds[:, 0]
     best_x, best_f = None, np.inf
-    restart = 0
-    last_refined = np.inf
+
+    def search(x0, step):
+        nonlocal best_x, best_f
+        x, f, _ = nelder_mead(oracle, x0, budget=config.max_attempts,
+                              initial_step=step * width)
+        if f < best_f:
+            best_x, best_f = x, f
+
+    success = False
     try:
-        # alternate exploration (fresh seeded uniform draws over the bounds)
-        # with refinement sweeps that restart the simplex at the incumbent
-        # with shrinking scales; refine only when the incumbent improved,
-        # otherwise the deterministic sweep would just retrace itself
+        restart, last_refined = 0, np.inf
         while oracle.attempts < config.max_attempts:
-            if config.restarts is not None and restart >= config.restarts:
-                break
-            rng = np.random.default_rng(
-                [config.seed, stable_int(subject), restart])
+            rng = np.random.default_rng([config.seed, stable_int(subject), restart])
             restart += 1
-            x0 = rng.uniform(bounds[:, 0], bounds[:, 1])
-            x, f, _ = nelder_mead(oracle, x0,
-                                  budget=config.max_attempts - oracle.attempts,
-                                  tol=config.theta, initial_step=0.25 * width)
-            if f < best_f:
-                best_x, best_f = x, f
-            while best_f < last_refined and oracle.attempts < config.max_attempts:
+            search(rng.uniform(bounds[:, 0], bounds[:, 1]), 0.25)
+            while best_f < last_refined:
                 last_refined = best_f
                 for scale in (0.08, 0.04, 0.02, 0.01, 0.005):
-                    remaining = config.max_attempts - oracle.attempts
-                    if remaining < 1:
-                        break
-                    x, f, _ = nelder_mead(oracle, best_x, budget=remaining,
-                                          tol=config.theta,
-                                          initial_step=scale * width)
-                    if f < best_f:
-                        best_x, best_f = x, f
-    except _BudgetExhausted:
-        pass
+                    search(best_x, scale)
     except _OracleSuccess as hit:
-        similarity = None
-        if config.case == AttackCase.FEATURE_SPACE:
-            similarity = cosine_similarity(hit.candidate, account.true_features)
-        return HillClimbOutcome(subject=subject, success=True,
-                                attempts=hit.attempts, best_score=hit.score,
-                                solution=hit.candidate, similarity=similarity,
-                                trace=oracle.trace)
-    similarity = None
-    if config.case == AttackCase.FEATURE_SPACE and best_x is not None:
-        similarity = cosine_similarity(best_x, account.true_features)
-    return HillClimbOutcome(subject=subject, success=False,
-                            attempts=oracle.attempts, best_score=float(best_f),
-                            solution=best_x if best_x is not None else np.array([]),
+        success, best_x, best_f = True, hit.candidate, hit.score
+    similarity = cosine_similarity(best_x, account.true_features) if feature_space else None
+    return HillClimbOutcome(subject=subject, success=success, attempts=oracle.attempts,
+                            best_score=float(best_f), solution=best_x,
                             similarity=similarity, trace=oracle.trace)
 
 
@@ -355,8 +321,8 @@ def arm_attack(templates: list[tr.CancellableTemplate],
     Decodes each template to projected-value estimates, assembles the linear
     system over the product monomials v1[a]*v2[b] that the permutations
     select, solves it by minimum-norm least squares, and factors the recovered
-    monomials into a rank-one estimate (v1_hat, v2_hat) by alternating least
-    squares over the populated entries.
+    monomials into a rank-one estimate (v1_hat, v2_hat) by their leading
+    singular pair.
     """
     if len(templates) != len(params_list) or not templates:
         raise ShapeError("need matching non-empty template and parameter lists")
@@ -366,31 +332,30 @@ def arm_attack(templates: list[tr.CancellableTemplate],
     if quant_ranges is None:
         quant_ranges = [t.meta.quant_range for t in templates]
 
+    # each key adds n_out equations: projection[i, j] multiplies the monomial
+    # v1[permutation[i]] * v2[i], a different one for every i
     monomial_col: dict[tuple[int, int], int] = {}
-    rows, rhs = [], []
+    blocks, rhs = [], []
     for template, params, qr in zip(templates, params_list, quant_ranges):
-        r_hat = tr.gray_decode(template.bits, qr)
-        for j in range(params.n_out):
-            coeffs: dict[int, float] = {}
-            for i in range(dim):
-                key = (int(params.permutation[i]), i)
-                col = monomial_col.setdefault(key, len(monomial_col))
-                coeffs[col] = coeffs.get(col, 0.0) + params.projection[i, j]
-            rows.append(coeffs)
-            rhs.append(r_hat[j])
+        if template.bits.size != tr.BITS_PER_DIM * params.n_out:
+            raise ShapeError(f"template of {template.bits.size} bits under key "
+                             f"{params.key_id}, which projects to {params.n_out} values")
+        blocks.append(([monomial_col.setdefault((int(a), i), len(monomial_col))
+                        for i, a in enumerate(params.permutation)], params.projection.T))
+        rhs.append(tr.gray_decode(template.bits, qr))
     n_unknowns = len(monomial_col)
-    a_matrix = np.zeros((len(rows), n_unknowns))
-    for r, coeffs in enumerate(rows):
-        for col, value in coeffs.items():
-            a_matrix[r, col] = value
-    b_vector = np.array(rhs)
+    b_vector = np.concatenate(rhs)
+    a_matrix = np.zeros((b_vector.size, n_unknowns))
+    row = 0
+    for cols, coeffs in blocks:
+        a_matrix[row:row + len(coeffs), cols] = coeffs
+        row += len(coeffs)
     z, *_ = np.linalg.lstsq(a_matrix, b_vector, rcond=None)
     residual = float(np.linalg.norm(a_matrix @ z - b_vector))
     rank = int(np.linalg.matrix_rank(a_matrix))
 
     z_matrix = np.zeros((dim, dim))
-    for (a, b), col in monomial_col.items():
-        z_matrix[a, b] = z[col]
+    z_matrix[tuple(zip(*monomial_col))] = z  # dict order is column order
     v1_hat, v2_hat = _rank_one_factor(z_matrix)
     similarity = None
     if truth is not None:
@@ -398,7 +363,7 @@ def arm_attack(templates: list[tr.CancellableTemplate],
                                     np.asarray(truth[1], float).ravel()])
         similarity = cosine_similarity(np.concatenate([v1_hat, v2_hat]), truth_cat)
     return ArmResult(v1_hat=v1_hat, v2_hat=v2_hat, similarity=similarity,
-                     n_equations=len(rows), n_unknowns=n_unknowns, rank=rank,
+                     n_equations=b_vector.size, n_unknowns=n_unknowns, rank=rank,
                      residual=residual, monomials=sorted(monomial_col))
 
 
@@ -466,6 +431,9 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     its true features under the new key; feature solutions are re-transformed
     with the new parameters, template solutions are matched bit-for-bit.
     """
+    unknown = [s.kind for s in solutions if s.kind not in ("feature", "template")]
+    if unknown:
+        raise ConfigError(f"unknown solution kind {unknown[0]!r}")
     theta = system.config.theta if theta is None else theta
     rng = np.random.default_rng(seed)
     scores, sims, per_solution = [], [], []
@@ -480,10 +448,8 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
             if solution.kind == "feature":
                 frames = solution.payload.reshape(2, 1, system.dim)
                 bits = system.account_bits(fresh, frames[0], frames[1])
-            elif solution.kind == "template":
-                bits = solution.payload.astype(np.uint8)
             else:
-                raise ConfigError(f"unknown solution kind {solution.kind!r}")
+                bits = solution.payload.astype(np.uint8)
             sol_scores.append(tr.hamming_score(bits, fresh.template.bits)[1])
         if solution.kind == "feature":
             sims.append(cosine_similarity(solution.payload, account.true_features))

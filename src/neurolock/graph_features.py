@@ -282,9 +282,9 @@ def distance_matrix(graph) -> np.ndarray:
     connect them. Computed by scipy's compiled Dijkstra search from every node.
     """
     w = _adjacency(graph)
-    if w.min() < 0 or w.max() > 1:
-        raise ConfigError("edge weights must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
+    if not (w.min() >= 0 and w.max() <= 1):  # NaN fails both
+        raise ConfigError("edge weights must be finite and lie in [0, 1]")
+    with np.errstate(divide="ignore", over="ignore"):  # subnormal weights overflow
         lengths = np.where(w > 0, 1.0 / w, 0.0)  # csgraph reads 0 as "no edge"
     np.fill_diagonal(lengths, 0.0)
     return scipy.sparse.csgraph.shortest_path(scipy.sparse.csr_array(lengths), method="D",

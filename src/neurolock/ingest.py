@@ -223,7 +223,6 @@ def write_edf(recording: Recording, path, record_seconds: float | None = None) -
     With record_seconds=None the whole recording is stored as a single data
     record; otherwise the duration must divide the recording evenly.
     """
-    path = Path(path)
     n_sig = recording.n_channels
     n_samples = recording.n_samples
     if record_seconds is None:
@@ -289,11 +288,9 @@ def write_edf(recording: Recording, path, record_seconds: float | None = None) -
         scaled = (ch - lo_r) * (dig_max - dig_min) / (hi_r - lo_r) + dig_min
         digital[i] = np.clip(np.rint(scaled), dig_min, dig_max).astype("<i2")
 
-    body = bytearray()
-    for r in range(n_records):
-        for i in range(n_sig):
-            body += digital[i, r * spr:(r + 1) * spr].tobytes()
-    path.write_bytes(head + bytes(body))
+    # each data record holds spr samples of every signal in turn
+    records = digital.reshape(n_sig, n_records, spr).transpose(1, 0, 2)
+    atomic_write(path, head + records.tobytes())
 
 
 # ---------------------------------------------------------------------------

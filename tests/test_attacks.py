@@ -228,6 +228,13 @@ class TestArm:
             atk.arm_attack([template_of(R1_HAT)],
                            [params_of(P1, M1, 1), params_of(P2, M2, 2)])
 
+    @pytest.mark.parametrize("r_hat", [np.array([0.2]), np.array([0.2, 0.5, 0.1])])
+    def test_bit_count_must_match_key(self, r_hat):
+        # the key projects to 2 values: 8 or 24 bits are one value short or over
+        with pytest.raises(ShapeError, match="projects to 2 values"):
+            atk.arm_attack([template_of(R1_HAT), template_of(r_hat)],
+                           [params_of(P1, M1, 1), params_of(P2, M2, 10)])
+
 
 class TestSecondAttack:
     def test_true_features_always_pass_single_frame_system(self):
@@ -264,6 +271,20 @@ class TestSecondAttack:
         assert sorted(report.to_json_dict()) == [
             "n_successes", "n_tests", "per_solution", "sar", "score_mean", "score_std",
             "similarity_mean", "similarity_std"]
+
+    def test_unknown_kind_fails_before_any_reissue(self, monkeypatch):
+        dataset = random_feature_dataset(n_subjects=3, n_frames=6, dim=8, seed=80)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=2, query_frames=1,
+                                                  delta=0.5))
+        reissued = []
+        monkeypatch.setattr(system, "reissue", lambda *args: reissued.append(args))
+        solutions = [atk.Solution(subject="S001", kind="feature",
+                                  payload=system.users["S001"].true_features),
+                     atk.Solution(subject="S002", kind="bits",
+                                  payload=system.users["S002"].template.bits)]
+        with pytest.raises(ConfigError, match="unknown solution kind 'bits'"):
+            atk.second_attack(system, solutions, n_keys=3)
+        assert reissued == []
 
 
 class TestBruteForce:

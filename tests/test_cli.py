@@ -299,6 +299,15 @@ class TestReports:
         assert trace[0] == "subject,attempt,score"
         assert len(trace) > 1
 
+    def test_attack_reproducibility(self, tmp_path):
+        args = ["attack", f"--output_dir={tmp_path}", "--attack.theta=0.3",
+                "--attack.max_attempts=400", "--attack.second_attack_keys=5"] + SMALL
+        outputs = [tmp_path / "attack_report.json", tmp_path / "attack_trace.csv"]
+        assert invoke(args).exit_code == 0
+        first = [path.read_bytes() for path in outputs]
+        assert invoke(args).exit_code == 0
+        assert [path.read_bytes() for path in outputs] == first
+
     def test_slx_report(self, tmp_path):
         args = ["slx", f"--output_dir={tmp_path}", "--slx.seeds=2",
                 "--dataset.synthetic.n_subjects=5",

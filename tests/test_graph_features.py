@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
@@ -224,6 +226,23 @@ class TestDistances:
     def test_out_of_range_weights_raise(self):
         with pytest.raises(ConfigError):
             gf.distance_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_raise(self, bad):
+        w = np.full((4, 4), 0.5)
+        np.fill_diagonal(w, 0.0)
+        w[0, 3] = w[3, 0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            gf.distance_matrix(w)
+
+    def test_subnormal_weight_is_no_edge_without_warning(self):
+        w = np.full((4, 4), 0.5)
+        np.fill_diagonal(w, 0.0)
+        w[0, 3] = w[3, 0] = 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = gf.distance_matrix(w)
+        assert dist[0, 3] == dist[3, 0] == 4.0  # through one other node
 
 
 class TestGlobalDescriptors:

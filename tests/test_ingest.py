@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,18 @@ class TestReadEdf:
         assert back.data.shape == (2, 480)
         assert back.fs == 160.0
         assert np.max(np.abs(back.data - data)) < 1e-3
+
+    def test_multi_record_file_bytes_pinned(self, tmp_path):
+        # digest taken from the writer that appended one record slice per
+        # signal in a Python loop; 8 records of 80 samples, no annotations
+        data = np.random.default_rng(2024).normal(scale=30.0, size=(3, 640))
+        rec = Recording(channels=["Fp1", "Cz", "O2"], fs=160.0, data=data,
+                        protocol_tag=Protocol.EC, subject_id="S7")
+        path = tmp_path / "pinned.edf"
+        write_edf(rec, path, record_seconds=0.5)
+        assert list(tmp_path.iterdir()) == [path]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "4f98eb6934960e2565f9a0415e6e8fe88a3f4aee2289454eb6a4788ec682160b"
 
 
 class TestCsv:
