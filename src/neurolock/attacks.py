@@ -239,14 +239,18 @@ def hill_climb_attack(system: AuthSystem, subject: str,
             return system.score_bits(
                 subject, system.feature_query_bits(subject, x[:dim], x[dim:]))
     else:
-        quant_range = account.template.meta.quant_range
+        quant_range = account.params.quant_range
 
         def score_fn(x):
             return system.score_bits(subject, tr.gray_encode(x, quant_range))
     bounds = config.bounds
     if bounds is None:
         bounds = default_feature_bounds(system) if feature_space else quant_range
-    bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
+    bounds = np.asarray(bounds, dtype=float)
+    search_dim = 2 * system.dim if feature_space else account.params.n_out
+    if bounds.shape != (search_dim, 2):
+        raise ShapeError(f"search bounds of shape {bounds.shape}; the {config.case.value} "
+                         f"search needs ({search_dim}, 2)")
     oracle = ScoreOracle(score_fn, config.theta, config.max_attempts)
     width = bounds[:, 1] - bounds[:, 0]
     best_x, best_f = None, np.inf
@@ -314,13 +318,13 @@ class ArmResult:
 
 def arm_attack(templates: list[tr.CancellableTemplate],
                params_list: list[tr.TransformParams],
-               quant_ranges: list[np.ndarray] | None = None,
                truth: tuple[np.ndarray, np.ndarray] | None = None) -> ArmResult:
     """Correlate several (template, parameters) pairs from the same features.
 
-    Decodes each template to projected-value estimates, assembles the linear
-    system over the product monomials v1[a]*v2[b] that the permutations
-    select, solves it by minimum-norm least squares, and factors the recovered
+    Decodes each template over its own public quantization range (the
+    attacker's view) to projected-value estimates, assembles the linear system
+    over the product monomials v1[a]*v2[b] that the permutations select,
+    solves it by minimum-norm least squares, and factors the recovered
     monomials into a rank-one estimate (v1_hat, v2_hat) by their leading
     singular pair.
     """
@@ -329,20 +333,18 @@ def arm_attack(templates: list[tr.CancellableTemplate],
     dim = params_list[0].dim
     if any(p.dim != dim for p in params_list):
         raise ShapeError("inconsistent feature dimensions across parameter sets")
-    if quant_ranges is None:
-        quant_ranges = [t.meta.quant_range for t in templates]
 
     # each key adds n_out equations: projection[i, j] multiplies the monomial
     # v1[permutation[i]] * v2[i], a different one for every i
     monomial_col: dict[tuple[int, int], int] = {}
     blocks, rhs = [], []
-    for template, params, qr in zip(templates, params_list, quant_ranges):
+    for template, params in zip(templates, params_list):
         if template.bits.size != tr.BITS_PER_DIM * params.n_out:
             raise ShapeError(f"template of {template.bits.size} bits under key "
                              f"{params.key_id}, which projects to {params.n_out} values")
         blocks.append(([monomial_col.setdefault((int(a), i), len(monomial_col))
                         for i, a in enumerate(params.permutation)], params.projection.T))
-        rhs.append(tr.gray_decode(template.bits, qr))
+        rhs.append(tr.gray_decode(template.bits, template.meta.quant_range))
     n_unknowns = len(monomial_col)
     b_vector = np.concatenate(rhs)
     a_matrix = np.zeros((b_vector.size, n_unknowns))

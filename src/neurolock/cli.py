@@ -339,12 +339,16 @@ def extract(config):
     click.echo(f"wrote {len(dataset.vectors)} feature files to {out}")
 
 
+_KEY_RULE = (numbers.Integral, lambda v: 0 <= v < 2 ** 64, "an unsigned 64-bit integer")
+
+
 @command(click.option("--subject", required=True, help="Subject id to enroll."),
          click.option("--key", "user_key", type=int, required=True, help="User key."),
          click.option("--out", "template_path", type=str, default=None,
                       help="Template file path (default: <output_dir>/<subject>.ceeg)."))
 def enroll(config, subject, user_key, template_path):
     """Enroll one subject and write the template file."""
+    require("--key", user_key, *_KEY_RULE)
     dataset = load_features(config)
     if subject not in dataset.subjects:
         raise ConfigError(f"unknown subject {subject!r}")
@@ -369,6 +373,15 @@ def enroll(config, subject, user_key, template_path):
                       help="Frames averaged into the query (default: query_frames)."))
 def verify(config, template_path, subject, user_key, theta, from_frame, n_frames):
     """Generate a query from the subject's frames and match the template."""
+    for name, value, kind, ok, what in (
+            ("--key", user_key, *_KEY_RULE),
+            ("--theta", theta, numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+            ("--from-frame", from_frame, numbers.Integral, lambda v: v >= 0,
+             "a non-negative integer"),
+            ("--frames", n_frames, numbers.Integral, lambda v: v >= 1,
+             "an integer of at least 1")):
+        if value is not None:
+            require(name, value, kind, ok, what)
     enrolled = tr.load_template(template_path)
     dataset = load_features(config)
     if subject not in dataset.subjects:

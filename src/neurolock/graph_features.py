@@ -22,6 +22,8 @@ GLOBAL_FEATURE_NAMES = ("transitivity", "modularity", "char_path_length",
 # Exhaustive partition search stays cheap up to this many nodes (Bell(8)=4140);
 # beyond it the seeded greedy agglomeration takes over.
 _EXACT_MODULARITY_NODES = 8
+# seeded restarts of the greedy search; the best partition found wins
+_GREEDY_RESTARTS = 8
 
 
 def feature_names(n_nodes: int) -> list[str]:
@@ -242,7 +244,7 @@ def _greedy_best_partition(w: np.ndarray, total: float, rng: np.random.Generator
     return node_labels, best_q
 
 
-def best_partition(graph, seed: int = 0, restarts: int = 8) -> tuple[np.ndarray, float]:
+def best_partition(graph, seed: int = 0) -> tuple[np.ndarray, float]:
     """Community labels and their quality score Q.
 
     Exhaustive search for graphs of at most 8 nodes (the optimum is cheap to
@@ -256,7 +258,7 @@ def best_partition(graph, seed: int = 0, restarts: int = 8) -> tuple[np.ndarray,
         return _exact_best_partition(w, total)
     singleton_q = _partition_quality(w, np.arange(w.shape[0]), total)
     best_labels, best_q = None, -np.inf
-    for r in range(restarts):
+    for r in range(_GREEDY_RESTARTS):
         rng = np.random.default_rng([seed, r])
         labels, q = _greedy_best_partition(w, total, rng, singleton_q)
         if q > best_q:

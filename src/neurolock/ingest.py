@@ -198,15 +198,11 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
         gains.append(g)
         offsets.append(offset)
 
-    digital = np.frombuffer(raw, dtype="<i2", offset=expected_header)
+    records = np.frombuffer(raw, dtype="<i2", offset=expected_header).reshape(n_records, -1)
     data = np.empty((len(keep), n_records * samples_per_record[keep[0]]), dtype=float)
     starts = np.cumsum([0] + samples_per_record)  # sample offsets within one record
-    rec_len = sum(samples_per_record)
     for row, i in enumerate(keep):
-        spr = samples_per_record[i]
-        chunks = [digital[r * rec_len + starts[i]: r * rec_len + starts[i] + spr]
-                  for r in range(n_records)]
-        data[row] = np.concatenate(chunks) * gains[row] + offsets[row]
+        data[row] = records[:, starts[i]:starts[i + 1]].ravel() * gains[row] + offsets[row]
 
     return Recording(
         channels=[labels[i] for i in keep],

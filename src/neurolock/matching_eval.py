@@ -264,9 +264,11 @@ def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
     if any(t.meta.frames_averaged != n_frames for t in enrolled_templates):
         raise ConfigError("enrolled templates must average the same number of frames")
     enrolled = np.stack([t.bits for t in enrolled_templates])
-    v1, v2 = user_features
-    scores = [tr.hamming_score(enrolled,
-                               tr.make_template(v1, v2, params, n_frames).bits)[1]
+    v1, v2 = (np.asarray(v, dtype=float)[..., :n_frames, :] for v in user_features)
+    if min(v1.shape[-2], v2.shape[-2]) < n_frames:
+        raise ConfigError(f"enrolled templates average {n_frames} frames; "
+                          "the features hold fewer")
+    scores = [tr.hamming_score(enrolled, tr.encode(v1, v2, params))[1]
               for params in params_list]
     return np.stack(scores, axis=-1).ravel()
 
@@ -324,8 +326,7 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     v1 = windows(system.standardize_a, proto_a)
     v2 = windows(system.standardize_b, proto_b)
     # one (subjects, windows, n_bits) database per key
-    bits = [tr.make_template(v1, v2, system.calibrated_params(key), window_frames).bits
-            for key in keys]
+    bits = [tr.encode(v1, v2, system.calibrated_params(key)) for key in keys]
     other = ~np.eye(len(subjects), dtype=bool)
     mated, non_mated = [], []
     for a_idx in range(n_keys):

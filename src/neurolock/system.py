@@ -151,10 +151,7 @@ class AuthSystem:
         Frames run along axis -2 and their projections are averaged, as at
         enrollment; leading axes are a batch of queries.
         """
-        fused = tr.combine(self.standardize_a(v1), self.standardize_b(v2),
-                           account.params)
-        projected = tr.project(fused, account.params).mean(axis=-2)
-        return tr.gray_encode(projected, account.template.meta.quant_range)
+        return tr.encode(self.standardize_a(v1), self.standardize_b(v2), account.params)
 
     def query_template(self, claimed: str, source, start_frame,
                        n_frames: int | None = None) -> tr.CancellableTemplate:
@@ -175,12 +172,10 @@ class AuthSystem:
                     raise ConfigError(
                         f"subject {subject}: not enough frames at offset {start}")
         frames = np.reshape(windows, sources.shape + (2, n_frames, self.dim))
-        account = self.users[claimed]
-        meta = replace(account.template.meta, frames_averaged=n_frames,
-                       subject_id=source if isinstance(source, str) else "")
-        return tr.CancellableTemplate(
-            bits=self.account_bits(account, frames[..., 0, :, :], frames[..., 1, :, :]),
-            meta=meta)
+        return tr.make_template(self.standardize_a(frames[..., 0, :, :]),
+                                self.standardize_b(frames[..., 1, :, :]),
+                                self.users[claimed].params, n_frames,
+                                subject_id=source if isinstance(source, str) else "")
 
     def feature_query_bits(self, claimed: str, v1: np.ndarray,
                            v2: np.ndarray) -> np.ndarray:
@@ -209,9 +204,7 @@ class AuthSystem:
         params = self.calibrated_params(new_key)
         template = tr.make_template(account.enroll_v1, account.enroll_v2, params,
                                     self.config.enroll_frames, subject_id=subject)
-        return UserAccount(subject, params, template,
-                           account.enroll_v1, account.enroll_v2,
-                           account.raw_v1, account.raw_v2)
+        return replace(account, params=params, template=template)
 
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""

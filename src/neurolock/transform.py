@@ -233,53 +233,51 @@ def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
     return lo + levels.astype(float) * (hi - lo) / LEVELS
 
 
-def quant_range_from_samples(projected: np.ndarray,
-                             margin: float = 0.1) -> np.ndarray:
-    """Per-dimension [min, max] over projected samples, widened by a margin.
+def calibrate_params(params: TransformParams, population_frames_v1,
+                     population_frames_v2, margin: float = 0.1) -> TransformParams:
+    """Fix the quantization range of a parameter set from population data.
 
-    Meant to be fed the whole enrolled population's projections under one key
-    (see calibrate_params): quantization then encodes where a user's average
-    sits within the population, which is what makes template bits carry
-    identity. A degenerate dimension falls back to a magnitude-proportional
-    margin so the range stays non-empty.
+    Projects every provided frame pair under the parameters and spans the
+    per-dimension [min, max] widened by margin times the span. Fed the whole
+    enrolled population under one key, quantization then encodes where a
+    user's average sits within the population, which is what makes template
+    bits carry identity. A degenerate dimension falls back to a
+    magnitude-proportional margin so the range stays non-empty. Deterministic
+    for fixed inputs; the range is stored on the returned params, and
+    make_template copies it into public template metadata.
     """
-    samples = np.asarray(projected, dtype=float)
-    samples = samples.reshape(-1, samples.shape[-1])
+    projected = project(combine(population_frames_v1, population_frames_v2, params),
+                        params)
+    samples = projected.reshape(-1, projected.shape[-1])
     lo = samples.min(axis=0)
     hi = samples.max(axis=0)
     width = hi - lo
     pad = np.where(width > 1e-12,
                    margin * width,
                    np.maximum(margin * np.abs((lo + hi) / 2.0), 1e-6))
-    return np.stack([lo - pad, hi + pad], axis=1)
-
-
-def calibrate_params(params: TransformParams, population_frames_v1,
-                     population_frames_v2, margin: float = 0.1) -> TransformParams:
-    """Fix the quantization range of a parameter set from population data.
-
-    Projects every provided frame pair under the parameters and spans the
-    observed per-dimension range plus a margin. Deterministic for fixed
-    inputs; the result is stored on the returned params (and later mirrored
-    into public template metadata).
-    """
-    projected = project(combine(population_frames_v1, population_frames_v2, params),
-                        params)
-    params.quant_range = quant_range_from_samples(projected, margin)
+    params.quant_range = np.stack([lo - pad, hi + pad], axis=1)
     return params
 
 
-def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
-                  quant_range: np.ndarray | None = None,
-                  subject_id: str = "") -> CancellableTemplate:
-    """Fuse, project, and average the first n_frames vector pairs, then encode.
+def encode(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
+    """The one path from standardized feature frames to bits.
 
-    Frames run along axis -2 and features along axis -1; leading axes give a
-    batch of templates that share one metadata record, with bits of shape
-    (..., n_bits). The quantization range comes from (in order of
-    precedence) the explicit argument, the calibrated params, or as a last
-    resort the enrollment frames themselves. Enrolled and query templates
-    must quantize over the same range for their bits to be comparable.
+    Frames run along axis -2, features along axis -1, after any batch axes.
+    Each stack of frame pairs is fused, projected and averaged, and the mean
+    gray-encoded over the params' range: bits of shape (..., n_bits).
+    """
+    if params.quant_range is None:
+        raise ConfigError(f"key {params.key_id} has no quantization range; "
+                          "calibrate its params first (calibrate_params)")
+    projected = project(combine(v1, v2, params), params)
+    return gray_encode(projected.mean(axis=-2), params.quant_range)
+
+
+def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
+                  subject_id: str = "") -> CancellableTemplate:
+    """`encode` of the first n_frames frame pairs, with metadata from the params.
+
+    Leading axes give a batch of templates that share one metadata record.
     """
     if n_frames < 1:
         raise ConfigError("need at least one frame")
@@ -289,17 +287,10 @@ def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
     if available < n_frames:
         raise ConfigError(
             f"requested {n_frames} frames but only {available} available")
-    projected = project(combine(frames_v1, frames_v2, params), params)
-    mean_r = projected.mean(axis=-2)
-    if quant_range is None:
-        quant_range = params.quant_range
-    if quant_range is None:
-        quant_range = quant_range_from_samples(projected)
-    quant_range = np.asarray(quant_range, dtype=float).reshape(-1, 2)
-    bits = gray_encode(mean_r, quant_range)
+    bits = encode(frames_v1, frames_v2, params)
     meta = TemplateMeta(subject_id=subject_id, key_id=params.key_id,
                         delta=params.delta, frames_averaged=n_frames,
-                        quant_range=quant_range)
+                        quant_range=params.quant_range)
     return CancellableTemplate(bits=bits, meta=meta)
 
 

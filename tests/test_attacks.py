@@ -123,6 +123,34 @@ class TestHillClimb:
         assert payload["case"] == "feature_space"
         assert len(payload["per_user"]) == 6
 
+    @pytest.mark.parametrize("case,bounds", [
+        ("feature_space", np.tile([-1.0, 1.0], (3, 1))),   # searches 2 * dim = 20 values
+        ("template_space", np.tile([-1.0, 1.0], (6, 1))),  # the key projects to 5 values
+    ])
+    def test_bounds_of_wrong_shape_fail_before_any_query(self, small_system, monkeypatch,
+                                                         case, bounds):
+        queries = []
+        original = atk.ScoreOracle.__call__
+
+        def counted(oracle, candidate):
+            queries.append(candidate)
+            return original(oracle, candidate)
+        monkeypatch.setattr(atk.ScoreOracle, "__call__", counted)
+        config = atk.AttackConfig(case=case, max_attempts=10, bounds=bounds)
+        with pytest.raises(ShapeError, match="search bounds"):
+            atk.hill_climb_attack(small_system, "S001", config)
+        assert queries == []
+
+    def test_explicit_default_bounds_search_the_same(self, small_system):
+        account = small_system.users["S001"]
+        for case, bounds in (("feature_space", atk.default_feature_bounds(small_system)),
+                             ("template_space", account.params.quant_range)):
+            default, explicit = [
+                atk.hill_climb_attack(small_system, "S001", atk.AttackConfig(
+                    case=case, theta=0.0, max_attempts=50, bounds=b))
+                for b in (None, bounds)]
+            assert explicit.trace == default.trace
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             atk.AttackConfig(theta=1.5)
@@ -182,6 +210,8 @@ class TestArm:
                                                     meta=meta))
             params_list.append(params)
         result = atk.arm_attack(templates, params_list)
+        # each template decodes over its own range: no key's block is dropped
+        assert result.n_equations == 3 * params_list[0].n_out
         # oracle: rebuild the same system and solve by pseudo-inverse
         monomial_col = {}
         rows, rhs = [], []

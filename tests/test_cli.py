@@ -42,7 +42,7 @@ def invoke_never_loading(monkeypatch, args):
     monkeypatch.setattr(cli, "load_recordings", never)
     monkeypatch.setattr(cli, "synthesize", never)
     extra = ["--subject=S001", "--key=1"] if args[0] == "enroll" else []
-    result = invoke(args + extra)
+    result = invoke(args[:1] + extra + args[1:])  # a test's own --key comes last and wins
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -227,6 +227,20 @@ class TestConfigValidation:
         result = invoke_never_loading(monkeypatch, [command, f"--output_dir={tmp_path}",
                                                     override])
         assert result.output.startswith("config error: ")
+
+    @pytest.mark.parametrize("command,option", [
+        ("enroll", "--key=-1"), ("enroll", f"--key={2 ** 64}"),
+        ("verify", "--key=-1"), ("verify", "--theta=nan"), ("verify", "--theta=5"),
+        ("verify", "--theta=-0.1"), ("verify", "--from-frame=-3"), ("verify", "--frames=0"),
+    ])
+    def test_bad_enroll_or_verify_option_exits_before_loading(self, tmp_path, monkeypatch,
+                                                              command, option):
+        args = [command, f"--output_dir={tmp_path}"]
+        if command == "verify":
+            args += [f"--template={tmp_path / 'none.ceeg'}", "--subject=S001", "--key=1"]
+        result = invoke_never_loading(monkeypatch, args + [option])
+        name = option.split("=")[0]
+        assert result.output.startswith(f"config error: {name} must be "), result.output
 
     def test_non_integer_seed_env_exits_before_loading(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEUROLOCK_SEED", "x")

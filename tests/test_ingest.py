@@ -15,9 +15,16 @@ def build_edf_bytes(n_signals=1, n_records=1, samples_per_record=4,
                     phys=(-100.0, 100.0), dig=(-32768, 32767),
                     digital_values=None, header_bytes=None, version=b"0",
                     record_duration="1", labels=None):
-    """Hand-rolled EDF payload for parser fixtures."""
+    """Hand-rolled EDF payload for parser fixtures.
+
+    samples_per_record is one count for every signal or a list of per-signal
+    counts; digital_values then holds one row of n_records * count per signal.
+    """
     def pad(text, width):
         return str(text)[:width].ljust(width).encode("ascii")
+
+    spr = (list(samples_per_record) if isinstance(samples_per_record, (list, tuple))
+           else [samples_per_record] * n_signals)
 
     if header_bytes is None:
         header_bytes = 256 + 256 * n_signals
@@ -36,17 +43,16 @@ def build_edf_bytes(n_signals=1, n_records=1, samples_per_record=4,
         [pad(dig[0], 8)] * n_signals,
         [pad(dig[1], 8)] * n_signals,
         [pad("", 80)] * n_signals,
-        [pad(samples_per_record, 8)] * n_signals,
+        [pad(count, 8) for count in spr],
         [pad("", 32)] * n_signals,
     ]
     head += b"".join(b"".join(col) for col in cols)
     if digital_values is None:
-        digital_values = np.zeros((n_signals, n_records * samples_per_record), dtype="<i2")
+        digital_values = [np.zeros(n_records * count, dtype="<i2") for count in spr]
     body = b""
     for r in range(n_records):
         for s in range(n_signals):
-            body += digital_values[s, r * samples_per_record:(r + 1) * samples_per_record] \
-                .astype("<i2").tobytes()
+            body += digital_values[s][r * spr[s]:(r + 1) * spr[s]].astype("<i2").tobytes()
     return head + body
 
 
@@ -127,6 +133,24 @@ class TestReadEdf:
         rec = read_edf(path)
         assert rec.channels == ["C3"]
         assert rec.data.shape == (1, 4)
+
+    def test_multi_record_annotations_with_their_own_record_length(self, tmp_path, rng):
+        # 3 records; the annotation channel sits between the EEG channels and
+        # stores 6 samples per record against their 4
+        spr, n_records = [4, 6, 4], 3
+        digital = [rng.integers(-32768, 32768, n_records * count).astype("<i2")
+                   for count in spr]
+        path = tmp_path / "ann3.edf"
+        path.write_bytes(build_edf_bytes(n_signals=3, n_records=n_records,
+                                         samples_per_record=spr, digital_values=digital,
+                                         labels=["C3", "EDF Annotations", "C4"]))
+        rec = read_edf(path)
+        assert rec.channels == ["C3", "C4"]
+        gain = 200.0 / 65535.0
+        offset = -100.0 - gain * -32768
+        expected = np.stack([digital[0], digital[2]]) * gain + offset
+        assert rec.data.shape == (2, n_records * 4)
+        assert np.array_equal(rec.data, expected)
 
     def test_hand_computed_scaling_three_fixtures(self, tmp_path):
         # phys = phys_min + (d - dig_min) * (phys_max - phys_min) / (dig_max - dig_min)

@@ -152,36 +152,40 @@ class TestMakeTemplate:
     def frames(self, rng, count):
         return rng.uniform(0.1, 1.0, (count, 6)), rng.uniform(0.1, 1.0, (count, 6))
 
+    def ranged_params(self):
+        params = self.params()
+        params.quant_range = np.stack([np.full(3, -1.0), np.full(3, 4.0)], axis=1)
+        return params
+
     def test_single_frame_reduces_to_direct_encode(self, rng):
         params = self.params()
         v1, v2 = self.frames(rng, 1)
+        tr.calibrate_params(params, v1, v2, margin=0.1)
         tpl = tr.make_template(v1, v2, params, 1, subject_id="S1")
         r = tr.project(tr.combine(v1[0], v2[0], params), params)
         assert np.array_equal(
             tpl.bits, tr.gray_encode(r, tpl.meta.quant_range))
 
     def test_identical_frames_match_single_frame(self, rng):
-        params = self.params()
+        params = self.ranged_params()
         v1, v2 = self.frames(rng, 1)
         v1_rep = np.repeat(v1, 4, axis=0)
         v2_rep = np.repeat(v2, 4, axis=0)
-        qr = np.stack([np.full(3, -1.0), np.full(3, 4.0)], axis=1)
-        one = tr.make_template(v1, v2, params, 1, quant_range=qr)
-        four = tr.make_template(v1_rep, v2_rep, params, 4, quant_range=qr)
+        one = tr.make_template(v1, v2, params, 1)
+        four = tr.make_template(v1_rep, v2_rep, params, 4)
         assert np.array_equal(one.bits, four.bits)
         assert four.meta.frames_averaged == 4
 
     def test_two_frame_mean_matches_hand_computation(self, rng):
-        params = self.params()
+        params = self.ranged_params()
         v1, v2 = self.frames(rng, 2)
-        qr = np.stack([np.full(3, -1.0), np.full(3, 4.0)], axis=1)
-        tpl = tr.make_template(v1, v2, params, 2, quant_range=qr)
+        tpl = tr.make_template(v1, v2, params, 2)
         r0 = tr.project(tr.combine(v1[0], v2[0], params), params)
         r1 = tr.project(tr.combine(v1[1], v2[1], params), params)
-        assert np.array_equal(tpl.bits, tr.gray_encode((r0 + r1) / 2.0, qr))
+        assert np.array_equal(tpl.bits, tr.gray_encode((r0 + r1) / 2.0, params.quant_range))
 
     def test_requesting_more_frames_than_available(self, rng):
-        params = self.params()
+        params = self.ranged_params()
         v1, v2 = self.frames(rng, 2)
         with pytest.raises(ConfigError):
             tr.make_template(v1, v2, params, 3)
@@ -192,6 +196,32 @@ class TestMakeTemplate:
         tr.calibrate_params(params, pop1, pop2)
         tpl = tr.make_template(pop1[:5], pop2[:5], params, 5)
         assert np.array_equal(tpl.meta.quant_range, params.quant_range)
+
+    @pytest.mark.parametrize("build", [
+        lambda params, v1, v2: tr.encode(v1, v2, params),
+        lambda params, v1, v2: tr.make_template(v1, v2, params, 2),
+    ], ids=["encode", "make_template"])
+    def test_uncalibrated_params_raise_naming_the_key(self, rng, build):
+        params = self.params()
+        v1, v2 = self.frames(rng, 2)
+        with pytest.raises(ConfigError, match=params.key_id):
+            build(params, v1, v2)
+
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3), (2, 2, 3)])
+    def test_encode_matches_the_explicit_chain(self, rng, batch):
+        """combine, project, frame mean and gray_encode, written out, give the
+        encoder's bits; each row of a batch encodes as it does alone."""
+        params = self.params()
+        tr.calibrate_params(params, *self.frames(rng, 40), margin=0.1)
+        v1 = rng.normal(0.5, 0.6, batch + (4, 6))
+        v2 = rng.normal(0.5, 0.6, batch + (4, 6))
+        bits = tr.encode(v1, v2, params)
+        projected = tr.project(tr.combine(v1, v2, params), params)
+        assert np.array_equal(bits, tr.gray_encode(projected.mean(axis=-2),
+                                                   params.quant_range))
+        assert bits.shape == batch + (3 * tr.BITS_PER_DIM,)
+        for index in np.ndindex(*batch):
+            assert np.array_equal(bits[index], tr.encode(v1[index], v2[index], params))
 
 
 class TestMatch:
@@ -280,6 +310,7 @@ class TestTemplateFile:
         params = tr.derive_params(44, 8, 0.5)
         v1 = rng.uniform(0.1, 1.0, (3, 8))
         v2 = rng.uniform(0.1, 1.0, (3, 8))
+        tr.calibrate_params(params, v1, v2, margin=0.1)
         tpl = tr.make_template(v1, v2, params, 3, subject_id="S007")
         path = tmp_path / "t.ceeg"
         tr.save_template(tpl, path)
@@ -306,8 +337,9 @@ class TestTemplateFile:
             "nan_range"])
     def test_malformed_metadata_raises_parse_error(self, tmp_path, rng, corrupt):
         params = tr.derive_params(44, 2, 0.5)
-        tpl = tr.make_template(rng.uniform(0.1, 1.0, (2, 2)),
-                               rng.uniform(0.1, 1.0, (2, 2)), params, 2)
+        v1, v2 = rng.uniform(0.1, 1.0, (2, 2)), rng.uniform(0.1, 1.0, (2, 2))
+        tr.calibrate_params(params, v1, v2, margin=0.1)
+        tpl = tr.make_template(v1, v2, params, 2)
         meta = json.dumps(corrupt(tpl.meta.to_dict())).encode()
         path = tmp_path / "t.ceeg"
         path.write_bytes(tr.TEMPLATE_MAGIC + len(meta).to_bytes(4, "big") + meta
@@ -319,6 +351,7 @@ class TestTemplateFile:
         params = tr.derive_params(44, 8, 0.5)
         v1 = rng.uniform(0.1, 1.0, (2, 8))
         v2 = rng.uniform(0.1, 1.0, (2, 8))
+        tr.calibrate_params(params, v1, v2, margin=0.1)
         tpl = tr.make_template(v1, v2, params, 2)
         path = tmp_path / "t.ceeg"
         tr.save_template(tpl, path)
