@@ -251,6 +251,8 @@ def hill_climb_attack(system: AuthSystem, subject: str,
     if bounds.shape != (search_dim, 2):
         raise ShapeError(f"search bounds of shape {bounds.shape}; the {config.case.value} "
                          f"search needs ({search_dim}, 2)")
+    if not np.isfinite(bounds).all() or (bounds[:, 0] > bounds[:, 1]).any():
+        raise ConfigError("search bounds must be finite [lo, hi] rows with lo <= hi")
     oracle = ScoreOracle(score_fn, config.theta, config.max_attempts)
     width = bounds[:, 1] - bounds[:, 0]
     best_x, best_f = None, np.inf

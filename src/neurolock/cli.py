@@ -352,12 +352,9 @@ def enroll(config, subject, user_key, template_path):
     dataset = load_features(config)
     if subject not in dataset.subjects:
         raise ConfigError(f"unknown subject {subject!r}")
-    sys_cfg = system_config(config)
-    keys = {s: (user_key if s == subject else sys_cfg.master_key)
-            for s in dataset.subjects}
-    system = AuthSystem(dataset, sys_cfg, user_keys=keys)
+    system = AuthSystem(dataset, system_config(config))
     path = Path(template_path) if template_path else _out_dir(config) / f"{subject}.ceeg"
-    tr.save_template(system.users[subject].template, path)
+    tr.save_template(system.reissue(subject, user_key).template, path)
     click.echo(f"enrolled {subject} -> {path}")
 
 
@@ -390,9 +387,8 @@ def verify(config, template_path, subject, user_key, theta, from_frame, n_frames
     claimed = enrolled.meta.subject_id
     if claimed not in dataset.subjects:
         raise ConfigError(f"template subject {claimed!r} not in dataset")
-    keys = {s: (user_key if s == claimed else sys_cfg.master_key)
-            for s in dataset.subjects}
-    system = AuthSystem(dataset, sys_cfg, user_keys=keys)
+    system = AuthSystem(dataset, sys_cfg)
+    system.revoke(claimed, user_key)
     start = sys_cfg.enroll_frames if from_frame is None else from_frame
     query = system.query_template(claimed, subject, start, n_frames)
     threshold = sys_cfg.theta if theta is None else theta

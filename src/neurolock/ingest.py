@@ -295,7 +295,7 @@ def write_edf(recording: Recording, path, record_seconds: float | None = None) -
 
 def read_csv_matrix(path, fs: float, protocol_tag: Protocol = Protocol.OTHER,
                     subject_id: str | None = None) -> Recording:
-    """Read a rectangular numeric CSV (rows = channels) into a Recording."""
+    """Read a rectangular CSV of finite numbers (rows = channels) into a Recording."""
     path = Path(path)
     rows: list[list[float]] = []
     with path.open(newline="") as fh:
@@ -310,6 +310,9 @@ def read_csv_matrix(path, fs: float, protocol_tag: Protocol = Protocol.OTHER,
                     raise ParseError(
                         f"{path.name}: non-numeric cell {cell!r} at row {r}, col {c}"
                     ) from None
+                if not math.isfinite(values[-1]):
+                    raise ParseError(
+                        f"{path.name}: non-finite cell {cell!r} at row {r}, col {c}")
             if rows and len(values) != len(rows[0]):
                 raise ParseError(
                     f"{path.name}: ragged row {r} has {len(values)} cells, "

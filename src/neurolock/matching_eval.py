@@ -184,21 +184,23 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
         config = SystemConfig() if config is None else config
         system = AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
                                              query_frames=query_frames))
-    proto_a, proto_b = system.config.protocol_pair
     subjects = system.subjects
-    n_queries = [(min(dataset.n_frames(s, proto_a), dataset.n_frames(s, proto_b))
-                  - enroll_frames) // query_frames for s in subjects]
+    n_queries = [(system.usable_frames(s) - enroll_frames) // query_frames
+                 for s in subjects]
     genuine = np.empty((sum(n_queries), 2, system.n_bits), dtype=np.uint8)
     impostor = np.empty((len(subjects), len(subjects) - 1, 2, system.n_bits),
                         dtype=np.uint8)
+    # every subject's first post-enrollment window, cut once for all claims
+    first_v1, first_v2 = system.windows(subjects, enroll_frames, query_frames)
     row = 0
     for index, subject in enumerate(subjects):
+        account = system.users[subject]
         starts = enroll_frames + query_frames * np.arange(n_queries[index])
-        others = subjects[:index] + subjects[index + 1:]
-        for pairs, source, start in ((genuine[row:row + len(starts)], subject, starts),
-                                     (impostor[index], others, enroll_frames)):
-            pairs[:, 0] = system.users[subject].template.bits
-            pairs[:, 1] = system.query_template(subject, source, start, query_frames).bits
+        others = np.arange(len(subjects)) != index
+        own = genuine[row:row + len(starts)]
+        own[:, 0] = impostor[index, :, 0] = account.template.bits
+        own[:, 1] = tr.encode(*system.windows(subject, starts, query_frames), account.params)
+        impostor[index, :, 1] = tr.encode(first_v1[others], first_v2[others], account.params)
         row += len(starts)
     return genuine, impostor.reshape(-1, 2, system.n_bits)
 
@@ -219,22 +221,19 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
                           config: SystemConfig | None = None) -> ScoreSet:
     """Per-user single-frame score distributions.
 
-    Genuine: every unordered pair of the subject's frame templates. Impostor:
-    every subject frame against every frame of every other subject, scored
-    one other subject at a time. All templates share the claimed subject's
-    parameters (and their calibrated quantization range), exactly as queries
-    against that account would.
+    Genuine: every unordered pair of the subject's single-frame encodings.
+    Impostor: every subject frame against every frame of every other
+    subject, scored one other subject at a time. Every frame is encoded with
+    the claimed subject's parameters (and their calibrated quantization
+    range), exactly as queries against that account would be.
     """
     if config is None:
         config = SystemConfig()
     system = AuthSystem(dataset, config)
-    proto_a, proto_b = config.protocol_pair
 
     def frame_bits(source: str) -> np.ndarray:
-        v1 = dataset.frames(source, proto_a)
-        v2 = dataset.frames(source, proto_b)
-        count = min(v1.shape[0], v2.shape[0])
-        return system.feature_query_bits(subject, v1[:count], v2[:count])
+        starts = np.arange(system.usable_frames(source))
+        return tr.encode(*system.windows(source, starts, 1), system.users[subject].params)
 
     own_bits = frame_bits(subject)
     first, second = np.triu_indices(own_bits.shape[0], k=1)
@@ -311,20 +310,9 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     keys = _fresh_keys(rng, n_keys, forbidden=set())
     subjects = dataset.subjects
     system = AuthSystem(dataset, config)
-    proto_a, proto_b = config.protocol_pair
-    n_windows = min(
-        min(dataset.n_frames(s, proto_a), dataset.n_frames(s, proto_b))
-        // window_frames
-        for s in subjects)
-    shape = (len(subjects), n_windows, window_frames, system.dim)
-
-    def windows(standardize, protocol) -> np.ndarray:
-        frames = [dataset.frames(s, protocol)[:n_windows * window_frames]
-                  for s in subjects]
-        return standardize(np.reshape(frames, shape))
-
-    v1 = windows(system.standardize_a, proto_a)
-    v2 = windows(system.standardize_b, proto_b)
+    n_windows = min(system.usable_frames(s) for s in subjects) // window_frames
+    v1, v2 = system.windows(np.array(subjects)[:, None],
+                            window_frames * np.arange(n_windows), window_frames)
     # one (subjects, windows, n_bits) database per key
     bits = [tr.encode(v1, v2, system.calibrated_params(key)) for key in keys]
     other = ~np.eye(len(subjects), dtype=bool)

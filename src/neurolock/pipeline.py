@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
-from .errors import ConfigError, NeurolockError, is_a, require
+from .errors import ConfigError, NeurolockError, ShapeError, is_a, require
 from .ingest import Protocol, Recording, atomic_write, csv_text
 
 FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
@@ -114,18 +114,28 @@ def extract_frame_features(recording: Recording, config: DspConfig,
 
 def build_feature_dataset(recordings: list[Recording], config: DspConfig,
                           kind: str = "graph") -> FeatureDataset:
-    """Extract features for every recording, grouped by (subject, protocol)."""
+    """Extract features for every recording, grouped by (subject, protocol).
+
+    Every recording must have the first one's channel count; a mismatch
+    raises ShapeError before any extraction.
+    """
     if not recordings:
         raise ConfigError("no recordings to extract features from")
+    first = recordings[0]
+    for rec in recordings:
+        if rec.n_channels != first.n_channels:
+            raise ShapeError(
+                f"recording {rec.subject_id}/{rec.protocol_tag.value} has "
+                f"{rec.n_channels} channels, {first.subject_id}/"
+                f"{first.protocol_tag.value} has {first.n_channels}")
     vectors = {}
     for rec in recordings:
         key = (rec.subject_id, rec.protocol_tag)
         if key in vectors:
             raise ConfigError(f"duplicate recording for {key}")
         vectors[key] = extract_frame_features(rec, config, kind)
-    n_channels = recordings[0].n_channels
-    names = (graph_features.feature_names(n_channels) if kind == "graph"
-             else bf.baseline_feature_names(bf.BaselineKind(kind), n_channels))
+    names = (graph_features.feature_names(first.n_channels) if kind == "graph"
+             else bf.baseline_feature_names(bf.BaselineKind(kind), first.n_channels))
     return FeatureDataset(vectors=vectors, feature_kind=kind, names=names)
 
 

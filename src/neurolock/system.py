@@ -2,8 +2,11 @@
 
 Templates are enrolled from the first F_e frame pairs of each subject. In the
 lost-key evaluation scenario every user shares one key (the attacker is
-assumed to hold it); per-user keys are also supported. The system exposes the
-raw-bit scoring surface that the evaluation protocols and attack simulations
+assumed to hold it); otherwise each user gets a key drawn from the master key.
+`reissue` and `revoke` are the one way to give an account another key.
+Every query is a frame window cut by `windows`, within the frame pairs that
+`usable_frames` counts, and encoded under the claimed account's key. The
+system also exposes the raw-bit scoring surface that the attack simulations
 drive.
 """
 
@@ -73,22 +76,20 @@ class AuthSystem:
     population rather than a self-referential enrollment window.
     """
 
-    def __init__(self, dataset: FeatureDataset, config: SystemConfig,
-                 user_keys: dict[str, int] | None = None):
+    def __init__(self, dataset: FeatureDataset, config: SystemConfig):
         self.dataset = dataset
         self.config = config
         self.dim = dataset.dim
-        proto_a, proto_b = config.protocol_pair
         raw: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for subject in dataset.subjects:
-            v1 = dataset.frames(subject, proto_a)
-            v2 = dataset.frames(subject, proto_b)
-            n_frames = min(v1.shape[0], v2.shape[0])
+            n_frames = self.usable_frames(subject)
             if n_frames < config.enroll_frames + config.query_frames:
                 raise ConfigError(
                     f"subject {subject}: {n_frames} frames < F_e + F_t = "
                     f"{config.enroll_frames + config.query_frames}")
-            raw[subject] = (v1[:config.enroll_frames], v2[:config.enroll_frames])
+            # enrollment keeps its raw slice: the standardizer is fit on it
+            raw[subject] = tuple(dataset.frames(subject, protocol)[:config.enroll_frames]
+                                 for protocol in config.protocol_pair)
         # population z-scoring per protocol stream: without it, a user's mean
         # feature level survives every re-keying (the permutation only shuffles
         # terms of the same sum) and templates stay linkable across keys
@@ -102,9 +103,7 @@ class AuthSystem:
 
         self.users: dict[str, UserAccount] = {}
         for index, subject in enumerate(dataset.subjects):
-            if user_keys is not None:
-                key = user_keys[subject]
-            elif config.lost_key:
+            if config.lost_key:
                 key = config.master_key
             else:
                 key = int(np.random.default_rng(
@@ -144,6 +143,36 @@ class AuthSystem:
 
     # -- query construction -------------------------------------------------
 
+    def usable_frames(self, subject: str) -> int:
+        """Frame pairs `subject` offers: the shorter of its two protocol streams."""
+        return min(self.dataset.n_frames(subject, protocol)
+                   for protocol in self.config.protocol_pair)
+
+    def windows(self, sources, starts, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+        """Standardized frame windows: the one way a query reads its frames.
+
+        `sources` (subject ids) and `starts` (frame offsets) broadcast; each
+        entry of the broadcast shape is one window of n_frames frame pairs, so
+        v1 and v2 have shape broadcast.shape + (n_frames, dim). A negative
+        start or a window past the subject's usable frames raises ConfigError.
+        """
+        if n_frames < 1:
+            raise ConfigError(f"a window needs at least one frame, got {n_frames}")
+        sources, starts = np.broadcast_arrays(np.asarray(sources), np.asarray(starts))
+        rows = starts[..., None] + np.arange(n_frames)
+        frames = np.empty((2,) + rows.shape + (self.dim,))
+        for subject in np.unique(sources):
+            here = sources == subject
+            if starts[here].min() < 0:
+                raise ConfigError(f"subject {subject}: negative frame offset "
+                                  f"{starts[here].min()}")
+            if starts[here].max() + n_frames > self.usable_frames(subject):
+                raise ConfigError(f"subject {subject}: not enough frames at offset "
+                                  f"{starts[here].max()}")
+            for stream, protocol in zip(frames, self.config.protocol_pair):
+                stream[here] = self.dataset.frames(subject, protocol)[rows[here]]
+        return self.standardize_a(frames[0]), self.standardize_b(frames[1])
+
     def account_bits(self, account: UserAccount, v1: np.ndarray,
                      v2: np.ndarray) -> np.ndarray:
         """Bits raw feature frames give under an account's key and range.
@@ -153,29 +182,15 @@ class AuthSystem:
         """
         return tr.encode(self.standardize_a(v1), self.standardize_b(v2), account.params)
 
-    def query_template(self, claimed: str, source, start_frame,
+    def query_template(self, claimed: str, source: str, start_frame: int,
                        n_frames: int | None = None) -> tr.CancellableTemplate:
-        """Template for frames of `source` presented against `claimed`'s account.
-
-        Uses the claimed account's parameters and quantization range, exactly
-        as the deployed matcher would. `source` (a subject or a sequence of
-        subjects) broadcasts against `start_frame`; a batch gives one row of
-        bits per (source, start) window.
-        """
+        """Template for one window of `source`'s frames presented against
+        `claimed`'s account, under its key and quantization range exactly as
+        the deployed matcher would build it."""
         n_frames = self.config.query_frames if n_frames is None else n_frames
-        sources, starts = np.broadcast_arrays(np.asarray(source), np.asarray(start_frame))
-        windows = []
-        for subject, start in zip(sources.flat, starts.flat):
-            for protocol in self.config.protocol_pair:
-                windows.append(self.dataset.frames(subject, protocol)[start:start + n_frames])
-                if len(windows[-1]) < n_frames:
-                    raise ConfigError(
-                        f"subject {subject}: not enough frames at offset {start}")
-        frames = np.reshape(windows, sources.shape + (2, n_frames, self.dim))
-        return tr.make_template(self.standardize_a(frames[..., 0, :, :]),
-                                self.standardize_b(frames[..., 1, :, :]),
-                                self.users[claimed].params, n_frames,
-                                subject_id=source if isinstance(source, str) else "")
+        v1, v2 = self.windows(source, start_frame, n_frames)
+        return tr.make_template(v1, v2, self.users[claimed].params, n_frames,
+                                subject_id=source)
 
     def feature_query_bits(self, claimed: str, v1: np.ndarray,
                            v2: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ first, taking the elementwise product with the second, and projecting; the
 projected vector (averaged over frames) is quantized to 8-bit gray codes.
 Because the projection discards dimensions, recovering the features from a
 template and its key is underdetermined; revoking a template simply means
-issuing a new key.
+issuing a new key. `encode` turns any batch of frame stacks into bit arrays;
+a `CancellableTemplate` is one such bit string with its public metadata.
 
 Template file layout (magic "CEEG1"): 5 magic bytes, 4-byte big-endian JSON
 length, UTF-8 JSON metadata, then the bit payload packed big-endian
@@ -106,26 +107,25 @@ class TemplateMeta:
 
 @dataclass
 class CancellableTemplate:
-    """Fixed-length bit string plus public metadata.
+    """One fixed-length bit string plus its public metadata: a single record.
 
-    Leading axes of ``bits`` hold a batch of bit strings that share the
-    metadata (same key, range and frame count).
+    Batches of queries are plain `encode` bit arrays, not templates.
     """
 
-    bits: np.ndarray  # uint8 array of 0/1, shape (..., n_bits)
+    bits: np.ndarray  # uint8 array of 0/1, shape (n_bits,)
     meta: TemplateMeta
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim < 1 or self.bits.shape[-1] % BITS_PER_DIM:
-            raise ShapeError(
-                f"bit length {self.bits.shape[-1:]} not a multiple of {BITS_PER_DIM}")
+        if self.bits.ndim != 1 or self.bits.size % BITS_PER_DIM:
+            raise ShapeError(f"a template holds one bit string of a multiple of "
+                             f"{BITS_PER_DIM} bits, got shape {self.bits.shape}")
         if self.meta.frames_averaged < 1:
             raise ConfigError("template must average at least one frame")
 
     @property
     def n_bits(self) -> int:
-        return self.bits.shape[-1]
+        return self.bits.size
 
 
 @dataclass
@@ -275,10 +275,7 @@ def encode(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarra
 
 def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
                   subject_id: str = "") -> CancellableTemplate:
-    """`encode` of the first n_frames frame pairs, with metadata from the params.
-
-    Leading axes give a batch of templates that share one metadata record.
-    """
+    """`encode` of the first n_frames frame pairs, with metadata from the params."""
     if n_frames < 1:
         raise ConfigError("need at least one frame")
     frames_v1 = np.asarray(frames_v1, dtype=float)[..., :n_frames, :]
@@ -326,8 +323,6 @@ def match(query: CancellableTemplate, enrolled: CancellableTemplate,
 
 def save_template(template: CancellableTemplate, path) -> None:
     """Write the CEEG1 container: magic, meta JSON, packed bit payload."""
-    if template.bits.ndim != 1:
-        raise ShapeError("a template file holds a single bit string")
     meta_bytes = json.dumps(template.meta.to_dict(), sort_keys=True).encode("utf-8")
     payload = np.packbits(template.bits).tobytes()
     atomic_write(path, TEMPLATE_MAGIC + len(meta_bytes).to_bytes(4, "big") + meta_bytes

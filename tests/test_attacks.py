@@ -141,6 +141,23 @@ class TestHillClimb:
             atk.hill_climb_attack(small_system, "S001", config)
         assert queries == []
 
+    @pytest.mark.parametrize("case", ["feature_space", "template_space"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: np.vstack([[np.nan, b[0, 1]], b[1:]]),
+        lambda b: b[:, ::-1],
+    ], ids=["nan-lower-bound", "inverted-rows"])
+    def test_bad_bound_values_fail_before_any_query(self, small_system, monkeypatch,
+                                                    case, corrupt):
+        queries = []
+        monkeypatch.setattr(atk.ScoreOracle, "__call__",
+                            lambda oracle, candidate: queries.append(candidate))
+        bounds = (atk.default_feature_bounds(small_system) if case == "feature_space"
+                  else small_system.users["S001"].params.quant_range)
+        config = atk.AttackConfig(case=case, max_attempts=10, bounds=corrupt(bounds))
+        with pytest.raises(ConfigError, match="search bounds must be finite"):
+            atk.hill_climb_attack(small_system, "S001", config)
+        assert queries == []
+
     def test_explicit_default_bounds_search_the_same(self, small_system):
         account = small_system.users["S001"]
         for case, bounds in (("feature_space", atk.default_feature_bounds(small_system)),

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from neurolock import cli, matching_eval
+from neurolock import cli, matching_eval, pipeline
 from neurolock.cli import main
 
 SMALL = [
@@ -95,6 +95,36 @@ class TestSynthExtract:
         manifest = json.loads((out / "features" / "manifest.json").read_text())
         assert manifest["dim"] == 10  # 4 channels + 6 global descriptors
 
+    def test_non_finite_csv_cell_exits_data_error(self, tmp_path):
+        assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0
+        path = tmp_path / "dataset" / "S002_EC.csv"
+        rows = path.read_text().splitlines()
+        cells = rows[1].split(",")
+        cells[5] = "nan"
+        rows[1] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "second"
+        result = invoke(["extract", f"--output_dir={out}", "--dataset.kind=csv",
+                         f"--dataset.path={tmp_path / 'dataset'}"] + SMALL)
+        assert result.exit_code == 3, result.output
+        assert "S002_EC.csv: non-finite cell 'nan' at row 2, col 6" in result.output
+        assert not (out / "features").exists()
+
+    def test_mixed_channel_counts_exit_data_error_before_extraction(self, tmp_path,
+                                                                     monkeypatch):
+        assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0
+        path = tmp_path / "dataset" / "S003_EO.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+        def never(*args):
+            raise AssertionError("features extracted")
+        monkeypatch.setattr(pipeline, "extract_frame_features", never)
+        result = invoke(["enroll", "--subject=S001", "--key=7", "--dataset.kind=csv",
+                         f"--dataset.path={tmp_path / 'dataset'}",
+                         f"--output_dir={tmp_path}"] + SMALL)
+        assert result.exit_code == 3, result.output
+        assert "S003/EO has 3 channels, S001/EC has 4" in result.output
+
     def test_unknown_override_is_config_error(self, tmp_path):
         result = invoke(["extract", f"--output_dir={tmp_path}",
                          "--nonsense.key=1"])
@@ -121,6 +151,15 @@ class TestEnrollVerify:
         assert result.exit_code == 0, result.output
         assert "ACCEPT" in result.output
         assert "score=0.000000" in result.output
+
+    def test_per_user_keys_self_match(self, tmp_path):
+        per_user = SMALL + ["--transform.lost_key=false", f"--output_dir={tmp_path}"]
+        assert invoke(["enroll", "--subject=S002", "--key=31"] + per_user).exit_code == 0
+        result = invoke(["verify", f"--template={tmp_path / 'S002.ceeg'}",
+                         "--subject=S002", "--key=31", "--from-frame=0", "--frames=3"]
+                        + per_user)
+        assert result.exit_code == 0, result.output
+        assert "ACCEPT score=0.000000" in result.output
 
     def test_reenrollment_reproduces_file(self, tmp_path):
         a_path = tmp_path / "a.ceeg"

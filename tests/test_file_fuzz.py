@@ -1,4 +1,4 @@
-"""Corrupted template (CEEG1) and EDF files: every malformed input ends in
+"""Corrupted template (CEEG1), EDF and CSV files: every malformed input ends in
 ParseError or EmptyRecording, never in another exception."""
 
 import json
@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from neurolock import transform as tr
 from neurolock.errors import EmptyRecording, ParseError
-from neurolock.ingest import Recording, read_edf, write_edf
+from neurolock.ingest import (Recording, read_csv_matrix, read_edf, write_csv_matrix,
+                              write_edf)
 
 BAD_NUMBERS = ("nan", "inf", "-1", "1e400")
 N_SIGNALS = 2
 N_DIMS = 3
+CSV_SHAPE = (3, 16)  # channels x samples
 PAYLOAD = bytes(range(7, 7 + N_DIMS))  # one byte of template bits per dimension
 
 
@@ -124,3 +126,58 @@ def test_bad_number_in_template_metadata(valid, path, literal):
     template = read_cleanly(tr.load_template, root / "number.ceeg", blob)
     # -1 is a legal quant_range bound; every non-finite number is refused
     assert template is None or literal == "-1"
+
+
+@pytest.fixture(scope="module")
+def valid_csv(tmp_path_factory):
+    """A valid CSV matrix written by the package, as rows of cell strings."""
+    root = tmp_path_factory.mktemp("fuzz_csv")
+    data = np.random.default_rng(4).normal(scale=50.0, size=CSV_SHAPE)
+    write_csv_matrix(Recording(channels=["C3", "C4", "Cz"], fs=32.0, data=data),
+                     root / "ok.csv")
+    return root, [line.split(",") for line in (root / "ok.csv").read_text().splitlines()]
+
+
+def csv_blob(rows) -> bytes:
+    return "".join(",".join(row) + "\r\n" for row in rows).encode()
+
+
+def read_csv(path):
+    return read_csv_matrix(path, fs=32.0)
+
+
+def test_valid_csv_reads(valid_csv):
+    root, rows = valid_csv
+    assert read_csv(root / "ok.csv").data.shape == CSV_SHAPE
+
+
+@given(row=st.integers(0, CSV_SHAPE[0] - 1), col=st.integers(0, CSV_SHAPE[1] - 1),
+       text=st.sampled_from(BAD_NUMBERS))
+@settings(max_examples=60, deadline=None)
+def test_bad_number_in_csv_cell(valid_csv, row, col, text):
+    root, rows = valid_csv
+    rows = [list(r) for r in rows]
+    rows[row][col] = text
+    rec = read_cleanly(read_csv, root / "number.csv", csv_blob(rows))
+    # -1 is an ordinary sample; no cell accepts a non-finite number
+    assert (rec is None) == (text != "-1")
+
+
+@given(row=st.integers(0, CSV_SHAPE[0] - 1), extra=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_ragged_csv(valid_csv, row, extra):
+    root, rows = valid_csv
+    rows = [list(r) for r in rows]
+    rows[row] = rows[row] + ["1.0"] if extra else rows[row][:-1]
+    assert read_cleanly(read_csv, root / "ragged.csv", csv_blob(rows)) is None
+
+
+@given(cut=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_truncated_csv(valid_csv, cut):
+    root, rows = valid_csv
+    blob = csv_blob(rows)
+    rec = read_cleanly(read_csv, root / "cut.csv", blob[:cut % len(blob)])
+    # a cut inside the first row leaves a smaller but well-formed matrix
+    assert rec is None or (rec.data.shape[0] <= CSV_SHAPE[0]
+                           and np.isfinite(rec.data).all())

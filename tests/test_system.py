@@ -27,10 +27,11 @@ class TestEnrollment:
 
     def test_explicit_keys_respected(self, dataset):
         keys = {s: 1000 + i for i, s in enumerate(dataset.subjects)}
-        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1),
-                            user_keys=keys)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1))
         for s in system.subjects:
-            assert system.users[s].params.user_key == keys[s]
+            account = system.reissue(s, keys[s])
+            assert account.params.user_key == keys[s]
+            assert account.template.meta.key_id == tr.key_identifier(keys[s])
 
     def test_too_few_frames_raises(self, dataset):
         with pytest.raises(ConfigError):
@@ -86,6 +87,57 @@ class TestQueriesAndVerify:
         bits = system.feature_query_bits("S001", v1, v2)
         template = system.query_template("S001", "S002", 7, 1)
         assert np.array_equal(bits, template.bits)
+
+
+class TestWindows:
+    @pytest.fixture(scope="class")
+    def system(self, dataset):
+        return AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1))
+
+    @staticmethod
+    def sliced(system, dataset, subject, start, n_frames):
+        """One window by plain slicing, then the population standardizers."""
+        window = slice(start, start + n_frames)
+        return (system.standardize_a(dataset.frames(subject, Protocol.EO)[window]),
+                system.standardize_b(dataset.frames(subject, Protocol.EC)[window]))
+
+    @pytest.mark.parametrize("sources, starts", [
+        ("S003", 4),
+        (["S001", "S004", "S001"], [0, 7, 12]),
+        ("S002", [3, 9]),
+        (np.array(["S005", "S002", "S005"])[:, None], [0, 6, 15]),
+    ], ids=["scalar", "k-repeated-subject", "k-one-subject", "subjects-by-windows"])
+    def test_equals_per_window_slicing(self, system, dataset, sources, starts):
+        n_frames = 3
+        v1, v2 = system.windows(sources, starts, n_frames)
+        shape = np.broadcast_shapes(np.shape(sources), np.shape(starts))
+        assert v1.shape == v2.shape == shape + (n_frames, system.dim)
+        sources, starts = np.broadcast_arrays(np.asarray(sources), np.asarray(starts))
+        for index in np.ndindex(shape):
+            want = self.sliced(system, dataset, str(sources[index]), int(starts[index]),
+                               n_frames)
+            assert np.array_equal(v1[index], want[0])
+            assert np.array_equal(v2[index], want[1])
+
+    def test_short_window_names_subject_and_offset(self, system):
+        assert system.usable_frames("S004") == 20
+        system.windows("S004", 17, 3)
+        with pytest.raises(ConfigError, match="subject S004: not enough frames at offset 18"):
+            system.windows(["S001", "S004"], [0, 18], 3)
+
+    def test_negative_start_or_empty_window_refused(self, system):
+        with pytest.raises(ConfigError, match="subject S002: negative frame offset -1"):
+            system.windows("S002", -1, 1)
+        with pytest.raises(ConfigError, match="at least one frame"):
+            system.windows("S002", 0, 0)
+
+    def test_usable_frames_is_the_shorter_stream(self):
+        dataset = random_feature_dataset(n_subjects=3, n_frames=12, dim=6, seed=4)
+        dataset.vectors[("S002", Protocol.EC)] = dataset.vectors[("S002", Protocol.EC)][:9]
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1))
+        assert [system.usable_frames(s) for s in system.subjects] == [12, 9, 12]
+        with pytest.raises(ConfigError, match="subject S002: not enough frames at offset 8"):
+            system.windows("S002", 8, 2)
 
 
 class TestReissue:

@@ -223,6 +223,21 @@ class TestMakeTemplate:
         for index in np.ndindex(*batch):
             assert np.array_equal(bits[index], tr.encode(v1[index], v2[index], params))
 
+    @pytest.mark.parametrize("shape", [(2, 24), (1, 24), (), (20,)],
+                             ids=["2-d", "one-row-2-d", "0-d", "not-whole-bytes"])
+    def test_template_holds_one_bit_string(self, shape):
+        meta = tr.TemplateMeta(subject_id="S", key_id="k", delta=0.5, frames_averaged=1,
+                               quant_range=np.tile([0.0, 1.0], (3, 1)))
+        with pytest.raises(ShapeError):
+            tr.CancellableTemplate(np.zeros(shape, dtype=np.uint8), meta)
+
+    def test_batch_of_frame_stacks_is_not_a_template(self, rng):
+        params = self.ranged_params()
+        v1, v2 = rng.uniform(0.1, 1.0, (2, 2, 3, 6))
+        assert tr.encode(v1, v2, params).shape == (2, 3 * tr.BITS_PER_DIM)
+        with pytest.raises(ShapeError):
+            tr.make_template(v1, v2, params, 3)
+
 
 class TestMatch:
     def bits_template(self, bits, key_id="k", delta=0.5):
