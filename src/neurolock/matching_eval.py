@@ -304,6 +304,8 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     """
     if n_keys < 2:
         raise ConfigError(f"unlinkability needs at least two keys, got {n_keys}")
+    if window_frames < 1:
+        raise ConfigError(f"a window needs at least one frame, got {window_frames}")
     if config is None:
         config = SystemConfig()
     rng = np.random.default_rng(seed)

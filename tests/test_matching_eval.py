@@ -161,6 +161,12 @@ class TestUnlinkability:
             me.unlinkability_protocol(random_dataset, SystemConfig(enroll_frames=5),
                                       n_keys=n_keys)
 
+    @pytest.mark.parametrize("window_frames", [0, -1])
+    def test_protocol_needs_a_nonempty_window(self, random_dataset, window_frames):
+        with pytest.raises(ConfigError, match="at least one frame"):
+            me.unlinkability_protocol(random_dataset, SystemConfig(enroll_frames=5),
+                                      n_keys=2, window_frames=window_frames)
+
     def test_protocol_produces_enough_samples(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
         mated, non_mated = me.unlinkability_protocol(random_dataset, config,
