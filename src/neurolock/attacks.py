@@ -232,20 +232,10 @@ def hill_climb_attack(system: AuthSystem, subject: str,
     """
     account = system.users[subject]
     feature_space = config.case == AttackCase.FEATURE_SPACE
-    if feature_space:
-        dim = system.dim
-
-        def score_fn(x):
-            return system.score_bits(
-                subject, system.feature_query_bits(subject, x[:dim], x[dim:]))
-    else:
-        quant_range = account.params.quant_range
-
-        def score_fn(x):
-            return system.score_bits(subject, tr.gray_encode(x, quant_range))
     bounds = config.bounds
     if bounds is None:
-        bounds = default_feature_bounds(system) if feature_space else quant_range
+        bounds = (default_feature_bounds(system) if feature_space
+                  else account.params.quant_range)
     bounds = np.asarray(bounds, dtype=float)
     search_dim = 2 * system.dim if feature_space else account.params.n_out
     if bounds.shape != (search_dim, 2):
@@ -253,7 +243,9 @@ def hill_climb_attack(system: AuthSystem, subject: str,
                          f"search needs ({search_dim}, 2)")
     if not np.isfinite(bounds).all() or (bounds[:, 0] > bounds[:, 1]).any():
         raise ConfigError("search bounds must be finite [lo, hi] rows with lo <= hi")
-    oracle = ScoreOracle(score_fn, config.theta, config.max_attempts)
+    scorer = system.scorer(subject)
+    oracle = ScoreOracle(scorer.feature_score if feature_space else scorer.projected_score,
+                         config.theta, config.max_attempts)
     width = bounds[:, 1] - bounds[:, 0]
     best_x, best_f = None, np.inf
 

@@ -178,12 +178,21 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
     other subject's first post-enrollment frame group, transformed with the
     claimed account's parameters. Each result is a (tests, 2, n_bits) array.
     A `system` already built over `dataset` with these frame counts is
-    reused instead of enrolling the population again.
+    reused instead of enrolling the population again; any other system
+    raises ConfigError.
     """
     if system is None:
         config = SystemConfig() if config is None else config
         system = AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
                                              query_frames=query_frames))
+    elif system.dataset is not dataset:
+        raise ConfigError("the system passed in was built over another dataset")
+    elif (system.config.enroll_frames, system.config.query_frames) != (enroll_frames,
+                                                                       query_frames):
+        raise ConfigError(
+            f"the system passed in enrolls F_e = {system.config.enroll_frames} and "
+            f"queries F_t = {system.config.query_frames} frames, not "
+            f"{enroll_frames} and {query_frames}")
     subjects = system.subjects
     n_queries = [(system.usable_frames(s) - enroll_frames) // query_frames
                  for s in subjects]
@@ -254,6 +263,9 @@ def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
     against the feature batch: several templates of one user's features, or
     one template per user of a batch. Scores are ordered by template, then key.
     """
+    if not params_list or not enrolled_templates:
+        raise ConfigError("revocability needs at least one new key and one "
+                          "enrolled template")
     enrolled_ids = {t.meta.key_id for t in enrolled_templates}
     for params in params_list:
         if params.key_id in enrolled_ids:

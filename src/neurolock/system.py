@@ -6,8 +6,9 @@ assumed to hold it); otherwise each user gets a key drawn from the master key.
 `reissue` and `revoke` are the one way to give an account another key.
 Every query is a frame window cut by `windows`, within the frame pairs that
 `usable_frames` counts, and encoded under the claimed account's key. The
-system also exposes the raw-bit scoring surface that the attack simulations
-drive.
+system also exposes a raw-bit scoring surface, and `scorer`, the
+per-account score oracle that the attack simulations drive; the surface is
+the reference the scorer's scores equal.
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ class AuthSystem:
         _, score = tr.hamming_score(bits, self.users[claimed].template.bits)
         return score
 
+    def scorer(self, claimed: str) -> AccountScorer:
+        """`claimed`'s score oracle, built from its current account state."""
+        return AccountScorer(self, self.users[claimed])
+
     def verify(self, claimed: str, query: tr.CancellableTemplate,
                theta: float | None = None) -> tr.MatchResult:
         theta = self.config.theta if theta is None else theta
@@ -224,6 +229,54 @@ class AuthSystem:
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""
         self.users[subject] = self.reissue(subject, new_key)
+
+
+class AccountScorer:
+    """One account's score oracle, with everything a query reuses precomputed.
+
+    `feature_score` takes one raw v1|v2 feature vector, `projected_score`
+    one projected vector; each returns exactly what `score_bits` gives for
+    `feature_query_bits` or `gray_encode` of the same input. Every float step
+    keeps the reference chain's order and form. The gray bytes, one per
+    projected value, are read as one integer and XORed with the enrolled
+    template's bytes read the same way; its set-bit count is the integer
+    that the reference's unpacked XOR-and-sum gives.
+    Queries are not checked: they must be float vectors of the right length.
+    The scorer does not follow a later `revoke`; build a new one.
+    """
+
+    def __init__(self, system: AuthSystem, account: UserAccount):
+        params = account.params
+        self._dim = system.dim
+        self._permutation = params.permutation
+        # standardizing and then permuting v1 equals permuting it and then
+        # standardizing with the statistics gathered through the permutation
+        self._mean_a = system._mean_a[params.permutation]
+        self._scale_a = system._scale_a[params.permutation]
+        self._mean_b, self._scale_b = system._mean_b, system._scale_b
+        self._projection = params.projection
+        self._lo, self._hi = params.quant_range[:, 0], params.quant_range[:, 1]
+        self._scale = tr.LEVELS / (self._hi - self._lo)
+        self._enrolled = _as_int(np.packbits(account.template.bits))
+        self._n_bits = account.template.n_bits
+
+    def feature_score(self, x: np.ndarray) -> float:
+        """Score of one raw feature pair, v1 and v2 concatenated."""
+        v1 = (x.take(self._permutation) - self._mean_a) / self._scale_a
+        v2 = (x[self._dim:] - self._mean_b) / self._scale_b
+        # transform.project's product shape; the mean over one frame is exact
+        projected = np.matmul((v1 * v2)[None, None, :], self._projection)[0, 0]
+        return self.projected_score(projected)
+
+    def projected_score(self, r: np.ndarray) -> float:
+        """Score of one projected vector, gray-encoded over the account's range."""
+        gray = tr._gray_levels(r, self._lo, self._hi, self._scale)
+        return (_as_int(gray) ^ self._enrolled).bit_count() / self._n_bits
+
+
+def _as_int(gray: np.ndarray) -> int:
+    """Gray code bytes read as one big-endian integer."""
+    return int.from_bytes(gray.tobytes(), "big")
 
 
 def _standardizer(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

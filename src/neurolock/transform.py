@@ -189,12 +189,15 @@ def project(c: np.ndarray, params: TransformParams) -> np.ndarray:
     return np.matmul(c[..., None, :], params.projection)[..., 0, :]
 
 
-def _gray_levels(x: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
-    lo = quant_range[:, 0]
-    hi = quant_range[:, 1]
+def _gray_levels(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 scale: np.ndarray) -> np.ndarray:
+    """The quantization rule, unchecked: clamp into [lo, hi], scale by
+    `scale` = LEVELS / (hi - lo), round half up and cap at LEVELS; one gray
+    code byte per value."""
     clipped = np.minimum(np.maximum(x, lo), hi)
-    scaled = (clipped - lo) * (LEVELS / (hi - lo))
-    return np.minimum(np.floor(scaled + 0.5), LEVELS).astype(np.uint8)
+    scaled = (clipped - lo) * scale
+    levels = np.minimum(np.floor(scaled + 0.5), LEVELS).astype(np.uint8)
+    return levels ^ (levels >> 1)
 
 
 def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
@@ -210,9 +213,8 @@ def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
             f"{r.shape[-1]} values but {quant_range.shape[0]} quantization ranges")
     if (quant_range[:, 0] >= quant_range[:, 1]).any():
         raise ConfigError("every quantization range needs r_min < r_max")
-    levels = _gray_levels(r, quant_range)
-    gray = levels ^ (levels >> 1)
-    return np.unpackbits(gray, axis=-1)
+    lo, hi = quant_range[:, 0], quant_range[:, 1]
+    return np.unpackbits(_gray_levels(r, lo, hi, LEVELS / (hi - lo)), axis=-1)
 
 
 def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from neurolock import matching_eval as me
 from neurolock import transform as tr
 from neurolock.errors import ConfigError, LengthError
+from neurolock.pipeline import random_feature_dataset
 from neurolock.system import AuthSystem, SystemConfig
 
 
@@ -107,6 +108,30 @@ class TestProtocolCounts:
             assert len(genuine) == ((n_frames - f_e) // f_t) * n_subjects
             assert len(impostor) == (n_subjects - 1) * n_subjects
 
+    @pytest.mark.parametrize("frames", [(2, 3), (4, 3), (2, 1)])
+    def test_system_with_other_frame_counts_refused(self, monkeypatch, frames):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1))
+        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
+        with pytest.raises(ConfigError, match="F_e = 4"):
+            me.protocol_tests(dataset, *frames, system=system)
+
+    def test_system_over_another_dataset_refused(self, monkeypatch):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
+        twin = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
+        system = AuthSystem(twin, SystemConfig(enroll_frames=4, query_frames=1))
+        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
+        with pytest.raises(ConfigError, match="another dataset"):
+            me.protocol_tests(dataset, 4, 1, system=system)
+
+    def test_fitting_system_is_reused(self, random_dataset):
+        config = SystemConfig(enroll_frames=5, query_frames=2)
+        system = AuthSystem(random_dataset, config)
+        reused = me.protocol_tests(random_dataset, 5, 2, system=system)
+        built = me.protocol_tests(random_dataset, 5, 2, config)
+        for mine, theirs in zip(reused, built):
+            assert np.array_equal(mine, theirs)
+
     def test_decidability_protocol_counts(self, random_dataset):
         scores = me.decidability_protocol(random_dataset, "S001")
         assert scores.genuine.size == 30 * 29 // 2
@@ -122,6 +147,15 @@ class TestRevocability:
         with pytest.raises(ConfigError):
             me.revocability_scores((account.enroll_v1, account.enroll_v2),
                                    params_list, [account.template])
+
+    def test_empty_lists_refused(self, random_dataset):
+        system = AuthSystem(random_dataset, SystemConfig(enroll_frames=5, query_frames=1))
+        account = system.users["S001"]
+        features = (account.enroll_v1, account.enroll_v2)
+        with pytest.raises(ConfigError, match="at least one"):
+            me.revocability_scores(features, [], [account.template])
+        with pytest.raises(ConfigError, match="at least one"):
+            me.revocability_scores(features, [system.calibrated_params(7)], [])
 
     def test_pseudo_impostor_overlaps_impostor(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
