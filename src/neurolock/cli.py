@@ -138,10 +138,10 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
     if config_path:
         try:
             user = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file {config_path!r} not found") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"config file {config_path!r}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {config_path!r} must hold a JSON object")
         config = _deep_merge(config, user)
     for token in overrides:
         _apply_override(config, token)
@@ -273,8 +273,9 @@ def command(*extra_options):
 
     The command gets ``extra_options`` plus --config, --seed and the
     ``--section.key=value`` overrides. A ConfigError exits 2; any other
-    NeurolockError or a missing file exits 3; a SystemExit raised by the
-    command (verify's reject) passes through.
+    NeurolockError or an OSError (a path that cannot be read or written)
+    exits 3; a SystemExit raised by the command (verify's reject) passes
+    through.
     """
     def register(body):
         def run(config_path, seed_flag, overrides, **options):
@@ -283,7 +284,7 @@ def command(*extra_options):
             except ConfigError as exc:
                 click.echo(f"config error: {exc}", err=True)
                 raise SystemExit(EXIT_CONFIG)
-            except (NeurolockError, FileNotFoundError) as exc:
+            except (NeurolockError, OSError) as exc:
                 click.echo(f"data error: {exc}", err=True)
                 raise SystemExit(EXIT_DATA)
         run.__doc__ = body.__doc__
@@ -457,15 +458,9 @@ def slx(config):
     dataset = load_features(config)
     proto = dataset.protocols[0]
     per_subject = {s: dataset.frames(s, proto) for s in dataset.subjects}
-    split = config["slx"]["split"]
-    rows = sl_eval.pitfall_report(
-        per_subject,
-        configs=[
-            {"evaluation": "classification", "split": split},
-            {"evaluation": "authentication", "split": split,
-             "n_users": config["slx"]["n_users"]},
-        ],
-        seeds=tuple(range(config["slx"]["seeds"])))
+    rows = sl_eval.pitfall_report(per_subject, config["slx"]["split"],
+                                  config["slx"]["n_users"],
+                                  seeds=tuple(range(config["slx"]["seeds"])))
     out = _out_dir(config)
     payload = {"rows": rows, **_stamp(config)}
     atomic_write(out / "slx_report.json", json.dumps(payload, indent=2, sort_keys=True))

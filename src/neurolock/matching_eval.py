@@ -171,20 +171,23 @@ def unlinkability(mated: np.ndarray, non_mated: np.ndarray,
 def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: int,
                    config: SystemConfig | None = None,
                    system: AuthSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Genuine and impostor (enrolled, query) bit-string pairs per the frame schedule.
+    """Genuine and impostor scores per the frame schedule.
 
     Genuine: per subject, one query per consecutive group of query_frames
     after the enrollment block. Impostor: per subject, one query from every
     other subject's first post-enrollment frame group, transformed with the
-    claimed account's parameters. Each result is a (tests, 2, n_bits) array.
+    claimed account's parameters. Each query is scored against the claimed
+    account's enrolled bits; scores run by claimed subject, then query.
     A `system` already built over `dataset` with these frame counts is
-    reused instead of enrolling the population again; any other system
-    raises ConfigError.
+    reused instead of enrolling the population again; any other system,
+    or a `config` passed along with it, raises ConfigError.
     """
     if system is None:
         config = SystemConfig() if config is None else config
         system = AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
                                              query_frames=query_frames))
+    elif config is not None:
+        raise ConfigError("pass a config or a system built from one, not both")
     elif system.dataset is not dataset:
         raise ConfigError("the system passed in was built over another dataset")
     elif (system.config.enroll_frames, system.config.query_frames) != (enroll_frames,
@@ -194,36 +197,35 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
             f"queries F_t = {system.config.query_frames} frames, not "
             f"{enroll_frames} and {query_frames}")
     subjects = system.subjects
-    n_queries = [(system.usable_frames(s) - enroll_frames) // query_frames
-                 for s in subjects]
-    genuine = np.empty((sum(n_queries), 2, system.n_bits), dtype=np.uint8)
-    impostor = np.empty((len(subjects), len(subjects) - 1, 2, system.n_bits),
-                        dtype=np.uint8)
     # every subject's first post-enrollment window, cut once for all claims
     first_v1, first_v2 = system.windows(subjects, enroll_frames, query_frames)
-    row = 0
+    genuine, impostor = [], []
     for index, subject in enumerate(subjects):
         account = system.users[subject]
-        starts = enroll_frames + query_frames * np.arange(n_queries[index])
+        n_queries = (system.usable_frames(subject) - enroll_frames) // query_frames
+        starts = enroll_frames + query_frames * np.arange(n_queries)
         others = np.arange(len(subjects)) != index
-        own = genuine[row:row + len(starts)]
-        own[:, 0] = impostor[index, :, 0] = account.template.bits
-        own[:, 1] = tr.encode(*system.windows(subject, starts, query_frames), account.params)
-        impostor[index, :, 1] = tr.encode(first_v1[others], first_v2[others], account.params)
-        row += len(starts)
-    return genuine, impostor.reshape(-1, 2, system.n_bits)
+        own = tr.encode(*system.windows(subject, starts, query_frames), account.params)
+        claims = tr.encode(first_v1[others], first_v2[others], account.params)
+        genuine.append(score_pairs(account.template.bits, own))
+        impostor.append(score_pairs(account.template.bits, claims))
+    return np.concatenate(genuine), np.concatenate(impostor)
 
 
-def score_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Normalized Hamming distance of every (enrolled, query) pair."""
-    return tr.hamming_score(pairs[:, 0], pairs[:, 1])[1]
+def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Normalized Hamming distances of enrolled bits to query bits.
+
+    Bit strings run along the last axis and leading axes broadcast: one
+    enrolled string against a batch of queries, or batch against batch.
+    """
+    return tr.hamming_score(enrolled, queries)[1]
 
 
 def protocol_score_set(dataset: FeatureDataset, enroll_frames: int,
                        query_frames: int,
                        config: SystemConfig | None = None) -> ScoreSet:
     genuine, impostor = protocol_tests(dataset, enroll_frames, query_frames, config)
-    return ScoreSet(genuine=score_pairs(genuine), impostor=score_pairs(impostor))
+    return ScoreSet(genuine=genuine, impostor=impostor)
 
 
 def decidability_protocol(dataset: FeatureDataset, subject: str,
@@ -246,8 +248,8 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
 
     own_bits = frame_bits(subject)
     first, second = np.triu_indices(own_bits.shape[0], k=1)
-    genuine = tr.hamming_score(own_bits[first], own_bits[second])[1]
-    impostor = [tr.hamming_score(own_bits, frame_bits(other)[:, None, :])[1].ravel()
+    genuine = score_pairs(own_bits[first], own_bits[second])
+    impostor = [score_pairs(own_bits, frame_bits(other)[:, None, :]).ravel()
                 for other in dataset.subjects if other != subject]
     return ScoreSet(genuine=genuine, impostor=np.concatenate(impostor))
 
@@ -279,7 +281,7 @@ def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
     if min(v1.shape[-2], v2.shape[-2]) < n_frames:
         raise ConfigError(f"enrolled templates average {n_frames} frames; "
                           "the features hold fewer")
-    scores = [tr.hamming_score(enrolled, tr.encode(v1, v2, params))[1]
+    scores = [score_pairs(enrolled, tr.encode(v1, v2, params))
               for params in params_list]
     return np.stack(scores, axis=-1).ravel()
 
@@ -300,8 +302,7 @@ def revocability_protocol(dataset: FeatureDataset, config: SystemConfig | None =
          np.stack([a.enroll_v2 for a in accounts])),
         [system.calibrated_params(k) for k in keys],
         [a.template for a in accounts])
-    return ScoreSet(genuine=score_pairs(genuine), impostor=score_pairs(impostor),
-                    pseudo_impostor=pseudo)
+    return ScoreSet(genuine=genuine, impostor=impostor, pseudo_impostor=pseudo)
 
 
 def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None = None,
@@ -333,9 +334,9 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None 
     mated, non_mated = [], []
     for a_idx in range(n_keys):
         for b_idx in range(a_idx + 1, n_keys):
-            mated.append(tr.hamming_score(bits[a_idx], bits[b_idx])[1].ravel())
-            firsts = tr.hamming_score(bits[a_idx][:, None, 0], bits[b_idx][None, :, 0])
-            non_mated.append(firsts[1][other])
+            mated.append(score_pairs(bits[a_idx], bits[b_idx]).ravel())
+            firsts = score_pairs(bits[a_idx][:, None, 0], bits[b_idx][None, :, 0])
+            non_mated.append(firsts[other])
     return np.concatenate(mated), np.concatenate(non_mated)
 
 

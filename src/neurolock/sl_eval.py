@@ -22,7 +22,6 @@ from .errors import ConfigError, LengthError, SingularityError
 class LabeledSet:
     features: np.ndarray
     labels: np.ndarray  # 1 = user, 0 = other
-    keys: list = field(default_factory=list)  # (subject, sample index) provenance
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -145,7 +144,7 @@ def _pool_metrics(preds: np.ndarray, truths: np.ndarray, scores: np.ndarray) -> 
 
 
 def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8,
-                              seed: int = 0, reg: float | None = None) -> SlMetrics:
+                              seed: int = 0) -> SlMetrics:
     """Standard one-vs-rest classification evaluation (the leaky procedure).
 
     Every subject's model is trained on a split of the full relabeled
@@ -163,7 +162,7 @@ def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8
         rng = np.random.default_rng([seed, s_idx])
         train_idx, test_idx = _stratified_split(
             {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(LabeledSet(all_x[train_idx], y[train_idx]), reg=reg)
+        model = lda_train(LabeledSet(all_x[train_idx], y[train_idx]))
         train_keys[subject] = {all_keys[i] for i in train_idx}
         s = model.decision_scores(all_x[test_idx])
         preds.extend((s >= 0).astype(int))
@@ -174,8 +173,7 @@ def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8
 
 
 def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8,
-                              n_users: int | None = None, seed: int = 0,
-                              reg: float | None = None) -> SlMetrics:
+                              n_users: int | None = None, seed: int = 0) -> SlMetrics:
     """Held-out-intruder evaluation.
 
     The subject pool is split into a user set and an intruder set; per-user
@@ -205,7 +203,7 @@ def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8
         rng = np.random.default_rng([seed, 1 + u_idx])
         train_idx, test_idx = _stratified_split(
             {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(LabeledSet(pool_x[train_idx], y[train_idx]), reg=reg)
+        model = lda_train(LabeledSet(pool_x[train_idx], y[train_idx]))
         train_keys[user] = {pool_keys[i] for i in train_idx}
         # user tests: the held-out genuine samples only
         user_test = np.array([i for i in test_idx if y[i] == 1])
@@ -221,32 +219,23 @@ def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8
     return SlMetrics(**metrics, train_keys=train_keys, intruder_keys=intruder_keys)
 
 
-def pitfall_report(dataset: dict[str, np.ndarray], configs: list[dict] | None = None,
-                   seeds: tuple[int, ...] = (0,), method: str = "LDA",
-                   reg: float | None = None) -> list[dict]:
-    """Comparison table across evaluation procedures, averaged over seeds."""
-    if configs is None:
-        configs = [
-            {"evaluation": "classification", "split": 0.8},
-            {"evaluation": "authentication", "split": 0.8, "n_users": None},
-        ]
+def pitfall_report(dataset: dict[str, np.ndarray], split: float = 0.8,
+                   n_users: int | None = None,
+                   seeds: tuple[int, ...] = (0,)) -> list[dict]:
+    """LDA under both evaluation procedures, one row each, averaged over seeds.
+
+    `split` is the training fraction of both; `n_users` sizes the
+    authentication-style user set.
+    """
     rows = []
-    for cfg in configs:
-        metrics = []
-        for seed in seeds:
-            if cfg["evaluation"] == "classification":
-                m = eval_classification_style(dataset, cfg.get("split", 0.8),
-                                              seed=seed, reg=reg)
-            elif cfg["evaluation"] == "authentication":
-                m = eval_authentication_style(dataset, cfg.get("split", 0.8),
-                                              n_users=cfg.get("n_users"),
-                                              seed=seed, reg=reg)
-            else:
-                raise ConfigError(f"unknown evaluation {cfg['evaluation']!r}")
-            metrics.append(m.row())
-        row = {"method": method, "evaluation": cfg["evaluation"],
-               "split": cfg.get("split", 0.8), "n_users": cfg.get("n_users"),
-               "n_seeds": len(seeds)}
+    for evaluation, row_users, run in (
+            ("classification", None,
+             lambda seed: eval_classification_style(dataset, split, seed)),
+            ("authentication", n_users,
+             lambda seed: eval_authentication_style(dataset, split, n_users, seed))):
+        metrics = [run(seed).row() for seed in seeds]
+        row = {"method": "LDA", "evaluation": evaluation, "split": split,
+               "n_users": row_users, "n_seeds": len(seeds)}
         for field_name in ("accuracy", "far", "frr", "classifier_eer"):
             row[field_name] = float(np.mean([m[field_name] for m in metrics]))
         rows.append(row)

@@ -138,10 +138,6 @@ class AuthSystem:
     def subjects(self) -> list[str]:
         return sorted(self.users)
 
-    @property
-    def n_bits(self) -> int:
-        return next(iter(self.users.values())).template.n_bits
-
     # -- query construction -------------------------------------------------
 
     def usable_frames(self, subject: str) -> int:

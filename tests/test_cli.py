@@ -214,6 +214,59 @@ class TestEnrollVerify:
         assert result.exit_code == 2
 
 
+class TestUnreadablePaths:
+    """A path the command cannot read or write ends in its exit code, never a
+    traceback: 2 for the config file, 3 as a data error for any other path."""
+
+    @staticmethod
+    def assert_data_error(result, path):
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("data error: ")
+        assert str(path) in result.output
+
+    def test_template_that_is_a_directory(self, tmp_path, monkeypatch):
+        def never(config):
+            raise AssertionError("load_features called")
+        monkeypatch.setattr(cli, "load_features", never)
+        result = invoke(["verify", f"--template={tmp_path}", "--subject=S001",
+                         "--key=1", f"--output_dir={tmp_path}"])
+        self.assert_data_error(result, tmp_path)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{", b"[1]"])
+    def test_config_file_that_cannot_be_read(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "f.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        result = invoke_never_loading(monkeypatch, ["eval", f"--config={path}"])
+        assert result.output.startswith(f"config error: config file '{path}'")
+
+    def test_output_dir_that_is_a_file(self, tmp_path, monkeypatch):
+        def never(spec):
+            raise AssertionError("synthesized")
+        monkeypatch.setattr(cli, "synthesize", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = invoke(["synth", f"--output_dir={taken}"] + SMALL)
+        self.assert_data_error(result, taken)
+
+    def test_recording_that_is_a_directory(self, tmp_path):
+        dataset = tmp_path / "ds"
+        (dataset / "S001_EO.csv").mkdir(parents=True)
+        result = invoke(["extract", "--dataset.kind=csv", f"--dataset.path={dataset}",
+                         f"--output_dir={tmp_path / 'out'}"] + SMALL)
+        self.assert_data_error(result, dataset / "S001_EO.csv")
+
+    def test_template_out_under_a_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = invoke(["enroll", "--subject=S001", "--key=1",
+                         f"--out={taken / 'x.ceeg'}", f"--output_dir={tmp_path}"] + SMALL)
+        self.assert_data_error(result, taken / "x.ceeg")
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("override", [
         '--transform.delta="x"', '--transform.enroll_frames="3"',

@@ -124,6 +124,13 @@ class TestProtocolCounts:
         with pytest.raises(ConfigError, match="another dataset"):
             me.protocol_tests(dataset, 4, 1, system=system)
 
+    def test_config_with_a_system_refused(self, monkeypatch):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1))
+        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
+        with pytest.raises(ConfigError, match="not both"):
+            me.protocol_tests(dataset, 4, 1, SystemConfig(delta=0.3), system=system)
+
     def test_fitting_system_is_reused(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=2)
         system = AuthSystem(random_dataset, config)
@@ -136,6 +143,34 @@ class TestProtocolCounts:
         scores = me.decidability_protocol(random_dataset, "S001")
         assert scores.genuine.size == 30 * 29 // 2
         assert scores.impostor.size == 30 * (7 * 30)
+
+
+class TestProtocolScores:
+    @pytest.mark.parametrize("lost_key", [True, False])
+    @pytest.mark.parametrize("query_frames", [1, 2])
+    def test_scores_equal_one_match_per_test(self, lost_key, query_frames):
+        """Every score equals the deployed matcher's on that test's query
+        template, in order: by claimed subject, then query."""
+        dataset = random_feature_dataset(n_subjects=5, n_frames=13, dim=10, seed=8)
+        config = SystemConfig(enroll_frames=4, query_frames=query_frames, delta=0.6,
+                              lost_key=lost_key)
+        system = AuthSystem(dataset, config)
+        genuine, impostor = me.protocol_tests(dataset, 4, query_frames, system=system)
+        expected_genuine, expected_impostor = [], []
+        for claimed in system.subjects:
+            account = system.users[claimed]
+
+            def score(source, start):
+                query = system.query_template(claimed, source, start)
+                return tr.match(query, account.template, config.theta).score
+            n_queries = (system.usable_frames(claimed) - 4) // query_frames
+            expected_genuine += [score(claimed, 4 + query_frames * k)
+                                 for k in range(n_queries)]
+            expected_impostor += [score(other, 4) for other in system.subjects
+                                  if other != claimed]
+        assert len(genuine) == 5 * (9 // query_frames)
+        assert genuine.tolist() == expected_genuine
+        assert impostor.tolist() == expected_impostor
 
 
 class TestRevocability:

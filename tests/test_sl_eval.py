@@ -139,14 +139,19 @@ class TestPitfallReport:
 
     def test_custom_configs(self):
         data = gaussian_dataset(n_subjects=6, n_samples=20, separation=1.5)
-        rows = sl_eval.pitfall_report(
-            data,
-            configs=[{"evaluation": "authentication", "split": 0.8, "n_users": 4},
-                     {"evaluation": "authentication", "split": 0.33, "n_users": 4}],
-            seeds=(0, 1, 2))
-        assert len(rows) == 2
-        assert rows[0]["split"] == 0.8
-        assert rows[1]["split"] == 0.33
+        seeds = (0, 1, 2)
+        for split in (0.8, 0.33):
+            rows = sl_eval.pitfall_report(data, split=split, n_users=4, seeds=seeds)
+            assert [row["split"] for row in rows] == [split, split]
+            assert [row["n_users"] for row in rows] == [None, 4]
+            assert {row["n_seeds"] for row in rows} == {3}
+            classification = [sl_eval.eval_classification_style(data, split, seed)
+                              for seed in seeds]
+            authentication = [sl_eval.eval_authentication_style(data, split, 4, seed)
+                              for seed in seeds]
+            for row, runs in zip(rows, (classification, authentication)):
+                assert row["far"] == float(np.mean([m.far for m in runs]))
+                assert row["frr"] == float(np.mean([m.frr for m in runs]))
 
     def test_smaller_training_split_does_not_reduce_frr(self):
         frr_80, frr_33 = [], []
