@@ -11,6 +11,7 @@ query counts against the attempt budget.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -101,6 +102,15 @@ def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
     diameter collapses below diameter_tol, or the budget is spent. Returns
     (best x, best value, evaluations used); the starting point is evaluated
     first, so budget=1 returns x0's value.
+
+    `objective` maps one point to a value. If it also has a `batch` method,
+    which maps a (k, n) block of points to their k values in one call, the
+    initial simplex and every shrink (n new vertices, most of a long run's
+    evaluations) go through it; reflection, expansion and contraction stay
+    single calls. A batch may return fewer values than rows when the
+    objective ends the search at that row; the search then stops there as
+    its budget does. The values, the evaluation order and the best point are
+    those of evaluating the rows one at a time, first to last.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
@@ -113,32 +123,38 @@ def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
     else:
         step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
         step[step == 0.0] = 1e-3
+    batch = getattr(objective, "batch", None)
 
     evals = 0
     best_x, best_f = x0.copy(), np.inf
 
-    def evaluate(x):
+    def record(x, value):
         nonlocal evals, best_x, best_f
-        if evals >= budget:
-            raise _BudgetExhausted()
-        value = float(objective(x))
+        value = float(value)
         evals += 1
-        if np.isnan(value):
+        if math.isnan(value):
             raise ObjectiveError("objective returned NaN")
         if value < best_f:
             best_f, best_x = value, x.copy()
         return value
 
+    def evaluate(x):
+        if evals >= budget:
+            raise _BudgetExhausted()
+        return record(x, objective(x))
+
+    def evaluate_rows(rows):
+        kept = rows[:budget - evals]
+        values = batch(kept) if batch is not None else map(objective, kept)
+        values = [record(x, value) for x, value in zip(kept, values)]
+        if len(values) < len(rows):
+            raise _BudgetExhausted()
+        return values
+
     try:
-        simplex = [x0.copy()]
-        fvals = [evaluate(x0)]
-        for i in range(n):
-            vertex = x0.copy()
-            vertex[i] += step[i]
-            simplex.append(vertex)
-            fvals.append(evaluate(vertex))
-        simplex = np.array(simplex)
-        fvals = np.array(fvals)
+        simplex = np.tile(x0, (n + 1, 1))
+        simplex[np.arange(1, n + 1), np.arange(n)] += step
+        fvals = np.array(evaluate_rows(simplex))
 
         while True:
             order = np.argsort(fvals, kind="stable")
@@ -169,9 +185,8 @@ def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
                 if f_contracted < fvals[-1]:
                     simplex[-1], fvals[-1] = contracted, f_contracted
                 else:
-                    for i in range(1, n + 1):
-                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                        fvals[i] = evaluate(simplex[i])
+                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                    fvals[1:] = evaluate_rows(simplex[1:])
     except _BudgetExhausted:
         pass
     return best_x, best_f, evals
@@ -189,10 +204,19 @@ class _OracleSuccess(Exception):
 
 class ScoreOracle:
     """Counts every matcher query, and alone ends the search: at the first
-    accepted query, or at the first query past the attempt budget."""
+    accepted query, or at the first query past the attempt budget.
 
-    def __init__(self, score_fn, theta: float, max_attempts: int):
+    `batch` queries a block of candidates (rows) with one `batch_fn` call,
+    then counts and traces them one at a time, in order, exactly as calls
+    would: it raises at the first accepted row, and at the budget's end it
+    returns the scores of the rows the budget covers, which `nelder_mead`
+    reads as the end of the search. Rows past an accept are scored, but
+    never counted, traced or returned.
+    """
+
+    def __init__(self, score_fn, theta: float, max_attempts: int, batch_fn):
         self.score_fn = score_fn
+        self.batch_fn = batch_fn
         self.theta = theta
         self.max_attempts = max_attempts
         self.attempts = 0
@@ -207,6 +231,16 @@ class ScoreOracle:
         if score <= self.theta:
             raise _OracleSuccess(np.array(candidate, dtype=float), score)
         return score
+
+    def batch(self, candidates: np.ndarray) -> list[float]:
+        candidates = candidates[:self.max_attempts - self.attempts]
+        scores = self.batch_fn(candidates).tolist()
+        for candidate, score in zip(candidates, scores):
+            self.attempts += 1
+            self.trace.append((self.attempts, score))
+            if score <= self.theta:
+                raise _OracleSuccess(np.array(candidate, dtype=float), score)
+        return scores
 
 
 def default_feature_bounds(system: AuthSystem) -> np.ndarray:
@@ -244,8 +278,9 @@ def hill_climb_attack(system: AuthSystem, subject: str,
     if not np.isfinite(bounds).all() or (bounds[:, 0] > bounds[:, 1]).any():
         raise ConfigError("search bounds must be finite [lo, hi] rows with lo <= hi")
     scorer = system.scorer(subject)
-    oracle = ScoreOracle(scorer.feature_score if feature_space else scorer.projected_score,
-                         config.theta, config.max_attempts)
+    score_fn, batch_fn = ((scorer.feature_score, scorer.feature_scores) if feature_space
+                          else (scorer.projected_score, scorer.projected_scores))
+    oracle = ScoreOracle(score_fn, config.theta, config.max_attempts, batch_fn)
     width = bounds[:, 1] - bounds[:, 0]
     best_x, best_f = None, np.inf
 

@@ -350,11 +350,14 @@ _KEY_RULE = (numbers.Integral, lambda v: 0 <= v < 2 ** 64, "an unsigned 64-bit i
 def enroll(config, subject, user_key, template_path):
     """Enroll one subject and write the template file."""
     require("--key", user_key, *_KEY_RULE)
+    path = Path(template_path) if template_path else _out_dir(config) / f"{subject}.ceeg"
+    if not path.parent.is_dir():
+        raise NotADirectoryError(f"cannot write the template {path}: "
+                                 f"{path.parent} is not a directory")
     dataset = load_features(config)
     if subject not in dataset.subjects:
         raise ConfigError(f"unknown subject {subject!r}")
     system = AuthSystem(dataset, system_config(config))
-    path = Path(template_path) if template_path else _out_dir(config) / f"{subject}.ceeg"
     tr.save_template(system.reissue(subject, user_key).template, path)
     click.echo(f"enrolled {subject} -> {path}")
 

@@ -344,11 +344,16 @@ def csv_text(rows) -> str:
 
 def atomic_write(path, data: str | bytes) -> None:
     """Write text (as UTF-8) or bytes to a temporary sibling, then rename it over path,
-    so a reader never sees a half-written file."""
+    so a reader never sees a half-written file. A failed rename removes the
+    temporary file and re-raises."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(data.encode() if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 # ---------------------------------------------------------------------------

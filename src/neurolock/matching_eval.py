@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError, LengthError
+from .errors import ConfigError, IncompatibleTemplates, LengthError
 from .pipeline import FeatureDataset
 from .system import AuthSystem, SystemConfig
 
@@ -217,8 +217,14 @@ def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     Bit strings run along the last axis and leading axes broadcast: one
     enrolled string against a batch of queries, or batch against batch.
+    Both sides are packed to bytes and counted by `transform.packed_hamming`;
+    the counts, and so the scores, equal `transform.hamming_score`'s.
     """
-    return tr.hamming_score(enrolled, queries)[1]
+    n_bits = enrolled.shape[-1]
+    if queries.shape[-1] != n_bits:
+        raise IncompatibleTemplates(f"bit lengths differ: {n_bits} vs {queries.shape[-1]}")
+    return tr.packed_hamming(np.packbits(enrolled, axis=-1),
+                             np.packbits(queries, axis=-1)) / n_bits
 
 
 def protocol_score_set(dataset: FeatureDataset, enroll_frames: int,

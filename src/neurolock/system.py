@@ -237,6 +237,12 @@ class AccountScorer:
     projected value, are read as one integer and XORed with the enrolled
     template's bytes read the same way; its set-bit count is the integer
     that the reference's unpacked XOR-and-sum gives.
+    `feature_scores` and `projected_scores` score a (k, ·) block of such
+    vectors at once, each row exactly as the single-query method scores it:
+    the same elementwise steps, `project`'s one vector-matrix product per
+    row, and the packed gray bytes XORed with the enrolled bytes and counted
+    by `transform.packed_hamming`. One query alone is faster through the
+    single-query methods, a block of tens of queries through the batch ones.
     Queries are not checked: they must be float vectors of the right length.
     The scorer does not follow a later `revoke`; build a new one.
     """
@@ -253,7 +259,8 @@ class AccountScorer:
         self._projection = params.projection
         self._lo, self._hi = params.quant_range[:, 0], params.quant_range[:, 1]
         self._scale = tr.LEVELS / (self._hi - self._lo)
-        self._enrolled = _as_int(np.packbits(account.template.bits))
+        self._enrolled_bytes = np.packbits(account.template.bits)
+        self._enrolled = _as_int(self._enrolled_bytes)
         self._n_bits = account.template.n_bits
 
     def feature_score(self, x: np.ndarray) -> float:
@@ -268,6 +275,18 @@ class AccountScorer:
         """Score of one projected vector, gray-encoded over the account's range."""
         gray = tr._gray_levels(r, self._lo, self._hi, self._scale)
         return (_as_int(gray) ^ self._enrolled).bit_count() / self._n_bits
+
+    def feature_scores(self, x: np.ndarray) -> np.ndarray:
+        """Scores of a (k, 2 * dim) block of raw feature pairs, one per row."""
+        v1 = (x.take(self._permutation, axis=1) - self._mean_a) / self._scale_a
+        v2 = (x[:, self._dim:] - self._mean_b) / self._scale_b
+        projected = np.matmul((v1 * v2)[:, None, :], self._projection)[:, 0, :]
+        return self.projected_scores(projected)
+
+    def projected_scores(self, r: np.ndarray) -> np.ndarray:
+        """Scores of a (k, n_out) block of projected vectors, one per row."""
+        gray = tr._gray_levels(r, self._lo, self._hi, self._scale)
+        return tr.packed_hamming(gray, self._enrolled_bytes) / self._n_bits
 
 
 def _as_int(gray: np.ndarray) -> int:

@@ -309,6 +309,21 @@ def hamming_score(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple:
     return raw, raw / n_bits
 
 
+# set bits of every byte value
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def packed_hamming(bytes_a: np.ndarray, bytes_b: np.ndarray) -> np.ndarray:
+    """Differing bit counts of bit strings packed MSB-first into uint8 bytes.
+
+    Strings run along the last axis and leading axes broadcast, as in
+    `hamming_score`, whose raw counts these equal: each XORed byte's set bits
+    come from a 256-entry table, and the sum of the bytes' counts is the sum
+    of the unpacked XOR.
+    """
+    return _POPCOUNT.take(np.bitwise_xor(bytes_a, bytes_b)).sum(axis=-1)
+
+
 def match(query: CancellableTemplate, enrolled: CancellableTemplate,
           threshold: float) -> MatchResult:
     """XOR-and-count matcher; accepts when the normalized distance is <= threshold."""

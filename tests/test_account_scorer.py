@@ -3,7 +3,8 @@
 `AuthSystem.scorer` precomputes one account's oracle state; each of its
 scores must equal, with ==, what `score_bits` gives for the reference bits:
 `feature_query_bits` of a raw feature pair, or `gray_encode` of a projected
-vector over the account's quantization range.
+vector over the account's quantization range. Its batch methods must give,
+row for row and with ==, what the single-query methods give.
 """
 
 import numpy as np
@@ -96,6 +97,42 @@ def test_scorer_of_a_reissued_account(dim, delta):
     assert_scorer_matches(system, "S002", np.random.default_rng(dim))
 
 
+def assert_batches_match(system, subject, rng):
+    """Blocks of k rows, for k in {1, 2, n, n + 1} with n the search
+    dimension (the simplex has n + 1 vertices, a shrink scores n of them)."""
+    scorer = system.scorer(subject)
+    quant_range = system.users[subject].params.quant_range
+    for queries, single, batch in (
+            (feature_queries(system, rng), scorer.feature_score, scorer.feature_scores),
+            (projected_queries(quant_range, rng), scorer.projected_score,
+             scorer.projected_scores)):
+        n = queries.shape[1]
+        reference = [single(q) for q in queries]
+        for k in (1, 2, n, n + 1):
+            scores = []
+            for start in range(0, len(queries), k):
+                block = batch(queries[start:start + k])
+                assert block.shape == (len(queries[start:start + k]),)
+                scores.extend(block.tolist())
+            assert scores == reference
+
+
+@pytest.mark.parametrize("dim,delta", SHAPES)
+@pytest.mark.parametrize("lost_key", [True, False])
+def test_batch_scores_equal_single_scores(dim, delta, lost_key):
+    system = build(dim, delta, lost_key)
+    rng = np.random.default_rng([dim, int(lost_key), 1])
+    for subject in ("S001", "S004"):
+        assert_batches_match(system, subject, rng)
+
+
+@pytest.mark.parametrize("dim,delta", SHAPES)
+def test_batch_scores_of_a_reissued_account(dim, delta):
+    system = build(dim, delta, lost_key=False)
+    system.revoke("S003", 0xBEEF)
+    assert_batches_match(system, "S003", np.random.default_rng([dim, 2]))
+
+
 def test_decoded_template_scores_zero():
     system = build(10, 0.5, lost_key=True)
     account = system.users["S003"]
@@ -117,16 +154,15 @@ def test_scorer_keeps_every_ulp():
     ulps = 64 * np.spacing(np.abs(r0))
     params.quant_range = np.stack([r0 - ulps, r0 + ulps], axis=1)
     scorer = system.scorer("S001")
-    scores = set()
-    for steps in rng.integers(-3, 4, (QUERIES, 2 * dim)):
-        x = x0 + steps * np.spacing(x0)
-        reference = system.score_bits("S001",
-                                      system.feature_query_bits("S001", x[:dim], x[dim:]))
-        assert scorer.feature_score(x) == reference
-        scores.add(reference)
-    for steps in rng.integers(-40, 41, (QUERIES, r0.size)):
-        r = r0 + steps * np.spacing(r0)
-        reference = system.score_bits("S001", tr.gray_encode(r, params.quant_range))
-        assert scorer.projected_score(r) == reference
-        scores.add(reference)
-    assert len(scores) > 20
+    xs = x0 + rng.integers(-3, 4, (QUERIES, 2 * dim)) * np.spacing(x0)
+    references = [system.score_bits("S001",
+                                    system.feature_query_bits("S001", x[:dim], x[dim:]))
+                  for x in xs]
+    assert [scorer.feature_score(x) for x in xs] == references
+    assert scorer.feature_scores(xs).tolist() == references
+    rs = r0 + rng.integers(-40, 41, (QUERIES, r0.size)) * np.spacing(r0)
+    projected_references = [system.score_bits("S001", tr.gray_encode(r, params.quant_range))
+                            for r in rs]
+    assert [scorer.projected_score(r) for r in rs] == projected_references
+    assert scorer.projected_scores(rs).tolist() == projected_references
+    assert len(set(references + projected_references)) > 20

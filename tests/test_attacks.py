@@ -182,6 +182,99 @@ class TestHillClimb:
         assert atk.AttackConfig(case="template_space").case is atk.AttackCase.TEMPLATE_SPACE
 
 
+def table_oracle(scores, theta=0.5, max_attempts=100):
+    """A score oracle whose candidate scores scores[i], i the sum of its entries."""
+    table = np.asarray(scores, dtype=float)
+    return atk.ScoreOracle(lambda x: float(table[int(x.sum())]), theta, max_attempts,
+                           lambda rows: table[rows.sum(axis=1).astype(int)])
+
+
+def rows_of(count):
+    return np.stack([np.arange(count, dtype=float), np.zeros(count)], axis=1)
+
+
+class TestOracleBatch:
+    def test_accept_mid_batch_ends_count_and_trace_at_that_row(self):
+        oracle = table_oracle([0.9, 0.8, 0.7, 0.2, 0.1, 0.6])
+        with pytest.raises(atk._OracleSuccess) as hit:
+            oracle.batch(rows_of(6))
+        assert oracle.attempts == 4
+        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7), (4, 0.2)]
+        assert all(type(score) is float for _, score in oracle.trace)
+        assert np.array_equal(hit.value.candidate, [3.0, 0.0])
+        assert hit.value.score == 0.2
+
+    def test_budget_mid_batch_returns_the_covered_rows(self):
+        oracle = table_oracle([0.9, 0.8, 0.7, 0.6, 0.55], max_attempts=3)
+        assert oracle.batch(rows_of(5)) == [0.9, 0.8, 0.7]
+        assert oracle.attempts == oracle.max_attempts == 3
+        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7)]
+        assert oracle.batch(rows_of(5)) == []
+        assert oracle.attempts == 3
+
+    def test_nelder_mead_stops_where_the_oracle_budget_ends(self):
+        oracle = table_oracle([0.9] * 10, max_attempts=4)
+        x, f, evals = atk.nelder_mead(oracle, np.zeros(5), budget=100)
+        assert (evals, oracle.attempts, len(oracle.trace)) == (4, 4, 4)
+        assert (f, x.tolist()) == (0.9, [0.0] * 5)
+
+    def test_nan_row_raises_objective_error(self):
+        oracle = table_oracle([0.9, 0.8, float("nan"), 0.6])
+        with pytest.raises(ObjectiveError):
+            atk.nelder_mead(oracle, np.zeros(3), budget=100, initial_step=[1.0, 2.0, 3.0])
+        assert oracle.trace[:2] == [(1, 0.9), (2, 0.8)]
+        assert oracle.trace[2][0] == 3 and np.isnan(oracle.trace[2][1])
+
+
+class TestBatchedSimplex:
+    """The initial simplex and every shrink go through ScoreOracle.batch; the
+    search must count, trace and find exactly what it does one row at a
+    time (the oracle without `batch`, as nelder_mead then calls it)."""
+
+    @staticmethod
+    def climb(system, monkeypatch, subject, config):
+        blocks = []
+        batch = atk.ScoreOracle.batch
+
+        def recorded(oracle, rows):
+            blocks.append((oracle.attempts, len(rows)))
+            return batch(oracle, rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(atk.ScoreOracle, "batch", recorded)
+            batched = atk.hill_climb_attack(system, subject, config)
+        with monkeypatch.context() as patch:
+            patch.delattr(atk.ScoreOracle, "batch")
+            row_by_row = atk.hill_climb_attack(system, subject, config)
+        for name in ("success", "attempts", "best_score", "similarity", "trace"):
+            assert getattr(batched, name) == getattr(row_by_row, name), name
+        assert batched.solution.tobytes() == row_by_row.solution.tobytes()
+        return batched, blocks
+
+    @pytest.mark.parametrize("case,subject,theta,seed", [
+        ("feature_space", "S001", 0.15, 1), ("template_space", "S003", 0.25, 1)])
+    def test_accept_mid_batch(self, small_system, monkeypatch, case, subject, theta, seed):
+        config = atk.AttackConfig(case=case, theta=theta, max_attempts=2000, seed=seed)
+        outcome, blocks = self.climb(small_system, monkeypatch, subject, config)
+        start, size = blocks[-1]
+        assert outcome.success
+        assert start + 1 < outcome.attempts < start + size  # neither first nor last row
+        assert outcome.trace[-1] == (outcome.attempts, outcome.best_score)
+        assert outcome.best_score <= theta
+
+    @pytest.mark.parametrize("case", ["feature_space", "template_space"])
+    def test_budget_ends_mid_batch(self, small_system, monkeypatch, case):
+        probe = atk.AttackConfig(case=case, theta=0.0, max_attempts=400, seed=5)
+        _, blocks = self.climb(small_system, monkeypatch, "S002", probe)
+        start, size = next((a, k) for a, k in blocks if a > 100 and k >= 3)
+        budget = start + size // 2
+        config = atk.AttackConfig(case=case, theta=0.0, max_attempts=budget, seed=5)
+        outcome, blocks = self.climb(small_system, monkeypatch, "S002", config)
+        # the last block that scored a row began at start; later ones were empty
+        assert [a for a, _ in blocks if a < budget][-1] == start
+        assert not outcome.success
+        assert outcome.attempts == len(outcome.trace) == config.max_attempts
+
+
 class TestArm:
     def test_worked_example_recovery_far_from_truth(self):
         result = atk.arm_attack(

@@ -266,6 +266,23 @@ class TestUnreadablePaths:
                          f"--out={taken / 'x.ceeg'}", f"--output_dir={tmp_path}"] + SMALL)
         self.assert_data_error(result, taken / "x.ceeg")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "under-a-file", "default-under-a-file"])
+    def test_template_out_parent_checked_before_extraction(self, tmp_path, monkeypatch,
+                                                           where):
+        def never(config):
+            raise AssertionError("load_features called")
+        monkeypatch.setattr(cli, "load_features", never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = ["enroll", "--subject=S001", "--key=1"]
+        if where == "default-under-a-file":
+            args.append(f"--output_dir={taken}")
+            path = taken
+        else:
+            path = (tmp_path / "no" / "such" if where == "missing-dir" else taken) / "x.ceeg"
+            args += [f"--out={path}", f"--output_dir={tmp_path}"]
+        self.assert_data_error(invoke(args), path)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("override", [

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from neurolock import dsp, connectivity
 from neurolock.errors import ConfigError, EmptyRecording, ParseError
-from neurolock.ingest import (Protocol, Recording, SyntheticSpec, read_csv_matrix,
-                              read_edf, synthesize, write_csv_matrix, write_edf)
+from neurolock.ingest import (Protocol, Recording, SyntheticSpec, atomic_write,
+                              read_csv_matrix, read_edf, synthesize, write_csv_matrix,
+                              write_edf)
 
 
 def build_edf_bytes(n_signals=1, n_records=1, samples_per_record=4,
@@ -231,6 +232,16 @@ class TestCsv:
         write_csv_matrix(rec, path)
         back = read_csv_matrix(path, fs=128.0)
         assert np.array_equal(back.data, data)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_removes_the_tmp(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write(target, "x")
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
 
 class TestSynthesize:

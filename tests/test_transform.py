@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurolock import transform as tr
+from neurolock.matching_eval import score_pairs
 from neurolock.errors import (ConfigError, IncompatibleTemplates, ParseError,
                               ShapeError)
 
@@ -293,6 +294,35 @@ class TestMatch:
         assert dist("a", "a") == 0.0
         assert dist("a", "b") == dist("b", "a")
         assert dist("a", "c") <= dist("a", "b") + dist("b", "c") + 1e-12
+
+
+class TestPackedHamming:
+    """packed_hamming over packed bytes, and score_pairs over bits, against
+    hamming_score's counts and scores, with ==."""
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((64,), (64,)), ((64,), (7, 64)), ((7, 64), (64,)), ((5, 64), (5, 64)),
+        ((5, 1, 64), (1, 3, 64)), ((2, 3, 64), (3, 64)), ((30, 472), (30, 472))])
+    def test_equals_hamming_score(self, shape_a, shape_b):
+        rng = np.random.default_rng([shape_a[-1], len(shape_a), len(shape_b)])
+        a = rng.integers(0, 2, shape_a).astype(np.uint8)
+        b = rng.integers(0, 2, shape_b).astype(np.uint8)
+        raw, score = tr.hamming_score(a, b)
+        packed = tr.packed_hamming(np.packbits(a, axis=-1), np.packbits(b, axis=-1))
+        assert np.shape(packed) == np.shape(raw)
+        assert np.array_equal(packed, raw)
+        assert np.array_equal(score_pairs(a, b), score)
+        assert np.array_equal(score_pairs(a, a), np.zeros(np.shape(a)[:-1]))
+        assert np.array_equal(score_pairs(a, 1 - a), np.ones(np.shape(a)[:-1]))
+
+    def test_every_byte_value(self):
+        bytes_ = np.arange(256, dtype=np.uint8)
+        counts = tr.packed_hamming(bytes_[:, None], np.zeros((1, 1), np.uint8))
+        assert counts.tolist() == [bin(v).count("1") for v in range(256)]
+
+    def test_score_pairs_refuses_different_lengths(self):
+        with pytest.raises(IncompatibleTemplates):
+            score_pairs(np.zeros(16, np.uint8), np.zeros((2, 8), np.uint8))
 
 
 class TestRevocation:
