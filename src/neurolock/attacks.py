@@ -20,7 +20,7 @@ import numpy as np
 from . import transform as tr
 from .errors import ConfigError, ObjectiveError, ShapeError, require
 from .pipeline import stable_int
-from .system import AuthSystem
+from .system import AccountScorer, AuthSystem
 
 
 class AttackCase(enum.Enum):
@@ -301,6 +301,8 @@ def hill_climb_attack(system: AuthSystem, subject: str,
             while best_f < last_refined:
                 last_refined = best_f
                 for scale in (0.08, 0.04, 0.02, 0.01, 0.005):
+                    if oracle.attempts >= config.max_attempts:
+                        break
                     search(best_x, scale)
     except _OracleSuccess as hit:
         success, best_x, best_f = True, hit.candidate, hit.score
@@ -459,12 +461,14 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     """Replay pre-obtained solutions against freshly re-keyed accounts.
 
     For every solution and every fresh key the account is re-enrolled from
-    its true features under the new key; feature solutions are re-transformed
-    with the new parameters, template solutions are matched bit-for-bit.
+    its true features under the new key; feature solutions are scored by the
+    re-keyed account's `AccountScorer`, template solutions bit-for-bit.
     """
-    unknown = [s.kind for s in solutions if s.kind not in ("feature", "template")]
-    if unknown:
-        raise ConfigError(f"unknown solution kind {unknown[0]!r}")
+    for s in solutions:
+        if s.kind not in ("feature", "template"):
+            raise ConfigError(f"unknown solution kind {s.kind!r}")
+        if s.kind == "feature" and np.shape(s.payload) != (2 * system.dim,):
+            raise ShapeError(f"feature solution for {s.subject} is not {2 * system.dim} values")
     theta = system.config.theta if theta is None else theta
     rng = np.random.default_rng(seed)
     scores, sims, per_solution = [], [], []
@@ -477,11 +481,9 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
                 new_key += 1
             fresh = system.reissue(solution.subject, new_key)
             if solution.kind == "feature":
-                frames = solution.payload.reshape(2, 1, system.dim)
-                bits = system.account_bits(fresh, frames[0], frames[1])
+                sol_scores.append(AccountScorer(system, fresh).feature_score(solution.payload))
             else:
-                bits = solution.payload.astype(np.uint8)
-            sol_scores.append(tr.hamming_score(bits, fresh.template.bits)[1])
+                sol_scores.append(tr.hamming_score(solution.payload, fresh.template.bits)[1])
         if solution.kind == "feature":
             sims.append(cosine_similarity(solution.payload, account.true_features))
         else:

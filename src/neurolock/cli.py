@@ -440,9 +440,12 @@ def attack(config):
     payload = report.to_json_dict()
     payload["master_seed"] = config["master_seed"]
     if config["attack"]["second_attack_keys"]:
+        # a template-space success is replayed as the gray-encoded bits the oracle accepted
         solutions = [atk.Solution(o.subject, "feature", o.solution, "computational")
-                     for o in report.outcomes
-                     if o.success and a_cfg.case is atk.AttackCase.FEATURE_SPACE]
+                     if a_cfg.case is atk.AttackCase.FEATURE_SPACE else
+                     atk.Solution(o.subject, "template", tr.gray_encode(
+                         o.solution, system.users[o.subject].params.quant_range), "computational")
+                     for o in report.outcomes if o.success]
         second = atk.second_attack(system, solutions,
                                    n_keys=config["attack"]["second_attack_keys"],
                                    theta=a_cfg.theta, seed=config["master_seed"])

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and the config value rule."""
 
+import contextlib
+
 
 def is_a(value, kind) -> bool:
     """isinstance check that counts a bool only as a bool, never as a number."""
@@ -66,3 +68,13 @@ class ObjectiveError(NeurolockError):
 
 class SingularityError(NeurolockError):
     """Singular covariance with no regularization."""
+
+
+@contextlib.contextmanager
+def error_context(where: str, kinds=NeurolockError):
+    """Put `where` in front of the message of a `kinds` error raised inside."""
+    try:
+        yield
+    except kinds as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRecording, ParseError, require
+from .errors import ConfigError, EmptyRecording, ParseError, error_context, require
 
 EDF_HEADER_BYTES = 256
 EDF_PER_SIGNAL_BYTES = 256
@@ -111,92 +111,93 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < EDF_HEADER_BYTES:
-        raise ParseError("file shorter than the 256-byte EDF header", offset=len(raw))
-    version = _edf_field(raw, 0, 8)
-    if version != "0":
-        raise ParseError(f"bad EDF version field {version!r}", offset=0)
+    with error_context(path.name, (ParseError, EmptyRecording)):
+        if len(raw) < EDF_HEADER_BYTES:
+            raise ParseError("file shorter than the 256-byte EDF header", offset=len(raw))
+        version = _edf_field(raw, 0, 8)
+        if version != "0":
+            raise ParseError(f"bad EDF version field {version!r}", offset=0)
 
-    header_bytes = _edf_int(raw, 184, 8, "header-bytes")
-    n_records = _edf_int(raw, 236, 8, "record-count")
-    record_duration = _edf_float(raw, 244, 8, "record-duration")
-    n_signals = _edf_int(raw, 252, 4, "signal-count")
-    if n_signals < 1:
-        raise ParseError("EDF declares no signals", offset=252)
+        header_bytes = _edf_int(raw, 184, 8, "header-bytes")
+        n_records = _edf_int(raw, 236, 8, "record-count")
+        record_duration = _edf_float(raw, 244, 8, "record-duration")
+        n_signals = _edf_int(raw, 252, 4, "signal-count")
+        if n_signals < 1:
+            raise ParseError("EDF declares no signals", offset=252)
 
-    expected_header = EDF_HEADER_BYTES + EDF_PER_SIGNAL_BYTES * n_signals
-    if header_bytes != expected_header:
-        raise ParseError(
-            f"header length field {header_bytes} disagrees with "
-            f"{expected_header} bytes implied by {n_signals} signals", offset=184)
-    if len(raw) < expected_header:
-        raise ParseError("file truncated inside the signal header block", offset=len(raw))
-
-    def signal_fields(width: int, block_start: int) -> list[str]:
-        base = EDF_HEADER_BYTES + block_start * n_signals
-        return [_edf_field(raw, base + i * width, width) for i in range(n_signals)]
-
-    labels = signal_fields(16, 0)
-    # field offsets within the per-signal block: label 16, transducer 80, unit 8,
-    # phys_min 8, phys_max 8, dig_min 8, dig_max 8, prefilter 80, samples 8
-    base = EDF_HEADER_BYTES
-    off_phys_min = base + (16 + 80 + 8) * n_signals
-    off_phys_max = off_phys_min + 8 * n_signals
-    off_dig_min = off_phys_max + 8 * n_signals
-    off_dig_max = off_dig_min + 8 * n_signals
-    off_samples = off_dig_max + 8 * n_signals + 80 * n_signals
-
-    phys_min = [_edf_float(raw, off_phys_min + 8 * i, 8, "phys-min") for i in range(n_signals)]
-    phys_max = [_edf_float(raw, off_phys_max + 8 * i, 8, "phys-max") for i in range(n_signals)]
-    dig_min = [_edf_int(raw, off_dig_min + 8 * i, 8, "dig-min") for i in range(n_signals)]
-    dig_max = [_edf_int(raw, off_dig_max + 8 * i, 8, "dig-max") for i in range(n_signals)]
-    samples_per_record = [_edf_int(raw, off_samples + 8 * i, 8, "samples-per-record")
-                          for i in range(n_signals)]
-
-    if min(samples_per_record) < 1:
-        raise ParseError("EDF declares a signal with no samples per record",
-                         offset=off_samples)
-    record_bytes = 2 * sum(samples_per_record)
-    payload = len(raw) - expected_header
-    if n_records < 0:
-        # -1 means "unknown"; infer from the payload when it divides evenly
-        if payload % record_bytes:
+        expected_header = EDF_HEADER_BYTES + EDF_PER_SIGNAL_BYTES * n_signals
+        if header_bytes != expected_header:
             raise ParseError(
-                f"cannot infer record count: payload {payload} not a multiple of "
-                f"record size {record_bytes}", offset=236)
-        n_records = payload // record_bytes
-    if n_records == 0:
-        raise EmptyRecording(f"{path.name}: zero data records")
-    if payload != n_records * record_bytes:
-        raise ParseError(
-            f"payload is {payload} bytes but {n_records} records of "
-            f"{record_bytes} bytes were declared", offset=expected_header)
+                f"header length field {header_bytes} disagrees with "
+                f"{expected_header} bytes implied by {n_signals} signals", offset=184)
+        if len(raw) < expected_header:
+            raise ParseError("file truncated inside the signal header block", offset=len(raw))
 
-    keep = [i for i, lab in enumerate(labels) if lab != ANNOTATION_LABEL]
-    if not keep:
-        raise EmptyRecording(f"{path.name}: only annotation channels present")
-    rates = {samples_per_record[i] for i in keep}
-    if len(rates) != 1:
-        raise ParseError(f"mixed sampling rates across signals: {sorted(rates)}")
-    if record_duration <= 0:
-        raise ParseError("non-positive record duration", offset=244)
-    fs = samples_per_record[keep[0]] / record_duration
-    if not np.isfinite(fs):
-        raise ParseError(f"record duration {record_duration} is too short", offset=244)
+        def signal_fields(width: int, block_start: int) -> list[str]:
+            base = EDF_HEADER_BYTES + block_start * n_signals
+            return [_edf_field(raw, base + i * width, width) for i in range(n_signals)]
 
-    gains, offsets = [], []
-    for i in keep:
-        if dig_max[i] == dig_min[i]:
-            raise ParseError(f"signal {i}: digital min equals digital max", offset=off_dig_min)
-        g = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-        offset = phys_min[i] - g * dig_min[i]
-        # every sample maps between these two; a non-finite gain or offset makes them
-        # non-finite too
-        if not (math.isfinite(-32768 * g + offset) and math.isfinite(32767 * g + offset)):
-            raise ParseError(f"signal {i}: physical range [{phys_min[i]}, {phys_max[i]}] "
-                             "maps samples out of float range", offset=off_phys_min + 8 * i)
-        gains.append(g)
-        offsets.append(offset)
+        labels = signal_fields(16, 0)
+        # field offsets within the per-signal block: label 16, transducer 80, unit 8,
+        # phys_min 8, phys_max 8, dig_min 8, dig_max 8, prefilter 80, samples 8
+        base = EDF_HEADER_BYTES
+        off_phys_min = base + (16 + 80 + 8) * n_signals
+        off_phys_max = off_phys_min + 8 * n_signals
+        off_dig_min = off_phys_max + 8 * n_signals
+        off_dig_max = off_dig_min + 8 * n_signals
+        off_samples = off_dig_max + 8 * n_signals + 80 * n_signals
+
+        phys_min = [_edf_float(raw, off_phys_min + 8 * i, 8, "phys-min") for i in range(n_signals)]
+        phys_max = [_edf_float(raw, off_phys_max + 8 * i, 8, "phys-max") for i in range(n_signals)]
+        dig_min = [_edf_int(raw, off_dig_min + 8 * i, 8, "dig-min") for i in range(n_signals)]
+        dig_max = [_edf_int(raw, off_dig_max + 8 * i, 8, "dig-max") for i in range(n_signals)]
+        samples_per_record = [_edf_int(raw, off_samples + 8 * i, 8, "samples-per-record")
+                              for i in range(n_signals)]
+
+        if min(samples_per_record) < 1:
+            raise ParseError("EDF declares a signal with no samples per record",
+                             offset=off_samples)
+        record_bytes = 2 * sum(samples_per_record)
+        payload = len(raw) - expected_header
+        if n_records < 0:
+            # -1 means "unknown"; infer from the payload when it divides evenly
+            if payload % record_bytes:
+                raise ParseError(
+                    f"cannot infer record count: payload {payload} not a multiple of "
+                    f"record size {record_bytes}", offset=236)
+            n_records = payload // record_bytes
+        if n_records == 0:
+            raise EmptyRecording("zero data records")
+        if payload != n_records * record_bytes:
+            raise ParseError(
+                f"payload is {payload} bytes but {n_records} records of "
+                f"{record_bytes} bytes were declared", offset=expected_header)
+
+        keep = [i for i, lab in enumerate(labels) if lab != ANNOTATION_LABEL]
+        if not keep:
+            raise EmptyRecording("only annotation channels present")
+        rates = {samples_per_record[i] for i in keep}
+        if len(rates) != 1:
+            raise ParseError(f"mixed sampling rates across signals: {sorted(rates)}")
+        if record_duration <= 0:
+            raise ParseError("non-positive record duration", offset=244)
+        fs = samples_per_record[keep[0]] / record_duration
+        if not np.isfinite(fs):
+            raise ParseError(f"record duration {record_duration} is too short", offset=244)
+
+        gains, offsets = [], []
+        for i in keep:
+            if dig_max[i] == dig_min[i]:
+                raise ParseError(f"signal {i}: digital min equals digital max", offset=off_dig_min)
+            g = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
+            offset = phys_min[i] - g * dig_min[i]
+            # every sample maps between these two; a non-finite gain or offset makes them
+            # non-finite too
+            if not (math.isfinite(-32768 * g + offset) and math.isfinite(32767 * g + offset)):
+                raise ParseError(f"signal {i}: physical range [{phys_min[i]}, {phys_max[i]}] "
+                                 "maps samples out of float range", offset=off_phys_min + 8 * i)
+            gains.append(g)
+            offsets.append(offset)
 
     records = np.frombuffer(raw, dtype="<i2", offset=expected_header).reshape(n_records, -1)
     data = np.empty((len(keep), n_records * samples_per_record[keep[0]]), dtype=float)
@@ -298,7 +299,7 @@ def read_csv_matrix(path, fs: float, protocol_tag: Protocol = Protocol.OTHER,
     """Read a rectangular CSV of finite numbers (rows = channels) into a Recording."""
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
+    with error_context(path.name, (ParseError, EmptyRecording)), path.open(newline="") as fh:
         for r, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -308,18 +309,15 @@ def read_csv_matrix(path, fs: float, protocol_tag: Protocol = Protocol.OTHER,
                     values.append(float(cell))
                 except ValueError:
                     raise ParseError(
-                        f"{path.name}: non-numeric cell {cell!r} at row {r}, col {c}"
-                    ) from None
+                        f"non-numeric cell {cell!r} at row {r}, col {c}") from None
                 if not math.isfinite(values[-1]):
-                    raise ParseError(
-                        f"{path.name}: non-finite cell {cell!r} at row {r}, col {c}")
+                    raise ParseError(f"non-finite cell {cell!r} at row {r}, col {c}")
             if rows and len(values) != len(rows[0]):
-                raise ParseError(
-                    f"{path.name}: ragged row {r} has {len(values)} cells, "
-                    f"expected {len(rows[0])}")
+                raise ParseError(f"ragged row {r} has {len(values)} cells, "
+                                 f"expected {len(rows[0])}")
             rows.append(values)
-    if not rows:
-        raise EmptyRecording(f"{path.name}: no data rows")
+        if not rows:
+            raise EmptyRecording("no data rows")
     data = np.array(rows, dtype=float)
     return Recording(
         channels=[f"ch{i:02d}" for i in range(data.shape[0])],

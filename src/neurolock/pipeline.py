@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
-from .errors import ConfigError, NeurolockError, ShapeError, is_a, require
+from .errors import ConfigError, ShapeError, error_context, is_a, require
 from .ingest import Protocol, Recording, atomic_write, csv_text
 
 FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
@@ -91,7 +91,7 @@ def extract_frame_features(recording: Recording, config: DspConfig,
     """Run one recording through the pipeline; rows are frames. Errors name the recording."""
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    try:
+    with error_context(f"subject {recording.subject_id!r} / {recording.protocol_tag.value}"):
         rec = dsp.detrend(recording)
         pre = dsp.design_bandpass(rec.fs, *config.prefilter, config.fir_order)
         rec = dsp.filter_zero_phase(rec, pre)
@@ -106,10 +106,6 @@ def extract_frame_features(recording: Recording, config: DspConfig,
             connectivity.build_graph(phase, config.rho_bins),
             # per-frame seeds keep the output independent of extraction order
             seed=stable_int(f"{recording.subject_id}:{k}")) for k, phase in enumerate(phases)])
-    except NeurolockError as exc:
-        exc.args = (f"subject {recording.subject_id!r} / {recording.protocol_tag.value}: "
-                    f"{exc}",)
-        raise
 
 
 def build_feature_dataset(recordings: list[Recording], config: DspConfig,

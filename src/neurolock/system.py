@@ -1,14 +1,14 @@
-"""Protected authentication system: enrollment store, matcher, and re-keying.
+"""Protected authentication system: enrollment store, score oracle, and re-keying.
 
 Templates are enrolled from the first F_e frame pairs of each subject. In the
 lost-key evaluation scenario every user shares one key (the attacker is
 assumed to hold it); otherwise each user gets a key drawn from the master key.
 `reissue` and `revoke` are the one way to give an account another key.
 Every query is a frame window cut by `windows`, within the frame pairs that
-`usable_frames` counts, and encoded under the claimed account's key. The
-system also exposes a raw-bit scoring surface, and `scorer`, the
-per-account score oracle that the attack simulations drive; the surface is
-the reference the scorer's scores equal.
+`usable_frames` counts, and encoded under the claimed account's key. Every
+raw attack query is scored by an account's `AccountScorer` (`scorer`, or one
+built over a `reissue`d state); `feature_query_bits` and `score_bits` are
+the checked reference path whose scores it equals.
 """
 
 from __future__ import annotations
@@ -170,15 +170,6 @@ class AuthSystem:
                 stream[here] = self.dataset.frames(subject, protocol)[rows[here]]
         return self.standardize_a(frames[0]), self.standardize_b(frames[1])
 
-    def account_bits(self, account: UserAccount, v1: np.ndarray,
-                     v2: np.ndarray) -> np.ndarray:
-        """Bits raw feature frames give under an account's key and range.
-
-        Frames run along axis -2 and their projections are averaged, as at
-        enrollment; leading axes are a batch of queries.
-        """
-        return tr.encode(self.standardize_a(v1), self.standardize_b(v2), account.params)
-
     def query_template(self, claimed: str, source: str, start_frame: int,
                        n_frames: int | None = None) -> tr.CancellableTemplate:
         """Template for one window of `source`'s frames presented against
@@ -193,8 +184,8 @@ class AuthSystem:
                            v2: np.ndarray) -> np.ndarray:
         """Bits single raw feature-pair queries (last axis) produce against
         `claimed`'s account."""
-        return self.account_bits(self.users[claimed], np.asarray(v1)[..., None, :],
-                                 np.asarray(v2)[..., None, :])
+        return tr.encode(self.standardize_a(v1)[..., None, :],
+                         self.standardize_b(v2)[..., None, :], self.users[claimed].params)
 
     # -- scoring -------------------------------------------------------------
 
@@ -206,11 +197,6 @@ class AuthSystem:
     def scorer(self, claimed: str) -> AccountScorer:
         """`claimed`'s score oracle, built from its current account state."""
         return AccountScorer(self, self.users[claimed])
-
-    def verify(self, claimed: str, query: tr.CancellableTemplate,
-               theta: float | None = None) -> tr.MatchResult:
-        theta = self.config.theta if theta is None else theta
-        return tr.match(query, self.users[claimed].template, theta)
 
     # -- revocation ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, IncompatibleTemplates, ParseError,
-                     ShapeError)
+                     ShapeError, error_context)
 from .ingest import atomic_write
 
 TEMPLATE_MAGIC = b"CEEG1"
@@ -348,19 +348,21 @@ def save_template(template: CancellableTemplate, path) -> None:
 
 def load_template(path) -> CancellableTemplate:
     raw = Path(path).read_bytes()
-    if raw[:5] != TEMPLATE_MAGIC:
-        raise ParseError(f"bad template magic {raw[:5]!r}", offset=0)
-    meta_len = int.from_bytes(raw[5:9], "big")
-    try:
-        meta = TemplateMeta.from_dict(json.loads(raw[9:9 + meta_len].decode("utf-8")))
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"corrupt template metadata: {exc}", offset=9) from None
-    payload = raw[9 + meta_len:]
-    n_dims = meta.quant_range.shape[0]
-    expected_bytes = n_dims  # 8 bits per dimension = 1 byte
-    if len(payload) != expected_bytes:
-        raise ParseError(
-            f"payload of {len(payload)} bytes, metadata implies {expected_bytes}",
-            offset=9 + meta_len)
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return CancellableTemplate(bits=bits, meta=meta)
+    with error_context(Path(path).name, ParseError):
+        if raw[:5] != TEMPLATE_MAGIC:
+            raise ParseError(f"bad template magic {raw[:5]!r}", offset=0)
+        meta_len = int.from_bytes(raw[5:9], "big")
+        try:
+            meta = TemplateMeta.from_dict(json.loads(raw[9:9 + meta_len].decode("utf-8")))
+        except (ParseError, KeyError, TypeError, ValueError) as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ParseError(f"corrupt template metadata: {what}", offset=9) from None
+        payload = raw[9 + meta_len:]
+        n_dims = meta.quant_range.shape[0]
+        expected_bytes = n_dims  # 8 bits per dimension = 1 byte
+        if len(payload) != expected_bytes:
+            raise ParseError(
+                f"payload of {len(payload)} bytes, metadata implies {expected_bytes}",
+                offset=9 + meta_len)
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+        return CancellableTemplate(bits=bits, meta=meta)

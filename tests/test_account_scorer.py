@@ -97,6 +97,36 @@ def test_scorer_of_a_reissued_account(dim, delta):
     assert_scorer_matches(system, "S002", np.random.default_rng(dim))
 
 
+@pytest.mark.parametrize("dim,delta", SHAPES)
+@pytest.mark.parametrize("lost_key", [True, False])
+def test_second_attack_scores_each_fresh_account_as_the_reference(dim, delta, lost_key,
+                                                                 monkeypatch):
+    """A feature solution replayed after re-keying is scored by the fresh
+    account's scorer; each score equals the reference chain's on that account."""
+    system = build(dim, delta, lost_key)
+    queries = feature_queries(system, np.random.default_rng([dim, 7]))[::40]
+    fresh, reissue = [], system.reissue
+
+    def recorded(*args):
+        fresh.append(reissue(*args))
+        return fresh[-1]
+    monkeypatch.setattr(system, "reissue", recorded)
+    keys, theta = 5, 0.45
+    report = atk.second_attack(system, [atk.Solution("S003", "feature", x) for x in queries],
+                               n_keys=keys, theta=theta, seed=dim)
+    reference = [tr.hamming_score(tr.encode(system.standardize_a(x[None, :dim]),
+                                            system.standardize_b(x[None, dim:]),
+                                            account.params), account.template.bits)[1]
+                 for x, account in zip(np.repeat(queries, keys, axis=0), fresh)]
+    assert len(fresh) == len(reference) == report.n_tests == keys * len(queries)
+    assert len({account.params.user_key for account in fresh}) == len(fresh)
+    for index, entry in enumerate(report.per_solution):
+        scores = reference[index * keys:(index + 1) * keys]
+        assert entry["score_mean"] == float(np.mean(scores))
+        assert entry["successes"] == sum(score <= theta for score in scores)
+    assert report.score_mean == float(np.mean(reference))
+
+
 def assert_batches_match(system, subject, rng):
     """Blocks of k rows, for k in {1, 2, n, n + 1} with n the search
     dimension (the simplex has n + 1 vertices, a shrink scores n of them)."""

@@ -269,8 +269,9 @@ class TestBatchedSimplex:
         budget = start + size // 2
         config = atk.AttackConfig(case=case, theta=0.0, max_attempts=budget, seed=5)
         outcome, blocks = self.climb(small_system, monkeypatch, "S002", config)
-        # the last block that scored a row began at start; later ones were empty
-        assert [a for a, _ in blocks if a < budget][-1] == start
+        # no block came after the budget ended, and the last one began at start
+        assert all(attempts < budget for attempts, _ in blocks)
+        assert blocks[-1][0] == start
         assert not outcome.success
         assert outcome.attempts == len(outcome.trace) == config.max_attempts
 

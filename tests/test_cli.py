@@ -422,6 +422,18 @@ class TestReports:
         assert trace[0] == "subject,attempt,score"
         assert len(trace) > 1
 
+    def test_template_space_second_attack_replays_every_success(self, tmp_path):
+        keys = 2
+        args = ["attack", f"--output_dir={tmp_path}", "--attack.case=template_space",
+                "--attack.theta=0.5", "--attack.max_attempts=300",
+                f"--attack.second_attack_keys={keys}"] + SMALL
+        assert invoke(args).exit_code == 0
+        report = json.loads((tmp_path / "attack_report.json").read_text())
+        successes = sum(entry["success"] for entry in report["per_user"])
+        second = report["second_attack"]
+        assert second["n_tests"] == keys * successes > 0
+        assert [entry["kind"] for entry in second["per_solution"]] == ["template"] * successes
+
     def test_attack_reproducibility(self, tmp_path):
         args = ["attack", f"--output_dir={tmp_path}", "--attack.theta=0.3",
                 "--attack.max_attempts=400", "--attack.second_attack_keys=5"] + SMALL

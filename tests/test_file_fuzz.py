@@ -1,5 +1,6 @@
 """Corrupted template (CEEG1), EDF and CSV files: every malformed input ends in
-ParseError or EmptyRecording, never in another exception."""
+ParseError or EmptyRecording, never in another exception, and the error names
+the file."""
 
 import json
 
@@ -56,11 +57,13 @@ def valid(tmp_path_factory):
 
 
 def read_cleanly(read, path, blob: bytes):
-    """Write blob and read it back; only the documented data errors may escape."""
+    """Write blob and read it back; only the documented data errors may escape,
+    and each must name the file."""
     path.write_bytes(blob)
     try:
         return read(path)
-    except (ParseError, EmptyRecording):
+    except (ParseError, EmptyRecording) as exc:
+        assert str(exc).startswith(f"{path.name}: "), str(exc)
         return None
 
 
@@ -126,6 +129,18 @@ def test_bad_number_in_template_metadata(valid, path, literal):
     template = read_cleanly(tr.load_template, root / "number.ceeg", blob)
     # -1 is a legal quant_range bound; every non-finite number is refused
     assert template is None or literal == "-1"
+
+
+@pytest.mark.parametrize("field", sorted(template_meta()))
+def test_missing_template_field_is_named(valid, field):
+    root, _, _ = valid
+    meta = template_meta()
+    del meta[field]
+    path = root / "missing.ceeg"
+    path.write_bytes(template_blob(json.dumps(meta)))
+    with pytest.raises(ParseError, match=rf"^missing\.ceeg: corrupt template metadata: "
+                                         rf"missing field '{field}' \(offset 9\)$"):
+        tr.load_template(path)
 
 
 @pytest.fixture(scope="module")

@@ -51,7 +51,7 @@ class TestQueriesAndVerify:
         system = AuthSystem(dataset, config)
         for s in system.subjects[:2]:
             query = system.query_template(s, s, 0, 5)
-            result = system.verify(s, query)
+            result = tr.match(query, system.users[s].template, config.theta)
             assert result.score == 0.0
             assert result.decision
 
@@ -59,8 +59,9 @@ class TestQueriesAndVerify:
         config = SystemConfig(enroll_frames=5, query_frames=1, theta=1.0)
         system = AuthSystem(dataset, config)
         query = system.query_template("S001", "S002", 5)
-        assert system.verify("S001", query).decision  # theta=1 accepts anything
-        assert not system.verify("S001", query, theta=0.0).decision
+        enrolled = system.users["S001"].template
+        assert tr.match(query, enrolled, config.theta).decision  # theta=1 accepts anything
+        assert not tr.match(query, enrolled, 0.0).decision
 
     def test_cross_key_template_rejected_by_matcher(self, dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
@@ -163,7 +164,7 @@ class TestReissue:
         system = AuthSystem(dataset, config)
         system.revoke("S004", 31337)
         query = system.query_template("S004", "S004", 0, 5)
-        assert system.verify("S004", query).score == 0.0
+        assert tr.match(query, system.users["S004"].template, config.theta).score == 0.0
 
 
 class TestSingleProtocolPair:
@@ -174,4 +175,4 @@ class TestSingleProtocolPair:
                               protocol_pair=(Protocol.EO, Protocol.EO))
         system = AuthSystem(dataset, config)
         query = system.query_template("S001", "S001", 0, 4)
-        assert system.verify("S001", query).score == 0.0
+        assert tr.match(query, system.users["S001"].template, config.theta).score == 0.0
