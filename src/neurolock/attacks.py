@@ -211,7 +211,8 @@ class ScoreOracle:
     would: it raises at the first accepted row, and at the budget's end it
     returns the scores of the rows the budget covers, which `nelder_mead`
     reads as the end of the search. Rows past an accept are scored, but
-    never counted, traced or returned.
+    never counted, traced or returned. Like a call, a batch on a spent
+    budget raises before it scores anything.
     """
 
     def __init__(self, score_fn, theta: float, max_attempts: int, batch_fn):
@@ -233,6 +234,8 @@ class ScoreOracle:
         return score
 
     def batch(self, candidates: np.ndarray) -> list[float]:
+        if self.attempts >= self.max_attempts:
+            raise _BudgetExhausted()
         candidates = candidates[:self.max_attempts - self.attempts]
         scores = self.batch_fn(candidates).tolist()
         for candidate, score in zip(candidates, scores):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigError, DegenerateSignal, LengthError
 
@@ -66,6 +65,7 @@ def band_powers(channel: np.ndarray, fs: float) -> np.ndarray:
     x = np.asarray(channel, dtype=float).ravel()
     if x.size < 64:
         raise LengthError(f"need at least 64 samples, got {x.size}")
+    import scipy.signal  # here, not at module level: see the dsp module
     nperseg = min(160, x.size)
     freqs, psd = scipy.signal.welch(x, fs=fs, window="hamming", nperseg=nperseg,
                                     noverlap=nperseg // 2, detrend=False)

@@ -5,6 +5,7 @@ One JSON config file drives everything; individual values can be overridden
 on the command line with ``--section.key=value`` tokens (parsed as JSON where
 possible). Every report embeds the config hash, master seed, and package
 version, and identical configs reproduce identical outputs byte for byte.
+Extracted features are cached under ``<output_dir>/cache`` (``load_features``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 verification
 reject (verify only).
@@ -13,7 +14,9 @@ reject (verify only).
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
+import io
 import json
 import numbers
 import os
@@ -23,7 +26,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, baseline_features, connectivity, dsp, graph_features, ingest, pipeline
 from . import attacks as atk
 from . import matching_eval as me
 from . import sl_eval
@@ -193,19 +196,20 @@ def config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dataset loading
+# dataset loading and the feature cache
 # ---------------------------------------------------------------------------
 
-def load_recordings(config: dict) -> list:
+def dataset_files(config: dict) -> list[tuple[Path, str, Protocol]]:
+    """(path, subject, protocol) of every recording of a csv or edf dataset
+    directory, sorted by path; the subject and protocol come from the
+    ``<subject>_<PROTOCOL>`` file name."""
     ds = config["dataset"]
-    if ds["kind"] == "synthetic":
-        return synthesize(synthetic_spec(config))
     root = Path(ds["path"])
-    suffix = ".csv" if ds["kind"] == "csv" else ".edf"
+    suffix = f".{ds['kind']}"
     paths = sorted(root.glob(f"*{suffix}"))
     if not paths:
         raise ConfigError(f"no {suffix} files in {root}")
-    recordings = []
+    files = []
     for path in paths:
         stem = path.stem
         if "_" not in stem:
@@ -216,19 +220,94 @@ def load_recordings(config: dict) -> list:
             protocol = Protocol(proto_text.upper())
         except ValueError:
             raise ConfigError(f"{path.name}: unknown protocol {proto_text!r}") from None
-        if ds["kind"] == "csv":
-            recordings.append(read_csv_matrix(path, fs=ds["fs"],
-                                              protocol_tag=protocol,
-                                              subject_id=subject))
-        else:
-            recordings.append(read_edf(path, protocol_tag=protocol,
-                                       subject_id=subject))
-    return recordings
+        files.append((path, subject, protocol))
+    return files
+
+
+def dataset_entries(config: dict) -> list[tuple[str, Protocol]]:
+    """(subject, protocol) of every recording in extraction order, read from the
+    config or the file names alone."""
+    if config["dataset"]["kind"] == "synthetic":
+        spec = synthetic_spec(config)
+        return [(subject, protocol) for subject in spec.subject_ids()
+                for protocol in spec.protocols]
+    return [(subject, protocol) for _, subject, protocol in dataset_files(config)]
+
+
+def load_recordings(config: dict) -> list:
+    ds = config["dataset"]
+    if ds["kind"] == "synthetic":
+        return synthesize(synthetic_spec(config))
+    read = functools.partial(read_csv_matrix, fs=ds["fs"]) if ds["kind"] == "csv" else read_edf
+    return [read(path, protocol_tag=protocol, subject_id=subject)
+            for path, subject, protocol in dataset_files(config)]
+
+
+# the modules whose code decides the feature values
+_EXTRACTION_MODULES = (ingest, dsp, connectivity, graph_features, baseline_features,
+                       pipeline)
+
+
+def feature_key(config: dict) -> str:
+    """Hash of everything the features depend on: the dataset, dsp and features
+    sections and master_seed, the name and bytes of each input file, the
+    extraction modules' source, and the numpy and scipy versions."""
+    import scipy  # the bare package, for its version; scipy.signal stays unloaded
+    files = ([] if config["dataset"]["kind"] == "synthetic" else
+             [[path.name, hashlib.sha256(path.read_bytes()).hexdigest()]
+              for path, _, _ in dataset_files(config)])
+    return config_hash({
+        "config": {name: config[name] for name in ("dataset", "dsp", "features", "master_seed")},
+        "files": files,
+        "sources": {module.__name__: hashlib.sha256(Path(module.__file__).read_bytes()).hexdigest()
+                    for module in _EXTRACTION_MODULES},
+        "versions": [np.__version__, scipy.__version__]})
+
+
+def read_feature_cache(path: Path, entries: list[tuple[str, Protocol]],
+                       kind: str) -> FeatureDataset | None:
+    """The features stored at ``path`` for ``entries``, or None when the file is
+    missing, unreadable, or holds other entries or anything but finite float64
+    matrices of one row per frame and one column per name."""
+    members = [f"{subject}_{protocol.value}" for subject, protocol in entries]
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            # np.load reads a member only as far as its header's shape says,
+            # which can skip the zip checksum; testzip reads every byte
+            if npz.zip.testzip() is not None or sorted(npz.files) != sorted(
+                    [*members, "names"]):
+                return None
+            names, *matrices = (npz[name] for name in ("names", *members))
+    except Exception:  # zipfile, zlib, bz2, lzma and numpy each raise their own; all are a miss
+        return None
+    if names.ndim != 1 or names.dtype.kind != "U" or not all(
+            m.dtype == np.float64 and m.ndim == 2 and m.shape[0] > 0
+            and m.shape[1] == names.size > 0 and np.isfinite(m).all() for m in matrices):
+        return None
+    return FeatureDataset(vectors=dict(zip(entries, matrices)), feature_kind=kind,
+                          names=names.tolist())
+
+
+def write_feature_cache(path: Path, dataset: FeatureDataset) -> None:
+    buffer = io.BytesIO()
+    np.savez(buffer, names=np.array(dataset.names, dtype=str),
+             **{f"{subject}_{protocol.value}": matrix
+                for (subject, protocol), matrix in dataset.vectors.items()})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(path, buffer.getvalue())
 
 
 def load_features(config: dict) -> FeatureDataset:
-    return build_feature_dataset(load_recordings(config), dsp_config(config),
-                                 config["features"]["kind"])
+    """The configured dataset's features, read from
+    ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
+    them; otherwise extracted and written there."""
+    kind = config["features"]["kind"]
+    path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
+    dataset = read_feature_cache(path, dataset_entries(config), kind)
+    if dataset is None:
+        dataset = build_feature_dataset(load_recordings(config), dsp_config(config), kind)
+        write_feature_cache(path, dataset)
+    return dataset
 
 
 def synthetic_spec(config: dict) -> SyntheticSpec:
@@ -354,10 +433,9 @@ def enroll(config, subject, user_key, template_path):
     if not path.parent.is_dir():
         raise NotADirectoryError(f"cannot write the template {path}: "
                                  f"{path.parent} is not a directory")
-    dataset = load_features(config)
-    if subject not in dataset.subjects:
+    if subject not in {s for s, _ in dataset_entries(config)}:
         raise ConfigError(f"unknown subject {subject!r}")
-    system = AuthSystem(dataset, system_config(config))
+    system = AuthSystem(load_features(config), system_config(config))
     tr.save_template(system.reissue(subject, user_key).template, path)
     click.echo(f"enrolled {subject} -> {path}")
 
@@ -384,14 +462,14 @@ def verify(config, template_path, subject, user_key, theta, from_frame, n_frames
         if value is not None:
             require(name, value, kind, ok, what)
     enrolled = tr.load_template(template_path)
-    dataset = load_features(config)
-    if subject not in dataset.subjects:
+    subjects = {s for s, _ in dataset_entries(config)}
+    if subject not in subjects:
         raise ConfigError(f"unknown subject {subject!r}")
-    sys_cfg = system_config(config)
     claimed = enrolled.meta.subject_id
-    if claimed not in dataset.subjects:
+    if claimed not in subjects:
         raise ConfigError(f"template subject {claimed!r} not in dataset")
-    system = AuthSystem(dataset, sys_cfg)
+    sys_cfg = system_config(config)
+    system = AuthSystem(load_features(config), sys_cfg)
     system.revoke(claimed, user_key)
     start = sys_cfg.enroll_frames if from_frame is None else from_frame
     query = system.query_template(claimed, subject, start, n_frames)

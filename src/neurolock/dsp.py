@@ -4,6 +4,9 @@ Filtering is applied forward-backward so that downstream phase estimates are
 not biased by the filter's group delay; the effective magnitude response is
 the square of the single-pass response. The artifact-removal stage of the
 source pipeline is a deliberate no-op here.
+
+scipy.signal is imported inside the functions that use it: importing it takes
+about a second, and a CLI command that reads cached features never needs it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigError, DegenerateSignal, LengthError
 from .ingest import Recording
@@ -34,6 +36,7 @@ class FirFilter:
 
     def response_at(self, freq_hz: float) -> float:
         """Single-pass magnitude response at one frequency."""
+        import scipy.signal
         w = 2.0 * np.pi * freq_hz / self.fs
         _, h = scipy.signal.freqz(self.taps, worN=[w])
         return float(np.abs(h[0]))
@@ -60,6 +63,7 @@ def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> Fir
         raise ConfigError(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
     if order <= 0 or order % 2:
         raise ConfigError(f"order must be even and positive, got {order}")
+    import scipy.signal
     taps = scipy.signal.firwin(order + 1, [low_hz, high_hz], pass_zero=False,
                                window="hamming", fs=fs)
     taps = (taps + taps[::-1]) / 2.0  # enforce exact symmetry
@@ -72,6 +76,7 @@ def filter_zero_phase(recording: Recording, filt: FirFilter) -> Recording:
         raise LengthError(
             f"need more than {3 * filt.order} samples for zero-phase filtering, "
             f"got {recording.n_samples}")
+    import scipy.signal
     data = scipy.signal.filtfilt(filt.taps, [1.0], recording.data, axis=-1,
                                  padlen=3 * filt.order)
     return replace(recording, data=data)
@@ -108,4 +113,5 @@ def instantaneous_phase(x: np.ndarray) -> np.ndarray:
         where = ", ".join(" ".join(f"{axis} {i}" for axis, i in zip(axes, index))
                           for index in dead.tolist())
         raise DegenerateSignal(f"all-zero {where}: phase undefined")
+    import scipy.signal
     return np.angle(scipy.signal.hilbert(x, axis=-1))

@@ -209,7 +209,8 @@ class TestOracleBatch:
         assert oracle.batch(rows_of(5)) == [0.9, 0.8, 0.7]
         assert oracle.attempts == oracle.max_attempts == 3
         assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7)]
-        assert oracle.batch(rows_of(5)) == []
+        with pytest.raises(atk._BudgetExhausted):  # a spent budget scores nothing more
+            oracle.batch(rows_of(5))
         assert oracle.attempts == 3
 
     def test_nelder_mead_stops_where_the_oracle_budget_ends(self):
@@ -274,6 +275,25 @@ class TestBatchedSimplex:
         assert blocks[-1][0] == start
         assert not outcome.success
         assert outcome.attempts == len(outcome.trace) == config.max_attempts
+
+    def test_no_block_is_scored_on_a_spent_budget(self, small_system, monkeypatch):
+        """A shrink reached after a single query spent the budget scores nothing:
+        the oracle stops before it calls the scorer on an empty block."""
+        sizes = []
+        init = atk.ScoreOracle.__init__
+
+        def recording(oracle, score_fn, theta, max_attempts, batch_fn):
+            def counted(rows):
+                sizes.append(len(rows))
+                return batch_fn(rows)
+            init(oracle, score_fn, theta, max_attempts, counted)
+        monkeypatch.setattr(atk.ScoreOracle, "__init__", recording)
+        for case in ("feature_space", "template_space"):
+            for budget in range(50, 1494, 37):
+                config = atk.AttackConfig(case=case, theta=0.0, max_attempts=budget, seed=0)
+                assert atk.hill_climb_attack(small_system, "S001", config).attempts == budget
+        assert len(sizes) > 5000
+        assert sizes.count(0) == 0
 
 
 class TestArm:

@@ -1,10 +1,18 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from neurolock import cli, matching_eval, pipeline
+from neurolock import transform as tr
 from neurolock.cli import main
+from neurolock.ingest import read_csv_matrix, write_edf
 
 SMALL = [
     "--dataset.synthetic.n_subjects=4",
@@ -206,6 +214,28 @@ class TestEnrollVerify:
                          "--subject=S001", "--key=1", f"--output_dir={tmp_path}"])
         assert result.exit_code == 3, result.output
         assert result.output.startswith("data error: ")
+
+    @pytest.mark.parametrize("where", ["enroll", "verify", "template", "csv"])
+    def test_unknown_subject_exits_before_loading(self, tmp_path, monkeypatch, where):
+        def never(config):
+            raise AssertionError("load_features called")
+        monkeypatch.setattr(cli, "load_features", never)
+        template = tmp_path / "u.ceeg"
+        meta = tr.TemplateMeta(subject_id="S999" if where == "template" else "S001",
+                               key_id="k", delta=0.5, frames_averaged=1,
+                               quant_range=np.array([[-1.0, 1.0]]))
+        tr.save_template(tr.CancellableTemplate(np.zeros(8, dtype=np.uint8), meta), template)
+        subject = "S001" if where == "template" else "S999"
+        args = (["enroll", f"--subject={subject}", "--key=1"] if where in ("enroll", "csv")
+                else ["verify", f"--template={template}", f"--subject={subject}", "--key=1"])
+        if where == "csv":  # subjects come from the <subject>_<PROTOCOL>.csv names
+            (tmp_path / "S001_EO.csv").write_text("")
+            args += ["--dataset.kind=csv", f"--dataset.path={tmp_path}"]
+        result = invoke(args + [f"--output_dir={tmp_path}"])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("config error: template subject 'S999' not in dataset\n"
+                                 if where == "template" else
+                                 "config error: unknown subject 'S999'\n")
 
     def test_enroll_too_few_frames_is_config_error(self, tmp_path):
         result = invoke(["enroll", "--subject=S001", "--key=1",
@@ -488,3 +518,147 @@ class TestReports:
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps({"no_such_section": 1}))
         assert invoke(["synth", f"--config={config_path}"]).exit_code == 2
+
+
+# the config sections and leaves the features depend on, each with another valid value
+FEATURE_LEAVES = {
+    "dataset.kind": "synthetic", "dataset.fs": 128.0,
+    "dataset.synthetic.n_subjects": 5, "dataset.synthetic.n_channels": 5,
+    "dataset.synthetic.duration_s": 15.0, "dataset.synthetic.fs": 128.0,
+    "dataset.synthetic.noise_level": 0.2,
+    "dsp.prefilter": [1.0, 42.0], "dsp.band": [12.0, 30.0], "dsp.frame_seconds": 1.0,
+    "dsp.overlap": 0.5, "dsp.fir_order": 100, "dsp.rho_bins": 16,
+    "features.kind": "psd", "master_seed": 99,
+}
+# every other leaf, each with another valid value
+OTHER_LEAVES = {
+    "transform.delta": 0.3, "transform.enroll_frames": 4, "transform.query_frames": 2,
+    "transform.theta": 0.3, "transform.lost_key": False, "transform.master_key": 1,
+    "transform.calibration_margin": 0.5,
+    "eval.revocability_keys": 2, "eval.unlink_keys": 2,
+    "attack.case": "template_space", "attack.theta": 0.3, "attack.max_attempts": 10,
+    "attack.seed": 1, "attack.second_attack_keys": 1,
+    "slx.split": 0.5, "slx.n_users": 3, "slx.seeds": 2,
+}
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Every feature extraction the CLI runs, counted."""
+    calls = []
+    build = cli.build_feature_dataset
+    monkeypatch.setattr(cli, "build_feature_dataset",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+@pytest.fixture
+def csv_dataset(tmp_path):
+    assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0
+    return tmp_path / "dataset"
+
+
+class TestFeatureCache:
+    def test_outputs_equal_cold_warm_and_after_deleting_the_cache(self, tmp_path,
+                                                                   extractions):
+        out = tmp_path / "out"
+        template = out / "S001.ceeg"
+        commands = [
+            ["extract"],
+            ["enroll", "--subject=S001", "--key=777"],
+            ["verify", f"--template={template}", "--subject=S001", "--key=777",
+             "--from-frame=0", "--frames=3"],
+            ["verify", f"--template={template}", "--subject=S002", "--key=777"],
+            ["eval", "--eval.revocability_keys=2"],
+            ["attack", "--attack.max_attempts=200", "--attack.second_attack_keys=2"],
+            ["slx", "--slx.seeds=2", "--slx.n_users=3"],
+        ]
+
+        def run_all(before_each):
+            results = []
+            for args in commands:
+                before_each()
+                result = invoke(args + [f"--output_dir={out}"] + SMALL)
+                results.append((result.exit_code, result.output))
+            files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                     if path.is_file() and path.parent.name != "cache"}
+            return results, files
+
+        first = run_all(lambda: None)  # the first command extracts and fills the cache
+        assert len(extractions) == 1
+        warm = run_all(lambda: None)
+        assert len(extractions) == 1
+        deleted = run_all(lambda: shutil.rmtree(out / "cache"))  # every command cold
+        assert len(extractions) == 1 + len(commands)
+        assert first == warm == deleted
+        codes = [code for code, _ in first[0]]
+        assert codes[:3] == [0, 0, 0] and codes[3] in (0, 4) and codes[4:] == [0, 0, 0]
+        assert {"S001.ceeg", "eval_report.json", "attack_report.json", "slx_report.json",
+                "features/S001_EO.csv"} <= {str(path) for path in first[1]}
+        assert len(list((out / "cache").iterdir())) == 1
+
+    def test_key_covers_every_feature_leaf_and_no_other(self, csv_dataset):
+        assert set(FEATURE_LEAVES) | set(OTHER_LEAVES) | {"dataset.path", "output_dir"} \
+            == set(leaves(cli.DEFAULT_CONFIG))
+        base = ["--dataset.kind=csv", f"--dataset.path={csv_dataset}"] + SMALL
+
+        def key(*overrides):
+            return cli.feature_key(cli.load_config(None, (*base, *overrides), None))
+        reference = key()
+        copy = csv_dataset.parent / "copy"
+        shutil.copytree(csv_dataset, copy)
+        changed = {dotted: key(f"--{dotted}={json.dumps(value)}")
+                   for dotted, value in {**FEATURE_LEAVES, "dataset.path": str(copy)}.items()}
+        assert reference not in changed.values()
+        assert len(set(changed.values())) == len(changed)
+        for dotted, value in {**OTHER_LEAVES, "output_dir": "elsewhere"}.items():
+            assert key(f"--{dotted}={json.dumps(value)}") == reference, dotted
+
+    @pytest.mark.parametrize("kind", ["csv", "edf"])
+    def test_one_input_byte_changes_the_key_and_extracts_again(self, tmp_path, csv_dataset,
+                                                               extractions, kind):
+        root = csv_dataset
+        if kind == "edf":
+            root = tmp_path / "edf"
+            root.mkdir()
+            for path in sorted(csv_dataset.glob("*.csv")):
+                write_edf(read_csv_matrix(path, fs=160.0), root / f"{path.stem}.edf",
+                          record_seconds=1.0)
+        args = ["extract", f"--output_dir={tmp_path / 'out'}", f"--dataset.kind={kind}",
+                f"--dataset.path={root}"] + SMALL
+        config = cli.load_config(None, tuple(args[1:]), None)
+        assert invoke(args).exit_code == 0
+        assert invoke(args).exit_code == 0
+        assert len(extractions) == 1
+        before = cli.feature_key(config)
+        path = root / f"S002_EC.{kind}"
+        blob = bytearray(path.read_bytes())
+        blob[-3] = ord("7") if blob[-3] != ord("7") else ord("3")  # a digit / a sample byte
+        path.write_bytes(bytes(blob))
+        assert cli.feature_key(config) != before
+        assert invoke(args).exit_code == 0
+        assert len(extractions) == 2
+        assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
+
+
+def test_cli_and_a_warm_verify_never_import_scipy_signal_or_sparse(tmp_path):
+    args = [f"--output_dir={tmp_path}"] + SMALL
+    assert invoke(["enroll", "--subject=S001", "--key=777"] + args).exit_code == 0
+    script = f"""
+import sys
+def loaded():
+    return sorted(name for name in ("scipy.signal", "scipy.sparse") if name in sys.modules)
+from neurolock import cli
+print(loaded())
+cli.main(args={["verify", f"--template={tmp_path / 'S001.ceeg'}", "--subject=S001",
+                "--key=777", "--from-frame=0", "--frames=3"] + args!r},
+         standalone_mode=False)
+print(loaded())
+"""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "ACCEPT score=0.000000 raw=0 threshold=0.389",
+                                        "[]"]

@@ -1,7 +1,9 @@
 """Corrupted template (CEEG1), EDF and CSV files: every malformed input ends in
 ParseError or EmptyRecording, never in another exception, and the error names
-the file."""
+the file. A corrupted feature cache file is a miss: the features are extracted
+again and the file is rewritten."""
 
+import io
 import json
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurolock import cli
 from neurolock import transform as tr
 from neurolock.errors import EmptyRecording, ParseError
 from neurolock.ingest import (Recording, read_csv_matrix, read_edf, write_csv_matrix,
                               write_edf)
+from neurolock.pipeline import random_feature_dataset
 
 BAD_NUMBERS = ("nan", "inf", "-1", "1e400")
 N_SIGNALS = 2
@@ -196,3 +200,153 @@ def test_truncated_csv(valid_csv, cut):
     # a cut inside the first row leaves a smaller but well-formed matrix
     assert rec is None or (rec.data.shape[0] <= CSV_SHAPE[0]
                            and np.isfinite(rec.data).all())
+
+
+# -- feature cache files ------------------------------------------------------
+
+CACHE_CONFIG = ["--dataset.synthetic.n_subjects=2", "--dataset.synthetic.n_channels=4",
+                "--dataset.synthetic.duration_s=14"]
+
+
+def same_features(a, b) -> bool:
+    """Equal bit for bit: keys in order, float64 arrays, kind and names."""
+    return (list(a.vectors) == list(b.vectors) and a.feature_kind == b.feature_kind
+            and a.names == b.names
+            and all(x.dtype == y.dtype == np.float64 and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()
+                    for x, y in zip(a.vectors.values(), b.vectors.values())))
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    """A config, its cache path, the cache file's bytes and the extracted features."""
+    out = tmp_path_factory.mktemp("fuzz_cache")
+    config = cli.load_config(None, (*CACHE_CONFIG, f"--output_dir={out}"), None)
+    features = cli.load_features(config)
+    (path,) = (out / "cache").glob("features-*.npz")
+    return config, path, path.read_bytes(), features
+
+
+def read_cache(config, path):
+    return cli.read_feature_cache(path, cli.dataset_entries(config),
+                                  config["features"]["kind"])
+
+
+def npz_blob(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def test_valid_cache_file_reads(cache):
+    config, path, blob, features = cache
+    path.write_bytes(blob)
+    assert same_features(read_cache(config, path), features)
+    with np.load(path, allow_pickle=False) as npz:
+        assert set(npz.files) == {"names", *(f"{s}_{p.value}" for s, p in features.vectors)}
+
+
+@given(cut=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_truncated_cache_file(cache, cut):
+    config, path, blob, _ = cache
+    path.write_bytes(blob[:cut % len(blob)])
+    assert read_cache(config, path) is None
+
+
+@given(flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_byte_flipped_cache_file(cache, flips):
+    """A flip the zip checksums catch is a miss; one in a field nothing reads
+    (a timestamp, say) leaves the features as they were."""
+    config, path, blob, features = cache
+    blob = bytearray(blob)
+    for index, mask in flips:
+        blob[index % len(blob)] ^= mask
+    path.write_bytes(bytes(blob))
+    read = read_cache(config, path)
+    assert read is None or same_features(read, features)
+
+
+def test_member_header_cut_to_fewer_rows_is_a_miss(tmp_path):
+    """A member over the zip reader's 4 KiB buffer whose header claims fewer
+    rows: np.load alone would return the shorter matrix unchecked."""
+    features = random_feature_dataset(n_subjects=2, n_frames=31, dim=70, seed=1)
+    path = tmp_path / "features.npz"
+    cli.write_feature_cache(path, features)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"'shape': (31, 70)", b"'shape': (21, 70)", 1))
+    assert cli.read_feature_cache(path, list(features.vectors), "random") is None
+    path.write_bytes(blob)
+    assert same_features(cli.read_feature_cache(path, list(features.vectors), "random"),
+                         features)
+
+
+def corrupt_members(features, name):
+    """The cache file's members with one inconsistency, by name."""
+    members = {f"{s}_{p.value}": m for (s, p), m in features.vectors.items()}
+    first = next(iter(members))
+    if name == "nan":
+        members[first] = members[first].copy()
+        members[first][0, 0] = np.nan
+    elif name == "inf":
+        members[first] = np.full_like(members[first], np.inf)
+    elif name == "one-dim":
+        members[first] = members[first][0]
+    elif name == "transposed":
+        members[first] = members[first].T.copy()
+    elif name == "no-frames":
+        members[first] = members[first][:0]
+    elif name == "float32":
+        members[first] = members[first].astype(np.float32)
+    elif name == "big-endian":
+        members[first] = members[first].astype(">f8")
+    elif name == "missing-member":
+        del members[first]
+    elif name == "extra-member":
+        members["S999_EO"] = members[first]
+    elif name == "object":
+        members[first] = np.array([None, 1.0], dtype=object)
+    names = np.array(features.names)
+    if name == "short-names":
+        names = names[:-1]
+    elif name == "numeric-names":
+        names = np.arange(names.size, dtype=float)
+    elif name == "missing-names":
+        return members
+    return {"names": names, **members}
+
+
+@pytest.mark.parametrize("name", [
+    "empty", "not-a-zip", "truncated", "byte-flipped", "nan", "inf", "one-dim",
+    "transposed", "no-frames", "float32", "big-endian", "missing-member", "extra-member",
+    "object", "short-names", "numeric-names", "missing-names"])
+def test_bad_cache_file_is_a_miss_and_is_rewritten(cache, monkeypatch, name):
+    config, path, blob, features = cache
+    if name == "empty":
+        bad = b""
+    elif name == "not-a-zip":
+        bad = b"\x93NUMPY" + blob[6:]
+    elif name == "truncated":
+        bad = blob[:len(blob) // 2]
+    elif name == "byte-flipped":  # one float of the first matrix: its zip checksum fails
+        bad = bytearray(blob)
+        bad[blob.index(next(iter(features.vectors.values())).tobytes()) + 7] ^= 0x40
+        bad = bytes(bad)
+    elif name == "object":
+        buffer = io.BytesIO()
+        np.savez(buffer, allow_pickle=True, **corrupt_members(features, name))
+        bad = buffer.getvalue()
+    else:
+        bad = npz_blob(**corrupt_members(features, name))
+    path.write_bytes(bad)
+    assert read_cache(config, path) is None
+    extractions = []
+    build = cli.build_feature_dataset
+    monkeypatch.setattr(cli, "build_feature_dataset",
+                        lambda *args: extractions.append(args) or build(*args))
+    assert same_features(cli.load_features(config), features)
+    assert len(extractions) == 1
+    assert same_features(read_cache(config, path), features)
+    assert sorted(path.parent.iterdir()) == [path]  # no .tmp sibling left
