@@ -88,36 +88,28 @@ class AttackReport:
 # Nelder-Mead
 # ---------------------------------------------------------------------------
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
-                initial_step: np.ndarray | float | None = None,
+def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None,
                 diameter_tol: float = 1e-10):
-    """Downhill-simplex minimization with an exact evaluation budget.
+    """Downhill-simplex minimization; returns the best vertex (x, value).
 
     Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 0.5, 0.5). Stops when the best value drops to tol, the simplex
-    diameter collapses below diameter_tol, or the budget is spent. Returns
-    (best x, best value, evaluations used); the starting point is evaluated
-    first, so budget=1 returns x0's value.
+    (1, 2, 0.5, 0.5). Runs until the simplex diameter collapses below
+    diameter_tol or the objective raises: it keeps no budget and no best
+    point of its own, so a caller that needs either (the hill climb's
+    `ScoreOracle`) keeps them in the objective and ends the search by
+    raising from it. A NaN value raises `ObjectiveError`.
 
     `objective` maps one point to a value. If it also has a `batch` method,
     which maps a (k, n) block of points to their k values in one call, the
     initial simplex and every shrink (n new vertices, most of a long run's
     evaluations) go through it; reflection, expansion and contraction stay
-    single calls. A batch may return fewer values than rows when the
-    objective ends the search at that row; the search then stops there as
-    its budget does. The values, the evaluation order and the best point are
-    those of evaluating the rows one at a time, first to last.
+    single calls. An objective without `batch` is called one row at a time,
+    first to last: the reference that a batch must reproduce.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
     if n < 1:
         raise ConfigError("objective dimension must be at least 1")
-    if budget < 1:
-        raise ConfigError("evaluation budget must be at least 1")
     if initial_step is None:
         step = 0.1 * (np.abs(x0) + 1.0)
     else:
@@ -125,94 +117,71 @@ def nelder_mead(objective, x0, budget: int = 500, tol: float = 0.0,
         step[step == 0.0] = 1e-3
     batch = getattr(objective, "batch", None)
 
-    evals = 0
-    best_x, best_f = x0.copy(), np.inf
-
-    def record(x, value):
-        nonlocal evals, best_x, best_f
+    def checked(value):
         value = float(value)
-        evals += 1
         if math.isnan(value):
             raise ObjectiveError("objective returned NaN")
-        if value < best_f:
-            best_f, best_x = value, x.copy()
         return value
 
     def evaluate(x):
-        if evals >= budget:
-            raise _BudgetExhausted()
-        return record(x, objective(x))
+        return checked(objective(x))
 
     def evaluate_rows(rows):
-        kept = rows[:budget - evals]
-        values = batch(kept) if batch is not None else map(objective, kept)
-        values = [record(x, value) for x, value in zip(kept, values)]
-        if len(values) < len(rows):
-            raise _BudgetExhausted()
-        return values
+        return [checked(value) for value in
+                (batch(rows) if batch is not None else map(objective, rows))]
 
-    try:
-        simplex = np.tile(x0, (n + 1, 1))
-        simplex[np.arange(1, n + 1), np.arange(n)] += step
-        fvals = np.array(evaluate_rows(simplex))
-
-        while True:
-            order = np.argsort(fvals, kind="stable")
-            simplex, fvals = simplex[order], fvals[order]
-            if fvals[0] <= tol:
-                break
-            diameter = np.max(np.abs(simplex[1:] - simplex[0]))
-            if diameter < diameter_tol:
-                break
-            centroid = simplex[:-1].mean(axis=0)
-            worst = simplex[-1]
-            reflected = centroid + (centroid - worst)
-            f_reflected = evaluate(reflected)
-            if f_reflected < fvals[0]:
-                expanded = centroid + 2.0 * (centroid - worst)
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    simplex[-1], fvals[-1] = expanded, f_expanded
-                else:
-                    simplex[-1], fvals[-1] = reflected, f_reflected
-            elif f_reflected < fvals[-2]:
-                simplex[-1], fvals[-1] = reflected, f_reflected
+    simplex = np.tile(x0, (n + 1, 1))
+    simplex[np.arange(1, n + 1), np.arange(n)] += step
+    fvals = np.array(evaluate_rows(simplex))
+    while True:
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if np.max(np.abs(simplex[1:] - simplex[0])) < diameter_tol:
+            return simplex[0].copy(), float(fvals[0])
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = evaluate(reflected)
+        if f_reflected < fvals[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = evaluate(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], fvals[-1] = expanded, f_expanded
             else:
-                if f_reflected < fvals[-1]:
-                    simplex[-1], fvals[-1] = reflected, f_reflected
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                f_contracted = evaluate(contracted)
-                if f_contracted < fvals[-1]:
-                    simplex[-1], fvals[-1] = contracted, f_contracted
-                else:
-                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                    fvals[1:] = evaluate_rows(simplex[1:])
-    except _BudgetExhausted:
-        pass
-    return best_x, best_f, evals
+                simplex[-1], fvals[-1] = reflected, f_reflected
+        elif f_reflected < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_reflected
+        else:
+            if f_reflected < fvals[-1]:
+                simplex[-1], fvals[-1] = reflected, f_reflected
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            f_contracted = evaluate(contracted)
+            if f_contracted < fvals[-1]:
+                simplex[-1], fvals[-1] = contracted, f_contracted
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                fvals[1:] = evaluate_rows(simplex[1:])
 
 
 # ---------------------------------------------------------------------------
 # hill-climbing attack
 # ---------------------------------------------------------------------------
 
-class _OracleSuccess(Exception):
-    def __init__(self, candidate, score):
-        self.candidate = candidate
-        self.score = score
+class _SearchOver(Exception):
+    """Raised by `ScoreOracle` at the first accepted query or once the budget is spent."""
 
 
 class ScoreOracle:
-    """Counts every matcher query, and alone ends the search: at the first
-    accepted query, or at the first query past the attempt budget.
+    """The one owner of a hill climb's state: it counts and traces every
+    matcher query, keeps the first-seen lowest-scoring query as `best_x` and
+    `best_score`, and alone ends the search by raising `_SearchOver` at the
+    first accepted query or at the query that spends the budget, after
+    counting it. The search succeeded when `best_score <= theta`.
 
-    `batch` queries a block of candidates (rows) with one `batch_fn` call,
-    then counts and traces them one at a time, in order, exactly as calls
-    would: it raises at the first accepted row, and at the budget's end it
-    returns the scores of the rows the budget covers, which `nelder_mead`
-    reads as the end of the search. Rows past an accept are scored, but
-    never counted, traced or returned. Like a call, a batch on a spent
-    budget raises before it scores anything.
+    `batch` scores a block of candidates (rows) with one `batch_fn` call,
+    trimmed to the rows the budget covers, then counts and traces them one at
+    a time, in order, exactly as calls would. Rows after an accept are
+    scored, but never counted, traced or kept as the best query.
     """
 
     def __init__(self, score_fn, theta: float, max_attempts: int, batch_fn):
@@ -222,27 +191,24 @@ class ScoreOracle:
         self.max_attempts = max_attempts
         self.attempts = 0
         self.trace: list[tuple[int, float]] = []
+        self.best_x: np.ndarray | None = None
+        self.best_score = math.inf
 
     def __call__(self, candidate: np.ndarray) -> float:
-        if self.attempts >= self.max_attempts:
-            raise _BudgetExhausted()
-        score = self.score_fn(candidate)
-        self.attempts += 1
-        self.trace.append((self.attempts, score))
-        if score <= self.theta:
-            raise _OracleSuccess(np.array(candidate, dtype=float), score)
-        return score
+        return self._count([candidate], [self.score_fn(candidate)])[0]
 
     def batch(self, candidates: np.ndarray) -> list[float]:
-        if self.attempts >= self.max_attempts:
-            raise _BudgetExhausted()
         candidates = candidates[:self.max_attempts - self.attempts]
-        scores = self.batch_fn(candidates).tolist()
+        return self._count(candidates, self.batch_fn(candidates).tolist())
+
+    def _count(self, candidates, scores: list[float]) -> list[float]:
         for candidate, score in zip(candidates, scores):
             self.attempts += 1
             self.trace.append((self.attempts, score))
-            if score <= self.theta:
-                raise _OracleSuccess(np.array(candidate, dtype=float), score)
+            if score < self.best_score:
+                self.best_x, self.best_score = np.array(candidate, dtype=float), score
+            if score <= self.theta or self.attempts >= self.max_attempts:
+                raise _SearchOver()
         return scores
 
 
@@ -265,7 +231,10 @@ def hill_climb_attack(system: AuthSystem, subject: str,
     Alternates exploration (a simplex from a fresh seeded uniform draw over
     the bounds) with refinement sweeps that restart the simplex at the
     incumbent with shrinking scales, run only when the incumbent improved:
-    otherwise the deterministic sweep would just retrace itself.
+    otherwise the deterministic sweep would just retrace itself. The
+    `ScoreOracle` holds the attempts, the trace and the incumbent, and ends
+    the climb at the first accepted query or once the budget is spent; the
+    outcome is read from it.
     """
     account = system.users[subject]
     feature_space = config.case == AttackCase.FEATURE_SPACE
@@ -285,34 +254,25 @@ def hill_climb_attack(system: AuthSystem, subject: str,
                           else (scorer.projected_score, scorer.projected_scores))
     oracle = ScoreOracle(score_fn, config.theta, config.max_attempts, batch_fn)
     width = bounds[:, 1] - bounds[:, 0]
-    best_x, best_f = None, np.inf
-
-    def search(x0, step):
-        nonlocal best_x, best_f
-        x, f, _ = nelder_mead(oracle, x0, budget=config.max_attempts,
-                              initial_step=step * width)
-        if f < best_f:
-            best_x, best_f = x, f
-
-    success = False
     try:
-        restart, last_refined = 0, np.inf
-        while oracle.attempts < config.max_attempts:
+        restart, last_refined = 0, math.inf
+        while True:
             rng = np.random.default_rng([config.seed, stable_int(subject), restart])
             restart += 1
-            search(rng.uniform(bounds[:, 0], bounds[:, 1]), 0.25)
-            while best_f < last_refined:
-                last_refined = best_f
+            nelder_mead(oracle, rng.uniform(bounds[:, 0], bounds[:, 1]),
+                        initial_step=0.25 * width)
+            while oracle.best_score < last_refined:
+                last_refined = oracle.best_score
                 for scale in (0.08, 0.04, 0.02, 0.01, 0.005):
-                    if oracle.attempts >= config.max_attempts:
-                        break
-                    search(best_x, scale)
-    except _OracleSuccess as hit:
-        success, best_x, best_f = True, hit.candidate, hit.score
-    similarity = cosine_similarity(best_x, account.true_features) if feature_space else None
-    return HillClimbOutcome(subject=subject, success=success, attempts=oracle.attempts,
-                            best_score=float(best_f), solution=best_x,
-                            similarity=similarity, trace=oracle.trace)
+                    nelder_mead(oracle, oracle.best_x, initial_step=scale * width)
+    except _SearchOver:
+        pass
+    similarity = (cosine_similarity(oracle.best_x, account.true_features)
+                  if feature_space else None)
+    return HillClimbOutcome(subject=subject, success=oracle.best_score <= config.theta,
+                            attempts=oracle.attempts, best_score=float(oracle.best_score),
+                            solution=oracle.best_x, similarity=similarity,
+                            trace=oracle.trace)
 
 
 def run_hill_climb_campaign(system: AuthSystem, config: AttackConfig,
@@ -472,6 +432,13 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
             raise ConfigError(f"unknown solution kind {s.kind!r}")
         if s.kind == "feature" and np.shape(s.payload) != (2 * system.dim,):
             raise ShapeError(f"feature solution for {s.subject} is not {2 * system.dim} values")
+        if s.kind == "template":
+            n_bits = system.users[s.subject].template.n_bits
+            bits = np.asarray(s.payload)
+            if (bits.shape != (n_bits,) or bits.dtype.kind not in "biu"
+                    or not np.isin(bits, (0, 1)).all()):
+                raise ShapeError(f"template solution for {s.subject} is not a 1-D integer "
+                                 f"or bool array of {n_bits} bits, each 0 or 1")
     theta = system.config.theta if theta is None else theta
     rng = np.random.default_rng(seed)
     scores, sims, per_solution = [], [], []

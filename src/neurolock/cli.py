@@ -300,13 +300,17 @@ def write_feature_cache(path: Path, dataset: FeatureDataset) -> None:
 def load_features(config: dict) -> FeatureDataset:
     """The configured dataset's features, read from
     ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
-    them; otherwise extracted and written there."""
+    them; otherwise extracted and written there, replacing every other key's
+    file in the directory."""
     kind = config["features"]["kind"]
     path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
     dataset = read_feature_cache(path, dataset_entries(config), kind)
     if dataset is None:
         dataset = build_feature_dataset(load_recordings(config), dsp_config(config), kind)
         write_feature_cache(path, dataset)
+        for stale in path.parent.glob("features-*.npz"):
+            if stale != path:
+                stale.unlink(missing_ok=True)
     return dataset
 
 

@@ -33,46 +33,36 @@ def template_of(r_hat):
 
 class TestNelderMead:
     def test_quadratic_bowl(self):
-        x, f, evals = atk.nelder_mead(lambda v: float((v ** 2).sum()),
-                                      np.array([1.0, 1.0]), budget=500, tol=0.0)
+        x, f = atk.nelder_mead(lambda v: float((v ** 2).sum()), np.array([1.0, 1.0]))
         assert f < 1e-8
-        assert evals <= 500
+        assert f == float((x ** 2).sum())
 
     def test_absolute_value_matches_grid_search(self):
         objective = lambda v: float(abs(v[0] - 3.0))
-        x, f, _ = atk.nelder_mead(objective, np.array([0.0]), budget=400, tol=0.0)
+        x, f = atk.nelder_mead(objective, np.array([0.0]))
         grid = np.linspace(-5, 10, 150001)
         best = grid[np.argmin(np.abs(grid - 3.0))]
         assert abs(x[0] - best) < 1e-4
 
-    def test_budget_one_returns_start(self):
-        calls = []
-        def objective(v):
-            calls.append(v.copy())
-            return float((v ** 2).sum())
-        x, f, evals = atk.nelder_mead(objective, np.array([2.0, 3.0]), budget=1)
-        assert evals == 1
-        assert len(calls) == 1
-        assert np.array_equal(x, [2.0, 3.0])
-        assert f == 13.0
+    def test_quadratic_stops_when_the_simplex_collapses(self):
+        """With no budget, a plain objective runs until the simplex collapses
+        below diameter_tol, and the best vertex is the best value seen."""
+        runs = {}
+        for diameter_tol in (1e-3, 1e-10):
+            values = []
 
-    def test_budget_counts_initial_simplex(self):
-        count = [0]
-        def objective(v):
-            count[0] += 1
-            return 1.0
-        atk.nelder_mead(objective, np.zeros(5), budget=4)
-        assert count[0] == 4  # stopped mid-simplex by the budget
+            def objective(v):
+                values.append(float((v ** 2).sum()))
+                return values[-1]
+            x, f = atk.nelder_mead(objective, np.array([1.0, -2.0]), diameter_tol=diameter_tol)
+            assert f == min(values)
+            assert np.max(np.abs(x)) < 10 * diameter_tol
+            runs[diameter_tol] = len(values)
+        assert runs[1e-3] < runs[1e-10]
 
     def test_nan_objective_raises(self):
         with pytest.raises(ObjectiveError):
-            atk.nelder_mead(lambda v: float("nan"), np.zeros(2), budget=10)
-
-    def test_tol_stops_early(self):
-        x, f, evals = atk.nelder_mead(lambda v: float((v ** 2).sum()),
-                                      np.array([0.01, 0.01]), budget=500, tol=1.0)
-        assert evals <= 3
-        assert f <= 1.0
+            atk.nelder_mead(lambda v: float("nan"), np.zeros(2))
 
 
 @pytest.fixture(scope="module")
@@ -182,47 +172,89 @@ class TestHillClimb:
         assert atk.AttackConfig(case="template_space").case is atk.AttackCase.TEMPLATE_SPACE
 
 
-def table_oracle(scores, theta=0.5, max_attempts=100):
-    """A score oracle whose candidate scores scores[i], i the sum of its entries."""
+def table_oracle(scores, theta=0.5, max_attempts=100, blocks=None):
+    """A score oracle whose candidate scores scores[i], i the sum of its entries;
+    `blocks` collects the size of every block the batch scorer receives."""
     table = np.asarray(scores, dtype=float)
-    return atk.ScoreOracle(lambda x: float(table[int(x.sum())]), theta, max_attempts,
-                           lambda rows: table[rows.sum(axis=1).astype(int)])
+
+    def batch_fn(rows):
+        if blocks is not None:
+            blocks.append(len(rows))
+        return table[rows.sum(axis=1).astype(int)]
+    return atk.ScoreOracle(lambda x: float(table[int(x.sum())]), theta, max_attempts, batch_fn)
 
 
 def rows_of(count):
     return np.stack([np.arange(count, dtype=float), np.zeros(count)], axis=1)
 
 
+def row_by_row(oracle, rows):
+    return [oracle(row) for row in rows]
+
+
+each_query_path = pytest.mark.parametrize("query", [atk.ScoreOracle.batch, row_by_row],
+                                          ids=["batch", "row-by-row"])
+
+
 class TestOracleBatch:
-    def test_accept_mid_batch_ends_count_and_trace_at_that_row(self):
+    @each_query_path
+    def test_accept_mid_batch_ends_count_and_trace_at_that_row(self, query):
         oracle = table_oracle([0.9, 0.8, 0.7, 0.2, 0.1, 0.6])
-        with pytest.raises(atk._OracleSuccess) as hit:
-            oracle.batch(rows_of(6))
+        with pytest.raises(atk._SearchOver):
+            query(oracle, rows_of(6))
         assert oracle.attempts == 4
         assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7), (4, 0.2)]
         assert all(type(score) is float for _, score in oracle.trace)
-        assert np.array_equal(hit.value.candidate, [3.0, 0.0])
-        assert hit.value.score == 0.2
+        assert np.array_equal(oracle.best_x, [3.0, 0.0])
+        assert oracle.best_score == 0.2
 
-    def test_budget_mid_batch_returns_the_covered_rows(self):
-        oracle = table_oracle([0.9, 0.8, 0.7, 0.6, 0.55], max_attempts=3)
-        assert oracle.batch(rows_of(5)) == [0.9, 0.8, 0.7]
+    @each_query_path
+    def test_budget_mid_batch_counts_the_covered_rows_then_raises(self, query):
+        blocks = []
+        oracle = table_oracle([0.9, 0.8, 0.7, 0.6, 0.55], max_attempts=3, blocks=blocks)
+        with pytest.raises(atk._SearchOver):
+            query(oracle, rows_of(5))
         assert oracle.attempts == oracle.max_attempts == 3
         assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7)]
-        with pytest.raises(atk._BudgetExhausted):  # a spent budget scores nothing more
-            oracle.batch(rows_of(5))
-        assert oracle.attempts == 3
+        assert (oracle.best_score, oracle.best_x.tolist()) == (0.7, [2.0, 0.0])
+        assert blocks == ([3] if query is atk.ScoreOracle.batch else [])  # no row past it
 
-    def test_nelder_mead_stops_where_the_oracle_budget_ends(self):
+    @each_query_path
+    def test_tied_scores_keep_the_first_seen_row(self, query):
+        oracle = table_oracle([0.9, 0.7, 0.8, 0.7, 0.7])
+        assert query(oracle, rows_of(5)) == [0.9, 0.7, 0.8, 0.7, 0.7]
+        assert (oracle.best_score, oracle.best_x.tolist()) == (0.7, [1.0, 0.0])
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "row-by-row"])
+    def test_nelder_mead_stops_where_the_oracle_budget_ends(self, monkeypatch, batched):
+        if not batched:
+            monkeypatch.delattr(atk.ScoreOracle, "batch")
         oracle = table_oracle([0.9] * 10, max_attempts=4)
-        x, f, evals = atk.nelder_mead(oracle, np.zeros(5), budget=100)
-        assert (evals, oracle.attempts, len(oracle.trace)) == (4, 4, 4)
-        assert (f, x.tolist()) == (0.9, [0.0] * 5)
+        with pytest.raises(atk._SearchOver):
+            atk.nelder_mead(oracle, np.zeros(5))  # ends mid-simplex
+        assert (oracle.attempts, len(oracle.trace)) == (4, 4)
+        assert (oracle.best_score, oracle.best_x.tolist()) == (0.9, [0.0] * 5)
+
+    def test_a_budget_of_one_scores_only_the_start(self):
+        blocks = []
+        oracle = table_oracle([0.9, 0.8, 0.7], max_attempts=1, blocks=blocks)
+        with pytest.raises(atk._SearchOver):
+            atk.nelder_mead(oracle, np.array([2.0, 0.0]), initial_step=-1.0)
+        assert blocks == [1]
+        assert oracle.trace == [(1, 0.7)]
+        assert (oracle.best_score, oracle.best_x.tolist()) == (0.7, [2.0, 0.0])
+
+    def test_nelder_mead_stops_at_the_first_accepted_row(self):
+        oracle = table_oracle([0.9, 0.8, 0.3, 0.1], max_attempts=100)
+        with pytest.raises(atk._SearchOver):
+            atk.nelder_mead(oracle, np.zeros(3), initial_step=[1.0, 2.0, 3.0])
+        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.3)]
+        assert (oracle.best_score, oracle.best_x.tolist()) == (0.3, [0.0, 2.0, 0.0])
 
     def test_nan_row_raises_objective_error(self):
         oracle = table_oracle([0.9, 0.8, float("nan"), 0.6])
         with pytest.raises(ObjectiveError):
-            atk.nelder_mead(oracle, np.zeros(3), budget=100, initial_step=[1.0, 2.0, 3.0])
+            atk.nelder_mead(oracle, np.zeros(3), initial_step=[1.0, 2.0, 3.0])
         assert oracle.trace[:2] == [(1, 0.9), (2, 0.8)]
         assert oracle.trace[2][0] == 3 and np.isnan(oracle.trace[2][1])
 
@@ -444,6 +476,27 @@ class TestSecondAttack:
                      atk.Solution(subject="S002", kind="bits",
                                   payload=system.users["S002"].template.bits)]
         with pytest.raises(ConfigError, match="unknown solution kind 'bits'"):
+            atk.second_attack(system, solutions, n_keys=3)
+        assert reissued == []
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda bits: bits.astype(float),
+        lambda bits: bits.reshape(2, -1),
+        lambda bits: bits[:-1],
+        lambda bits: bits.astype(int) * 2,
+    ], ids=["float", "2-d", "one-bit-short", "not-0-or-1"])
+    def test_bad_template_payload_fails_before_any_reissue(self, monkeypatch, corrupt):
+        dataset = random_feature_dataset(n_subjects=3, n_frames=6, dim=8, seed=80)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=2, query_frames=1,
+                                                  delta=0.5))
+        reissued = []
+        monkeypatch.setattr(system, "reissue", lambda *args: reissued.append(args))
+        bits = system.users["S002"].template.bits
+        solutions = [atk.Solution(subject="S001", kind="template",
+                                  payload=system.users["S001"].template.bits),
+                     atk.Solution(subject="S002", kind="template", payload=corrupt(bits))]
+        with pytest.raises(ShapeError, match=f"S002 is not a 1-D integer or bool array "
+                                             f"of {bits.size} bits, each 0 or 1"):
             atk.second_attack(system, solutions, n_keys=3)
         assert reissued == []
 

@@ -638,7 +638,8 @@ class TestFeatureCache:
         assert cli.feature_key(config) != before
         assert invoke(args).exit_code == 0
         assert len(extractions) == 2
-        assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
+        assert [p.name for p in (tmp_path / "out" / "cache").iterdir()] == [
+            f"features-{cli.feature_key(config)}.npz"]  # the stale file is gone
 
 
 def test_cli_and_a_warm_verify_never_import_scipy_signal_or_sparse(tmp_path):
