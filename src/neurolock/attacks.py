@@ -88,13 +88,12 @@ class AttackReport:
 # Nelder-Mead
 # ---------------------------------------------------------------------------
 
-def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None,
-                diameter_tol: float = 1e-10):
+def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None):
     """Downhill-simplex minimization; returns the best vertex (x, value).
 
     Standard reflection/expansion/contraction/shrink coefficients
     (1, 2, 0.5, 0.5). Runs until the simplex diameter collapses below
-    diameter_tol or the objective raises: it keeps no budget and no best
+    1e-10 or the objective raises: it keeps no budget and no best
     point of its own, so a caller that needs either (the hill climb's
     `ScoreOracle`) keeps them in the objective and ends the search by
     raising from it. A NaN value raises `ObjectiveError`.
@@ -136,7 +135,7 @@ def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None,
     while True:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
-        if np.max(np.abs(simplex[1:] - simplex[0])) < diameter_tol:
+        if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
             return simplex[0].copy(), float(fvals[0])
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
@@ -428,12 +427,13 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     re-keyed account's `AccountScorer`, template solutions bit-for-bit.
     """
     for s in solutions:
+        account = system.users[s.subject]
         if s.kind not in ("feature", "template"):
             raise ConfigError(f"unknown solution kind {s.kind!r}")
         if s.kind == "feature" and np.shape(s.payload) != (2 * system.dim,):
             raise ShapeError(f"feature solution for {s.subject} is not {2 * system.dim} values")
         if s.kind == "template":
-            n_bits = system.users[s.subject].template.n_bits
+            n_bits = account.template.n_bits
             bits = np.asarray(s.payload)
             if (bits.shape != (n_bits,) or bits.dtype.kind not in "biu"
                     or not np.isin(bits, (0, 1)).all()):

@@ -12,10 +12,11 @@ from .errors import ConfigError, DegenerateSignal, LengthError
 # band edges in Hz: delta, theta, alpha, beta, gamma
 BANDS = ((0.5, 4.0), (4.0, 8.0), (8.0, 13.0), (13.0, 30.0), (30.0, 42.0))
 BAND_NAMES = ("delta", "theta", "alpha", "beta", "gamma")
+AR_ORDER = 5  # Burg reflection coefficients per channel
 
 
 class BaselineKind(enum.Enum):
-    AR = "ar"          # 5 reflection coefficients per channel
+    AR = "ar"          # AR_ORDER reflection coefficients per channel
     PSD = "psd"        # 5 band powers per channel
     FUZZEN = "fuzzen"  # 1 entropy value per channel
     CONCAT = "concat"  # AR then PSD then FuzzEn
@@ -23,27 +24,27 @@ class BaselineKind(enum.Enum):
 
 # per-channel component names of each single kind; CONCAT joins the kinds
 # in this order
-_COMPONENTS = {BaselineKind.AR: [f"ar_k{i + 1}" for i in range(5)],
+_COMPONENTS = {BaselineKind.AR: [f"ar_k{i + 1}" for i in range(AR_ORDER)],
                BaselineKind.PSD: [f"bp_{b}" for b in BAND_NAMES],
                BaselineKind.FUZZEN: ["fuzzen"]}
 
 
-def ar_reflection_coeffs(channel: np.ndarray, order: int = 5) -> np.ndarray:
-    """Burg-method reflection coefficients k_1..k_order, each in [-1, 1].
+def ar_reflection_coeffs(channel: np.ndarray) -> np.ndarray:
+    """Burg-method reflection coefficients k_1..k_AR_ORDER, each in [-1, 1].
 
     Sign convention: the coefficient is the (negative) normalized cross
     correlation of forward and backward prediction errors, so a strongly
     positively autocorrelated AR(1) process yields k_1 close to -0.9.
     """
     x = np.asarray(channel, dtype=float).ravel()
-    if x.size <= 2 * order:
-        raise LengthError(f"need more than {2 * order} samples, got {x.size}")
+    if x.size <= 2 * AR_ORDER:
+        raise LengthError(f"need more than {2 * AR_ORDER} samples, got {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateSignal("zero-variance input: AR model undefined")
     f = x[1:].astype(float)   # forward prediction error
     b = x[:-1].astype(float)  # backward prediction error, lagged one sample
-    coeffs = np.zeros(order)
-    for m in range(order):
+    coeffs = np.zeros(AR_ORDER)
+    for m in range(AR_ORDER):
         denom = float(f @ f + b @ b)
         if denom == 0.0:
             break
@@ -80,18 +81,18 @@ def band_powers(channel: np.ndarray, fs: float) -> np.ndarray:
     return out
 
 
-def fuzzy_entropy(channel: np.ndarray, m: int = 2, r_factor: float = 0.2,
-                  n_exp: float = 2.0) -> float:
-    """Fuzzy entropy -ln(phi_{m+1} / phi_m) with exponential membership.
+def fuzzy_entropy(channel: np.ndarray) -> float:
+    """Fuzzy entropy -ln(phi_{m+1} / phi_m) with exponential membership, m = 2.
 
     Templates of lengths m and m+1 have their own means removed; pair
-    distances are Chebyshev; membership is exp(-(d / r)^n_exp) with
-    r = r_factor * std(channel).
+    distances are Chebyshev; membership is exp(-(d / r)^2) with
+    r = 0.2 * std(channel).
     """
+    m = 2
     x = np.asarray(channel, dtype=float).ravel()
     if x.size <= m + 2:
         raise LengthError(f"need more than {m + 2} samples, got {x.size}")
-    r = r_factor * float(np.std(x))
+    r = 0.2 * float(np.std(x))
     if r == 0.0:
         raise DegenerateSignal("constant series: tolerance r is zero")
 
@@ -101,7 +102,7 @@ def fuzzy_entropy(channel: np.ndarray, m: int = 2, r_factor: float = 0.2,
         templates = x[idx]
         templates = templates - templates.mean(axis=1, keepdims=True)
         dists = np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2)
-        members = np.exp(-np.power(dists / r, n_exp))
+        members = np.exp(-np.power(dists / r, 2.0))
         total = members.sum() - np.trace(members)  # exclude self-matches
         return total / (count * (count - 1))
 

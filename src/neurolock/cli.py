@@ -543,6 +543,8 @@ def attack(config):
 @command()
 def slx(config):
     """Compare classification-style vs authentication-style evaluation."""
+    sl_eval.user_set_size(config["slx"]["n_users"],
+                          len({s for s, _ in dataset_entries(config)}))
     dataset = load_features(config)
     proto = dataset.protocols[0]
     per_subject = {s: dataset.frames(s, proto) for s in dataset.subjects}

@@ -35,14 +35,14 @@ def _adjacency(graph) -> np.ndarray:
     return w
 
 
-def pagerank_centrality(graph, damping: float = 0.85, tol: float = 1e-12,
-                        max_iter: int = 1000) -> np.ndarray:
-    """Stationary distribution of the damped weighted random walk.
+def pagerank_centrality(graph) -> np.ndarray:
+    """Stationary distribution of the random walk damped at 0.85.
 
     Transition probability from i to j is proportional to the edge weight;
     nodes without edges teleport uniformly. Converged when the L1 change of
-    the iterate drops below tol.
+    the iterate drops below 1e-12, within 1000 iterations.
     """
+    damping, tol, max_iter = 0.85, 1e-12, 1000
     w = _adjacency(graph)
     n = w.shape[0]
     strengths = w.sum(axis=1)

@@ -363,11 +363,11 @@ class SyntheticSpec:
     """Deterministic desk-scale stand-in for a resting-state EEG database.
 
     Each subject gets seeded latent parameters: per-channel oscillator
-    frequencies inside `band` and a symmetric cross-channel coupling matrix
-    with entries in [0, 1]. Channels mix each other's oscillators through the
-    coupling matrix, so phase synchronization patterns are stable within a
-    subject and differ across subjects. Identical specs produce bit-identical
-    output.
+    frequencies inside the 13-30 Hz beta band and a symmetric cross-channel
+    coupling matrix with entries in [0, 1]. Channels mix each other's
+    oscillators through the coupling matrix, so phase synchronization
+    patterns are stable within a subject and differ across subjects.
+    Identical specs produce bit-identical output.
     """
 
     n_subjects: int
@@ -376,10 +376,7 @@ class SyntheticSpec:
     fs: float
     master_seed: int
     noise_level: float = 0.2
-    band: tuple[float, float] = (13.0, 30.0)
     protocols: tuple[Protocol, ...] = (Protocol.EO, Protocol.EC)
-    coupling: np.ndarray | None = None    # optional N x N override, used for all subjects
-    base_freqs: np.ndarray | None = None  # optional length-N override, used for all subjects
 
     def __post_init__(self):
         """Check types and ranges; cheap enough to run before any synthesis."""
@@ -412,44 +409,28 @@ def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _subject_latents(spec: SyntheticSpec, subject_idx: int):
+    # subject-specific block structure: channels in the same group lock to
+    # a shared oscillator, cross-group coupling stays weak. One frequency
+    # per group on a jittered grid keeps cross-group beat periods short
+    # relative to a frame, so relative-phase histograms are stationary
+    # from window to window. Identity lives mostly in the grouping
+    # pattern; coupling levels vary only mildly across subjects so that
+    # no scalar magnitude trait survives re-keying.
     rng = np.random.default_rng([spec.master_seed, subject_idx])
     n = spec.n_channels
-    freqs = None
-    if spec.base_freqs is not None:
-        freqs = np.asarray(spec.base_freqs, dtype=float)
-    if spec.coupling is not None:
-        coupling = np.asarray(spec.coupling, dtype=float)
-        if freqs is None:
-            lo, hi = spec.band
-            # keep frequencies off the band edges so filtering leaves them intact
-            freqs = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=n)
-    else:
-        # subject-specific block structure: channels in the same group lock to
-        # a shared oscillator, cross-group coupling stays weak. One frequency
-        # per group on a jittered grid keeps cross-group beat periods short
-        # relative to a frame, so relative-phase histograms are stationary
-        # from window to window. Identity lives mostly in the grouping
-        # pattern; coupling levels vary only mildly across subjects so that
-        # no scalar magnitude trait survives re-keying.
-        n_groups = int(rng.integers(max(2, n // 8), max(3, n // 4) + 1))
-        groups = rng.integers(0, n_groups, size=n)
-        lo, hi = spec.band
-        grid = np.linspace(lo + 1.2, hi - 1.2, n_groups)
-        group_freqs = grid + rng.uniform(-0.5, 0.5, size=n_groups)
-        if freqs is None:
-            freqs = group_freqs[groups]
-        same = groups[:, None] == groups[None, :]
-        strong_level = rng.uniform(0.80, 0.92)
-        weak_level = rng.uniform(0.26, 0.42)
-        strong = np.clip(strong_level + rng.uniform(-0.02, 0.02, (n, n)), 0.0, 1.0)
-        weak = np.clip(weak_level + rng.uniform(-0.02, 0.02, (n, n)), 0.0, 1.0)
-        coupling = np.where(same, strong, weak)
-        coupling = (coupling + coupling.T) / 2.0
-        np.fill_diagonal(coupling, 1.0)
-    if coupling.shape != (n, n) or not np.allclose(coupling, coupling.T):
-        raise ConfigError("coupling matrix must be symmetric N x N")
-    if coupling.min() < 0 or coupling.max() > 1:
-        raise ConfigError("coupling entries must lie in [0, 1]")
+    n_groups = int(rng.integers(max(2, n // 8), max(3, n // 4) + 1))
+    groups = rng.integers(0, n_groups, size=n)
+    lo, hi = 13.0, 30.0  # the beta band, DspConfig.band's default
+    grid = np.linspace(lo + 1.2, hi - 1.2, n_groups)
+    freqs = (grid + rng.uniform(-0.5, 0.5, size=n_groups))[groups]
+    same = groups[:, None] == groups[None, :]
+    strong_level = rng.uniform(0.80, 0.92)
+    weak_level = rng.uniform(0.26, 0.42)
+    strong = np.clip(strong_level + rng.uniform(-0.02, 0.02, (n, n)), 0.0, 1.0)
+    weak = np.clip(weak_level + rng.uniform(-0.02, 0.02, (n, n)), 0.0, 1.0)
+    coupling = np.where(same, strong, weak)
+    coupling = (coupling + coupling.T) / 2.0
+    np.fill_diagonal(coupling, 1.0)
     return freqs, coupling
 
 

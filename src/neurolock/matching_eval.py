@@ -66,17 +66,7 @@ class EvalReport:
     scores: ScoreSet | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if key == "scores":
-                continue
-            if key == "roc":
-                out[key] = [[float(a), float(b), float(c)] for a, b, c in value]
-            elif isinstance(value, (np.floating, np.integer)):
-                out[key] = value.item()
-            else:
-                out[key] = value
-        return out
+        return {key: value for key, value in self.__dict__.items() if key != "scores"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -133,9 +123,8 @@ def decidability(score_set: ScoreSet) -> float:
     return float((m_intra - m_inter) / denom)
 
 
-def unlinkability(mated: np.ndarray, non_mated: np.ndarray,
-                  bins: int = 50) -> UnlinkabilityResult:
-    """Score-wise and system-wide linkability from shared-bin histograms.
+def unlinkability(mated: np.ndarray, non_mated: np.ndarray) -> UnlinkabilityResult:
+    """Score-wise and system-wide linkability from 50 shared-bin histograms.
 
     D_local(s) = max(0, 2 LR / (1 + LR) - 1) with LR the mated/non-mated
     density ratio; bins where only the mated density is positive count as
@@ -145,6 +134,7 @@ def unlinkability(mated: np.ndarray, non_mated: np.ndarray,
     non_mated = np.asarray(non_mated, dtype=float)
     if mated.size < 100 or non_mated.size < 100:
         raise LengthError("need at least 100 mated and non-mated scores")
+    bins = 50
     lo = min(mated.min(), non_mated.min())
     hi = max(mated.max(), non_mated.max())
     if lo == hi:

@@ -142,12 +142,13 @@ def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
                                    for idx, row in enumerate(matrix)]))
 
 
-def random_feature_dataset(n_subjects: int, n_frames: int, dim: int, seed: int,
-                           protocols: tuple[Protocol, Protocol] = (Protocol.EO, Protocol.EC),
-                           subject_scale: float = 0.5,
-                           frame_noise: float = 0.1) -> FeatureDataset:
+def random_feature_dataset(
+        n_subjects: int, n_frames: int, dim: int, seed: int,
+        protocols: tuple[Protocol, Protocol] = (Protocol.EO, Protocol.EC)) -> FeatureDataset:
     """Seeded random feature dataset (subject anchor + frame jitter).
 
+    Each protocol scales the subject's anchor by a uniform factor in
+    [0.75, 1.25] per feature, and each frame adds 10 % Gaussian jitter.
     Useful for protocol-count checks and metric plumbing where realistic EEG
     structure is unnecessary. Values stay positive, loosely mimicking graph
     feature magnitudes.
@@ -158,8 +159,8 @@ def random_feature_dataset(n_subjects: int, n_frames: int, dim: int, seed: int,
         anchor = anchor_rng.uniform(0.2, 1.0, size=dim)
         for p_idx, protocol in enumerate(protocols):
             rng = np.random.default_rng([seed, s, p_idx])
-            shift = rng.uniform(1.0 - subject_scale / 2, 1.0 + subject_scale / 2, size=dim)
-            frames = anchor * shift * (1.0 + frame_noise * rng.standard_normal((n_frames, dim)))
+            shift = rng.uniform(0.75, 1.25, size=dim)
+            frames = anchor * shift * (1.0 + 0.1 * rng.standard_normal((n_frames, dim)))
             vectors[(f"S{s + 1:03d}", protocol)] = np.abs(frames)
     return FeatureDataset(vectors=vectors, feature_kind="random",
                           names=[f"f{i:03d}" for i in range(dim)])

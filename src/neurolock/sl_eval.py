@@ -45,13 +45,13 @@ class LdaModel:
         return (self.decision_scores(features) >= 0.0).astype(int)
 
 
-def lda_train(train: LabeledSet, reg: float | None = None) -> LdaModel:
+def lda_train(train: LabeledSet) -> LdaModel:
     """Closed-form two-class LDA.
 
     w = Sigma^-1 (mu1 - mu0) with Sigma the pooled within-class covariance
-    plus reg * I; the decision threshold sits at the projected class-mean
-    midpoint shifted by the log prior ratio. Default reg is
-    1e-6 * trace(Sigma) / dim; passing reg=0 on a singular covariance raises.
+    plus reg * I, reg = 1e-6 * trace(Sigma) / dim; the decision threshold
+    sits at the projected class-mean midpoint shifted by the log prior
+    ratio. A zero within-class covariance leaves Sigma singular and raises.
     """
     x, y = train.features, train.labels
     if not ((y == 0).any() and (y == 1).any()):
@@ -64,14 +64,12 @@ def lda_train(train: LabeledSet, reg: float | None = None) -> LdaModel:
         centered = part - mu
         scatter += centered.T @ centered
     cov = scatter / x.shape[0]
-    if reg is None:
-        reg = 1e-6 * np.trace(cov) / dim
-    cov_reg = cov + reg * np.eye(dim)
+    cov_reg = cov + 1e-6 * np.trace(cov) / dim * np.eye(dim)
     try:
         weights = np.linalg.solve(cov_reg, mu1 - mu0)
     except np.linalg.LinAlgError:
         raise SingularityError(
-            "singular within-class covariance; increase the regularizer") from None
+            "singular within-class covariance") from None
     prior1 = x1.shape[0] / x.shape[0]
     prior0 = 1.0 - prior1
     threshold = float(0.5 * weights @ (mu1 + mu0) - np.log(prior1 / prior0))
@@ -172,6 +170,19 @@ def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8
     return SlMetrics(**metrics, train_keys=train_keys, intruder_keys=set())
 
 
+def user_set_size(n_users: int | None, n_subjects: int) -> int:
+    """Authentication-style user-set size: `n_users`, or 80 % of the subjects
+    (at least 2) when None. It must be at least 2 and leave at least one
+    subject for the intruder set; otherwise ConfigError."""
+    if n_users is None:
+        n_users = max(2, int(0.8 * n_subjects))
+    if not (2 <= n_users < n_subjects):
+        raise ConfigError(
+            f"user-set size {n_users} must leave a non-empty intruder set "
+            f"out of {n_subjects} subjects")
+    return n_users
+
+
 def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8,
                               n_users: int | None = None, seed: int = 0) -> SlMetrics:
     """Held-out-intruder evaluation.
@@ -181,12 +192,7 @@ def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8
     as an unseen probe against every user model.
     """
     subjects = sorted(dataset)
-    if n_users is None:
-        n_users = max(2, int(0.8 * len(subjects)))
-    if not (2 <= n_users < len(subjects)):
-        raise ConfigError(
-            f"user-set size {n_users} must leave a non-empty intruder set "
-            f"out of {len(subjects)} subjects")
+    n_users = user_set_size(n_users, len(subjects))
     rng_split = np.random.default_rng([seed, 0xD15C])
     order = rng_split.permutation(len(subjects))
     user_set = sorted(subjects[i] for i in order[:n_users])

@@ -13,6 +13,7 @@ the checked reference path whose scores it equals.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, replace
 
@@ -56,16 +57,29 @@ class SystemConfig:
 class UserAccount:
     subject_id: str
     params: tr.TransformParams
-    template: tr.CancellableTemplate
     enroll_v1: np.ndarray      # F_e x dim, standardized working space
     enroll_v2: np.ndarray
     raw_v1: np.ndarray         # F_e x dim, as extracted
     raw_v2: np.ndarray
 
+    @functools.cached_property
+    def template(self) -> tr.CancellableTemplate:
+        """The enrolled template of all F_e frame pairs under `params`, built on
+        first read."""
+        return tr.make_template(self.enroll_v1, self.enroll_v2, self.params,
+                                len(self.enroll_v1), subject_id=self.subject_id)
+
     @property
     def true_features(self) -> np.ndarray:
         """Mean raw enrollment feature pair (reference for attack similarity)."""
         return np.concatenate([self.raw_v1.mean(axis=0), self.raw_v2.mean(axis=0)])
+
+
+class Accounts(dict):
+    """Subject id to `UserAccount`; looking up an unknown subject raises ConfigError."""
+
+    def __missing__(self, subject):
+        raise ConfigError(f"unknown subject {subject!r}")
 
 
 class AuthSystem:
@@ -102,7 +116,7 @@ class AuthSystem:
         self._population_v2 = self.standardize_b(pooled_b)
         self._params_cache: dict[int, tr.TransformParams] = {}
 
-        self.users: dict[str, UserAccount] = {}
+        self.users = Accounts()
         for index, subject in enumerate(dataset.subjects):
             if config.lost_key:
                 key = config.master_key
@@ -111,11 +125,8 @@ class AuthSystem:
                     [config.master_key, stable_int(subject)]).integers(0, 2 ** 63))
             params = self.calibrated_params(key)
             own = slice(index * config.enroll_frames, (index + 1) * config.enroll_frames)
-            enroll_v1, enroll_v2 = self._population_v1[own], self._population_v2[own]
-            template = tr.make_template(enroll_v1, enroll_v2, params,
-                                        config.enroll_frames, subject_id=subject)
-            self.users[subject] = UserAccount(subject, params, template,
-                                              enroll_v1, enroll_v2,
+            self.users[subject] = UserAccount(subject, params, self._population_v1[own],
+                                              self._population_v2[own],
                                               raw[subject][0], raw[subject][1])
 
     def standardize_a(self, v: np.ndarray) -> np.ndarray:
@@ -158,7 +169,7 @@ class AuthSystem:
         sources, starts = np.broadcast_arrays(np.asarray(sources), np.asarray(starts))
         rows = starts[..., None] + np.arange(n_frames)
         frames = np.empty((2,) + rows.shape + (self.dim,))
-        for subject in np.unique(sources):
+        for subject in np.unique(sources).tolist():
             here = sources == subject
             if starts[here].min() < 0:
                 raise ConfigError(f"subject {subject}: negative frame offset "
@@ -202,11 +213,7 @@ class AuthSystem:
 
     def reissue(self, subject: str, new_key: int) -> UserAccount:
         """Fresh account state under a new key; does not mutate the system."""
-        account = self.users[subject]
-        params = self.calibrated_params(new_key)
-        template = tr.make_template(account.enroll_v1, account.enroll_v2, params,
-                                    self.config.enroll_frames, subject_id=subject)
-        return replace(account, params=params, template=template)
+        return replace(self.users[subject], params=self.calibrated_params(new_key))
 
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""

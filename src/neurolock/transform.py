@@ -236,7 +236,7 @@ def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
 
 
 def calibrate_params(params: TransformParams, population_frames_v1,
-                     population_frames_v2, margin: float = 0.1) -> TransformParams:
+                     population_frames_v2, margin: float) -> TransformParams:
     """Fix the quantization range of a parameter set from population data.
 
     Projects every provided frame pair under the parameters and spans the

@@ -46,19 +46,15 @@ class TestNelderMead:
 
     def test_quadratic_stops_when_the_simplex_collapses(self):
         """With no budget, a plain objective runs until the simplex collapses
-        below diameter_tol, and the best vertex is the best value seen."""
-        runs = {}
-        for diameter_tol in (1e-3, 1e-10):
-            values = []
+        below 1e-10, and the best vertex is the best value seen."""
+        values = []
 
-            def objective(v):
-                values.append(float((v ** 2).sum()))
-                return values[-1]
-            x, f = atk.nelder_mead(objective, np.array([1.0, -2.0]), diameter_tol=diameter_tol)
-            assert f == min(values)
-            assert np.max(np.abs(x)) < 10 * diameter_tol
-            runs[diameter_tol] = len(values)
-        assert runs[1e-3] < runs[1e-10]
+        def objective(v):
+            values.append(float((v ** 2).sum()))
+            return values[-1]
+        x, f = atk.nelder_mead(objective, np.array([1.0, -2.0]))
+        assert f == min(values)
+        assert np.max(np.abs(x)) < 1e-9
 
     def test_nan_objective_raises(self):
         with pytest.raises(ObjectiveError):
@@ -194,6 +190,17 @@ def row_by_row(oracle, rows):
 
 each_query_path = pytest.mark.parametrize("query", [atk.ScoreOracle.batch, row_by_row],
                                           ids=["batch", "row-by-row"])
+
+
+def test_hill_climb_on_an_unknown_subject_fails_before_the_first_query(small_system,
+                                                                        monkeypatch):
+    def never(*args):
+        raise AssertionError("oracle queried")
+    monkeypatch.setattr(atk.ScoreOracle, "__call__", never)
+    monkeypatch.setattr(atk.ScoreOracle, "batch", never)
+    for case in atk.AttackCase:
+        with pytest.raises(ConfigError, match="^unknown subject 'S009'$"):
+            atk.hill_climb_attack(small_system, "S009", atk.AttackConfig(case=case))
 
 
 class TestOracleBatch:
@@ -498,6 +505,19 @@ class TestSecondAttack:
         with pytest.raises(ShapeError, match=f"S002 is not a 1-D integer or bool array "
                                              f"of {bits.size} bits, each 0 or 1"):
             atk.second_attack(system, solutions, n_keys=3)
+        assert reissued == []
+
+    @pytest.mark.parametrize("kind", ["feature", "template"])
+    def test_unknown_subject_fails_before_any_reissue(self, small_system, monkeypatch,
+                                                      kind):
+        reissued = []
+        monkeypatch.setattr(small_system, "reissue", lambda *args: reissued.append(args))
+        payload = (np.ones(2 * small_system.dim) if kind == "feature"
+                   else small_system.users["S001"].template.bits)
+        solutions = [atk.Solution(subject="S001", kind=kind, payload=payload),
+                     atk.Solution(subject="S009", kind=kind, payload=payload)]
+        with pytest.raises(ConfigError, match="^unknown subject 'S009'$"):
+            atk.second_attack(small_system, solutions, n_keys=3)
         assert reissued == []
 
 

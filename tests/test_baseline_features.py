@@ -56,7 +56,7 @@ class TestArReflection:
 
     def test_too_short_raises(self):
         with pytest.raises(LengthError):
-            bf.ar_reflection_coeffs(np.arange(10.0), order=5)
+            bf.ar_reflection_coeffs(np.arange(10.0))
 
 
 class TestBandPowers:

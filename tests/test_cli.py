@@ -205,6 +205,21 @@ class TestEnrollVerify:
         assert result.exit_code == 4
         assert "REJECT" in result.output
 
+    def test_verify_builds_only_the_query_template(self, tmp_path, monkeypatch):
+        template = tmp_path / "u.ceeg"
+        shared = ["--key=777", f"--output_dir={tmp_path}"] + SMALL
+        assert invoke(["enroll", "--subject=S001", f"--out={template}"] + shared).exit_code == 0
+        built = []
+        original = tr.make_template
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("subject_id"))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(tr, "make_template", counted)
+        result = invoke(["verify", f"--template={template}", "--subject=S002"] + shared)
+        assert result.exit_code in (0, 4), result.output
+        assert built == ["S002"]
+
     def test_missing_template_exits_data_error_before_loading(self, tmp_path,
                                                                monkeypatch):
         def never(config):
@@ -484,6 +499,21 @@ class TestReports:
         assert len(rows) == 2
         table = (tmp_path / "slx_table.csv").read_text().splitlines()
         assert len(table) == 3
+
+    @pytest.mark.parametrize("extra, users", [
+        (["--slx.n_users=4"], 4),
+        (["--dataset.synthetic.n_subjects=2"], 2),  # null n_users: max(2, 80 %)
+    ], ids=["all-subjects", "default-on-two"])
+    def test_slx_without_an_intruder_exits_before_loading(self, tmp_path, monkeypatch,
+                                                          extra, users):
+        def never(config):
+            raise AssertionError("load_features called")
+        monkeypatch.setattr(cli, "load_features", never)
+        result = invoke(["slx", f"--output_dir={tmp_path}"] + SMALL + extra)
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"config error: user-set size {users} must leave a "
+                                 f"non-empty intruder set out of {users} subjects\n")
+        assert not (tmp_path / "cache").exists()
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEUROLOCK_SEED", "777")

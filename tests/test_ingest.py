@@ -269,12 +269,10 @@ class TestSynthesize:
                                      fs=160.0, master_seed=0))
 
     def test_identical_oscillators_no_noise_give_perfect_sync(self):
-        n = 4
-        spec = SyntheticSpec(
-            n_subjects=1, n_channels=n, duration_s=8.0, fs=160.0, master_seed=1,
-            noise_level=0.0, coupling=np.ones((n, n)),
-            base_freqs=np.full(n, 17.0))
-        rec = synthesize(spec)[0]
+        n, fs = 4, 160.0
+        t = np.arange(int(8.0 * fs)) / fs
+        rec = Recording(channels=[f"ch{i:02d}" for i in range(n)], fs=fs,
+                        data=np.tile(np.cos(2.0 * np.pi * 17.0 * t + 0.3), (n, 1)))
         frame = dsp.frame(rec, 2.0)[0]
         adjacency = connectivity.build_graph(dsp.instantaneous_phase(frame))
         off_diag = adjacency[~np.eye(n, dtype=bool)]

@@ -34,8 +34,8 @@ class TestLda:
         assert accuracy == pytest.approx(0.5, abs=0.05)
 
     def test_two_point_boundary_at_midpoint(self):
-        train = LabeledSet(np.array([[0.0], [1.0]]), np.array([0, 1]))
-        model = lda_train(train, reg=1e-9)
+        train = LabeledSet(np.array([[-0.1], [0.1], [0.9], [1.1]]), np.array([0, 0, 1, 1]))
+        model = lda_train(train)
         assert model.predict(np.array([[0.49]]))[0] == 0
         assert model.predict(np.array([[0.51]]))[0] == 1
 
@@ -43,7 +43,7 @@ class TestLda:
         x = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
         y = np.array([0, 0, 1, 1])
         with pytest.raises(SingularityError):
-            lda_train(LabeledSet(x, y), reg=0.0)
+            lda_train(LabeledSet(x, y))
 
     def test_one_class_raises(self):
         with pytest.raises(LengthError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neurolock import matching_eval as me
 from neurolock import transform as tr
 from neurolock.errors import ConfigError, IncompatibleTemplates
 from neurolock.ingest import Protocol
@@ -165,6 +166,59 @@ class TestReissue:
         system.revoke("S004", 31337)
         query = system.query_template("S004", "S004", 0, 5)
         assert tr.match(query, system.users["S004"].template, config.theta).score == 0.0
+
+
+class TestUnknownSubject:
+    @pytest.fixture(scope="class")
+    def system(self, dataset):
+        return AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1))
+
+    @pytest.mark.parametrize("lookup", [
+        lambda system: system.users["S009"],
+        lambda system: system.scorer("S009"),
+        lambda system: system.reissue("S009", 1),
+        lambda system: system.revoke("S009", 1),
+        lambda system: system.query_template("S009", "S001", 5),
+    ], ids=["users", "scorer", "reissue", "revoke", "query_template"])
+    def test_is_a_config_error(self, system, dataset, lookup):
+        with pytest.raises(ConfigError, match="^unknown subject 'S009'$"):
+            lookup(system)
+        assert system.subjects == dataset.subjects
+
+    def test_windows_names_the_subject(self, system):
+        with pytest.raises(ConfigError, match="^no features for subject 'S009' / EO$"):
+            system.windows(["S001", "S009"], 0, 1)
+
+
+class TestLazyTemplates:
+    """An account builds its template on first read, so work that reads none
+    builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Subject ids passed to transform.make_template, one per call."""
+        calls = []
+        original = tr.make_template
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("subject_id"))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(tr, "make_template", counted)
+        return calls
+
+    def test_enrollment_and_template_free_protocols_build_none(self, dataset, built):
+        config = SystemConfig(enroll_frames=5, query_frames=1)
+        system = AuthSystem(dataset, config)
+        system.revoke("S002", 99)
+        me.decidability_protocol(dataset, "S001", config)
+        me.unlinkability_protocol(dataset, config, n_keys=3)
+        assert built == []
+        assert system.users["S002"].template is system.users["S002"].template
+        assert built == ["S002"]
+
+    def test_protocol_tests_builds_one_per_account(self, dataset, built):
+        me.protocol_tests(dataset, 5, 1, SystemConfig())
+        assert built == dataset.subjects
 
 
 class TestSingleProtocolPair:

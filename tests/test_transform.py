@@ -194,7 +194,7 @@ class TestMakeTemplate:
     def test_calibrated_params_supply_range(self, rng):
         params = self.params()
         pop1, pop2 = self.frames(rng, 40)
-        tr.calibrate_params(params, pop1, pop2)
+        tr.calibrate_params(params, pop1, pop2, margin=0.1)
         tpl = tr.make_template(pop1[:5], pop2[:5], params, 5)
         assert np.array_equal(tpl.meta.quant_range, params.quant_range)
 
@@ -330,11 +330,12 @@ class TestRevocation:
         dim = 22
         pop1 = rng.uniform(0.1, 1.0, (60, dim))
         pop2 = rng.uniform(0.1, 1.0, (60, dim))
-        base = tr.calibrate_params(tr.derive_params(1, dim, 0.5), pop1, pop2)
+        base = tr.calibrate_params(tr.derive_params(1, dim, 0.5), pop1, pop2, margin=0.1)
         original = tr.make_template(pop1[:5], pop2[:5], base, 5)
         distances = []
         for key in range(2, 30):
-            fresh = tr.calibrate_params(tr.derive_params(key, dim, 0.5), pop1, pop2)
+            fresh = tr.calibrate_params(tr.derive_params(key, dim, 0.5), pop1, pop2,
+                                       margin=0.1)
             reissued = tr.make_template(pop1[:5], pop2[:5], fresh, 5)
             distances.append(tr.hamming_score(original.bits, reissued.bits)[1])
         assert 0.3 <= float(np.mean(distances)) <= 0.65
@@ -343,8 +344,8 @@ class TestRevocation:
         dim = 10
         pop1 = rng.uniform(0.1, 1.0, (20, dim))
         pop2 = rng.uniform(0.1, 1.0, (20, dim))
-        a = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2)
-        b = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2)
+        a = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2, margin=0.1)
+        b = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2, margin=0.1)
         ta = tr.make_template(pop1[:3], pop2[:3], a, 3)
         tb = tr.make_template(pop1[:3], pop2[:3], b, 3)
         assert np.array_equal(ta.bits, tb.bits)
