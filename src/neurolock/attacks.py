@@ -19,6 +19,7 @@ import numpy as np
 
 from . import transform as tr
 from .errors import ConfigError, ObjectiveError, ShapeError, require
+from .ingest import PROTOCOL_PAIR
 from .pipeline import stable_int
 from .system import AccountScorer, AuthSystem
 
@@ -74,7 +75,6 @@ class AttackReport:
     score_mean: float | None = None
     score_std: float | None = None
     seeds: dict = field(default_factory=dict)
-    config_hash: str = ""
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "outcomes"}
@@ -88,15 +88,17 @@ class AttackReport:
 # Nelder-Mead
 # ---------------------------------------------------------------------------
 
-def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None):
+def nelder_mead(objective, x0, initial_step: np.ndarray | float):
     """Downhill-simplex minimization; returns the best vertex (x, value).
 
-    Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 0.5, 0.5). Runs until the simplex diameter collapses below
-    1e-10 or the objective raises: it keeps no budget and no best
-    point of its own, so a caller that needs either (the hill climb's
-    `ScoreOracle`) keeps them in the objective and ends the search by
-    raising from it. A NaN value raises `ObjectiveError`.
+    The initial simplex steps `initial_step` (one value, or one per
+    dimension; a zero step becomes 1e-3) from x0 along each axis. Standard
+    reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5).
+    Runs until the simplex diameter collapses below 1e-10 or the objective
+    raises: it keeps no budget and no best point of its own, so a caller
+    that needs either (the hill climb's `ScoreOracle`) keeps them in the
+    objective and ends the search by raising from it. A NaN value raises
+    `ObjectiveError`.
 
     `objective` maps one point to a value. If it also has a `batch` method,
     which maps a (k, n) block of points to their k values in one call, the
@@ -109,11 +111,8 @@ def nelder_mead(objective, x0, initial_step: np.ndarray | float | None = None):
     n = x0.size
     if n < 1:
         raise ConfigError("objective dimension must be at least 1")
-    if initial_step is None:
-        step = 0.1 * (np.abs(x0) + 1.0)
-    else:
-        step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
-        step[step == 0.0] = 1e-3
+    step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
+    step[step == 0.0] = 1e-3
     batch = getattr(objective, "batch", None)
 
     def checked(value):
@@ -214,7 +213,7 @@ class ScoreOracle:
 def default_feature_bounds(system: AuthSystem) -> np.ndarray:
     """Search box from population feature statistics (the public-data assumption)."""
     ranges = []
-    for proto in system.config.protocol_pair:
+    for proto in PROTOCOL_PAIR:
         stacked = np.concatenate([system.dataset.frames(s, proto) for s in system.subjects])
         ranges.append(np.stack([stacked.min(axis=0), stacked.max(axis=0)], axis=1))
     both = np.concatenate(ranges)
@@ -274,8 +273,7 @@ def hill_climb_attack(system: AuthSystem, subject: str,
                             trace=oracle.trace)
 
 
-def run_hill_climb_campaign(system: AuthSystem, config: AttackConfig,
-                            config_hash: str = "") -> AttackReport:
+def run_hill_climb_campaign(system: AuthSystem, config: AttackConfig) -> AttackReport:
     outcomes = [hill_climb_attack(system, subject, config)
                 for subject in system.subjects]
     successes = [o for o in outcomes if o.success]
@@ -290,7 +288,7 @@ def run_hill_climb_campaign(system: AuthSystem, config: AttackConfig,
         similarity_std=float(np.std(sims)) if sims else None,
         score_mean=float(np.mean(scores)) if scores else None,
         score_std=float(np.std(scores)) if scores else None,
-        seeds={"attack": config.seed}, config_hash=config_hash)
+        seeds={"attack": config.seed})
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +424,8 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     its true features under the new key; feature solutions are scored by the
     re-keyed account's `AccountScorer`, template solutions bit-for-bit.
     """
+    if n_keys < 1:
+        raise ConfigError(f"a second attack needs at least one fresh key, got {n_keys}")
     for s in solutions:
         account = system.users[s.subject]
         if s.kind not in ("feature", "template"):

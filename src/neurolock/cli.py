@@ -3,8 +3,9 @@ evaluation campaigns, attack campaigns, and report emission.
 
 One JSON config file drives everything; individual values can be overridden
 on the command line with ``--section.key=value`` tokens (parsed as JSON where
-possible). Every report embeds the config hash, master seed, and package
-version, and identical configs reproduce identical outputs byte for byte.
+possible). The commands stamp every JSON report and manifest with the config
+hash (the README lists each file's stamps), and identical configs reproduce
+identical outputs byte for byte.
 Extracted features are cached under ``<output_dir>/cache`` (``load_features``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 verification
@@ -493,10 +494,11 @@ def eval(config):
     report = me.evaluate(dataset, system_config(config),
                          revocability_keys=config["eval"]["revocability_keys"],
                          unlink_keys=config["eval"]["unlink_keys"],
-                         seed=config["master_seed"],
-                         config_hash=config_hash(config), version=__version__)
+                         seed=config["master_seed"])
     out = _out_dir(config)
-    atomic_write(out / "eval_report.json", report.to_json())
+    payload = {**report.to_json_dict(), "config_hash": config_hash(config),
+               "version": __version__}
+    atomic_write(out / "eval_report.json", json.dumps(payload, indent=2, sort_keys=True))
     atomic_write(out / "roc.csv", csv_text(
         [["threshold", "far", "frr"], *([repr(v) for v in row] for row in report.roc)]))
     scores = report.scores
@@ -505,8 +507,7 @@ def eval(config):
     i_hist = np.histogram(scores.impostor, bins=edges)[0]
     atomic_write(out / "score_histograms.csv", csv_text(
         [["bin_low", "bin_high", "genuine", "impostor"],
-         *([repr(edges[k]), repr(edges[k + 1]), int(g_hist[k]), int(i_hist[k])]
-           for k in range(50))]))
+         *zip(edges[:-1].tolist(), edges[1:].tolist(), g_hist.tolist(), i_hist.tolist())]))
     click.echo(f"EER {report.eer:.4f} at threshold {report.threshold_at_eer:.4f}; "
                f"|d'| {report.d_prime_abs:.3f}; reports in {out}")
 
@@ -517,10 +518,10 @@ def attack(config):
     dataset = load_features(config)
     system = AuthSystem(dataset, system_config(config))
     a_cfg = attack_config(config)
-    report = atk.run_hill_climb_campaign(system, a_cfg, config_hash=config_hash(config))
+    report = atk.run_hill_climb_campaign(system, a_cfg)
     out = _out_dir(config)
-    payload = report.to_json_dict()
-    payload["master_seed"] = config["master_seed"]
+    payload = {**report.to_json_dict(), "config_hash": config_hash(config),
+               "master_seed": config["master_seed"]}
     if config["attack"]["second_attack_keys"]:
         # a template-space success is replayed as the gray-encoded bits the oracle accepted
         solutions = [atk.Solution(o.subject, "feature", o.solution, "computational")

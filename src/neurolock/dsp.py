@@ -11,35 +11,12 @@ about a second, and a CLI command that reads cached features never needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateSignal, LengthError
 from .ingest import Recording
-
-
-@dataclass
-class FirFilter:
-    """Linear-phase FIR band-pass filter (order + 1 symmetric taps)."""
-
-    taps: np.ndarray
-    fs: float
-    low_hz: float
-    high_hz: float
-    order: int
-
-    @property
-    def transition_width_hz(self) -> float:
-        # Hamming-window design rule of thumb: ~3.3 normalized-frequency units
-        return 3.3 * self.fs / (self.order + 1)
-
-    def response_at(self, freq_hz: float) -> float:
-        """Single-pass magnitude response at one frequency."""
-        import scipy.signal
-        w = 2.0 * np.pi * freq_hz / self.fs
-        _, h = scipy.signal.freqz(self.taps, worN=[w])
-        return float(np.abs(h[0]))
 
 
 def detrend(recording: Recording) -> Recording:
@@ -57,8 +34,9 @@ def detrend(recording: Recording) -> Recording:
     return replace(recording, data=data - fitted)
 
 
-def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> FirFilter:
-    """Design a Hamming-window FIR band-pass filter of even order."""
+def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> np.ndarray:
+    """Taps (order + 1, exactly symmetric) of a Hamming-window FIR band-pass
+    filter of even order."""
     if not (0.0 < low_hz < high_hz < fs / 2.0):
         raise ConfigError(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
     if order <= 0 or order % 2:
@@ -66,19 +44,18 @@ def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> Fir
     import scipy.signal
     taps = scipy.signal.firwin(order + 1, [low_hz, high_hz], pass_zero=False,
                                window="hamming", fs=fs)
-    taps = (taps + taps[::-1]) / 2.0  # enforce exact symmetry
-    return FirFilter(taps=taps, fs=fs, low_hz=low_hz, high_hz=high_hz, order=order)
+    return (taps + taps[::-1]) / 2.0  # enforce exact symmetry
 
 
-def filter_zero_phase(recording: Recording, filt: FirFilter) -> Recording:
-    """Apply the filter forward and backward (zero phase distortion)."""
-    if recording.n_samples <= 3 * filt.order:
+def filter_zero_phase(recording: Recording, taps: np.ndarray) -> Recording:
+    """Apply the FIR taps forward and backward (zero phase distortion)."""
+    padlen = 3 * (taps.size - 1)
+    if recording.n_samples <= padlen:
         raise LengthError(
-            f"need more than {3 * filt.order} samples for zero-phase filtering, "
+            f"need more than {padlen} samples for zero-phase filtering, "
             f"got {recording.n_samples}")
     import scipy.signal
-    data = scipy.signal.filtfilt(filt.taps, [1.0], recording.data, axis=-1,
-                                 padlen=3 * filt.order)
+    data = scipy.signal.filtfilt(taps, [1.0], recording.data, axis=-1, padlen=padlen)
     return replace(recording, data=data)
 
 

@@ -17,6 +17,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +36,10 @@ class Protocol(enum.Enum):
     PHY = "PHY"  # physical movement task
     IMA = "IMA"  # imagined movement task
     OTHER = "OTHER"
+
+
+# the two protocols whose frames the transform fuses, first and second stream
+PROTOCOL_PAIR = (Protocol.EO, Protocol.EC)
 
 
 @dataclass
@@ -67,10 +72,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.fs
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +368,7 @@ class SyntheticSpec:
     coupling matrix with entries in [0, 1]. Channels mix each other's
     oscillators through the coupling matrix, so phase synchronization
     patterns are stable within a subject and differ across subjects.
+    Every subject is recorded under both protocols of `PROTOCOL_PAIR`.
     Identical specs produce bit-identical output.
     """
 
@@ -376,7 +378,7 @@ class SyntheticSpec:
     fs: float
     master_seed: int
     noise_level: float = 0.2
-    protocols: tuple[Protocol, ...] = (Protocol.EO, Protocol.EC)
+    protocols: ClassVar[tuple[Protocol, Protocol]] = PROTOCOL_PAIR
 
     def __post_init__(self):
         """Check types and ranges; cheap enough to run before any synthesis."""

@@ -9,7 +9,6 @@ query. All scores are normalized Hamming distances (smaller = more similar).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,16 +59,11 @@ class EvalReport:
     n_pseudo_impostor: int | None = None
     d_sys: float | None = None
     seeds: dict = field(default_factory=dict)
-    config_hash: str = ""
-    version: str = ""
     # the scores behind the report, kept for histograms; not serialized
     scores: ScoreSet | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {key: value for key, value in self.__dict__.items() if key != "scores"}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +212,13 @@ def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def protocol_score_set(dataset: FeatureDataset, enroll_frames: int,
-                       query_frames: int,
-                       config: SystemConfig | None = None) -> ScoreSet:
+                       query_frames: int, config: SystemConfig) -> ScoreSet:
     genuine, impostor = protocol_tests(dataset, enroll_frames, query_frames, config)
     return ScoreSet(genuine=genuine, impostor=impostor)
 
 
 def decidability_protocol(dataset: FeatureDataset, subject: str,
-                          config: SystemConfig | None = None) -> ScoreSet:
+                          config: SystemConfig) -> ScoreSet:
     """Per-user single-frame score distributions.
 
     Genuine: every unordered pair of the subject's single-frame encodings.
@@ -234,8 +227,6 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
     the claimed subject's parameters (and their calibrated quantization
     range), exactly as queries against that account would be.
     """
-    if config is None:
-        config = SystemConfig()
     system = AuthSystem(dataset, config)
 
     def frame_bits(source: str) -> np.ndarray:
@@ -282,11 +273,9 @@ def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
     return np.stack(scores, axis=-1).ravel()
 
 
-def revocability_protocol(dataset: FeatureDataset, config: SystemConfig | None = None,
+def revocability_protocol(dataset: FeatureDataset, config: SystemConfig,
                           n_keys: int = 50, seed: int = 0) -> ScoreSet:
     """Genuine/impostor/pseudo-impostor distributions over the whole population."""
-    if config is None:
-        config = SystemConfig()
     system = AuthSystem(dataset, config)
     genuine, impostor = protocol_tests(dataset, config.enroll_frames,
                                        config.query_frames, system=system)
@@ -301,30 +290,24 @@ def revocability_protocol(dataset: FeatureDataset, config: SystemConfig | None =
     return ScoreSet(genuine=genuine, impostor=impostor, pseudo_impostor=pseudo)
 
 
-def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig | None = None,
-                           n_keys: int = 6, seed: int = 0,
-                           window_frames: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
+                           n_keys: int = 6, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mated and non-mated score samples from n_keys transformed databases.
 
-    Mated: templates built from the same disjoint window of a subject's
-    frames under two different keys; every window contributes, which
-    multiplies the mated sample count (histogram densities need it).
-    Non-mated: different subjects' first windows under different keys.
+    Mated: templates built from the same single frame of a subject under
+    two different keys; every frame contributes, which multiplies the mated
+    sample count (histogram densities need it). Non-mated: different
+    subjects' first frames under different keys.
     """
     if n_keys < 2:
         raise ConfigError(f"unlinkability needs at least two keys, got {n_keys}")
-    if window_frames < 1:
-        raise ConfigError(f"a window needs at least one frame, got {window_frames}")
-    if config is None:
-        config = SystemConfig()
     rng = np.random.default_rng(seed)
     keys = _fresh_keys(rng, n_keys, forbidden=set())
     subjects = dataset.subjects
     system = AuthSystem(dataset, config)
-    n_windows = min(system.usable_frames(s) for s in subjects) // window_frames
-    v1, v2 = system.windows(np.array(subjects)[:, None],
-                            window_frames * np.arange(n_windows), window_frames)
-    # one (subjects, windows, n_bits) database per key
+    n_frames = min(system.usable_frames(s) for s in subjects)
+    v1, v2 = system.windows(np.array(subjects)[:, None], np.arange(n_frames), 1)
+    # one (subjects, frames, n_bits) database per key
     bits = [tr.encode(v1, v2, system.calibrated_params(key)) for key in keys]
     other = ~np.eye(len(subjects), dtype=bool)
     mated, non_mated = [], []
@@ -347,13 +330,10 @@ def _fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> li
     return keys
 
 
-def evaluate(dataset: FeatureDataset, config: SystemConfig | None = None,
-             revocability_keys: int = 0, unlink_keys: int = 0, seed: int = 0,
-             config_hash: str = "", version: str = "") -> EvalReport:
+def evaluate(dataset: FeatureDataset, config: SystemConfig, revocability_keys: int = 0,
+             unlink_keys: int = 0, seed: int = 0) -> EvalReport:
     """Full evaluation campaign: protocol scores, EER, d', optional
     revocability and unlinkability passes."""
-    if config is None:
-        config = SystemConfig()
     if revocability_keys:
         scores = revocability_protocol(dataset, config, revocability_keys, seed)
     else:
@@ -374,8 +354,6 @@ def evaluate(dataset: FeatureDataset, config: SystemConfig | None = None,
         impostor_std=float(scores.impostor.std()),
         roc=roc_points(scores),
         seeds={"master": seed},
-        config_hash=config_hash,
-        version=version,
         scores=scores,
     )
     if scores.pseudo_impostor is not None:

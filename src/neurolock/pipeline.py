@@ -17,7 +17,7 @@ import numpy as np
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
 from .errors import ConfigError, ShapeError, error_context, is_a, require
-from .ingest import Protocol, Recording, atomic_write, csv_text
+from .ingest import PROTOCOL_PAIR, Protocol, Recording, atomic_write, csv_text
 
 FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
 
@@ -142,13 +142,13 @@ def write_feature_csv(path, matrix: np.ndarray, names: list[str]) -> None:
                                    for idx, row in enumerate(matrix)]))
 
 
-def random_feature_dataset(
-        n_subjects: int, n_frames: int, dim: int, seed: int,
-        protocols: tuple[Protocol, Protocol] = (Protocol.EO, Protocol.EC)) -> FeatureDataset:
+def random_feature_dataset(n_subjects: int, n_frames: int, dim: int,
+                           seed: int) -> FeatureDataset:
     """Seeded random feature dataset (subject anchor + frame jitter).
 
-    Each protocol scales the subject's anchor by a uniform factor in
-    [0.75, 1.25] per feature, and each frame adds 10 % Gaussian jitter.
+    Each protocol of `PROTOCOL_PAIR` scales the subject's anchor by a
+    uniform factor in [0.75, 1.25] per feature, and each frame adds 10 %
+    Gaussian jitter.
     Useful for protocol-count checks and metric plumbing where realistic EEG
     structure is unnecessary. Values stay positive, loosely mimicking graph
     feature magnitudes.
@@ -157,7 +157,7 @@ def random_feature_dataset(
     for s in range(n_subjects):
         anchor_rng = np.random.default_rng([seed, s])
         anchor = anchor_rng.uniform(0.2, 1.0, size=dim)
-        for p_idx, protocol in enumerate(protocols):
+        for p_idx, protocol in enumerate(PROTOCOL_PAIR):
             rng = np.random.default_rng([seed, s, p_idx])
             shift = rng.uniform(0.75, 1.25, size=dim)
             frames = anchor * shift * (1.0 + 0.1 * rng.standard_normal((n_frames, dim)))

@@ -19,20 +19,6 @@ from .errors import ConfigError, LengthError, SingularityError
 
 
 @dataclass
-class LabeledSet:
-    features: np.ndarray
-    labels: np.ndarray  # 1 = user, 0 = other
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ConfigError("feature/label row counts differ")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 1):
-            raise ConfigError("labels must be binary")
-
-
-@dataclass
 class LdaModel:
     weights: np.ndarray
     threshold: float
@@ -41,19 +27,16 @@ class LdaModel:
         """Signed distance to the boundary; positive means class 1 (user)."""
         return np.atleast_2d(features) @ self.weights - self.threshold
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.decision_scores(features) >= 0.0).astype(int)
 
-
-def lda_train(train: LabeledSet) -> LdaModel:
-    """Closed-form two-class LDA.
+def lda_train(x: np.ndarray, y: np.ndarray) -> LdaModel:
+    """Closed-form two-class LDA of feature rows `x` with 0/1 labels `y`
+    (1 = user, 0 = other), one per row.
 
     w = Sigma^-1 (mu1 - mu0) with Sigma the pooled within-class covariance
     plus reg * I, reg = 1e-6 * trace(Sigma) / dim; the decision threshold
     sits at the projected class-mean midpoint shifted by the log prior
     ratio. A zero within-class covariance leaves Sigma singular and raises.
     """
-    x, y = train.features, train.labels
     if not ((y == 0).any() and (y == 1).any()):
         raise LengthError("training set needs at least one sample per class")
     x0, x1 = x[y == 0], x[y == 1]
@@ -160,7 +143,7 @@ def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8
         rng = np.random.default_rng([seed, s_idx])
         train_idx, test_idx = _stratified_split(
             {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(LabeledSet(all_x[train_idx], y[train_idx]))
+        model = lda_train(all_x[train_idx], y[train_idx])
         train_keys[subject] = {all_keys[i] for i in train_idx}
         s = model.decision_scores(all_x[test_idx])
         preds.extend((s >= 0).astype(int))
@@ -209,7 +192,7 @@ def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8
         rng = np.random.default_rng([seed, 1 + u_idx])
         train_idx, test_idx = _stratified_split(
             {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(LabeledSet(pool_x[train_idx], y[train_idx]))
+        model = lda_train(pool_x[train_idx], y[train_idx])
         train_keys[user] = {pool_keys[i] for i in train_idx}
         # user tests: the held-out genuine samples only
         user_test = np.array([i for i in test_idx if y[i] == 1])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import transform as tr
 from .errors import ConfigError, require
-from .ingest import Protocol
+from .ingest import PROTOCOL_PAIR
 from .pipeline import FeatureDataset, stable_int
 
 
@@ -31,7 +31,6 @@ class SystemConfig:
     enroll_frames: int = 10          # F_e
     query_frames: int = 1            # F_t
     theta: float = 0.389
-    protocol_pair: tuple[Protocol, Protocol] = (Protocol.EO, Protocol.EC)
     lost_key: bool = True            # one shared key (worst case) vs per-user keys
     master_key: int = 0x5EED
     # quantization window half-margin as a multiple of the population span;
@@ -104,7 +103,7 @@ class AuthSystem:
                     f"{config.enroll_frames + config.query_frames}")
             # enrollment keeps its raw slice: the standardizer is fit on it
             raw[subject] = tuple(dataset.frames(subject, protocol)[:config.enroll_frames]
-                                 for protocol in config.protocol_pair)
+                                 for protocol in PROTOCOL_PAIR)
         # population z-scoring per protocol stream: without it, a user's mean
         # feature level survives every re-keying (the permutation only shuffles
         # terms of the same sum) and templates stay linkable across keys
@@ -154,7 +153,7 @@ class AuthSystem:
     def usable_frames(self, subject: str) -> int:
         """Frame pairs `subject` offers: the shorter of its two protocol streams."""
         return min(self.dataset.n_frames(subject, protocol)
-                   for protocol in self.config.protocol_pair)
+                   for protocol in PROTOCOL_PAIR)
 
     def windows(self, sources, starts, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
         """Standardized frame windows: the one way a query reads its frames.
@@ -177,7 +176,7 @@ class AuthSystem:
             if starts[here].max() + n_frames > self.usable_frames(subject):
                 raise ConfigError(f"subject {subject}: not enough frames at offset "
                                   f"{starts[here].max()}")
-            for stream, protocol in zip(frames, self.config.protocol_pair):
+            for stream, protocol in zip(frames, PROTOCOL_PAIR):
                 stream[here] = self.dataset.frames(subject, protocol)[rows[here]]
         return self.standardize_a(frames[0]), self.standardize_b(frames[1])
 

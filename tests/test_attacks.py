@@ -31,15 +31,20 @@ def template_of(r_hat):
     return tr.CancellableTemplate(bits=tr.gray_encode(r_hat, qr), meta=meta)
 
 
+def nelder_mead(objective, x0):
+    """`atk.nelder_mead` from steps of a tenth of each start coordinate plus 0.1."""
+    return atk.nelder_mead(objective, x0, initial_step=0.1 * (np.abs(x0) + 1.0))
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
-        x, f = atk.nelder_mead(lambda v: float((v ** 2).sum()), np.array([1.0, 1.0]))
+        x, f = nelder_mead(lambda v: float((v ** 2).sum()), np.array([1.0, 1.0]))
         assert f < 1e-8
         assert f == float((x ** 2).sum())
 
     def test_absolute_value_matches_grid_search(self):
         objective = lambda v: float(abs(v[0] - 3.0))
-        x, f = atk.nelder_mead(objective, np.array([0.0]))
+        x, f = nelder_mead(objective, np.array([0.0]))
         grid = np.linspace(-5, 10, 150001)
         best = grid[np.argmin(np.abs(grid - 3.0))]
         assert abs(x[0] - best) < 1e-4
@@ -52,13 +57,13 @@ class TestNelderMead:
         def objective(v):
             values.append(float((v ** 2).sum()))
             return values[-1]
-        x, f = atk.nelder_mead(objective, np.array([1.0, -2.0]))
+        x, f = nelder_mead(objective, np.array([1.0, -2.0]))
         assert f == min(values)
         assert np.max(np.abs(x)) < 1e-9
 
     def test_nan_objective_raises(self):
         with pytest.raises(ObjectiveError):
-            atk.nelder_mead(lambda v: float("nan"), np.zeros(2))
+            nelder_mead(lambda v: float("nan"), np.zeros(2))
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +243,7 @@ class TestOracleBatch:
             monkeypatch.delattr(atk.ScoreOracle, "batch")
         oracle = table_oracle([0.9] * 10, max_attempts=4)
         with pytest.raises(atk._SearchOver):
-            atk.nelder_mead(oracle, np.zeros(5))  # ends mid-simplex
+            nelder_mead(oracle, np.zeros(5))  # ends mid-simplex
         assert (oracle.attempts, len(oracle.trace)) == (4, 4)
         assert (oracle.best_score, oracle.best_x.tolist()) == (0.9, [0.0] * 5)
 
@@ -518,6 +523,18 @@ class TestSecondAttack:
                      atk.Solution(subject="S009", kind=kind, payload=payload)]
         with pytest.raises(ConfigError, match="^unknown subject 'S009'$"):
             atk.second_attack(small_system, solutions, n_keys=3)
+        assert reissued == []
+
+    @pytest.mark.parametrize("n_keys", [0, -1])
+    def test_fewer_than_one_key_fails_before_any_reissue(self, monkeypatch, n_keys):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=10, dim=8, seed=81)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=2, query_frames=1,
+                                                  delta=0.5))
+        reissued = []
+        monkeypatch.setattr(system, "reissue", lambda *args: reissued.append(args))
+        solutions = atk.public_data_solutions(system, seed=5)[:2]
+        with pytest.raises(ConfigError, match=f"at least one fresh key, got {n_keys}$"):
+            atk.second_attack(system, solutions, n_keys=n_keys)
         assert reissued == []
 
 

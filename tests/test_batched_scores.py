@@ -40,10 +40,6 @@ PINNED = {
         "0861966ad18f985a25fd70da3c70ab429f0a91276166e2bf808d7cd699e14f0d",
     "unlinkability.non_mated":
         "0d6f968ea4a30c6df7e0c240ac8f0ca598c52d5eb5c678524072165bc1d25c76",
-    "unlinkability_w2.mated":
-        "0d126dc41d5be52b8de1e1275471e551eb0e3709525854415e58bf17d706a324",
-    "unlinkability_w2.non_mated":
-        "4b509b07d29d4490ff382a34f708c4021c1c83ddf17723ca2de3ed5b9d448017",
     "second_attack":
         "b5c4cb5c0b3157b726137329c9a2d547874af1bd2951324e912bfbde5b03e4ef",
 }
@@ -73,11 +69,9 @@ def _score_hashes() -> dict:
         out[f"{tag}.impostor"] = _sha(scores.impostor)
     out["revocability.pseudo_impostor"] = _sha(
         me.revocability_protocol(dataset, lost, n_keys=5, seed=4).pseudo_impostor)
-    for tag, window in (("unlinkability", 1), ("unlinkability_w2", 2)):
-        mated, non_mated = me.unlinkability_protocol(dataset, lost, n_keys=3, seed=5,
-                                                     window_frames=window)
-        out[f"{tag}.mated"] = _sha(mated)
-        out[f"{tag}.non_mated"] = _sha(non_mated)
+    mated, non_mated = me.unlinkability_protocol(dataset, lost, n_keys=3, seed=5)
+    out["unlinkability.mated"] = _sha(mated)
+    out["unlinkability.non_mated"] = _sha(non_mated)
     system = AuthSystem(dataset, lost)
     solutions = atk.public_data_solutions(system, 1, seed=6)[:3]
     solutions.append(atk.Solution("S002", "template",

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from neurolock import cli, matching_eval, pipeline
+from neurolock import __version__, cli, matching_eval, pipeline
 from neurolock import transform as tr
 from neurolock.cli import main
 from neurolock.ingest import read_csv_matrix, write_edf
@@ -450,10 +451,35 @@ class TestReports:
         assert 0.0 <= report["eer"] <= 0.5
         assert report["config_hash"]
         assert (tmp_path / "roc.csv").exists()
-        assert (tmp_path / "score_histograms.csv").exists()
+        with (tmp_path / "score_histograms.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["bin_low", "bin_high", "genuine", "impostor"]
+        cells = np.array([[float(cell) for cell in row] for row in rows])
+        edges = np.linspace(0.0, 1.0, 51)
+        assert np.array_equal(cells[:, 0], edges[:-1])
+        assert np.array_equal(cells[:, 1], edges[1:])
+        assert cells[:, 2].sum() == report["n_genuine"]
         first = report_path.read_bytes()
         assert invoke(args).exit_code == 0
         assert report_path.read_bytes() == first
+
+    def test_every_json_output_carries_its_stamps(self, tmp_path):
+        args = ["--attack.max_attempts=200", "--slx.seeds=1", "--slx.n_users=3"] + SMALL
+        for command in ("synth", "extract", "eval", "attack", "slx"):
+            assert invoke([command, f"--output_dir={tmp_path}"] + args).exit_code == 0
+        expected = {"dataset/manifest.json": {"config_hash", "master_seed", "version"},
+                    "features/manifest.json": {"config_hash", "master_seed", "version"},
+                    "slx_report.json": {"config_hash", "master_seed", "version"},
+                    "eval_report.json": {"config_hash", "version", "seeds"},
+                    "attack_report.json": {"config_hash", "master_seed", "seeds"}}
+        stamp = {"config_hash": cli.config_hash(cli.load_config(
+                     None, (f"--output_dir={tmp_path}", *args), None)),
+                 "master_seed": 1234, "version": __version__}
+        for name, keys in expected.items():
+            report = json.loads((tmp_path / name).read_text())
+            assert keys == {"config_hash", "master_seed", "version", "seeds"} & report.keys()
+            for key in keys - {"seeds"}:
+                assert report[key] == stamp[key], (name, key)
 
     def test_attack_report(self, tmp_path):
         args = ["attack", f"--output_dir={tmp_path}", "--attack.theta=0.5",

@@ -12,6 +12,18 @@ def make_recording(data, fs=160.0):
                      data=data, protocol_tag=Protocol.EO, subject_id="S")
 
 
+def response_at(taps, freq_hz, fs=160.0):
+    """Single-pass magnitude response of FIR taps at one frequency."""
+    import scipy.signal
+    _, h = scipy.signal.freqz(taps, worN=[2.0 * np.pi * freq_hz / fs])
+    return float(np.abs(h[0]))
+
+
+# Hamming-window design rule of thumb for 331 taps at 160 Hz: ~3.3
+# normalized-frequency units
+TRANSITION_WIDTH_HZ = 3.3 * 160.0 / 331
+
+
 class TestDetrend:
     def test_constant_channel_goes_to_zero(self):
         out = dsp.detrend(make_recording([5.0, 5.0, 5.0, 5.0]))
@@ -48,29 +60,29 @@ class TestDetrend:
 
 class TestDesignBandpass:
     def test_taps_exactly_symmetric(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        assert np.array_equal(filt.taps, filt.taps[::-1])
-        assert filt.taps.size == 331
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        assert np.array_equal(taps, taps[::-1])
+        assert taps.size == 331
 
     def test_dc_gain_near_zero(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        assert abs(filt.taps.sum()) < 1e-3  # |H(0)| = sum of taps
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        assert abs(taps.sum()) < 1e-3  # |H(0)| = sum of taps
 
     def test_band_centre_gain_near_unity(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        assert 0.9 <= filt.response_at(21.5) <= 1.1
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        assert 0.9 <= response_at(taps, 21.5) <= 1.1
 
     def test_stopband_attenuation(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        tw = filt.transition_width_hz
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        tw = TRANSITION_WIDTH_HZ
         for freq in (2.0, 13.0 - 1.5 * tw, 30.0 + 1.5 * tw, 70.0):
-            assert filt.response_at(freq) <= 10 ** (-40 / 20)
+            assert response_at(taps, freq) <= 10 ** (-40 / 20)
 
     def test_passband_within_6db(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        tw = filt.transition_width_hz
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        tw = TRANSITION_WIDTH_HZ
         for freq in np.linspace(13.0 + tw, 30.0 - tw, 9):
-            assert filt.response_at(freq) >= 10 ** (-6 / 20)
+            assert response_at(taps, freq) >= 10 ** (-6 / 20)
 
     @pytest.mark.parametrize("low,high,order", [(0.0, 30.0, 330), (30.0, 13.0, 330),
                                                 (13.0, 90.0, 330), (13.0, 30.0, 331)])
@@ -84,10 +96,10 @@ class TestFilterZeroPhase:
         fs, f0 = 160.0, 20.0
         t = np.arange(4000) / fs
         x = np.cos(2 * np.pi * f0 * t)
-        filt = dsp.design_bandpass(fs, 13.0, 30.0, order=330)
-        out = dsp.filter_zero_phase(make_recording(x, fs), filt).data[0]
+        taps = dsp.design_bandpass(fs, 13.0, 30.0, order=330)
+        out = dsp.filter_zero_phase(make_recording(x, fs), taps).data[0]
         mid = slice(1500, 2500)
-        gain = filt.response_at(f0) ** 2  # forward-backward squares the response
+        gain = response_at(taps, f0, fs) ** 2  # forward-backward squares the response
         amp = np.sqrt(2.0 * np.mean(out[mid] ** 2))
         assert amp == pytest.approx(gain, rel=0.02)
         # phase preserved at mid-signal
@@ -102,22 +114,22 @@ class TestFilterZeroPhase:
         fs = 160.0
         t = np.arange(4000) / fs
         x = np.sin(2 * np.pi * 2.0 * t)
-        filt = dsp.design_bandpass(fs, 13.0, 30.0, order=330)
-        out = dsp.filter_zero_phase(make_recording(x, fs), filt).data[0]
+        taps = dsp.design_bandpass(fs, 13.0, 30.0, order=330)
+        out = dsp.filter_zero_phase(make_recording(x, fs), taps).data[0]
         mid = slice(1500, 2500)
         in_rms = np.sqrt(np.mean(x[mid] ** 2))
         out_rms = np.sqrt(np.mean(out[mid] ** 2))
         assert 20 * np.log10(in_rms / max(out_rms, 1e-300)) >= 30.0
 
     def test_zero_signal_stays_zero(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
-        out = dsp.filter_zero_phase(make_recording(np.zeros(2000)), filt)
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        out = dsp.filter_zero_phase(make_recording(np.zeros(2000)), taps)
         assert np.all(out.data == 0.0)
 
     def test_too_short_signal_raises(self):
-        filt = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order=330)
         with pytest.raises(LengthError):
-            dsp.filter_zero_phase(make_recording(np.ones(990)), filt)
+            dsp.filter_zero_phase(make_recording(np.ones(990)), taps)
 
 
 class TestFrame:

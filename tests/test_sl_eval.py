@@ -3,7 +3,7 @@ import pytest
 
 from neurolock import sl_eval
 from neurolock.errors import ConfigError, LengthError, SingularityError
-from neurolock.sl_eval import LabeledSet, lda_train
+from neurolock.sl_eval import lda_train
 
 
 def gaussian_dataset(n_subjects=8, n_samples=30, dim=12, separation=3.0, seed=0):
@@ -19,35 +19,34 @@ class TestLda:
         rng = np.random.default_rng(3)
         x0 = rng.normal(loc=-3.0, size=(200, 5))
         x1 = rng.normal(loc=3.0, size=(200, 5))
-        train = LabeledSet(np.vstack([x0, x1]),
-                           np.concatenate([np.zeros(200, int), np.ones(200, int)]))
-        model = lda_train(train)
-        accuracy = (model.predict(train.features) == train.labels).mean()
+        x = np.vstack([x0, x1])
+        y = np.concatenate([np.zeros(200, int), np.ones(200, int)])
+        model = lda_train(x, y)
+        accuracy = ((model.decision_scores(x) >= 0) == y).mean()
         assert accuracy >= 0.99
 
     def test_identical_distributions_chance_level(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2000, 4))
         y = np.concatenate([np.zeros(1000, int), np.ones(1000, int)])
-        model = lda_train(LabeledSet(x, y))
-        accuracy = (model.predict(x) == y).mean()
+        model = lda_train(x, y)
+        accuracy = ((model.decision_scores(x) >= 0) == y).mean()
         assert accuracy == pytest.approx(0.5, abs=0.05)
 
     def test_two_point_boundary_at_midpoint(self):
-        train = LabeledSet(np.array([[-0.1], [0.1], [0.9], [1.1]]), np.array([0, 0, 1, 1]))
-        model = lda_train(train)
-        assert model.predict(np.array([[0.49]]))[0] == 0
-        assert model.predict(np.array([[0.51]]))[0] == 1
+        model = lda_train(np.array([[-0.1], [0.1], [0.9], [1.1]]), np.array([0, 0, 1, 1]))
+        assert model.decision_scores(np.array([[0.49]]))[0] < 0
+        assert model.decision_scores(np.array([[0.51]]))[0] >= 0
 
     def test_singular_covariance_without_reg_raises(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
         y = np.array([0, 0, 1, 1])
         with pytest.raises(SingularityError):
-            lda_train(LabeledSet(x, y))
+            lda_train(x, y)
 
     def test_one_class_raises(self):
         with pytest.raises(LengthError):
-            lda_train(LabeledSet(np.ones((3, 2)), np.ones(3, int)))
+            lda_train(np.ones((3, 2)), np.ones(3, int))
 
 
 class TestClassificationStyle:

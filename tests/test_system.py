@@ -219,14 +219,3 @@ class TestLazyTemplates:
     def test_protocol_tests_builds_one_per_account(self, dataset, built):
         me.protocol_tests(dataset, 5, 1, SystemConfig())
         assert built == dataset.subjects
-
-
-class TestSingleProtocolPair:
-    def test_same_protocol_for_both_streams(self):
-        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=8, seed=9,
-                                         protocols=(Protocol.EO, Protocol.EO))
-        config = SystemConfig(enroll_frames=4, query_frames=1,
-                              protocol_pair=(Protocol.EO, Protocol.EO))
-        system = AuthSystem(dataset, config)
-        query = system.query_template("S001", "S001", 0, 4)
-        assert tr.match(query, system.users["S001"].template, config.theta).score == 0.0
