@@ -405,8 +405,8 @@ class SecondAttackReport:
     n_tests: int
     n_successes: int
     sar: float
-    score_mean: float
-    score_std: float
+    score_mean: float | None
+    score_std: float | None
     similarity_mean: float | None
     similarity_std: float | None
     per_solution: list = field(default_factory=list)
@@ -470,8 +470,8 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     return SecondAttackReport(
         n_tests=n_tests, n_successes=successes,
         sar=successes / n_tests if n_tests else 0.0,
-        score_mean=float(np.mean(scores)) if scores else 0.0,
-        score_std=float(np.std(scores)) if scores else 0.0,
+        score_mean=float(np.mean(scores)) if scores else None,
+        score_std=float(np.std(scores)) if scores else None,
         similarity_mean=float(np.mean(sims)) if sims else None,
         similarity_std=float(np.std(sims)) if sims else None,
         per_solution=per_solution)

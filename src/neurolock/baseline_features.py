@@ -66,7 +66,7 @@ def band_powers(channel: np.ndarray, fs: float) -> np.ndarray:
     x = np.asarray(channel, dtype=float).ravel()
     if x.size < 64:
         raise LengthError(f"need at least 64 samples, got {x.size}")
-    import scipy.signal  # here, not at module level: see the dsp module
+    import scipy.signal  # here, not at module level: a cache hit never imports it
     nperseg = min(160, x.size)
     freqs, psd = scipy.signal.welch(x, fs=fs, window="hamming", nperseg=nperseg,
                                     noverlap=nperseg // 2, detrend=False)

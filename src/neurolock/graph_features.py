@@ -287,7 +287,7 @@ def distance_matrix(graph) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):  # subnormal weights overflow
         lengths = np.where(w > 0, 1.0 / w, 0.0)  # csgraph reads 0 as "no edge"
     np.fill_diagonal(lengths, 0.0)
-    import scipy.sparse.csgraph  # here, not at module level: see the dsp module
+    import scipy.sparse.csgraph  # here, not at module level: a cache hit never imports it
     return scipy.sparse.csgraph.shortest_path(scipy.sparse.csr_array(lengths), method="D",
                                               directed=False)
 

@@ -477,6 +477,15 @@ class TestSecondAttack:
             "n_successes", "n_tests", "per_solution", "sar", "score_mean", "score_std",
             "similarity_mean", "similarity_std"]
 
+    def test_no_solutions_report_no_scores(self):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=10, dim=8, seed=79)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=2, query_frames=1,
+                                                  delta=0.5))
+        report = atk.second_attack(system, [], n_keys=3)
+        assert (report.n_tests, report.n_successes, report.sar) == (0, 0, 0.0)
+        assert report.score_mean is None and report.score_std is None
+        assert report.similarity_mean is None and report.similarity_std is None
+
     def test_unknown_kind_fails_before_any_reissue(self, monkeypatch):
         dataset = random_feature_dataset(n_subjects=3, n_frames=6, dim=8, seed=80)
         system = AuthSystem(dataset, SystemConfig(enroll_frames=2, query_frames=1,

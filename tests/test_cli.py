@@ -712,10 +712,28 @@ cli.main(args={["verify", f"--template={tmp_path / 'S001.ceeg'}", "--subject=S00
          standalone_mode=False)
 print(loaded())
 """
+    assert run_in_a_fresh_process(script) == [
+        "[]", "ACCEPT score=0.000000 raw=0 threshold=0.389", "[]"]
+
+
+def test_a_cold_graph_enroll_never_imports_scipy_signal(tmp_path):
+    args = ["enroll", "--subject=S001", "--key=777", f"--output_dir={tmp_path}"] + SMALL
+    script = f"""
+import sys
+from neurolock import cli
+cli.main(args={args!r}, standalone_mode=False)
+print("scipy.signal" in sys.modules)
+"""
+    assert run_in_a_fresh_process(script) == [
+        f"enrolled S001 -> {tmp_path / 'S001.ceeg'}", "False"]
+    assert len(list((tmp_path / "cache").glob("features-*.npz"))) == 1  # it extracted
+
+
+def run_in_a_fresh_process(script):
+    """The stdout lines of a Python script run in a new interpreter."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "ACCEPT score=0.000000 raw=0 threshold=0.389",
-                                        "[]"]
+    return done.stdout.splitlines()

@@ -252,3 +252,39 @@ def test_pipeline_errors_name_the_recording(rng):
     with pytest.raises(DegenerateSignal,
                        match=r"^subject 'S042' / EC: all-zero frame 0 channel 2, "):
         extract_frame_features(rec, DspConfig(), "graph")
+
+
+class TestMatchesScipySignal:
+    """The numpy filters equal the scipy.signal calls they replace, bit for bit."""
+
+    ORDERS = (2, 4, 6, 10, 32, 64, 100, 254, 330, 332, 500, 998, 1000)
+
+    @pytest.mark.parametrize("fs", [128.0, 160.0, 173.61, 256.0])
+    @pytest.mark.parametrize("low,high", [(13.0, 30.0), (1.0, 4.0), (0.5, 60.0)])
+    def test_design_bandpass_equals_firwin(self, fs, low, high):
+        import scipy.signal
+        for order in self.ORDERS:
+            taps = dsp.design_bandpass(fs, low, high, order)
+            reference = scipy.signal.firwin(order + 1, [low, high], pass_zero=False,
+                                            window="hamming", fs=fs)
+            assert np.array_equal(taps, (reference + reference[::-1]) / 2.0), order
+
+    @pytest.mark.parametrize("channels", [1, 16])
+    @pytest.mark.parametrize("order", [2, 10, 330])
+    def test_filter_zero_phase_equals_filtfilt(self, rng, channels, order):
+        import scipy.signal
+        taps = dsp.design_bandpass(160.0, 13.0, 30.0, order)
+        padlen = 3 * order
+        for n_samples in (padlen + 1, padlen + 2, padlen + 321, padlen + 640):
+            data = 40.0 * rng.normal(size=(channels, n_samples))
+            out = dsp.filter_zero_phase(make_recording(data), taps).data
+            reference = scipy.signal.filtfilt(taps, [1.0], data, axis=-1, padlen=padlen)
+            assert np.array_equal(out, reference), n_samples
+
+    @pytest.mark.parametrize("shape", [(1, 8), (1, 9), (16, 320), (16, 321),
+                                       (3, 16, 320), (2, 1, 347)])
+    def test_instantaneous_phase_equals_hilbert(self, rng, shape):
+        import scipy.signal
+        x = rng.normal(size=shape)
+        assert np.array_equal(dsp.instantaneous_phase(x),
+                              np.angle(scipy.signal.hilbert(x, axis=-1)))
