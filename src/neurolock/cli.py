@@ -3,9 +3,12 @@ evaluation campaigns, attack campaigns, and report emission.
 
 One JSON config file drives everything; individual values can be overridden
 on the command line with ``--section.key=value`` tokens (parsed as JSON where
-possible). The commands stamp every JSON report and manifest with the config
-hash (the README lists each file's stamps), and identical configs reproduce
-identical outputs byte for byte.
+possible), and ``--seed`` sets ``master_seed``. Each value has one setting:
+``transform.theta`` is the threshold of ``verify``, the attack campaign and the
+second attack, and ``dataset.fs`` the sampling rate of synthetic and csv data.
+The commands stamp every JSON report and manifest with the config hash (the
+README lists each file's stamps), and identical configs reproduce identical
+outputs byte for byte.
 Extracted features are cached under ``<output_dir>/cache`` (``load_features``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 verification
@@ -20,8 +23,6 @@ import hashlib
 import io
 import json
 import numbers
-import os
-import re
 from pathlib import Path
 
 import click
@@ -49,12 +50,11 @@ DEFAULT_CONFIG = {
     "dataset": {
         "kind": "synthetic",          # synthetic | csv | edf
         "path": None,                 # directory for csv/edf datasets
-        "fs": 160.0,
+        "fs": 160.0,                  # sampling rate of synthetic and csv data
         "synthetic": {
             "n_subjects": 8,
             "n_channels": 8,
             "duration_s": 62.0,
-            "fs": 160.0,
             "noise_level": 0.1,
         },
     },
@@ -79,7 +79,6 @@ DEFAULT_CONFIG = {
     "eval": {"revocability_keys": 0, "unlink_keys": 0},
     "attack": {
         "case": "feature_space",
-        "theta": 0.389,
         "max_attempts": 20000,
         "seed": 0,
         "second_attack_keys": 0,
@@ -121,10 +120,8 @@ def _apply_override(config: dict, token: str) -> None:
     node = config
     *parents, leaf = dotted.split(".")
     for part in parents:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config path {dotted!r}")
-        node = node[part]
-    if leaf not in node:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config path {dotted!r}")
     if isinstance(node[leaf], dict):
         raise ConfigError(f"{dotted!r} is a config section; override its keys one by one")
@@ -133,7 +130,7 @@ def _apply_override(config: dict, token: str) -> None:
 
 def load_config(config_path: str | None, overrides: tuple[str, ...],
                 seed_flag: int | None) -> dict:
-    """Defaults, then the config file, overrides, NEUROLOCK_SEED and --seed.
+    """Defaults, then the config file, overrides and --seed.
 
     Every value is checked here, before any data is read or synthesized: the
     dataclass sections by their constructors, the rest by the rules below.
@@ -149,11 +146,6 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
         config = _deep_merge(config, user)
     for token in overrides:
         _apply_override(config, token)
-    env_seed = os.environ.get("NEUROLOCK_SEED")
-    if env_seed is not None:
-        require("NEUROLOCK_SEED", env_seed, str,
-                lambda v: re.fullmatch(r"\s*[+-]?\d+\s*", v) is not None, "an integer")
-        config["master_seed"] = int(env_seed)
     if seed_flag is not None:
         config["master_seed"] = seed_flag
     ds, slx = config["dataset"], config["slx"]
@@ -315,8 +307,21 @@ def load_features(config: dict) -> FeatureDataset:
     return dataset
 
 
+def system_features(config: dict) -> FeatureDataset:
+    """`load_features`, after refusing a synthetic recording short of F_e + F_t frames."""
+    if config["dataset"]["kind"] == "synthetic":
+        spec, d, t = synthetic_spec(config), config["dsp"], config["transform"]
+        n_frames = dsp.frame_count(spec.n_samples, spec.fs, d["frame_seconds"], d["overlap"])
+        needed = t["enroll_frames"] + t["query_frames"]
+        if n_frames < needed:
+            raise ConfigError(f"a synthetic recording has {n_frames} frames "
+                              f"< F_e + F_t = {needed}")
+    return load_features(config)
+
+
 def synthetic_spec(config: dict) -> SyntheticSpec:
-    return SyntheticSpec(**config["dataset"]["synthetic"], master_seed=config["master_seed"])
+    return SyntheticSpec(**config["dataset"]["synthetic"], fs=config["dataset"]["fs"],
+                         master_seed=config["master_seed"])
 
 
 def dsp_config(config: dict) -> DspConfig:
@@ -329,7 +334,7 @@ def system_config(config: dict) -> SystemConfig:
 
 def attack_config(config: dict) -> atk.AttackConfig:
     a = config["attack"]
-    return atk.AttackConfig(case=a["case"], theta=a["theta"],
+    return atk.AttackConfig(case=a["case"], theta=config["transform"]["theta"],
                             max_attempts=a["max_attempts"], seed=a["seed"])
 
 
@@ -440,7 +445,7 @@ def enroll(config, subject, user_key, template_path):
                                  f"{path.parent} is not a directory")
     if subject not in {s for s, _ in dataset_entries(config)}:
         raise ConfigError(f"unknown subject {subject!r}")
-    system = AuthSystem(load_features(config), system_config(config))
+    system = AuthSystem(system_features(config), system_config(config))
     tr.save_template(system.reissue(subject, user_key).template, path)
     click.echo(f"enrolled {subject} -> {path}")
 
@@ -449,17 +454,14 @@ def enroll(config, subject, user_key, template_path):
          click.option("--subject", required=True, help="Subject supplying query frames."),
          click.option("--key", "user_key", type=int, required=True,
                       help="User key the account is provisioned with."),
-         click.option("--theta", type=float, default=None,
-                      help="Decision threshold (default from config)."),
          click.option("--from-frame", "from_frame", type=int, default=None,
                       help="First query frame (default: first post-enrollment frame)."),
          click.option("--frames", "n_frames", type=int, default=None,
                       help="Frames averaged into the query (default: query_frames)."))
-def verify(config, template_path, subject, user_key, theta, from_frame, n_frames):
+def verify(config, template_path, subject, user_key, from_frame, n_frames):
     """Generate a query from the subject's frames and match the template."""
     for name, value, kind, ok, what in (
             ("--key", user_key, *_KEY_RULE),
-            ("--theta", theta, numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
             ("--from-frame", from_frame, numbers.Integral, lambda v: v >= 0,
              "a non-negative integer"),
             ("--frames", n_frames, numbers.Integral, lambda v: v >= 1,
@@ -474,12 +476,11 @@ def verify(config, template_path, subject, user_key, theta, from_frame, n_frames
     if claimed not in subjects:
         raise ConfigError(f"template subject {claimed!r} not in dataset")
     sys_cfg = system_config(config)
-    system = AuthSystem(load_features(config), sys_cfg)
+    system = AuthSystem(system_features(config), sys_cfg)
     system.revoke(claimed, user_key)
     start = sys_cfg.enroll_frames if from_frame is None else from_frame
     query = system.query_template(claimed, subject, start, n_frames)
-    threshold = sys_cfg.theta if theta is None else theta
-    result = tr.match(query, enrolled, threshold)
+    result = tr.match(query, enrolled, sys_cfg.theta)
     decision = "ACCEPT" if result.decision else "REJECT"
     click.echo(f"{decision} score={result.score:.6f} raw={result.raw} "
                f"threshold={result.threshold}")
@@ -490,7 +491,7 @@ def verify(config, template_path, subject, user_key, theta, from_frame, n_frames
 @command()
 def eval(config):
     """Run the evaluation protocol and emit report, ROC, and histograms."""
-    dataset = load_features(config)
+    dataset = system_features(config)
     report = me.evaluate(dataset, system_config(config),
                          revocability_keys=config["eval"]["revocability_keys"],
                          unlink_keys=config["eval"]["unlink_keys"],
@@ -515,8 +516,7 @@ def eval(config):
 @command()
 def attack(config):
     """Run the hill-climbing campaign (and optional second attack)."""
-    dataset = load_features(config)
-    system = AuthSystem(dataset, system_config(config))
+    system = AuthSystem(system_features(config), system_config(config))
     a_cfg = attack_config(config)
     report = atk.run_hill_climb_campaign(system, a_cfg)
     out = _out_dir(config)
@@ -531,7 +531,7 @@ def attack(config):
                      for o in report.outcomes if o.success]
         second = atk.second_attack(system, solutions,
                                    n_keys=config["attack"]["second_attack_keys"],
-                                   theta=a_cfg.theta, seed=config["master_seed"])
+                                   seed=config["master_seed"])
         payload["second_attack"] = second.to_json_dict()
     atomic_write(out / "attack_report.json", json.dumps(payload, indent=2, sort_keys=True))
     atomic_write(out / "attack_trace.csv", csv_text(

@@ -25,16 +25,6 @@ def default_bin_count(n_samples: int) -> int:
     return max(8, math.ceil(math.exp(0.626 + 0.4 * math.log(n_samples - 1))))
 
 
-def relative_phase(phase_i: np.ndarray, phase_j: np.ndarray) -> np.ndarray:
-    """|phi_i - phi_j| mod 2*pi, entries in [0, 2*pi)."""
-    phase_i = np.asarray(phase_i, dtype=float)
-    phase_j = np.asarray(phase_j, dtype=float)
-    if phase_i.shape != phase_j.shape:
-        raise LengthError(
-            f"phase series lengths differ: {phase_i.shape} vs {phase_j.shape}")
-    return np.mod(np.abs(phase_i - phase_j), TWO_PI)
-
-
 def _bin_indices(wrapped: np.ndarray, bins: int) -> np.ndarray:
     """Equal-width bin index over [0, 2*pi); shared by scalar and batch paths."""
     idx = np.floor(wrapped * (bins / TWO_PI)).astype(np.int64)

@@ -72,19 +72,30 @@ def filter_zero_phase(recording: Recording, taps: np.ndarray) -> Recording:
     return replace(recording, data=np.stack(rows)[:, padlen:-padlen])
 
 
+def _frame_layout(n_samples: int, fs: float, frame_seconds: float, overlap: float):
+    """(frame count, samples per frame, samples between frame starts)."""
+    if not (0.0 <= overlap < 1.0):
+        raise ConfigError(f"overlap fraction must be in [0, 1), got {overlap}")
+    length = int(round(frame_seconds * fs))
+    if length < 1:
+        raise ConfigError(f"frame of {frame_seconds}s is shorter than one sample")
+    step = max(int(round(length * (1.0 - overlap))), 1)
+    return max((n_samples - length) // step + 1, 0), length, step
+
+
+def frame_count(n_samples: int, fs: float, frame_seconds: float, overlap: float) -> int:
+    """Frames `frame` cuts from n_samples samples per channel; 0 when none fits."""
+    return _frame_layout(n_samples, fs, frame_seconds, overlap)[0]
+
+
 def frame(recording: Recording, frame_seconds: float,
           overlap_fraction: float = 0.0) -> np.ndarray:
     """Cut a recording into (frames, channels, samples); the remainder is dropped."""
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise ConfigError(f"overlap fraction must be in [0, 1), got {overlap_fraction}")
-    length = int(round(frame_seconds * recording.fs))
-    if length < 1:
-        raise ConfigError(f"frame of {frame_seconds}s is shorter than one sample")
-    if recording.n_samples < length:
+    count, length, step = _frame_layout(recording.n_samples, recording.fs,
+                                        frame_seconds, overlap_fraction)
+    if count < 1:
         raise LengthError(
             f"recording has {recording.n_samples} samples, one frame needs {length}")
-    step = max(int(round(length * (1.0 - overlap_fraction))), 1)
-    count = (recording.n_samples - length) // step + 1
     return np.stack([recording.data[:, k * step: k * step + length] for k in range(count)])
 
 

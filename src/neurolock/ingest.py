@@ -398,6 +398,10 @@ class SyntheticSpec:
     def subject_ids(self) -> list[str]:
         return [f"S{i + 1:03d}" for i in range(self.n_subjects)]
 
+    @property
+    def n_samples(self) -> int:  # per channel of every recording
+        return int(round(self.duration_s * self.fs))
+
 
 def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     """1/f-amplitude noise, unit standard deviation."""
@@ -444,8 +448,7 @@ def synthesize(spec: SyntheticSpec) -> list[Recording]:
     Seeding is per (master_seed, subject, protocol), so output is independent
     of generation order.
     """
-    n_samples = int(round(spec.duration_s * spec.fs))
-    t = np.arange(n_samples) / spec.fs
+    t = np.arange(spec.n_samples) / spec.fs
 
     recordings = []
     for s_idx, subject in enumerate(spec.subject_ids()):
@@ -457,7 +460,7 @@ def synthesize(spec: SyntheticSpec) -> list[Recording]:
             oscillators = np.cos(2.0 * np.pi * freqs[:, None] * t[None, :]
                                  + phases[:, None])
             clean = weights @ oscillators
-            noise = np.stack([_pink_noise(rng, n_samples)
+            noise = np.stack([_pink_noise(rng, spec.n_samples)
                               for _ in range(spec.n_channels)])
             data = clean + spec.noise_level * noise
             recordings.append(Recording(

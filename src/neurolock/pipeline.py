@@ -19,7 +19,7 @@ from . import connectivity, dsp, graph_features
 from .errors import ConfigError, ShapeError, error_context, is_a, require
 from .ingest import PROTOCOL_PAIR, Protocol, Recording, atomic_write, csv_text
 
-FEATURE_KINDS = ("graph", "ar", "psd", "fuzzen", "concat")
+FEATURE_KINDS = ("graph", *(kind.value for kind in bf.BaselineKind))
 
 
 @dataclass

@@ -66,7 +66,7 @@ class UserAccount:
         """The enrolled template of all F_e frame pairs under `params`, built on
         first read."""
         return tr.make_template(self.enroll_v1, self.enroll_v2, self.params,
-                                len(self.enroll_v1), subject_id=self.subject_id)
+                                subject_id=self.subject_id)
 
     @property
     def true_features(self) -> np.ndarray:
@@ -187,8 +187,7 @@ class AuthSystem:
         the deployed matcher would build it."""
         n_frames = self.config.query_frames if n_frames is None else n_frames
         v1, v2 = self.windows(source, start_frame, n_frames)
-        return tr.make_template(v1, v2, self.users[claimed].params, n_frames,
-                                subject_id=source)
+        return tr.make_template(v1, v2, self.users[claimed].params, subject_id=source)
 
     def feature_query_bits(self, claimed: str, v1: np.ndarray,
                            v2: np.ndarray) -> np.ndarray:

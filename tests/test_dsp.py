@@ -164,17 +164,18 @@ class TestFrame:
             assert np.array_equal(fr, rec.data[:, k * step:k * step + 320])
 
     def test_count_formula_matches_enumeration(self, rng):
-        for n_samples in (320, 321, 640, 959, 960, 1234):
-            for overlap in (0.0, 0.5):
-                rec = make_recording(rng.normal(size=(1, n_samples)))
-                frames = dsp.frame(rec, 2.0, overlap)
+        for n_samples in (100, 319, 320, 321, 640, 959, 960, 1234):
+            for overlap in (0.0, 0.5, 0.9):
                 length, step = 320, int(round(320 * (1 - overlap)))
                 count = 0
                 start = 0
                 while start + length <= n_samples:
                     count += 1
                     start += step
-                assert len(frames) == count
+                assert dsp.frame_count(n_samples, 160.0, 2.0, overlap) == count
+                if count:
+                    rec = make_recording(rng.normal(size=(1, n_samples)))
+                    assert len(dsp.frame(rec, 2.0, overlap)) == count
 
     def test_too_short_recording_raises(self):
         with pytest.raises(LengthError):

@@ -162,7 +162,7 @@ class TestMakeTemplate:
         params = self.params()
         v1, v2 = self.frames(rng, 1)
         tr.calibrate_params(params, v1, v2, margin=0.1)
-        tpl = tr.make_template(v1, v2, params, 1, subject_id="S1")
+        tpl = tr.make_template(v1, v2, params, subject_id="S1")
         r = tr.project(tr.combine(v1[0], v2[0], params), params)
         assert np.array_equal(
             tpl.bits, tr.gray_encode(r, tpl.meta.quant_range))
@@ -172,35 +172,40 @@ class TestMakeTemplate:
         v1, v2 = self.frames(rng, 1)
         v1_rep = np.repeat(v1, 4, axis=0)
         v2_rep = np.repeat(v2, 4, axis=0)
-        one = tr.make_template(v1, v2, params, 1)
-        four = tr.make_template(v1_rep, v2_rep, params, 4)
+        one = tr.make_template(v1, v2, params)
+        four = tr.make_template(v1_rep, v2_rep, params)
         assert np.array_equal(one.bits, four.bits)
         assert four.meta.frames_averaged == 4
 
     def test_two_frame_mean_matches_hand_computation(self, rng):
         params = self.ranged_params()
         v1, v2 = self.frames(rng, 2)
-        tpl = tr.make_template(v1, v2, params, 2)
+        tpl = tr.make_template(v1, v2, params)
         r0 = tr.project(tr.combine(v1[0], v2[0], params), params)
         r1 = tr.project(tr.combine(v1[1], v2[1], params), params)
         assert np.array_equal(tpl.bits, tr.gray_encode((r0 + r1) / 2.0, params.quant_range))
 
-    def test_requesting_more_frames_than_available(self, rng):
+    @pytest.mark.parametrize("shape_v1,shape_v2", [
+        ((2, 6), (3, 6)), ((2, 6), (2, 5)), ((0, 6), (0, 6)), ((6,), (6,)),
+    ], ids=["frames-differ", "features-differ", "no-frames", "no-frame-axis"])
+    def test_windows_that_differ_or_hold_no_frame_raise(self, rng, shape_v1, shape_v2,
+                                                        monkeypatch):
         params = self.ranged_params()
-        v1, v2 = self.frames(rng, 2)
-        with pytest.raises(ConfigError):
-            tr.make_template(v1, v2, params, 3)
+        monkeypatch.setattr(tr, "encode", lambda *args: pytest.fail("encoded"))
+        with pytest.raises(ShapeError, match="two equal windows"):
+            tr.make_template(rng.uniform(0.1, 1.0, shape_v1), rng.uniform(0.1, 1.0, shape_v2),
+                             params)
 
     def test_calibrated_params_supply_range(self, rng):
         params = self.params()
         pop1, pop2 = self.frames(rng, 40)
         tr.calibrate_params(params, pop1, pop2, margin=0.1)
-        tpl = tr.make_template(pop1[:5], pop2[:5], params, 5)
+        tpl = tr.make_template(pop1[:5], pop2[:5], params)
         assert np.array_equal(tpl.meta.quant_range, params.quant_range)
 
     @pytest.mark.parametrize("build", [
         lambda params, v1, v2: tr.encode(v1, v2, params),
-        lambda params, v1, v2: tr.make_template(v1, v2, params, 2),
+        lambda params, v1, v2: tr.make_template(v1, v2, params),
     ], ids=["encode", "make_template"])
     def test_uncalibrated_params_raise_naming_the_key(self, rng, build):
         params = self.params()
@@ -237,7 +242,7 @@ class TestMakeTemplate:
         v1, v2 = rng.uniform(0.1, 1.0, (2, 2, 3, 6))
         assert tr.encode(v1, v2, params).shape == (2, 3 * tr.BITS_PER_DIM)
         with pytest.raises(ShapeError):
-            tr.make_template(v1, v2, params, 3)
+            tr.make_template(v1, v2, params)
 
 
 class TestMatch:
@@ -331,12 +336,12 @@ class TestRevocation:
         pop1 = rng.uniform(0.1, 1.0, (60, dim))
         pop2 = rng.uniform(0.1, 1.0, (60, dim))
         base = tr.calibrate_params(tr.derive_params(1, dim, 0.5), pop1, pop2, margin=0.1)
-        original = tr.make_template(pop1[:5], pop2[:5], base, 5)
+        original = tr.make_template(pop1[:5], pop2[:5], base)
         distances = []
         for key in range(2, 30):
             fresh = tr.calibrate_params(tr.derive_params(key, dim, 0.5), pop1, pop2,
                                        margin=0.1)
-            reissued = tr.make_template(pop1[:5], pop2[:5], fresh, 5)
+            reissued = tr.make_template(pop1[:5], pop2[:5], fresh)
             distances.append(tr.hamming_score(original.bits, reissued.bits)[1])
         assert 0.3 <= float(np.mean(distances)) <= 0.65
 
@@ -346,8 +351,8 @@ class TestRevocation:
         pop2 = rng.uniform(0.1, 1.0, (20, dim))
         a = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2, margin=0.1)
         b = tr.calibrate_params(tr.derive_params(5, dim, 0.5), pop1, pop2, margin=0.1)
-        ta = tr.make_template(pop1[:3], pop2[:3], a, 3)
-        tb = tr.make_template(pop1[:3], pop2[:3], b, 3)
+        ta = tr.make_template(pop1[:3], pop2[:3], a)
+        tb = tr.make_template(pop1[:3], pop2[:3], b)
         assert np.array_equal(ta.bits, tb.bits)
 
 
@@ -357,7 +362,7 @@ class TestTemplateFile:
         v1 = rng.uniform(0.1, 1.0, (3, 8))
         v2 = rng.uniform(0.1, 1.0, (3, 8))
         tr.calibrate_params(params, v1, v2, margin=0.1)
-        tpl = tr.make_template(v1, v2, params, 3, subject_id="S007")
+        tpl = tr.make_template(v1, v2, params, subject_id="S007")
         path = tmp_path / "t.ceeg"
         tr.save_template(tpl, path)
         assert path.read_bytes()[:5] == b"CEEG1"
@@ -385,7 +390,7 @@ class TestTemplateFile:
         params = tr.derive_params(44, 2, 0.5)
         v1, v2 = rng.uniform(0.1, 1.0, (2, 2)), rng.uniform(0.1, 1.0, (2, 2))
         tr.calibrate_params(params, v1, v2, margin=0.1)
-        tpl = tr.make_template(v1, v2, params, 2)
+        tpl = tr.make_template(v1, v2, params)
         meta = json.dumps(corrupt(tpl.meta.to_dict())).encode()
         path = tmp_path / "t.ceeg"
         path.write_bytes(tr.TEMPLATE_MAGIC + len(meta).to_bytes(4, "big") + meta
@@ -398,7 +403,7 @@ class TestTemplateFile:
         v1 = rng.uniform(0.1, 1.0, (2, 8))
         v2 = rng.uniform(0.1, 1.0, (2, 8))
         tr.calibrate_params(params, v1, v2, margin=0.1)
-        tpl = tr.make_template(v1, v2, params, 2)
+        tpl = tr.make_template(v1, v2, params)
         path = tmp_path / "t.ceeg"
         tr.save_template(tpl, path)
         path.write_bytes(path.read_bytes()[:-1])
