@@ -294,7 +294,12 @@ def load_features(config: dict) -> FeatureDataset:
     """The configured dataset's features, read from
     ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
     them; otherwise extracted and written there, replacing every other key's
-    file in the directory."""
+    file in the directory. A synthetic recording too short to filter is refused first."""
+    if config["dataset"]["kind"] == "synthetic":
+        n_samples, padlen = synthetic_spec(config).n_samples, 3 * config["dsp"]["fir_order"]
+        if n_samples <= padlen:
+            raise ConfigError(f"a synthetic recording has {n_samples} samples; zero-phase "
+                              f"filtering needs more than 3 * dsp.fir_order = {padlen}")
     kind = config["features"]["kind"]
     path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
     dataset = read_feature_cache(path, dataset_entries(config), kind)

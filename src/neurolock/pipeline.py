@@ -2,8 +2,8 @@
 
 Stages: detrend, wide pre-filter, then either the graph path (beta-band
 filter, framing into a (frames, channels, samples) array, instantaneous phase
-of all frames at once, one synchronization graph and feature vector per
-frame) or a classical per-channel feature path on the pre-filtered frames.
+of all frames at once, one synchronization graph per frame, and the features
+of that graph stack at once) or a classical per-channel path on the frames.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def extract_frame_features(recording: Recording, config: DspConfig,
         beta = dsp.design_bandpass(rec.fs, *config.band, config.fir_order)
         rec = dsp.filter_zero_phase(rec, beta)
         phases = dsp.instantaneous_phase(dsp.frame(rec, config.frame_seconds, config.overlap))
-        return np.stack([graph_features.extract_features(
-            connectivity.build_graph(phase, config.rho_bins),
-            # per-frame seeds keep the output independent of extraction order
-            seed=stable_int(f"{recording.subject_id}:{k}")) for k, phase in enumerate(phases)])
+        graphs = np.stack([connectivity.build_graph(phase, config.rho_bins) for phase in phases])
+        # per-frame seeds keep the output independent of extraction order
+        return graph_features.extract_features(
+            graphs, [stable_int(f"{recording.subject_id}:{k}") for k in range(len(graphs))])
 
 
 def build_feature_dataset(recordings: list[Recording], config: DspConfig,

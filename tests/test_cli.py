@@ -275,6 +275,29 @@ class TestEnrollVerify:
                                  "< F_e + F_t = 41\n")
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("command", ["enroll", "verify", "eval", "attack", "extract",
+                                         "slx"])
+    def test_synthetic_recordings_too_short_to_filter_exit_before_synthesis(
+            self, tmp_path, monkeypatch, command):
+        # 6.1875 s at 160 Hz is 990 samples: three frames, but no room for the filters' padding
+        args = [command, f"--output_dir={tmp_path}", "--dataset.synthetic.duration_s=6.1875",
+                "--transform.enroll_frames=2", "--transform.query_frames=1"]
+        if command == "verify":
+            write_template(tmp_path / "u.ceeg", "S001")
+            args += [f"--template={tmp_path / 'u.ceeg'}", "--subject=S001", "--key=1"]
+        result = invoke_never_loading(monkeypatch, args)
+        assert result.output == ("config error: a synthetic recording has 990 samples; "
+                                 "zero-phase filtering needs more than 3 * dsp.fir_order "
+                                 "= 990\n")
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command, duration", [("synth", 6.1875), ("extract", 6.19375)])
+    def test_synth_writes_short_recordings_and_one_sample_more_extracts(
+            self, tmp_path, command, duration):
+        result = invoke([command, f"--output_dir={tmp_path}"] + SMALL[:2]
+                        + [f"--dataset.synthetic.duration_s={duration}"])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("command", ["synth", "extract"])
     def test_commands_without_accounts_accept_any_frame_schedule(self, tmp_path, command):
         result = invoke([command, f"--output_dir={tmp_path}"] + SMALL
@@ -774,10 +797,10 @@ def test_a_cold_graph_enroll_never_imports_scipy_signal(tmp_path):
 import sys
 from neurolock import cli
 cli.main(args={args!r}, standalone_mode=False)
-print("scipy.signal" in sys.modules)
+print([name for name in ("scipy.signal", "scipy.sparse") if name in sys.modules])
 """
     assert run_in_a_fresh_process(script) == [
-        f"enrolled S001 -> {tmp_path / 'S001.ceeg'}", "False"]
+        f"enrolled S001 -> {tmp_path / 'S001.ceeg'}", "[]"]
     assert len(list((tmp_path / "cache").glob("features-*.npz"))) == 1  # it extracted
 
 

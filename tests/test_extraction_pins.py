@@ -6,7 +6,9 @@ every frame, phase, graph and feature vector in its own dataclass, on numpy
 for bit and in the same order. The 9- and 12-channel digests were taken from
 the modularity search that indexed numpy arrays per element and recursed over
 the set partitions of every small graph; the Python-scalar search and its
-cached partition table must reproduce them too.
+cached partition table must reproduce them too. The 5- and 24-channel digests
+were taken from the per-frame graph features, before every graph metric took
+a recording's whole frame stack at once.
 """
 
 import hashlib
@@ -19,12 +21,16 @@ from neurolock.ingest import SyntheticSpec, synthesize
 from neurolock.pipeline import DspConfig, build_feature_dataset, extract_frame_features
 
 PINNED = {
+    "graph_5ch_seed7":
+        "5c437f46723fa7c618dbf1b8b76c44f8ef1282de7b2f521feb1ac2ab7b54dd91",
     "graph_small_8ch":
         "bb2d318793d6c1f60d6a119b2af5506b258fc6163700a84a98bc8c6e30f40453",
     "graph_9ch_seed7":
         "c9838993c75f04d0b37e28a9f24bd5bb494f6478c86a53f40489afc8d8540230",
     "graph_12ch_seed7":
         "c5ee7163a978af81a6b46a0713566bf085425cee3995c55b3ad04001e671de2f",
+    "graph_24ch_seed7":
+        "3d7f20e41e434ac6050315b49a55aaf44b12a78bbb980fb6111cd6ca2471414a",
     "graph_desk_16ch_seed7":
         "f8cd1261d306c49a52c6e73a5de48b9cdf7adc9627f15b8c9f974a3c5742e072",
     "ar": "868fcfa9edbab60d9c16c2d6bc36be7d6932707263ddfc604115386a409d44f3",
@@ -52,7 +58,7 @@ def test_graph_features_small_recordings(small_dataset):
 
 
 def test_graph_features_desk_channels():
-    # 16 channels: greedy modularity restarts and scipy Dijkstra
+    # 16 channels: greedy modularity restarts
     spec = SyntheticSpec(n_subjects=2, n_channels=16, duration_s=62.0, fs=160.0,
                          master_seed=7)
     dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
@@ -63,6 +69,15 @@ def test_graph_features_desk_channels():
 @pytest.mark.parametrize("n_channels", [9, 12])
 def test_graph_features_greedy_boundary(n_channels):
     # just past the exact search's 8 nodes: the greedy path on small graphs
+    spec = SyntheticSpec(n_subjects=2, n_channels=n_channels, duration_s=62.0, fs=160.0,
+                         master_seed=7)
+    dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
+    assert _dataset_sha(dataset) == PINNED[f"graph_{n_channels}ch_seed7"]
+
+
+@pytest.mark.parametrize("n_channels", [5, 24])
+def test_graph_features_stack_pins(n_channels):
+    # below the exact search's 8 nodes, and half again beyond the desk's 16
     spec = SyntheticSpec(n_subjects=2, n_channels=n_channels, duration_s=62.0, fs=160.0,
                          master_seed=7)
     dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")

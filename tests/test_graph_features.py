@@ -170,7 +170,7 @@ class TestModularity:
         w = np.where(same, 0.85, 0.08) + rng.uniform(-0.03, 0.03, (12, 12))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        labels, q = gf.best_partition(w, seed=0)
+        labels, q = gf.best_partition(w, seeds=0)
         # the planted split is recovered
         for g in range(3):
             block = labels[groups == g]
@@ -185,7 +185,7 @@ class TestModularity:
 
     def test_deterministic_per_seed(self, rng):
         w = random_graph(rng, 10)
-        assert gf.modularity(w, seed=7) == gf.modularity(w, seed=7)
+        assert gf.modularity(w, seeds=7) == gf.modularity(w, seeds=7)
 
 
 class TestDistances:

@@ -197,7 +197,7 @@ def graph(n, seed, levels=None, zero_fraction=0.0, diagonal=0.0):
 def test_best_partition_matches_reference(n, kind):
     for seed in range(3):
         w = graph(n, seed, LEVELS[kind])
-        labels, q = gf.best_partition(w, seed=seed)
+        labels, q = gf.best_partition(w, seeds=seed)
         ref_labels, ref_q = ref_best_partition(w, seed=seed)
         assert q == ref_q
         assert labels.tolist() == ref_labels.tolist()
@@ -209,7 +209,7 @@ def test_sparse_and_self_loop_graphs_match_reference(n):
     for seed in range(3):
         for w in (graph(n, seed, zero_fraction=0.4),
                   graph(n, seed, LEVELS["four_levels"], zero_fraction=0.3, diagonal=0.5)):
-            labels, q = gf.best_partition(w, seed=seed)
+            labels, q = gf.best_partition(w, seeds=seed)
             ref_labels, ref_q = ref_best_partition(w, seed=seed)
             assert q == ref_q
             assert labels.tolist() == ref_labels.tolist()
