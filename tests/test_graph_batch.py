@@ -180,7 +180,7 @@ def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatc
 # -- errors name the frame -----------------------------------------------------
 
 def faulty_stack(faults: dict[int, str], frames=6, n=6):
-    graphs = stack(np.random.default_rng(7), frames, n) + 0.05
+    graphs = 0.05 + 0.9 * stack(np.random.default_rng(7), frames, n)  # in [0.05, 0.95)
     graphs[:, range(n), range(n)] = 0.0
     for frame, fault in faults.items():
         g = graphs[frame]
