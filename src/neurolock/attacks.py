@@ -21,7 +21,7 @@ from . import transform as tr
 from .errors import ConfigError, ObjectiveError, ShapeError, require
 from .ingest import PROTOCOL_PAIR
 from .pipeline import stable_int
-from .system import AccountScorer, AuthSystem
+from .system import AccountScorer, AuthSystem, fresh_keys
 
 
 class AttackCase(enum.Enum):
@@ -445,10 +445,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     for solution in solutions:
         account = system.users[solution.subject]
         sol_scores = []
-        for _ in range(n_keys):
-            new_key = int(rng.integers(0, 2 ** 63))
-            if new_key == account.params.user_key:
-                new_key += 1
+        for new_key in fresh_keys(rng, n_keys, forbidden={account.params.user_key}):
             fresh = system.reissue(solution.subject, new_key)
             if solution.kind == "feature":
                 sol_scores.append(AccountScorer(system, fresh).feature_score(solution.payload))

@@ -6,9 +6,9 @@ on the command line with ``--section.key=value`` tokens (parsed as JSON where
 possible), and ``--seed`` sets ``master_seed``. Each value has one setting:
 ``transform.theta`` is the threshold of ``verify``, the attack campaign and the
 second attack, and ``dataset.fs`` the sampling rate of synthetic and csv data.
-The commands stamp every JSON report and manifest with the config hash (the
-README lists each file's stamps), and identical configs reproduce identical
-outputs byte for byte.
+The commands stamp every JSON report and manifest with the config hash, the
+master seed and the package version (``_stamp``), and identical configs
+reproduce identical outputs byte for byte.
 Extracted features are cached under ``<output_dir>/cache`` (``load_features``).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 verification
@@ -37,7 +37,7 @@ from .errors import ConfigError, NeurolockError, require
 from .ingest import (Protocol, SyntheticSpec, atomic_write, csv_text, read_csv_matrix,
                      read_edf, synthesize, write_csv_matrix)
 from .pipeline import (FEATURE_KINDS, DspConfig, FeatureDataset, build_feature_dataset,
-                       write_feature_csv)
+                       check_rate, write_feature_csv)
 from .system import AuthSystem, SystemConfig
 
 EXIT_CONFIG = 2
@@ -294,13 +294,16 @@ def load_features(config: dict) -> FeatureDataset:
     """The configured dataset's features, read from
     ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
     them; otherwise extracted and written there, replacing every other key's
-    file in the directory. A synthetic recording too short to filter is refused first."""
-    if config["dataset"]["kind"] == "synthetic":
+    file in the directory. Refused first: a synthetic recording too short to filter,
+    and for synthetic and csv data, sampled at dataset.fs, what `check_rate` refuses."""
+    ds, kind = config["dataset"], config["features"]["kind"]
+    if ds["kind"] == "synthetic":
         n_samples, padlen = synthetic_spec(config).n_samples, 3 * config["dsp"]["fir_order"]
         if n_samples <= padlen:
             raise ConfigError(f"a synthetic recording has {n_samples} samples; zero-phase "
                               f"filtering needs more than 3 * dsp.fir_order = {padlen}")
-    kind = config["features"]["kind"]
+    if ds["kind"] != "edf":  # an EDF file's own rate is checked as it is extracted
+        check_rate(dsp_config(config), ds["fs"], kind)
     path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
     dataset = read_feature_cache(path, dataset_entries(config), kind)
     if dataset is None:
@@ -502,8 +505,7 @@ def eval(config):
                          unlink_keys=config["eval"]["unlink_keys"],
                          seed=config["master_seed"])
     out = _out_dir(config)
-    payload = {**report.to_json_dict(), "config_hash": config_hash(config),
-               "version": __version__}
+    payload = {**report.to_json_dict(), **_stamp(config)}
     atomic_write(out / "eval_report.json", json.dumps(payload, indent=2, sort_keys=True))
     atomic_write(out / "roc.csv", csv_text(
         [["threshold", "far", "frr"], *([repr(v) for v in row] for row in report.roc)]))
@@ -525,8 +527,7 @@ def attack(config):
     a_cfg = attack_config(config)
     report = atk.run_hill_climb_campaign(system, a_cfg)
     out = _out_dir(config)
-    payload = {**report.to_json_dict(), "config_hash": config_hash(config),
-               "master_seed": config["master_seed"]}
+    payload = {**report.to_json_dict(), **_stamp(config)}
     if config["attack"]["second_attack_keys"]:
         # a template-space success is replayed as the gray-encoded bits the oracle accepted
         solutions = [atk.Solution(o.subject, "feature", o.solution, "computational")

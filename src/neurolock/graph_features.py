@@ -88,18 +88,22 @@ def transitivity(graph):
 
 # -- modularity -------------------------------------------------------------
 
+def _community_blocks(w: np.ndarray, labels: np.ndarray):
+    """w with its nodes stably sorted by community label (0..k-1), that order, and each
+    community's [start, end) span; a block's contiguous copy sums as w[np.ix_(m, n)] would."""
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    return w[np.ix_(order, order)], order, list(zip(cuts, cuts[1:]))
+
+
 def _partition_quality(w: np.ndarray, labels: np.ndarray, total: float) -> float:
     """Q = (1/l) sum_ij [w_ij - k_i k_j / l] delta(c_i, c_j), diagonal included."""
-    order = np.argsort(labels, kind="stable")
-    ws = w[np.ix_(order, order)]
+    ws, order, spans = _community_blocks(w, labels)
     strengths = w.sum(axis=1)[order]
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
     q = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        # a contiguous copy sums the community block in the order w[np.ix_(m, m)] would
-        s_in = float(ws[a:b, a:b].copy().sum())
+    for a, b in spans:
         s_tot = float(strengths[a:b].sum())
-        q += s_in / total - (s_tot / total) ** 2
+        q += float(ws[a:b, a:b].copy().sum()) / total - (s_tot / total) ** 2
     return q
 
 
@@ -209,12 +213,11 @@ def _greedy_level(w: np.ndarray, total: float, rng: np.random.Generator) -> np.n
 
 
 def _aggregate(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    members = [np.flatnonzero(labels == a) for a in range(labels.max() + 1)]
-    k = len(members)
-    agg = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            agg[a, b] = agg[b, a] = float(w[np.ix_(members[a], members[b])].sum())
+    ws, _, spans = _community_blocks(w, labels)
+    agg = np.zeros((len(spans), len(spans)))
+    for a, (a0, a1) in enumerate(spans):
+        for b, (b0, b1) in enumerate(spans[a:], start=a):
+            agg[a, b] = agg[b, a] = float(ws[a0:a1, b0:b1].copy().sum())
     return agg
 
 

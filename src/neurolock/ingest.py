@@ -1,10 +1,12 @@
 """Load multi-channel recordings from EDF files, CSV matrices, or a seeded synthetic generator.
 
 The EDF reader handles plain continuous EDF (256-byte fixed header plus 256
-bytes per signal, 16-bit little-endian samples). Annotation channels are
-dropped. The synthetic generator produces coupled in-band oscillators plus
-pink noise so that downstream phase-synchronization graphs are stable within
-a subject and distinct across subjects.
+bytes per signal, 16-bit little-endian samples). Two (field, width) tables,
+`EDF_HEADER` and `EDF_SIGNAL`, lay out the fixed header and the per-signal
+block, which holds each field for every signal in turn, for reader and writer.
+Annotation channels are dropped. The synthetic generator produces coupled
+in-band oscillators plus pink noise so that downstream phase-synchronization
+graphs are stable within a subject and distinct across subjects.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ import numpy as np
 
 from .errors import ConfigError, EmptyRecording, ParseError, error_context, require
 
-EDF_HEADER_BYTES = 256
-EDF_PER_SIGNAL_BYTES = 256
+EDF_HEADER = (("version", 8), ("patient", 80), ("recording", 80), ("start_date", 8),
+              ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
+              ("record_duration", 8), ("n_signals", 4))
+EDF_SIGNAL = (("label", 16), ("transducer", 80), ("unit", 8), ("phys_min", 8),
+              ("phys_max", 8), ("dig_min", 8), ("dig_max", 8), ("prefilter", 80),
+              ("samples", 8), ("reserved", 32))
+EDF_HEADER_BYTES = sum(width for _, width in EDF_HEADER)
+EDF_PER_SIGNAL_BYTES = sum(width for _, width in EDF_SIGNAL)
 ANNOTATION_LABEL = "EDF Annotations"
 
 
@@ -78,6 +86,14 @@ class Recording:
 # EDF
 # ---------------------------------------------------------------------------
 
+def _edf_layout(table) -> dict[str, tuple[int, int]]:
+    """Field name to (start, width), the fields laid out in table order."""
+    return {name: (sum(w for _, w in table[:i]), width) for i, (name, width) in enumerate(table)}
+
+
+_HEAD, _SIGNAL = _edf_layout(EDF_HEADER), _edf_layout(EDF_SIGNAL)
+
+
 def _edf_field(raw: bytes, start: int, length: int) -> str:
     return raw[start:start + length].decode("ascii", errors="replace").strip()
 
@@ -115,49 +131,44 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
     with error_context(path.name, (ParseError, EmptyRecording)):
         if len(raw) < EDF_HEADER_BYTES:
             raise ParseError("file shorter than the 256-byte EDF header", offset=len(raw))
-        version = _edf_field(raw, 0, 8)
+        version = _edf_field(raw, *_HEAD["version"])
         if version != "0":
-            raise ParseError(f"bad EDF version field {version!r}", offset=0)
+            raise ParseError(f"bad EDF version field {version!r}", offset=_HEAD["version"][0])
 
-        header_bytes = _edf_int(raw, 184, 8, "header-bytes")
-        n_records = _edf_int(raw, 236, 8, "record-count")
-        record_duration = _edf_float(raw, 244, 8, "record-duration")
-        n_signals = _edf_int(raw, 252, 4, "signal-count")
+        header_bytes = _edf_int(raw, *_HEAD["header_bytes"], "header-bytes")
+        n_records = _edf_int(raw, *_HEAD["n_records"], "record-count")
+        record_duration = _edf_float(raw, *_HEAD["record_duration"], "record-duration")
+        n_signals = _edf_int(raw, *_HEAD["n_signals"], "signal-count")
         if n_signals < 1:
-            raise ParseError("EDF declares no signals", offset=252)
+            raise ParseError("EDF declares no signals", offset=_HEAD["n_signals"][0])
 
         expected_header = EDF_HEADER_BYTES + EDF_PER_SIGNAL_BYTES * n_signals
         if header_bytes != expected_header:
             raise ParseError(
                 f"header length field {header_bytes} disagrees with "
-                f"{expected_header} bytes implied by {n_signals} signals", offset=184)
+                f"{expected_header} bytes implied by {n_signals} signals",
+                offset=_HEAD["header_bytes"][0])
         if len(raw) < expected_header:
             raise ParseError("file truncated inside the signal header block", offset=len(raw))
 
-        def signal_fields(width: int, block_start: int) -> list[str]:
-            base = EDF_HEADER_BYTES + block_start * n_signals
-            return [_edf_field(raw, base + i * width, width) for i in range(n_signals)]
+        def at(name: str, signal: int = 0) -> int:  # offset of a signal's value of a field
+            start, width = _SIGNAL[name]
+            return EDF_HEADER_BYTES + start * n_signals + signal * width
 
-        labels = signal_fields(16, 0)
-        # field offsets within the per-signal block: label 16, transducer 80, unit 8,
-        # phys_min 8, phys_max 8, dig_min 8, dig_max 8, prefilter 80, samples 8
-        base = EDF_HEADER_BYTES
-        off_phys_min = base + (16 + 80 + 8) * n_signals
-        off_phys_max = off_phys_min + 8 * n_signals
-        off_dig_min = off_phys_max + 8 * n_signals
-        off_dig_max = off_dig_min + 8 * n_signals
-        off_samples = off_dig_max + 8 * n_signals + 80 * n_signals
+        def column(name: str, parse, what: str) -> list:
+            base, width = at(name), _SIGNAL[name][1]
+            return [parse(raw, base + i * width, width, what) for i in range(n_signals)]
 
-        phys_min = [_edf_float(raw, off_phys_min + 8 * i, 8, "phys-min") for i in range(n_signals)]
-        phys_max = [_edf_float(raw, off_phys_max + 8 * i, 8, "phys-max") for i in range(n_signals)]
-        dig_min = [_edf_int(raw, off_dig_min + 8 * i, 8, "dig-min") for i in range(n_signals)]
-        dig_max = [_edf_int(raw, off_dig_max + 8 * i, 8, "dig-max") for i in range(n_signals)]
-        samples_per_record = [_edf_int(raw, off_samples + 8 * i, 8, "samples-per-record")
-                              for i in range(n_signals)]
+        labels = [_edf_field(raw, at("label", i), _SIGNAL["label"][1]) for i in range(n_signals)]
+        phys_min = column("phys_min", _edf_float, "phys-min")
+        phys_max = column("phys_max", _edf_float, "phys-max")
+        dig_min = column("dig_min", _edf_int, "dig-min")
+        dig_max = column("dig_max", _edf_int, "dig-max")
+        samples_per_record = column("samples", _edf_int, "samples-per-record")
 
         if min(samples_per_record) < 1:
             raise ParseError("EDF declares a signal with no samples per record",
-                             offset=off_samples)
+                             offset=at("samples"))
         record_bytes = 2 * sum(samples_per_record)
         payload = len(raw) - expected_header
         if n_records < 0:
@@ -165,7 +176,7 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
             if payload % record_bytes:
                 raise ParseError(
                     f"cannot infer record count: payload {payload} not a multiple of "
-                    f"record size {record_bytes}", offset=236)
+                    f"record size {record_bytes}", offset=_HEAD["n_records"][0])
             n_records = payload // record_bytes
         if n_records == 0:
             raise EmptyRecording("zero data records")
@@ -181,22 +192,24 @@ def read_edf(path, protocol_tag: Protocol = Protocol.OTHER,
         if len(rates) != 1:
             raise ParseError(f"mixed sampling rates across signals: {sorted(rates)}")
         if record_duration <= 0:
-            raise ParseError("non-positive record duration", offset=244)
+            raise ParseError("non-positive record duration", offset=_HEAD["record_duration"][0])
         fs = samples_per_record[keep[0]] / record_duration
         if not np.isfinite(fs):
-            raise ParseError(f"record duration {record_duration} is too short", offset=244)
+            raise ParseError(f"record duration {record_duration} is too short",
+                             offset=_HEAD["record_duration"][0])
 
         gains, offsets = [], []
         for i in keep:
             if dig_max[i] == dig_min[i]:
-                raise ParseError(f"signal {i}: digital min equals digital max", offset=off_dig_min)
+                raise ParseError(f"signal {i}: digital min equals digital max",
+                                 offset=at("dig_min"))
             g = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
             offset = phys_min[i] - g * dig_min[i]
             # every sample maps between these two; a non-finite gain or offset makes them
             # non-finite too
             if not (math.isfinite(-32768 * g + offset) and math.isfinite(32767 * g + offset)):
                 raise ParseError(f"signal {i}: physical range [{phys_min[i]}, {phys_max[i]}] "
-                                 "maps samples out of float range", offset=off_phys_min + 8 * i)
+                                 "maps samples out of float range", offset=at("phys_min", i))
             gains.append(g)
             offsets.append(offset)
 
@@ -236,53 +249,36 @@ def write_edf(recording: Recording, path, record_seconds: float | None = None) -
         duration = record_seconds
 
     dig_min, dig_max = -32768, 32767
-    phys_ranges = []
+    phys_text = []  # each channel's physical range as its 8-char header fields
     for ch in recording.data:
         lo, hi = float(np.min(ch)), float(np.max(ch))
         if lo == hi:
             lo, hi = lo - 1.0, hi + 1.0
-        phys_ranges.append((lo, hi))
-
-    def pad(text: str, width: int) -> bytes:
-        out = text[:width].ljust(width)
-        return out.encode("ascii")
+        phys_text.append((f"{lo:.6g}"[:8], f"{hi:.6g}"[:8]))
 
     dur_text = f"{duration:.8g}"[:8]
     if abs(float(dur_text) - duration) > 1e-9 * max(duration, 1.0):
         raise ConfigError(f"record duration {duration} does not fit the 8-char EDF field")
 
-    head = b"".join([
-        pad("0", 8),
-        pad(recording.subject_id or "X", 80),
-        pad("neurolock", 80),
-        pad("01.01.00", 8),
-        pad("00.00.00", 8),
-        pad(str(EDF_HEADER_BYTES + EDF_PER_SIGNAL_BYTES * n_sig), 8),
-        pad("", 44),
-        pad(str(n_records), 8),
-        pad(dur_text, 8),
-        pad(str(n_sig), 4),
-    ])
-    cols = [
-        [pad(lab, 16) for lab in recording.channels],
-        [pad("", 80)] * n_sig,
-        [pad("uV", 8)] * n_sig,
-        [pad(f"{lo:.6g}"[:8], 8) for lo, _ in phys_ranges],
-        [pad(f"{hi:.6g}"[:8], 8) for _, hi in phys_ranges],
-        [pad(str(dig_min), 8)] * n_sig,
-        [pad(str(dig_max), 8)] * n_sig,
-        [pad("", 80)] * n_sig,
-        [pad(str(spr), 8)] * n_sig,
-        [pad("", 32)] * n_sig,
-    ]
-    head += b"".join(b"".join(col) for col in cols)
+    fixed = {"version": "0", "patient": recording.subject_id or "X", "recording": "neurolock",
+             "start_date": "01.01.00", "start_time": "00.00.00",
+             "header_bytes": str(EDF_HEADER_BYTES + EDF_PER_SIGNAL_BYTES * n_sig),
+             "n_records": str(n_records), "record_duration": dur_text, "n_signals": str(n_sig)}
+    per_signal = {"label": recording.channels, "unit": ["uV"] * n_sig,
+                  "phys_min": [lo for lo, _ in phys_text], "phys_max": [hi for _, hi in phys_text],
+                  "dig_min": [str(dig_min)] * n_sig, "dig_max": [str(dig_max)] * n_sig,
+                  "samples": [str(spr)] * n_sig}
+
+    fields = [(fixed.get(name, ""), width) for name, width in EDF_HEADER]  # the rest blank
+    fields += [(text, width) for name, width in EDF_SIGNAL
+               for text in per_signal.get(name, [""] * n_sig)]
+    head = b"".join(text[:width].ljust(width).encode("ascii") for text, width in fields)
 
     digital = np.empty((n_sig, n_samples), dtype="<i2")
-    for i, (ch, (lo, hi)) in enumerate(zip(recording.data, phys_ranges)):
-        # invert the reader's scaling; phys ranges were parsed back from the
+    for i, (ch, text) in enumerate(zip(recording.data, phys_text)):
+        # invert the reader's scaling; phys ranges are parsed back from the
         # 8-char header text, so quantize against the parsed values
-        lo_r = float(f"{lo:.6g}"[:8])
-        hi_r = float(f"{hi:.6g}"[:8])
+        lo_r, hi_r = map(float, text)
         scaled = (ch - lo_r) * (dig_max - dig_min) / (hi_r - lo_r) + dig_min
         digital[i] = np.clip(np.rint(scaled), dig_min, dig_max).astype("<i2")
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import transform as tr
 from .errors import ConfigError, IncompatibleTemplates, LengthError
 from .pipeline import FeatureDataset
-from .system import AuthSystem, SystemConfig
+from .system import AuthSystem, SystemConfig, fresh_keys
 
 
 @dataclass
@@ -280,8 +280,8 @@ def revocability_protocol(dataset: FeatureDataset, config: SystemConfig,
     genuine, impostor = protocol_tests(dataset, config.enroll_frames,
                                        config.query_frames, system=system)
     accounts = [system.users[s] for s in system.subjects]
-    keys = _fresh_keys(np.random.default_rng(seed), n_keys,
-                       forbidden={a.params.user_key for a in accounts})
+    keys = fresh_keys(np.random.default_rng(seed), n_keys,
+                      forbidden={a.params.user_key for a in accounts})
     pseudo = revocability_scores(
         (np.stack([a.enroll_v1 for a in accounts]),
          np.stack([a.enroll_v2 for a in accounts])),
@@ -301,8 +301,7 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
     """
     if n_keys < 2:
         raise ConfigError(f"unlinkability needs at least two keys, got {n_keys}")
-    rng = np.random.default_rng(seed)
-    keys = _fresh_keys(rng, n_keys, forbidden=set())
+    keys = fresh_keys(np.random.default_rng(seed), n_keys, forbidden=set())
     subjects = dataset.subjects
     system = AuthSystem(dataset, config)
     n_frames = min(system.usable_frames(s) for s in subjects)
@@ -317,17 +316,6 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
             firsts = score_pairs(bits[a_idx][:, None, 0], bits[b_idx][None, :, 0])
             non_mated.append(firsts[other])
     return np.concatenate(mated), np.concatenate(non_mated)
-
-
-def _fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> list[int]:
-    keys: list[int] = []
-    seen = set(forbidden)
-    while len(keys) < count:
-        candidate = int(rng.integers(0, 2 ** 63))
-        if candidate not in seen:
-            seen.add(candidate)
-            keys.append(candidate)
-    return keys
 
 
 def evaluate(dataset: FeatureDataset, config: SystemConfig, revocability_keys: int = 0,

@@ -33,7 +33,7 @@ class DspConfig:
 
     def __post_init__(self):
         """Check types and ranges before any extraction; band edges are checked
-        against each recording's Nyquist frequency where its filters are designed."""
+        against a sampling rate by `check_rate`."""
         def band(pair):
             return len(pair) == 2 and all(is_a(v, numbers.Real) for v in pair) \
                 and 0 < pair[0] < pair[1]
@@ -86,21 +86,35 @@ def stable_int(text: str) -> int:
     return int.from_bytes(hashlib.blake2s(text.encode(), digest_size=4).digest(), "big")
 
 
+def check_rate(config: DspConfig, fs: float, kind: str = "graph") -> list[np.ndarray]:
+    """The band-pass taps a `kind` extraction applies at rate `fs`: the prefilter, then
+    for graph features the band. A band `design_bandpass` refuses at `fs`, or for graph
+    features a dsp.rho_bins above a frame's samples, is a ConfigError."""
+    taps = []
+    for name in ("prefilter", "band") if kind == "graph" else ("prefilter",):
+        with error_context(f"dsp.{name}"):
+            taps.append(dsp.design_bandpass(fs, *getattr(config, name), config.fir_order))
+    if kind == "graph" and config.rho_bins is not None:
+        length = dsp._frame_layout(0, fs, config.frame_seconds, config.overlap)[1]
+        if config.rho_bins > length:
+            raise ConfigError(f"dsp.rho_bins = {config.rho_bins} is more than the "
+                              f"{length} samples of a frame")
+    return taps
+
+
 def extract_frame_features(recording: Recording, config: DspConfig,
                            kind: str = "graph") -> np.ndarray:
     """Run one recording through the pipeline; rows are frames. Errors name the recording."""
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
     with error_context(f"subject {recording.subject_id!r} / {recording.protocol_tag.value}"):
-        rec = dsp.detrend(recording)
-        pre = dsp.design_bandpass(rec.fs, *config.prefilter, config.fir_order)
-        rec = dsp.filter_zero_phase(rec, pre)
+        taps = check_rate(config, recording.fs, kind)
+        rec = dsp.filter_zero_phase(dsp.detrend(recording), taps[0])
         if kind != "graph":
             frames = dsp.frame(rec, config.frame_seconds, config.overlap)
             return np.stack([bf.baseline_vector(fr, rec.fs, bf.BaselineKind(kind))
                              for fr in frames])
-        beta = dsp.design_bandpass(rec.fs, *config.band, config.fir_order)
-        rec = dsp.filter_zero_phase(rec, beta)
+        rec = dsp.filter_zero_phase(rec, taps[1])
         phases = dsp.instantaneous_phase(dsp.frame(rec, config.frame_seconds, config.overlap))
         graphs = np.stack([connectivity.build_graph(phase, config.rho_bins) for phase in phases])
         # per-frame seeds keep the output independent of extraction order

@@ -80,13 +80,14 @@ class SlMetrics:
                 "classifier_eer": self.classifier_eer}
 
 
-def _stratified_split(indices_by_class: dict[int, np.ndarray], split: float,
+def _stratified_split(y: np.ndarray, split: float,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test row indices, class 0 then class 1 of the 0/1 labels `y`."""
     train_parts, test_parts = [], []
-    for cls, indices in indices_by_class.items():
+    for cls in (0, 1):
+        indices = np.flatnonzero(y == cls)
         shuffled = indices[rng.permutation(indices.size)]
-        cut = int(round(split * shuffled.size))
-        cut = min(max(cut, 1), shuffled.size - 1)  # both sides non-empty
+        cut = min(max(int(round(split * shuffled.size)), 1), shuffled.size - 1)  # both non-empty
         train_parts.append(shuffled[:cut])
         test_parts.append(shuffled[cut:])
     return np.concatenate(train_parts), np.concatenate(test_parts)
@@ -124,6 +125,29 @@ def _pool_metrics(preds: np.ndarray, truths: np.ndarray, scores: np.ndarray) -> 
     }
 
 
+def _per_user_lda(pool: dict[str, np.ndarray], split: float, seeds: list, probes,
+                  intruder_keys: set) -> SlMetrics:
+    """One LDA per pool subject against the rest of the pool, each trained on a
+    stratified split drawn from ``default_rng(seeds[i])``; scores pooled over all.
+    ``probes(x, y, test_idx)`` lists the (samples, truths) blocks a model scores,
+    given the pool's samples, the model's 0/1 labels and its held-out rows."""
+    subjects = sorted(pool)
+    x = np.concatenate([pool[s] for s in subjects])
+    keys = [(s, i) for s in subjects for i in range(pool[s].shape[0])]
+    truths, scores, train_keys = [], [], {}
+    for subject, rng_seed in zip(subjects, seeds):
+        y = np.array([1 if k[0] == subject else 0 for k in keys])
+        train_idx, test_idx = _stratified_split(y, split, np.random.default_rng(rng_seed))
+        model = lda_train(x[train_idx], y[train_idx])
+        train_keys[subject] = {keys[i] for i in train_idx}
+        for block, truth in probes(x, y, test_idx):  # one decision_scores call per block
+            scores.extend(model.decision_scores(block))
+            truths.extend(truth)
+    scores = np.array(scores)
+    metrics = _pool_metrics((scores >= 0).astype(int), np.array(truths), scores)
+    return SlMetrics(**metrics, train_keys=train_keys, intruder_keys=intruder_keys)
+
+
 def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8,
                               seed: int = 0) -> SlMetrics:
     """Standard one-vs-rest classification evaluation (the leaky procedure).
@@ -131,26 +155,10 @@ def eval_classification_style(dataset: dict[str, np.ndarray], split: float = 0.8
     Every subject's model is trained on a split of the full relabeled
     database, so other subjects' data is present at training time.
     """
-    subjects = sorted(dataset)
-    if len(subjects) < 2:
+    if len(dataset) < 2:
         raise ConfigError("need at least 2 subjects")
-    all_x = np.concatenate([dataset[s] for s in subjects])
-    all_keys = [(s, i) for s in subjects for i in range(dataset[s].shape[0])]
-    preds, truths, scores = [], [], []
-    train_keys: dict[str, set] = {}
-    for s_idx, subject in enumerate(subjects):
-        y = np.array([1 if k[0] == subject else 0 for k in all_keys])
-        rng = np.random.default_rng([seed, s_idx])
-        train_idx, test_idx = _stratified_split(
-            {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(all_x[train_idx], y[train_idx])
-        train_keys[subject] = {all_keys[i] for i in train_idx}
-        s = model.decision_scores(all_x[test_idx])
-        preds.extend((s >= 0).astype(int))
-        truths.extend(y[test_idx])
-        scores.extend(s)
-    metrics = _pool_metrics(np.array(preds), np.array(truths), np.array(scores))
-    return SlMetrics(**metrics, train_keys=train_keys, intruder_keys=set())
+    return _per_user_lda(dataset, split, [[seed, i] for i in range(len(dataset))],
+                         lambda x, y, test_idx: [(x[test_idx], y[test_idx])], set())
 
 
 def user_set_size(n_users: int | None, n_subjects: int) -> int:
@@ -176,36 +184,16 @@ def eval_authentication_style(dataset: dict[str, np.ndarray], split: float = 0.8
     """
     subjects = sorted(dataset)
     n_users = user_set_size(n_users, len(subjects))
-    rng_split = np.random.default_rng([seed, 0xD15C])
-    order = rng_split.permutation(len(subjects))
-    user_set = sorted(subjects[i] for i in order[:n_users])
-    intruder_set = sorted(subjects[i] for i in order[n_users:])
-    intruder_x = np.concatenate([dataset[s] for s in intruder_set])
-    intruder_keys = {(s, i) for s in intruder_set for i in range(dataset[s].shape[0])}
+    order = np.random.default_rng([seed, 0xD15C]).permutation(len(subjects))
+    users = {subjects[i]: dataset[subjects[i]] for i in order[:n_users]}
+    intruders = {subjects[i]: dataset[subjects[i]] for i in order[n_users:]}
+    intruder_x = np.concatenate([intruders[s] for s in sorted(intruders)])
 
-    pool_x = np.concatenate([dataset[s] for s in user_set])
-    pool_keys = [(s, i) for s in user_set for i in range(dataset[s].shape[0])]
-    preds, truths, scores = [], [], []
-    train_keys: dict[str, set] = {}
-    for u_idx, user in enumerate(user_set):
-        y = np.array([1 if k[0] == user else 0 for k in pool_keys])
-        rng = np.random.default_rng([seed, 1 + u_idx])
-        train_idx, test_idx = _stratified_split(
-            {0: np.flatnonzero(y == 0), 1: np.flatnonzero(y == 1)}, split, rng)
-        model = lda_train(pool_x[train_idx], y[train_idx])
-        train_keys[user] = {pool_keys[i] for i in train_idx}
-        # user tests: the held-out genuine samples only
-        user_test = np.array([i for i in test_idx if y[i] == 1])
-        s_user = model.decision_scores(pool_x[user_test])
-        preds.extend((s_user >= 0).astype(int))
-        truths.extend(np.ones(user_test.size, dtype=int))
-        scores.extend(s_user)
-        s_intr = model.decision_scores(intruder_x)
-        preds.extend((s_intr >= 0).astype(int))
-        truths.extend(np.zeros(intruder_x.shape[0], dtype=int))
-        scores.extend(s_intr)
-    metrics = _pool_metrics(np.array(preds), np.array(truths), np.array(scores))
-    return SlMetrics(**metrics, train_keys=train_keys, intruder_keys=intruder_keys)
+    def probes(x, y, test_idx):  # the held-out genuine samples, then every intruder sample
+        genuine = test_idx[y[test_idx] == 1]
+        return [(x[genuine], y[genuine]), (intruder_x, np.zeros(len(intruder_x), int))]
+    return _per_user_lda(users, split, [[seed, 1 + i] for i in range(n_users)], probes,
+                         {(s, i) for s in intruders for i in range(intruders[s].shape[0])})
 
 
 def pitfall_report(dataset: dict[str, np.ndarray], split: float = 0.8,

@@ -81,6 +81,17 @@ class Accounts(dict):
         raise ConfigError(f"unknown subject {subject!r}")
 
 
+def fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> list[int]:
+    """`count` distinct keys in [0, 2**63), one `rng` draw each; a draw that is in
+    `forbidden` or repeats an earlier one is skipped."""
+    keys: dict[int, None] = {}  # in draw order; a repeated draw adds nothing
+    while len(keys) < count:
+        key = int(rng.integers(0, 2 ** 63))
+        if key not in forbidden:
+            keys[key] = None
+    return list(keys)
+
+
 class AuthSystem:
     """Enrolled population over a feature dataset.
 

@@ -38,6 +38,9 @@ PINNED = {
         "b8cf73d3c7e4f05ba6daa98c6ccebc4d0c7a049d85d7aaa32d0c233dc4c933ae",
     "arm_4_keys":
         "913dd5bca9dc79c5df702e9cbeb744f5820f5a3f371037820c672d5d46650307",
+    # taken from the second attack that drew each fresh key inline
+    "second_attack":
+        "055dd79ba7b530adc34dab5d60d151a8f13ccf69f37b30ad1b30ab5f41315c0a",
 }
 
 # tag: (subject, case, theta, max_attempts, seed, success, attempts); the
@@ -105,3 +108,16 @@ def test_arm_result(n_keys, dim, seed):
     assert _sha(result.v1_hat, result.v2_hat, result.similarity, result.n_equations,
                 result.n_unknowns, result.rank, result.residual,
                 result.monomials) == PINNED[f"arm_{n_keys}_keys"]
+
+
+def test_second_attack_report():
+    # per-user keys, so each account forbids its own fresh-key draw; one revoked account
+    dataset = random_feature_dataset(n_subjects=5, n_frames=12, dim=8, seed=41)
+    system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1, delta=0.6,
+                                              lost_key=False))
+    system.revoke("S004", 987654321)
+    solutions = atk.public_data_solutions(system, 1, seed=3)[:3]
+    solutions += [atk.Solution(s, "template", system.users[s].template.bits.copy(), "leak")
+                  for s in ("S002", "S004")]
+    report = atk.second_attack(system, solutions, n_keys=6, theta=0.3, seed=11)
+    assert _sha(json.dumps(report.to_json_dict(), sort_keys=True)) == PINNED["second_attack"]

@@ -110,6 +110,12 @@ class TestSynthExtract:
         assert len(files) == 6
         manifest = json.loads((out / "features" / "manifest.json").read_text())
         assert manifest["dim"] == 10  # 4 channels + 6 global descriptors
+        # an EDF file carries its own rate, so its frame is checked as it is extracted
+        result = invoke(args[:1] + [f"--output_dir={tmp_path / 'rho'}", *args[2:],
+                                    "--dsp.rho_bins=400"])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("config error: subject 'S001' / EC: dsp.rho_bins = 400 "
+                                 "is more than the 320 samples of a frame\n")
 
     def test_non_finite_csv_cell_exits_data_error(self, tmp_path):
         assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0
@@ -290,6 +296,36 @@ class TestEnrollVerify:
                                  "zero-phase filtering needs more than 3 * dsp.fir_order "
                                  "= 990\n")
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["enroll", "extract", "slx"])
+    @pytest.mark.parametrize("override, message", [
+        ("--dsp.rho_bins=400", "dsp.rho_bins = 400 is more than the 320 samples of a frame"),
+        ("--dsp.prefilter=[0.5, 90]", "dsp.prefilter: band [0.5, 90] invalid for fs=160.0"),
+    ], ids=["rho_bins", "prefilter"])
+    def test_bins_or_band_beyond_the_synthetic_rate_exit_before_synthesis(
+            self, tmp_path, monkeypatch, command, override, message):
+        result = invoke_never_loading(monkeypatch, [command, f"--output_dir={tmp_path}",
+                                                    override])
+        assert result.output == f"config error: {message}\n"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("--dsp.rho_bins=201", "dsp.rho_bins = 201 is more than the 200 samples of a frame"),
+        ("--dsp.band=[13, 50]", "dsp.band: band [13, 50] invalid for fs=100"),
+    ], ids=["rho_bins", "band"])
+    def test_bins_or_band_beyond_the_csv_rate_exit_before_reading(
+            self, tmp_path, monkeypatch, csv_dataset, override, message):
+        out = tmp_path / "csv-out"
+        result = invoke_never_loading(monkeypatch, [
+            "extract", f"--output_dir={out}", "--dataset.kind=csv",
+            f"--dataset.path={csv_dataset}", "--dataset.fs=100", override])
+        assert result.output == f"config error: {message}\n"
+        assert not (out / "cache").exists()
+
+    def test_baseline_features_ignore_the_band_and_bins(self, tmp_path):
+        result = invoke(["extract", f"--output_dir={tmp_path}", "--features.kind=psd",
+                         "--dsp.band=[13, 90]", "--dsp.rho_bins=400"] + SMALL)
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("command, duration", [("synth", 6.1875), ("extract", 6.19375)])
     def test_synth_writes_short_recordings_and_one_sample_more_extracts(
@@ -538,19 +574,16 @@ class TestReports:
         args = ["--attack.max_attempts=200", "--slx.seeds=1", "--slx.n_users=3"] + SMALL
         for command in ("synth", "extract", "eval", "attack", "slx"):
             assert invoke([command, f"--output_dir={tmp_path}"] + args).exit_code == 0
-        expected = {"dataset/manifest.json": {"config_hash", "master_seed", "version"},
-                    "features/manifest.json": {"config_hash", "master_seed", "version"},
-                    "slx_report.json": {"config_hash", "master_seed", "version"},
-                    "eval_report.json": {"config_hash", "version", "seeds"},
-                    "attack_report.json": {"config_hash", "master_seed", "seeds"}}
-        stamp = {"config_hash": cli.config_hash(cli.load_config(
-                     None, (f"--output_dir={tmp_path}", *args), None)),
-                 "master_seed": 1234, "version": __version__}
-        for name, keys in expected.items():
+        config = cli.load_config(None, (f"--output_dir={tmp_path}", *args), None)
+        stamp = {"config_hash": cli.config_hash(config), "master_seed": 1234,
+                 "version": __version__}
+        seeds = {"dataset/manifest.json": None, "features/manifest.json": None,
+                 "slx_report.json": None, "eval_report.json": {"master": 1234},
+                 "attack_report.json": {"attack": config["attack"]["seed"]}}
+        for name, report_seeds in seeds.items():
             report = json.loads((tmp_path / name).read_text())
-            assert keys == {"config_hash", "master_seed", "version", "seeds"} & report.keys()
-            for key in keys - {"seeds"}:
-                assert report[key] == stamp[key], (name, key)
+            assert {key: report.get(key) for key in stamp} == stamp, name
+            assert report.get("seeds") == report_seeds, name
 
     def test_attack_report(self, tmp_path):
         args = ["attack", f"--output_dir={tmp_path}", "--transform.theta=0.5",

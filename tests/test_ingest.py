@@ -204,6 +204,18 @@ class TestReadEdf:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "4f98eb6934960e2565f9a0415e6e8fe88a3f4aee2289454eb6a4788ec682160b"
 
+    @pytest.mark.parametrize("record_seconds, digest", [
+        (None, "98e379d311edf2488740df38fa738ed2ed6a29480183a3d4cbed362ccc1ba638"),
+        (1.0, "8304ac65159d1cf9b8be30c0356e11bfc00c60c83111df925a4ac96920dc9473"),
+    ], ids=["one-record", "1s-records"])
+    def test_synthetic_recording_file_bytes_pinned(self, tmp_path, record_seconds, digest):
+        # digests taken from the writer that listed every header field width inline
+        rec = synthesize(SyntheticSpec(n_subjects=1, n_channels=5, duration_s=3.0,
+                                       fs=160.0, master_seed=77))[1]
+        path = tmp_path / "pinned.edf"
+        write_edf(rec, path, record_seconds=record_seconds)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestCsv:
     def test_2x2(self, tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -173,3 +176,14 @@ class TestPitfallReport:
             many.append(big.far + big.frr)
             few.append(small.far + small.frr)
         assert np.mean(few) >= np.mean(many) - 0.02
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "6af54fc56f991c7cfd982ad2b3e58a68af0363d281ac0e26bd2082dfcd141597"),
+    (7, "ae2e65afc89650ea2f03580e37830cbc317ab3509665034a1f224c7db95731ea"),
+])
+def test_pitfall_report_rows_pinned(seed, digest):
+    # digests taken from the implementation that wrote each procedure's model loop out
+    data = gaussian_dataset(n_subjects=7, n_samples=18, separation=1.3, seed=seed)
+    rows = sl_eval.pitfall_report(data, split=0.7, n_users=5, seeds=(seed, seed + 1))
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest

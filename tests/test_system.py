@@ -6,7 +6,7 @@ from neurolock import transform as tr
 from neurolock.errors import ConfigError, IncompatibleTemplates
 from neurolock.ingest import Protocol
 from neurolock.pipeline import random_feature_dataset
-from neurolock.system import AuthSystem, SystemConfig
+from neurolock.system import AuthSystem, SystemConfig, fresh_keys
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,20 @@ class TestReissue:
         system.revoke("S004", 31337)
         query = system.query_template("S004", "S004", 0, 5)
         assert tr.match(query, system.users["S004"].template, config.theta).score == 0.0
+
+    def test_fresh_keys_skip_forbidden_and_repeated_draws(self):
+        class Scripted:
+            def __init__(self, draws):
+                self.draws, self.calls = list(draws), []
+
+            def integers(self, low, high):
+                self.calls.append((low, high))
+                return np.int64(self.draws.pop(0))
+
+        rng = Scripted([5, 7, 5, 9, 7, 3, 11])
+        keys = fresh_keys(rng, 3, forbidden={7})
+        assert keys == [5, 9, 3] and all(type(k) is int for k in keys)
+        assert rng.calls == [(0, 2 ** 63)] * 6 and rng.draws == [11]
 
 
 class TestUnknownSubject:
