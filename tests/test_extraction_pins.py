@@ -8,7 +8,9 @@ the modularity search that indexed numpy arrays per element and recursed over
 the set partitions of every small graph; the Python-scalar search and its
 cached partition table must reproduce them too. The 5- and 24-channel digests
 were taken from the per-frame graph features, before every graph metric took
-a recording's whole frame stack at once.
+a recording's whole frame stack at once. The 64-channel digest, the paper's
+channel count, was taken from the greedy search that visited one frame and one
+restart at a time.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ PINNED = {
         "c5ee7163a978af81a6b46a0713566bf085425cee3995c55b3ad04001e671de2f",
     "graph_24ch_seed7":
         "3d7f20e41e434ac6050315b49a55aaf44b12a78bbb980fb6111cd6ca2471414a",
+    "graph_64ch_seed7":
+        "623a354a04d88d24e700fe2d48f424ae9dfb3595737092f9d6928ff628a70a28",
     "graph_desk_16ch_seed7":
         "f8cd1261d306c49a52c6e73a5de48b9cdf7adc9627f15b8c9f974a3c5742e072",
     "ar": "868fcfa9edbab60d9c16c2d6bc36be7d6932707263ddfc604115386a409d44f3",
@@ -82,6 +86,15 @@ def test_graph_features_stack_pins(n_channels):
                          master_seed=7)
     dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
     assert _dataset_sha(dataset) == PINNED[f"graph_{n_channels}ch_seed7"]
+
+
+def test_graph_features_published_channels():
+    # the paper's 64 channels: long greedy levels and many aggregated ones
+    spec = SyntheticSpec(n_subjects=1, n_channels=64, duration_s=20.0, fs=160.0,
+                         master_seed=7)
+    dataset = build_feature_dataset(synthesize(spec), DspConfig(), "graph")
+    assert sum(m.shape[0] for m in dataset.vectors.values()) == 2 * 10
+    assert _dataset_sha(dataset) == PINNED["graph_64ch_seed7"]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -193,7 +193,7 @@ def graph(n, seed, levels=None, zero_fraction=0.0, diagonal=0.0):
 
 
 @pytest.mark.parametrize("kind", sorted(LEVELS))
-@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize("n", [*range(3, 17), 24, 32, 64])
 def test_best_partition_matches_reference(n, kind):
     for seed in range(3):
         w = graph(n, seed, LEVELS[kind])
