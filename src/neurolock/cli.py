@@ -290,20 +290,25 @@ def write_feature_cache(path: Path, dataset: FeatureDataset) -> None:
     atomic_write(path, buffer.getvalue())
 
 
-def load_features(config: dict) -> FeatureDataset:
+def load_features(config: dict, frames_needed: int = 0) -> FeatureDataset:
     """The configured dataset's features, read from
     ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
     them; otherwise extracted and written there, replacing every other key's
-    file in the directory. Refused first: a synthetic recording too short to filter,
-    and for synthetic and csv data, sampled at dataset.fs, what `check_rate` refuses."""
-    ds, kind = config["dataset"], config["features"]["kind"]
-    if ds["kind"] == "synthetic":
-        n_samples, padlen = synthetic_spec(config).n_samples, 3 * config["dsp"]["fir_order"]
-        if n_samples <= padlen:
-            raise ConfigError(f"a synthetic recording has {n_samples} samples; zero-phase "
-                              f"filtering needs more than 3 * dsp.fir_order = {padlen}")
+    file in the directory. Refused first: for synthetic and csv data, sampled at
+    dataset.fs, what `check_rate` refuses; then a synthetic recording of fewer than
+    `frames_needed` frames, or too short to filter."""
+    ds, kind, d = config["dataset"], config["features"]["kind"], config["dsp"]
     if ds["kind"] != "edf":  # an EDF file's own rate is checked as it is extracted
         check_rate(dsp_config(config), ds["fs"], kind)
+    if ds["kind"] == "synthetic":
+        spec, padlen = synthetic_spec(config), 3 * d["fir_order"]
+        n_frames = dsp.frame_count(spec.n_samples, spec.fs, d["frame_seconds"], d["overlap"])
+        if n_frames < frames_needed:
+            raise ConfigError(f"a synthetic recording has {n_frames} frames "
+                              f"< F_e + F_t = {frames_needed}")
+        if spec.n_samples <= padlen:
+            raise ConfigError(f"a synthetic recording has {spec.n_samples} samples; zero-phase "
+                              f"filtering needs more than 3 * dsp.fir_order = {padlen}")
     path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
     dataset = read_feature_cache(path, dataset_entries(config), kind)
     if dataset is None:
@@ -316,15 +321,9 @@ def load_features(config: dict) -> FeatureDataset:
 
 
 def system_features(config: dict) -> FeatureDataset:
-    """`load_features`, after refusing a synthetic recording short of F_e + F_t frames."""
-    if config["dataset"]["kind"] == "synthetic":
-        spec, d, t = synthetic_spec(config), config["dsp"], config["transform"]
-        n_frames = dsp.frame_count(spec.n_samples, spec.fs, d["frame_seconds"], d["overlap"])
-        needed = t["enroll_frames"] + t["query_frames"]
-        if n_frames < needed:
-            raise ConfigError(f"a synthetic recording has {n_frames} frames "
-                              f"< F_e + F_t = {needed}")
-    return load_features(config)
+    """`load_features`, refusing a synthetic recording short of F_e + F_t frames."""
+    t = config["transform"]
+    return load_features(config, t["enroll_frames"] + t["query_frames"])
 
 
 def synthetic_spec(config: dict) -> SyntheticSpec:

@@ -55,8 +55,9 @@ def build_graph(phase: np.ndarray, bins: int | None = None) -> np.ndarray:
     """Adjacency of one (channels, samples) phase frame: the synchronization
     index on every unordered channel pair, symmetric, diagonal zero.
 
-    All pairs are computed in one vectorized pass (identical arithmetic to
-    rho_index on each pair).
+    All pairs are computed in one vectorized pass, equal to rho_index on each
+    pair bit for bit. When every |a - b| lies in [0, 2*pi], as for phases in
+    [-pi, pi], wrapping only maps 2*pi to 0, so the pass skips np.mod.
     """
     n, length = phase.shape
     if n < 2:
@@ -66,8 +67,14 @@ def build_graph(phase: np.ndarray, bins: int | None = None) -> np.ndarray:
     if length < bins:
         raise LengthError(f"frames of {length} samples for {bins} bins")
     iu, ju = np.triu_indices(n, k=1)
-    wrapped = np.mod(np.abs(phase[iu] - phase[ju]), TWO_PI)  # pairs x samples
-    idx = _bin_indices(wrapped, bins)
+    diff = phase[iu] - phase[ju]  # pairs x samples
+    np.abs(diff, out=diff)
+    if diff.max() <= TWO_PI:  # phases within [-pi, pi]; NaN fails this and wraps below
+        diff[diff == TWO_PI] = 0.0  # np.mod's wrap of [0, 2*pi]
+        idx = (diff * (bins / TWO_PI)).astype(np.int64)  # truncation floors values >= 0
+        np.minimum(idx, bins - 1, out=idx)
+    else:
+        idx = _bin_indices(np.mod(diff, TWO_PI), bins)
     flat = idx + (np.arange(iu.size)[:, None] * bins)
     counts = np.bincount(flat.ravel(), minlength=iu.size * bins)
     counts = counts.reshape(iu.size, bins)

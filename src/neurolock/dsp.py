@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateSignal, LengthError
 from .ingest import Recording
 
+PHASE_SAMPLES = 8  # the shortest frame `instantaneous_phase` takes
+
 
 def detrend(recording: Recording) -> Recording:
     """Remove the least-squares line from each channel."""
@@ -76,6 +78,8 @@ def _frame_layout(n_samples: int, fs: float, frame_seconds: float, overlap: floa
     """(frame count, samples per frame, samples between frame starts)."""
     if not (0.0 <= overlap < 1.0):
         raise ConfigError(f"overlap fraction must be in [0, 1), got {overlap}")
+    if not np.isfinite(frame_seconds * fs):
+        raise ConfigError(f"frame of {frame_seconds}s at fs={fs} has too many samples to count")
     length = int(round(frame_seconds * fs))
     if length < 1:
         raise ConfigError(f"frame of {frame_seconds}s is shorter than one sample")
@@ -106,8 +110,8 @@ def instantaneous_phase(x: np.ndarray) -> np.ndarray:
     The analytic signal is built with a full-length DFT of each row: negative
     frequencies zeroed, positive doubled, DC and Nyquist kept.
     """
-    if x.shape[-1] < 8:
-        raise LengthError(f"need at least 8 samples for phase, got {x.shape[-1]}")
+    if x.shape[-1] < PHASE_SAMPLES:
+        raise LengthError(f"need at least {PHASE_SAMPLES} samples for phase, got {x.shape[-1]}")
     dead = np.argwhere(np.abs(x).max(axis=-1) == 0.0)
     if dead.size:
         axes = ("frame", "channel")[-dead.shape[1]:]

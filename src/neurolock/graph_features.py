@@ -4,6 +4,8 @@ The extracted vector has length N + 6: N random-walk centrality scores
 followed by transitivity, modularity, characteristic path length, global
 efficiency, radius, and diameter, in that order. Each public function takes one
 (n, n) graph or a whole (frames, n, n) stack, and gives each frame its bits alone.
+Above 8 nodes the greedy modularity search runs every (frame, restart) lane of a
+stack in lockstep, one node visit per lane a step.
 """
 
 from __future__ import annotations
@@ -162,56 +164,6 @@ def _exact_best_partitions(w: np.ndarray, totals: np.ndarray) -> tuple[np.ndarra
     return member.argmax(axis=1), q[np.arange(frames), best]
 
 
-def _greedy_level(w: np.ndarray, total: float, rng: np.random.Generator) -> np.ndarray:
-    """One local-move level: shuffle nodes, greedily reassign until stable.
-
-    Gains are measured relative to the node sitting in a singleton community,
-    so a move happens only when it strictly beats both staying put and
-    isolating the node.
-    """
-    n = w.shape[0]
-    strengths = w.sum(axis=1).tolist()
-    rows = w.tolist()
-    for i, row in enumerate(rows):
-        row[i] = 0.0  # a node never links to itself
-    total_sq = total ** 2
-    labels = list(range(n))
-    s_tot = strengths.copy()
-    size = [1] * n
-    moved = True
-    while moved:
-        moved = False
-        for i in rng.permutation(n).tolist():
-            k_i = strengths[i]
-            cur = labels[i]
-            s_tot[cur] -= k_i
-            size[cur] -= 1
-            link: dict[int, float] = {}
-            for c, w_ij in zip(labels, rows[i]):  # j ascending
-                if w_ij > 0:
-                    link[c] = link.get(c, 0.0) + 2.0 * w_ij
-            # staying put is the default; isolating the node is scanned next, then
-            # the linked communities in first-seen order
-            alone = len(size) if size[cur] else cur  # the label that isolates node i
-            best, best_gain = cur, 0.0
-            if size[cur]:
-                best_gain = link.get(cur, 0.0) / total - 2.0 * s_tot[cur] * k_i / total_sq
-                if 0.0 > best_gain + 1e-15:
-                    best, best_gain = alone, 0.0
-            for c, link_c in link.items():
-                gain = link_c / total - 2.0 * s_tot[c] * k_i / total_sq
-                if gain > best_gain + 1e-15:
-                    best, best_gain = c, gain
-            if best == len(size):  # a fresh label
-                s_tot.append(0.0)
-                size.append(0)
-            moved |= best != cur
-            labels[i] = best
-            s_tot[best] += k_i
-            size[best] += 1
-    return np.unique(labels, return_inverse=True)[1]
-
-
 def _aggregate(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
     ws, _, spans = _community_blocks(w, labels)
     agg = np.zeros((len(spans), len(spans)))
@@ -221,23 +173,138 @@ def _aggregate(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return agg
 
 
-def _greedy_best_partition(w: np.ndarray, total: float, rng: np.random.Generator,
-                           singleton_q: float) -> tuple[np.ndarray, float]:
-    """Multi-level greedy agglomeration (local moves + aggregation)."""
-    node_labels, level, best_q = np.arange(w.shape[0]), w, singleton_q
-    while True:
-        level_labels = _greedy_level(level, total, rng)
-        if level_labels.max() + 1 == level.shape[0]:
-            break  # no community merged: the partition and its Q are unchanged
-        node_labels_next = level_labels[node_labels]
-        q = _partition_quality(w, node_labels_next, total)
-        if q <= best_q + 1e-14:
-            break
-        best_q, node_labels = q, node_labels_next
-        level = _aggregate(level, level_labels)
-        if level.shape[0] == 1:
-            break
-    return node_labels, best_q
+def _first_seen_scan(gain: np.ndarray, labels: np.ndarray, row: np.ndarray, cur: int,
+                     stays: bool, fresh: int) -> int:
+    """One lane's move by the scalar scan: staying put is the default, isolating the node
+    is scanned next, then the linked communities in the order their first node appears.
+    A candidate wins only by more than 1e-15 over the best so far."""
+    gain = gain.tolist()
+    best, best_gain = cur, 0.0
+    if stays:
+        best_gain = gain[cur]
+        if 0.0 > best_gain + 1e-15:
+            best, best_gain = fresh, 0.0
+    linked = labels[row > 0]
+    for c in linked[np.sort(np.unique(linked, return_index=True)[1])].tolist():
+        if gain[c] > best_gain + 1e-15:
+            best, best_gain = c, gain[c]
+    return best
+
+
+def _more_labels(s_tot: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the label columns, the new ones empty."""
+    return (np.concatenate([s_tot, np.zeros_like(s_tot)], axis=1),
+            np.concatenate([size, np.zeros_like(size)], axis=1))
+
+
+def _greedy_levels(w: np.ndarray, totals: np.ndarray, rngs) -> np.ndarray:
+    """One local-move level for each lane of a (lanes, n, n) stack, all lanes in lockstep.
+
+    Lane l shuffles its nodes with rngs[l] and reassigns them greedily until a pass moves
+    none, against the frame total totals[l]. Gains are measured relative to the node
+    sitting in a singleton community, so a move happens only when it strictly beats both
+    staying put and isolating the node. Each step visits one node in every live lane: one
+    bincount sums each lane's community links in node order, and the gains are the scalar
+    scan's, elementwise. The best gain wins outright when the runner-up lies more than
+    1e-15 below it; otherwise that lane takes the scalar scan, whose order decides.
+    """
+    lanes, n = w.shape[:2]
+    links = np.where(w > 0, 2.0 * w, 0.0)
+    links[:, range(n), range(n)] = 0.0  # a node never links to itself
+    strengths = w.sum(axis=2)
+    total_sq = np.array([t ** 2 for t in totals.tolist()])  # Python's pow, as per lane
+    out = np.empty((lanes, n), dtype=np.intp)
+    live, cap = np.arange(lanes), n + 2
+    labels = np.tile(np.arange(n), (lanes, 1))
+    s_tot, size = np.zeros((lanes, cap)), np.zeros((lanes, cap), dtype=np.intp)
+    s_tot[:, :n], size[:, :n] = strengths, 1
+    fresh = np.full(lanes, n)  # each lane's next unused label
+    while live.size:
+        lane = np.arange(live.size)
+        order = np.array([rngs[l].permutation(n) for l in live.tolist()])
+        moved = np.zeros(live.size, dtype=bool)
+        tot, tsq = totals[live, None], total_sq[live, None]
+        for i in order.T:
+            k_i = strengths[live, i]
+            cur = labels[lane, i]
+            s_tot[lane, cur] -= k_i
+            size[lane, cur] -= 1
+            row = links[live, i]
+            link = np.bincount((labels + lane[:, None] * cap).ravel(), row.ravel(),
+                               live.size * cap).reshape(live.size, cap)
+            gain = link / tot - 2.0 * s_tot * k_i[:, None] / tsq
+            stays = size[lane, cur] > 0
+            cand = np.where(link > 0, gain, -np.inf)
+            cand[lane, cur] = np.where(stays, gain[lane, cur], 0.0)
+            cand[lane[stays], fresh[stays]] = 0.0  # isolating the node
+            best = cand.argmax(axis=1)
+            top = cand[lane, best]
+            cand[lane, best] = -np.inf
+            for l in np.flatnonzero(~(top > cand.max(axis=1) + 1e-15)).tolist():
+                best[l] = _first_seen_scan(gain[l], labels[l], row[l], cur[l], stays[l],
+                                           fresh[l])
+            moved |= best != cur
+            fresh += best == fresh
+            labels[lane, i] = best
+            s_tot[lane, best] += k_i
+            size[lane, best] += 1
+            if fresh.max() == cap:
+                s_tot, size = _more_labels(s_tot, size)
+                cap *= 2
+        done = ~moved
+        flat = np.unique((labels[done] + lane[:done.sum(), None] * cap).ravel(),
+                         return_inverse=True)[1].reshape(-1, n)
+        out[live[done]] = flat - flat.min(axis=1, keepdims=True)
+        live, labels, s_tot, size, fresh = (a[moved] for a in (live, labels, s_tot, size, fresh))
+    return out
+
+
+def _greedy_best_partitions(w: np.ndarray, totals: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-level greedy agglomeration (local moves + aggregation) of each frame from
+    seeded restarts; the best restart wins. Every (frame, restart) lane runs its levels
+    in lockstep with the other lanes whose level has as many nodes."""
+    frames, n = w.shape[:2]
+    frame, tot = np.repeat(np.arange(frames), _GREEDY_RESTARTS), totals.tolist()
+    rngs = [np.random.default_rng([seed, r]) for seed in seeds for r in range(_GREEDY_RESTARTS)]
+    qualities, levels = {}, {}  # restarts repeat: Q by frame and node labels, levels by bytes
+
+    def quality(f, node_labels):
+        key = (f, node_labels.tobytes())
+        if key not in qualities:
+            qualities[key] = _partition_quality(w[f], node_labels, tot[f])
+        return qualities[key]
+
+    node_labels = [np.arange(n)] * len(frame)
+    best_q = [quality(f, node_labels[0]) for f in frame.tolist()]
+    level = {l: w[f] for l, f in enumerate(frame.tolist())}  # lanes still agglomerating
+    while level:
+        by_size = {}
+        for l, g in level.items():
+            by_size.setdefault(g.shape[0], []).append(l)
+        for group in by_size.values():
+            found = _greedy_levels(np.stack([level[l] for l in group]), totals[frame[group]],
+                                   [rngs[l] for l in group])
+            for l, level_labels in zip(group, found):
+                g = level.pop(l)
+                if level_labels.max() + 1 == g.shape[0]:
+                    continue  # no community merged: the partition and its Q are unchanged
+                merged = level_labels[node_labels[l]]
+                q = quality(int(frame[l]), merged)
+                if q <= best_q[l] + 1e-14:
+                    continue
+                best_q[l], node_labels[l] = q, merged
+                key = (g.tobytes(), level_labels.tobytes())
+                if key not in levels:
+                    levels[key] = _aggregate(g, level_labels)
+                if levels[key].shape[0] > 1:
+                    level[l] = levels[key]
+    labels, q = np.zeros((frames, n), dtype=int), np.full(frames, -np.inf)
+    for l, f in enumerate(frame.tolist()):  # restarts in order: the first best wins
+        if best_q[l] > q[f]:
+            q[f], labels[f] = best_q[l], node_labels[l]
+    negative = q < 0.0  # the one-community partition always scores exactly 0
+    q[negative], labels[negative] = 0.0, 0
+    return labels, q
 
 
 def best_partition(graph, seeds=0):
@@ -257,18 +324,7 @@ def best_partition(graph, seeds=0):
     if n <= _EXACT_MODULARITY_NODES:
         labels, q = _exact_best_partitions(w, totals)
         return (labels[0], float(q[0])) if single else (labels, q)
-    labels, q = np.zeros((frames, n), dtype=int), np.zeros(frames)
-    for f, (g, total, seed) in enumerate(zip(w, totals.tolist(), seeds)):
-        singleton_q = _partition_quality(g, np.arange(n), total)
-        best_q = -np.inf
-        for r in range(_GREEDY_RESTARTS):
-            rng = np.random.default_rng([seed, r])
-            frame_labels, frame_q = _greedy_best_partition(g, total, rng, singleton_q)
-            if frame_q > best_q:
-                best_q, labels[f] = frame_q, frame_labels
-        if best_q < 0.0:  # the one-community partition always scores exactly 0
-            best_q, labels[f] = 0.0, 0
-        q[f] = best_q
+    labels, q = _greedy_best_partitions(w, totals, seeds)
     return (labels[0], float(q[0])) if single else (labels, q)
 
 

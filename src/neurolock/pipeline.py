@@ -88,17 +88,20 @@ def stable_int(text: str) -> int:
 
 def check_rate(config: DspConfig, fs: float, kind: str = "graph") -> list[np.ndarray]:
     """The band-pass taps a `kind` extraction applies at rate `fs`: the prefilter, then
-    for graph features the band. A band `design_bandpass` refuses at `fs`, or for graph
-    features a dsp.rho_bins above a frame's samples, is a ConfigError."""
+    for graph features the band. A band `design_bandpass` refuses at `fs`, a frame length
+    `dsp.frame` refuses, or for graph features a frame shorter than the phase needs or
+    than dsp.rho_bins, is a ConfigError."""
     taps = []
     for name in ("prefilter", "band") if kind == "graph" else ("prefilter",):
         with error_context(f"dsp.{name}"):
             taps.append(dsp.design_bandpass(fs, *getattr(config, name), config.fir_order))
-    if kind == "graph" and config.rho_bins is not None:
-        length = dsp._frame_layout(0, fs, config.frame_seconds, config.overlap)[1]
-        if config.rho_bins > length:
-            raise ConfigError(f"dsp.rho_bins = {config.rho_bins} is more than the "
-                              f"{length} samples of a frame")
+    length = dsp._frame_layout(0, fs, config.frame_seconds, config.overlap)[1]
+    if kind == "graph" and length < dsp.PHASE_SAMPLES:
+        raise ConfigError(f"dsp.frame_seconds = {config.frame_seconds} gives frames of "
+                          f"{length} samples, fewer than the {dsp.PHASE_SAMPLES} the phase needs")
+    if kind == "graph" and config.rho_bins is not None and config.rho_bins > length:
+        raise ConfigError(f"dsp.rho_bins = {config.rho_bins} is more than the "
+                          f"{length} samples of a frame")
     return taps
 
 

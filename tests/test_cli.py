@@ -309,6 +309,22 @@ class TestEnrollVerify:
         assert result.output == f"config error: {message}\n"
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("command", ["enroll", "extract"])
+    @pytest.mark.parametrize("overrides, message", [
+        (["--dsp.frame_seconds=0.04", "--transform.enroll_frames=2"],
+         "dsp.frame_seconds = 0.04 gives frames of 6 samples, fewer than the 8 the phase "
+         "needs"),
+        (["--dsp.frame_seconds=1e308"], "frame of 1e+308s at fs=160.0 has too many samples "
+                                        "to count"),
+        (["--dataset.fs=1e308"], "frame of 2.0s at fs=1e+308 has too many samples to count"),
+    ], ids=["short_frame", "long_frame", "fast_rate"])
+    def test_unusable_frame_lengths_exit_before_synthesis(
+            self, tmp_path, monkeypatch, command, overrides, message):
+        result = invoke_never_loading(monkeypatch, [command, f"--output_dir={tmp_path}",
+                                                    *overrides])
+        assert result.output == f"config error: {message}\n"
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("override, message", [
         ("--dsp.rho_bins=201", "dsp.rho_bins = 201 is more than the 200 samples of a frame"),
         ("--dsp.band=[13, 50]", "dsp.band: band [13, 50] invalid for fs=100"),

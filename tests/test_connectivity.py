@@ -149,3 +149,51 @@ class TestBuildGraph:
     def test_single_channel_raises(self):
         with pytest.raises(ConfigError):
             build_graph(np.zeros((1, 100)))
+
+    # |a - b| of phases within [-pi, pi] lies in [0, 2*pi], where np.mod only wraps 2*pi
+    # to 0; build_graph skips the wrap there and must take it for any other input
+
+    @staticmethod
+    def counted_mod(monkeypatch):
+        calls, mod = [], np.mod
+        monkeypatch.setattr(np, "mod", lambda *a, **k: calls.append(1) or mod(*a, **k))
+        return calls
+
+    @staticmethod
+    def assert_pairs_equal_rho_index(phase, bins):
+        adjacency = build_graph(phase, bins)
+        for i in range(len(phase)):
+            for j in range(i + 1, len(phase)):
+                assert adjacency[i, j] == rho_index(np.abs(phase[i] - phase[j]), bins), (i, j)
+
+    def test_phases_within_pi_bin_without_the_wrap(self, rng, monkeypatch):
+        phase = rng.uniform(-np.pi, np.pi, size=(6, 320))
+        phase[:, :40] = rng.choice([-np.pi, np.pi, 0.0], size=(6, 40))  # |a - b| = 2*pi
+        calls = self.counted_mod(monkeypatch)
+        adjacency = build_graph(phase, 19)
+        assert calls == []
+        monkeypatch.undo()
+        for bins in (8, 19):
+            self.assert_pairs_equal_rho_index(phase, bins)
+        assert np.array_equal(adjacency, build_graph(phase, 19))
+
+    def test_a_relative_phase_of_exactly_two_pi_lands_in_bin_zero(self):
+        # half the samples 2*pi apart, half in phase: one occupied bin if 2*pi wraps to 0
+        phase = np.array([[np.pi] * 10 + [0.0] * 10, [-np.pi] * 10 + [0.0] * 10])
+        assert np.abs(phase[0] - phase[1]).max() == 2 * np.pi
+        assert build_graph(phase, 8)[0, 1] == 1.0
+        self.assert_pairs_equal_rho_index(phase, 8)
+
+    @pytest.mark.parametrize("fault", ["shifted", "nan"])
+    def test_phases_outside_pi_take_the_wrap(self, rng, monkeypatch, fault):
+        phase = rng.uniform(-np.pi, np.pi, size=(5, 200))
+        if fault == "shifted":
+            phase[2] += 3 * np.pi  # some |a - b| beyond 2*pi
+        else:
+            phase[1, 17] = np.nan
+        calls = self.counted_mod(monkeypatch)
+        with np.errstate(invalid="ignore"):  # NaN casts to an integer bin
+            build_graph(phase, 12)
+            assert calls == [1]
+            monkeypatch.undo()
+            self.assert_pairs_equal_rho_index(phase, 12)

@@ -157,24 +157,28 @@ def test_a_recording_equals_its_frames_extracted_one_by_one(monkeypatch):
 
 def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatch):
     events = []
-    level, quality = gf._greedy_level, gf._partition_quality
+    levels, quality = gf._greedy_levels, gf._partition_quality
 
-    def logged_level(w, total, rng):
-        labels = level(w, total, rng)
-        events.append(("level", labels.max() + 1 < w.shape[0]))
+    def logged_levels(w, totals, rngs):
+        labels = levels(w, totals, rngs)
+        events.extend(("level", lane.max() + 1 < w.shape[1]) for lane in labels)
         return labels
 
-    monkeypatch.setattr(gf, "_greedy_level", logged_level)
+    monkeypatch.setattr(gf, "_greedy_levels", logged_levels)
     monkeypatch.setattr(gf, "_partition_quality",
                         lambda *a: events.append(("quality", None)) or quality(*a))
+    monkeypatch.setattr(gf, "_GREEDY_RESTARTS", 1)  # one lane, so its events come in order
     w = stack(np.random.default_rng(16), 1, 16)[0]
-    gf.best_partition(w, 5)
-    assert events[0] == ("quality", None)  # the singleton partition
-    levels = [merged for kind, merged in events if kind == "level"]
-    assert False in levels  # some level merged nothing
-    for before, after in zip(events[1:], events[2:]):
-        if after[0] == "quality":
-            assert before == ("level", True)
+    merged_nothing = False
+    for seed in range(8):
+        events.clear()
+        gf.best_partition(w, seed)
+        assert events[0] == ("quality", None)  # the singleton partition
+        merged_nothing |= ("level", False) in events
+        for before, after in zip(events[1:], events[2:]):
+            if after[0] == "quality":
+                assert before == ("level", True)
+    assert merged_nothing  # some level merged nothing
 
 
 # -- errors name the frame -----------------------------------------------------
@@ -193,6 +197,7 @@ def faulty_stack(faults: dict[int, str], frames=6, n=6):
     return graphs
 
 
+@pytest.mark.parametrize("n", [6, 12])  # exact and greedy modularity search
 @pytest.mark.parametrize("faults, kind, message", [
     ({3: "disconnected"}, DisconnectedGraph, "frame 3: infinite path length"),
     ({4: "zero"}, DegenerateGraph, "frame 4: zero total weight"),
@@ -206,8 +211,8 @@ def faulty_stack(faults: dict[int, str], frames=6, n=6):
     # within one frame, the earliest failing stage wins: a zero graph is disconnected too
     ({0: "zero"}, DegenerateGraph, "frame 0: zero total weight"),
 ])
-def test_a_stack_raises_the_first_error_of_a_frame_by_frame_run(faults, kind, message):
-    graphs = faulty_stack(faults)
+def test_a_stack_raises_the_first_error_of_a_frame_by_frame_run(faults, kind, message, n):
+    graphs = faulty_stack(faults, n=n)
     with np.errstate(invalid="ignore"), pytest.raises(kind) as batch:
         gf.extract_features(graphs, list(range(len(graphs))))
     assert str(batch.value).startswith(message)

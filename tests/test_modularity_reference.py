@@ -3,7 +3,9 @@
 The reference below is that implementation, unchanged apart from its names,
 docstrings and type hints: numpy scalar indexing and dict work in the greedy level, boolean
 `np.ix_` block sums, and a recursive walk over the set partitions of graphs
-with at most 8 nodes. Labels must match exactly and Q must be bit-equal.
+with at most 8 nodes. Labels must match exactly and Q must be bit-equal. The
+greedy level runs in lockstep over many lanes: each lane must match the reference
+level run alone, in its labels and in the state its generator is left in.
 """
 
 import numpy as np
@@ -215,15 +217,80 @@ def test_sparse_and_self_loop_graphs_match_reference(n):
             assert labels.tolist() == ref_labels.tolist()
 
 
+def lockstep(graphs, rngs):
+    """`gf._greedy_levels` on a (lanes, n, n) stack, each lane against its own total."""
+    graphs = np.asarray(graphs, float)
+    return gf._greedy_levels(graphs, graphs.sum(axis=(1, 2)), rngs)
+
+
+def assert_lanes_match_reference(graphs, seeds):
+    """Each lane's labels, and its generator's state after the level, equal the
+    reference level's on that lane's graph with a generator seeded alike."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    found = lockstep(graphs, rngs)
+    for lane, (w, seed, rng) in enumerate(zip(graphs, seeds, rngs)):
+        ref_rng = np.random.default_rng(seed)
+        assert found[lane].tolist() == ref_greedy_level(w, float(w.sum()), ref_rng).tolist(), \
+            (lane, seed)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (lane, seed)
+
+
+def counted(monkeypatch, name):
+    """Count the calls of a graph_features helper while the test runs."""
+    calls, original = [], getattr(gf, name)
+    monkeypatch.setattr(gf, name, lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+def heavy_self_loops(n, seed):
+    """Four weight levels, and self-loops of up to n on about half the nodes: a node's
+    own strength then often makes staying in a grown community worse than leaving it."""
+    w = graph(n, seed, LEVELS["four_levels"])
+    rng = np.random.default_rng([n, seed, 1])
+    np.fill_diagonal(w, n * rng.random(n) * (rng.random(n) < 0.5))
+    return w
+
+
+LANE_KINDS = {"quantized": dict(levels=LEVELS["three_levels"]),
+              "sparse": dict(zero_fraction=0.5),
+              "self_loops": dict(levels=LEVELS["four_levels"], zero_fraction=0.3,
+                                 diagonal=0.5)}
+
+
+def assert_lane_case_matches_reference(n, kind):
+    # three graphs, four generators each, as restarts of three frames share a level
+    graphs = [heavy_self_loops(n, seed) if kind == "heavy_self_loops"
+              else graph(n, seed, **LANE_KINDS[kind]) for seed in range(3)]
+    assert_lanes_match_reference(np.stack(graphs * 4), [[n, lane] for lane in range(12)])
+
+
+@pytest.mark.parametrize("kind", [*LANE_KINDS, "heavy_self_loops"])
+@pytest.mark.parametrize("n", [9, 16, 24, 40, 64])
+def test_each_lane_of_a_lockstep_level_equals_the_reference(n, kind):
+    assert_lane_case_matches_reference(n, kind)
+
+
+def test_lockstep_takes_the_tie_scan_and_widens_its_labels(monkeypatch):
+    scans, widenings = (counted(monkeypatch, name)
+                        for name in ("_first_seen_scan", "_more_labels"))
+    # exact gain ties among three weight levels send lanes to the scalar scan
+    assert_lane_case_matches_reference(9, "quantized")
+    assert scans and not widenings
+    # nodes leaving grown communities need fresh labels beyond the first n + 2
+    assert_lane_case_matches_reference(16, "heavy_self_loops")
+    assert widenings
+
+
 @pytest.mark.parametrize("n", [9, 12, 16])
 def test_greedy_steps_match_reference(n):
     # each step on its own, so a mismatch names the step that caused it
     for seed, levels in enumerate(LEVELS.values()):
         w = graph(n, seed, levels)
         total = float(w.sum())
-        level_labels = gf._greedy_level(w, total, np.random.default_rng(seed))
-        assert level_labels.tolist() == \
-            ref_greedy_level(w, total, np.random.default_rng(seed)).tolist()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        level_labels = lockstep(w[None], [rng])[0]
+        assert level_labels.tolist() == ref_greedy_level(w, total, ref_rng).tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         for labels in (level_labels, np.random.default_rng(seed).integers(0, 4, n)):
             assert gf._partition_quality(w, labels, total) == \
                 ref_partition_quality(w, labels, total)
@@ -231,16 +298,20 @@ def test_greedy_steps_match_reference(n):
             assert np.array_equal(gf._aggregate(w, compact), ref_aggregate(w, compact))
 
 
-def test_greedy_level_ties_match_reference():
+def test_greedy_level_ties_match_reference(monkeypatch):
     # small levels with self-loops and weights in steps of 0.1: a home gain of
     # exactly 0, or a rounding hair below it, meets the 1e-15 margin against
-    # the singleton in a few of these (trials 1054 and 1668)
+    # the singleton in a few of these (trials 1054 and 1668); the trials of each
+    # size run as the lanes of one lockstep level
+    scans = counted(monkeypatch, "_first_seen_scan")
+    trials = {}
     for t in range(2000):
         rng = np.random.default_rng([5, t])
         n = int(rng.integers(3, 10))
         w = np.triu(rng.integers(0, 4, (n, n)), 1) * 0.1
         w = w + w.T + np.diag(rng.integers(0, 4, n) * 0.1)
-        total = float(w.sum())
-        if total > 0:
-            assert gf._greedy_level(w, total, np.random.default_rng(t)).tolist() == \
-                ref_greedy_level(w, total, np.random.default_rng(t)).tolist(), t
+        if w.sum() > 0:
+            trials.setdefault(n, []).append((t, w))
+    for n, cases in trials.items():
+        assert_lanes_match_reference(np.stack([w for _, w in cases]), [t for t, _ in cases])
+    assert scans
