@@ -232,7 +232,8 @@ def _greedy_levels(w: np.ndarray, totals: np.ndarray, rngs) -> np.ndarray:
             row = links[live, i]
             link = np.bincount((labels + lane[:, None] * cap).ravel(), row.ravel(),
                                live.size * cap).reshape(live.size, cap)
-            gain = link / tot - 2.0 * s_tot * k_i[:, None] / tsq
+            gain = link / tot
+            gain -= 2.0 * s_tot * k_i[:, None] / tsq
             stays = size[lane, cur] > 0
             cand = np.where(link > 0, gain, -np.inf)
             cand[lane, cur] = np.where(stays, gain[lane, cur], 0.0)
@@ -240,7 +241,8 @@ def _greedy_levels(w: np.ndarray, totals: np.ndarray, rngs) -> np.ndarray:
             best = cand.argmax(axis=1)
             top = cand[lane, best]
             cand[lane, best] = -np.inf
-            for l in np.flatnonzero(~(top > cand.max(axis=1) + 1e-15)).tolist():
+            runner_up = cand[lane, cand.argmax(axis=1)]
+            for l in np.flatnonzero(~(top > runner_up + 1e-15)).tolist():
                 best[l] = _first_seen_scan(gain[l], labels[l], row[l], cur[l], stays[l],
                                            fresh[l])
             moved |= best != cur
