@@ -326,7 +326,8 @@ def best_partition(graph, seeds=0):
     if n <= _EXACT_MODULARITY_NODES:
         labels, q = _exact_best_partitions(w, totals)
         return (labels[0], float(q[0])) if single else (labels, q)
-    labels, q = _greedy_best_partitions(w, totals, seeds)
+    with np.errstate(invalid="ignore"):  # an infinite weight gives NaN gains, as in floats
+        labels, q = _greedy_best_partitions(w, totals, seeds)
     return (labels[0], float(q[0])) if single else (labels, q)
 
 

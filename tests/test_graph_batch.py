@@ -181,6 +181,16 @@ def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatc
     assert merged_nothing  # some level merged nothing
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_weight_leaves_the_greedy_search_quiet(bad):
+    # no gain beats staying put and the singleton Q is NaN, so the one-community
+    # partition and its Q of 0 stand, as in the scalar search; no numpy warning escapes
+    w = stack(np.random.default_rng(3), 1, 12)[0]
+    w[0, 1] = w[1, 0] = bad
+    labels, q = gf.best_partition(w, 3)
+    assert labels.tolist() == [0] * 12 and q == 0.0
+
+
 # -- errors name the frame -----------------------------------------------------
 
 def faulty_stack(faults: dict[int, str], frames=6, n=6):
