@@ -37,7 +37,7 @@ from .errors import ConfigError, NeurolockError, require
 from .ingest import (Protocol, SyntheticSpec, atomic_write, csv_text, read_csv_matrix,
                      read_edf, synthesize, write_csv_matrix)
 from .pipeline import (FEATURE_KINDS, DspConfig, FeatureDataset, build_feature_dataset,
-                       check_rate, write_feature_csv)
+                       check_extraction, write_feature_csv)
 from .system import AuthSystem, SystemConfig
 
 EXIT_CONFIG = 2
@@ -290,25 +290,18 @@ def write_feature_cache(path: Path, dataset: FeatureDataset) -> None:
     atomic_write(path, buffer.getvalue())
 
 
-def load_features(config: dict, frames_needed: int = 0) -> FeatureDataset:
+def load_features(config: dict, frames_needed: int = 1) -> FeatureDataset:
     """The configured dataset's features, read from
     ``<output_dir>/cache/features-<feature_key>.npz`` when that file holds
     them; otherwise extracted and written there, replacing every other key's
-    file in the directory. Refused first: for synthetic and csv data, sampled at
-    dataset.fs, what `check_rate` refuses; then a synthetic recording of fewer than
-    `frames_needed` frames, or too short to filter."""
-    ds, kind, d = config["dataset"], config["features"]["kind"], config["dsp"]
+    file in the directory. Refused first, before any data is read: for synthetic
+    and csv data, sampled at dataset.fs, what `check_extraction` refuses, given for
+    synthetic data the recording's sample and channel counts and `frames_needed`."""
+    ds, kind = config["dataset"], config["features"]["kind"]
     if ds["kind"] != "edf":  # an EDF file's own rate is checked as it is extracted
-        check_rate(dsp_config(config), ds["fs"], kind)
-    if ds["kind"] == "synthetic":
-        spec, padlen = synthetic_spec(config), 3 * d["fir_order"]
-        n_frames = dsp.frame_count(spec.n_samples, spec.fs, d["frame_seconds"], d["overlap"])
-        if n_frames < frames_needed:
-            raise ConfigError(f"a synthetic recording has {n_frames} frames "
-                              f"< F_e + F_t = {frames_needed}")
-        if spec.n_samples <= padlen:
-            raise ConfigError(f"a synthetic recording has {spec.n_samples} samples; zero-phase "
-                              f"filtering needs more than 3 * dsp.fir_order = {padlen}")
+        spec = synthetic_spec(config) if ds["kind"] == "synthetic" else None
+        check_extraction(dsp_config(config), ds["fs"], kind, spec and spec.n_samples,
+                         spec and spec.n_channels, frames_needed)
     path = Path(config["output_dir"]) / "cache" / f"features-{feature_key(config)}.npz"
     dataset = read_feature_cache(path, dataset_entries(config), kind)
     if dataset is None:

@@ -26,6 +26,7 @@ GLOBAL_FEATURE_NAMES = ("transitivity", "modularity", "char_path_length",
 _EXACT_MODULARITY_NODES = 8
 # seeded restarts of the greedy search; the best partition found wins
 _GREEDY_RESTARTS = 8
+MIN_NODES = 3  # the fewest nodes `transitivity`, and so a feature vector, takes
 
 
 def feature_names(n_nodes: int) -> list[str]:
@@ -78,8 +79,8 @@ def transitivity(graph):
     """Weighted transitivity: sum of geometric-mean triangle intensities over
     the number of connected triples, with binary degrees."""
     w, single = _stack(graph)
-    if w.shape[1] < 3:
-        raise ConfigError(f"transitivity needs at least 3 nodes, got {w.shape[1]}")
+    if w.shape[1] < MIN_NODES:
+        raise ConfigError(f"transitivity needs at least {MIN_NODES} nodes, got {w.shape[1]}")
     cbrt = np.cbrt(w)
     triangles_x2 = np.trace(cbrt @ cbrt @ cbrt, axis1=1, axis2=2)  # equals sum_i 2*t_i
     degrees = (w > 0).sum(axis=2)
@@ -323,6 +324,8 @@ def best_partition(graph, seeds=0):
     if len(seeds) != frames:
         raise ConfigError(f"{len(seeds)} seeds for {frames} frames")
     _refuse(totals <= 0, single, DegenerateGraph, "zero total weight: modularity undefined")
+    _refuse(totals ** 2 == 0, single, DegenerateGraph,
+            "total weight squares to 0: modularity undefined")
     if n <= _EXACT_MODULARITY_NODES:
         labels, q = _exact_best_partitions(w, totals)
         return (labels[0], float(q[0])) if single else (labels, q)

@@ -390,6 +390,9 @@ class SyntheticSpec:
             require(name, getattr(self, name), kind, ok, what)
         require("duration_s", self.duration_s, numbers.Real,
                 lambda v: v * self.fs > 0.5, f"at least one sample at fs={self.fs}")
+        require("duration_s", self.duration_s, numbers.Real, lambda v: v * self.fs < np.inf
+                and self.n_channels * round(v * self.fs) <= np.iinfo(np.intp).max,
+                f"short enough that {self.n_channels} channels at fs={self.fs} fit in one array")
 
     def subject_ids(self) -> list[str]:
         return [f"S{i + 1:03d}" for i in range(self.n_subjects)]

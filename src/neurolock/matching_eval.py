@@ -58,7 +58,6 @@ class EvalReport:
     pseudo_impostor_std: float | None = None
     n_pseudo_impostor: int | None = None
     d_sys: float | None = None
-    seeds: dict = field(default_factory=dict)
     # the scores behind the report, kept for histograms; not serialized
     scores: ScoreSet | None = field(default=None, repr=False, compare=False)
 
@@ -341,7 +340,6 @@ def evaluate(dataset: FeatureDataset, config: SystemConfig, revocability_keys: i
         impostor_mean=float(scores.impostor.mean()),
         impostor_std=float(scores.impostor.std()),
         roc=roc_points(scores),
-        seeds={"master": seed},
         scores=scores,
     )
     if scores.pseudo_impostor is not None:

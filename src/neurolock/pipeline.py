@@ -32,8 +32,7 @@ class DspConfig:
     rho_bins: int | None = None
 
     def __post_init__(self):
-        """Check types and ranges before any extraction; band edges are checked
-        against a sampling rate by `check_rate`."""
+        """Check types and ranges; `check_extraction` checks the rest against a rate."""
         def band(pair):
             return len(pair) == 2 and all(is_a(v, numbers.Real) for v in pair) \
                 and 0 < pair[0] < pair[1]
@@ -86,22 +85,31 @@ def stable_int(text: str) -> int:
     return int.from_bytes(hashlib.blake2s(text.encode(), digest_size=4).digest(), "big")
 
 
-def check_rate(config: DspConfig, fs: float, kind: str = "graph") -> list[np.ndarray]:
-    """The band-pass taps a `kind` extraction applies at rate `fs`: the prefilter, then
-    for graph features the band. A band `design_bandpass` refuses at `fs`, a frame length
-    `dsp.frame` refuses, or for graph features a frame shorter than the phase needs or
-    than dsp.rho_bins, is a ConfigError."""
+def check_extraction(config: DspConfig, fs: float, kind: str = "graph",
+                     n_samples: int | None = None, n_channels: int | None = None,
+                     frames_needed: int = 1) -> list[np.ndarray]:
+    """The band-pass taps a `kind` extraction applies at `fs` (the prefilter's, then for graph
+    features the band's) once every rule that needs no data holds, else a ConfigError. Given
+    a recording's sample and channel counts, it checks them too, for `frames_needed` frames."""
+    if n_samples is not None and n_samples <= 3 * config.fir_order:  # before designing taps
+        raise ConfigError(f"a recording has {n_samples} samples; zero-phase filtering "
+                          f"needs more than 3 * dsp.fir_order = {3 * config.fir_order}")
     taps = []
     for name in ("prefilter", "band") if kind == "graph" else ("prefilter",):
         with error_context(f"dsp.{name}"):
             taps.append(dsp.design_bandpass(fs, *getattr(config, name), config.fir_order))
-    length = dsp._frame_layout(0, fs, config.frame_seconds, config.overlap)[1]
+    count, length, _ = dsp.frame_layout(n_samples or 0, fs, config.frame_seconds, config.overlap)
     if kind == "graph" and length < dsp.PHASE_SAMPLES:
         raise ConfigError(f"dsp.frame_seconds = {config.frame_seconds} gives frames of "
                           f"{length} samples, fewer than the {dsp.PHASE_SAMPLES} the phase needs")
     if kind == "graph" and config.rho_bins is not None and config.rho_bins > length:
         raise ConfigError(f"dsp.rho_bins = {config.rho_bins} is more than the "
                           f"{length} samples of a frame")
+    if n_samples is not None and count < frames_needed:
+        raise ConfigError(f"a recording has {count} frames < {frames_needed} needed")
+    if kind == "graph" and n_channels is not None and n_channels < graph_features.MIN_NODES:
+        raise ConfigError(f"graph features need at least {graph_features.MIN_NODES} "
+                          f"channels, got {n_channels}")
     return taps
 
 
@@ -111,7 +119,7 @@ def extract_frame_features(recording: Recording, config: DspConfig,
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
     with error_context(f"subject {recording.subject_id!r} / {recording.protocol_tag.value}"):
-        taps = check_rate(config, recording.fs, kind)
+        taps = check_extraction(config, recording.fs, kind)
         rec = dsp.filter_zero_phase(dsp.detrend(recording), taps[0])
         if kind != "graph":
             frames = dsp.frame(rec, config.frame_seconds, config.overlap)

@@ -15,6 +15,8 @@ from neurolock import transform as tr
 from neurolock.cli import main
 from neurolock.ingest import read_csv_matrix, write_edf
 
+HUGE = 10 ** 22  # a 23-digit integer
+
 SMALL = [
     "--dataset.synthetic.n_subjects=4",
     "--dataset.synthetic.n_channels=4",
@@ -44,14 +46,23 @@ def leaves(config, prefix=""):
             yield prefix + key
 
 
-def invoke_never_loading(monkeypatch, args):
-    """Run a command that must stop with exit 2 before any data is read."""
+class DataReached(Exception):
+    """Raised in place of reading or synthesizing a dataset."""
+
+
+def invoke_with_sentinel(monkeypatch, args):
+    """Run a command whose data reads and synthesis raise DataReached."""
     def never(config):
-        raise AssertionError("data read or synthesized")
+        raise DataReached
     monkeypatch.setattr(cli, "load_recordings", never)
     monkeypatch.setattr(cli, "synthesize", never)
     extra = ["--subject=S001", "--key=1"] if args[0] == "enroll" else []
-    result = invoke(args[:1] + extra + args[1:])  # a test's own --key comes last and wins
+    return invoke(args[:1] + extra + args[1:])  # a test's own --key comes last and wins
+
+
+def invoke_never_loading(monkeypatch, args):
+    """Run a command that must stop with exit 2 before any data is read."""
+    result = invoke_with_sentinel(monkeypatch, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
@@ -277,8 +288,7 @@ class TestEnrollVerify:
             write_template(tmp_path / "u.ceeg", "S001")
             args += [f"--template={tmp_path / 'u.ceeg'}", "--subject=S001", "--key=1"]
         result = invoke_never_loading(monkeypatch, args)
-        assert result.output == ("config error: a synthetic recording has 31 frames "
-                                 "< F_e + F_t = 41\n")
+        assert result.output == "config error: a recording has 31 frames < 41 needed\n"
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("command", ["enroll", "verify", "eval", "attack", "extract",
@@ -292,7 +302,7 @@ class TestEnrollVerify:
             write_template(tmp_path / "u.ceeg", "S001")
             args += [f"--template={tmp_path / 'u.ceeg'}", "--subject=S001", "--key=1"]
         result = invoke_never_loading(monkeypatch, args)
-        assert result.output == ("config error: a synthetic recording has 990 samples; "
+        assert result.output == ("config error: a recording has 990 samples; "
                                  "zero-phase filtering needs more than 3 * dsp.fir_order "
                                  "= 990\n")
         assert not (tmp_path / "cache").exists()
@@ -316,12 +326,41 @@ class TestEnrollVerify:
          "needs"),
         (["--dsp.frame_seconds=1e308"], "frame of 1e+308s at fs=160.0 has too many samples "
                                         "to count"),
-        (["--dataset.fs=1e308"], "frame of 2.0s at fs=1e+308 has too many samples to count"),
+        (["--dataset.fs=1e308"], "dataset.synthetic.duration_s must be short enough that "
+                                 "8 channels at fs=1e+308 fit in one array, got 62.0"),
     ], ids=["short_frame", "long_frame", "fast_rate"])
     def test_unusable_frame_lengths_exit_before_synthesis(
             self, tmp_path, monkeypatch, command, overrides, message):
         result = invoke_never_loading(monkeypatch, [command, f"--output_dir={tmp_path}",
                                                     *overrides])
+        assert result.output == f"config error: {message}\n"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["enroll", "--dataset.synthetic.duration_s=1e308"],
+         "dataset.synthetic.duration_s must be short enough that 8 channels at fs=160.0 fit "
+         "in one array, got 1e+308"),
+        (["synth", "--dataset.synthetic.duration_s=1e308"],
+         "dataset.synthetic.duration_s must be short enough that 8 channels at fs=160.0 fit "
+         "in one array, got 1e+308"),
+        (["eval", f"--dataset.fs={HUGE}"],
+         "dataset.synthetic.duration_s must be short enough that 8 channels "
+         f"at fs={HUGE} fit in one array, got 62.0"),
+        (["attack", f"--dataset.synthetic.n_channels={HUGE}"],
+         f"dataset.synthetic.duration_s must be short enough that {HUGE} channels "
+         "at fs=160.0 fit in one array, got 62.0"),
+        (["extract", "--dataset.synthetic.n_channels=2"],
+         "graph features need at least 3 channels, got 2"),
+        (["slx", "--dsp.frame_seconds=100"], "a recording has 0 frames < 1 needed"),
+        (["enroll", f"--dsp.fir_order={HUGE}"],
+         "a recording has 9920 samples; zero-phase filtering needs more than "
+         f"3 * dsp.fir_order = {3 * HUGE}"),
+    ], ids=["long_recording", "synth_long_recording", "fast_rate_23_digits",
+            "channels_23_digits", "two_channels", "slx_long_frame", "fir_order_23_digits"])
+    def test_recordings_no_extraction_can_take_exit_before_synthesis(
+            self, tmp_path, monkeypatch, args, message):
+        result = invoke_never_loading(monkeypatch, [args[0], f"--output_dir={tmp_path}",
+                                                    *args[1:]])
         assert result.output == f"config error: {message}\n"
         assert not (tmp_path / "cache").exists()
 
@@ -538,6 +577,32 @@ class TestConfigValidation:
         assert dotted.rsplit(".", 1)[-1] in result.output
 
 
+HOSTILE_VALUES = ("0", "-1", "2", "1e308", "1e-300", "NaN", "Infinity", "-Infinity", "true",
+                  "null", '"x"', "[]", "[2, 1]", "[0.5, 80]", str(HUGE))
+# a huge count is legal and would only make a run long or exhaust memory
+COUNT_LEAVES = ("dataset.synthetic.n_subjects", "attack.max_attempts", "slx.seeds")
+
+
+@pytest.mark.parametrize("command", ["enroll", "eval", "attack", "extract", "slx"])
+def test_hostile_config_values_exit_2_or_reach_the_data(tmp_path, monkeypatch, command):
+    """Each config leaf but the two paths, set to each hostile value in turn, either
+    exits 2 before any data is read or reaches the data: no other exit, no traceback."""
+    failures = []
+    for dotted in leaves(cli.DEFAULT_CONFIG):
+        for value in HOSTILE_VALUES:
+            if dotted in ("dataset.path", "output_dir") or value == str(HUGE) and (
+                    dotted in COUNT_LEAVES or dotted.endswith("_keys")):
+                continue
+            result = invoke_with_sentinel(monkeypatch, [command, f"--output_dir={tmp_path}",
+                                                        f"--{dotted}={value}"])
+            if not (isinstance(result.exception, DataReached) or result.exit_code == 2
+                    and isinstance(result.exception, SystemExit)):
+                failures.append(f"--{dotted}={value}: exit {result.exit_code}, "
+                                f"{result.exception!r}")
+    assert failures == []
+    assert not (tmp_path / "cache").exists()
+
+
 class TestReports:
     def test_eval_scores_the_protocol_once(self, tmp_path, monkeypatch):
         calls = []
@@ -594,7 +659,7 @@ class TestReports:
         stamp = {"config_hash": cli.config_hash(config), "master_seed": 1234,
                  "version": __version__}
         seeds = {"dataset/manifest.json": None, "features/manifest.json": None,
-                 "slx_report.json": None, "eval_report.json": {"master": 1234},
+                 "slx_report.json": None, "eval_report.json": None,
                  "attack_report.json": {"attack": config["attack"]["seed"]}}
         for name, report_seeds in seeds.items():
             report = json.loads((tmp_path / name).read_text())

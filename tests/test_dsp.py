@@ -172,7 +172,7 @@ class TestFrame:
                 while start + length <= n_samples:
                     count += 1
                     start += step
-                assert dsp.frame_count(n_samples, 160.0, 2.0, overlap) == count
+                assert dsp.frame_layout(n_samples, 160.0, 2.0, overlap)[0] == count
                 if count:
                     rec = make_recording(rng.normal(size=(1, n_samples)))
                     assert len(dsp.frame(rec, 2.0, overlap)) == count

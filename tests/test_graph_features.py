@@ -183,6 +183,18 @@ class TestModularity:
         with pytest.raises(DegenerateGraph):
             gf.modularity(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("n, q_at_1e160, labels_at_1e160", [
+        (6, -2.034372762124703e-06, [0] * 6),
+        (12, 0.031881587638894066, [1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1]),
+    ], ids=["exact", "greedy"])
+    def test_total_weight_whose_square_underflows_raises(self, n, q_at_1e160,
+                                                          labels_at_1e160):
+        w = random_graph(np.random.default_rng(0), n)
+        with pytest.raises(DegenerateGraph, match="frame 1: total weight squares to 0"):
+            gf.best_partition(np.stack([w, w * 1e-170]))
+        labels, q = gf.best_partition(w * 1e-160)  # a subnormal square still divides
+        assert (q, labels.tolist()) == (q_at_1e160, labels_at_1e160)
+
     def test_deterministic_per_seed(self, rng):
         w = random_graph(rng, 10)
         assert gf.modularity(w, seeds=7) == gf.modularity(w, seeds=7)

@@ -253,8 +253,7 @@ class TestEvaluate:
         assert report.pseudo_impostor_mean is not None
         assert report.d_sys is not None
         payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["seeds"] == {"master": 2}
-        assert not {"config_hash", "version", "scores"} & payload.keys()
+        assert not {"config_hash", "version", "scores", "seeds"} & payload.keys()
 
     def test_deterministic(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
