@@ -384,8 +384,8 @@ def command(*extra_options):
     return register
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(config["output_dir"])
+def _out_dir(config: dict, *parts: str) -> Path:
+    out = Path(config["output_dir"], *parts)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -399,8 +399,7 @@ def _stamp(config: dict) -> dict:
 @command()
 def synth(config):
     """Write the synthetic dataset as CSV matrices."""
-    out = _out_dir(config) / "dataset"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, "dataset")
     recordings = synthesize(synthetic_spec(config))
     for rec in recordings:
         write_csv_matrix(rec, out / f"{rec.subject_id}_{rec.protocol_tag.value}.csv")
@@ -416,8 +415,7 @@ def synth(config):
 def extract(config):
     """Extract per-frame feature vectors to one CSV per subject and protocol."""
     dataset = load_features(config)
-    out = _out_dir(config) / "features"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, "features")
     for (subject, protocol), matrix in sorted(dataset.vectors.items(),
                                               key=lambda kv: (kv[0][0], kv[0][1].value)):
         write_feature_csv(out / f"{subject}_{protocol.value}.csv", matrix, dataset.names)

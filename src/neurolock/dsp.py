@@ -6,9 +6,9 @@ the square of the single-pass response. The artifact-removal stage of the
 source pipeline is a deliberate no-op here.
 
 The filter design, the zero-phase filter and the analytic signal are computed
-in numpy (and scipy.fft), with the float operations of scipy.signal's
-``firwin``, ``filtfilt`` and ``hilbert`` in the same order, so they match them
-bit for bit without importing scipy.signal, which takes about a second.
+in numpy alone, with the float operations of scipy.signal's ``firwin``,
+``filtfilt`` and ``hilbert`` in the same order, so they match them bit for bit
+without importing scipy.signal, which takes about a second, or scipy.fft.
 """
 
 from __future__ import annotations
@@ -27,22 +27,23 @@ def detrend(recording: Recording) -> Recording:
     """Remove the least-squares line from each channel."""
     if recording.n_samples < 2:
         raise LengthError("detrend needs at least 2 samples per channel")
-    n = recording.n_samples
-    x = np.arange(n, dtype=float)
+    x = np.arange(recording.n_samples, dtype=float)
     x_centered = x - x.mean()
-    denom = float(x_centered @ x_centered)
     data = recording.data
-    slopes = (data @ x_centered) / denom
-    means = data.mean(axis=1)
-    fitted = means[:, None] + slopes[:, None] * x_centered[None, :]
+    slopes = (data @ x_centered) / float(x_centered @ x_centered)
+    fitted = data.mean(axis=1)[:, None] + slopes[:, None] * x_centered[None, :]
     return replace(recording, data=data - fitted)
+
+
+def check_band(fs: float, low_hz: float, high_hz: float) -> None:
+    if not (0.0 < low_hz < high_hz < fs / 2.0):
+        raise ConfigError(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
 
 
 def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> np.ndarray:
     """Taps (order + 1, exactly symmetric) of a Hamming-window FIR band-pass
     filter of even order."""
-    if not (0.0 < low_hz < high_hz < fs / 2.0):
-        raise ConfigError(f"band [{low_hz}, {high_hz}] invalid for fs={fs}")
+    check_band(fs, low_hz, high_hz)
     if order <= 0 or order % 2:
         raise ConfigError(f"order must be even and positive, got {order}")
     left, right = np.array([low_hz, high_hz]) / (0.5 * fs)
@@ -53,25 +54,23 @@ def design_bandpass(fs: float, low_hz: float, high_hz: float, order: int) -> np.
     return (taps + taps[::-1]) / 2.0  # enforce exact symmetry
 
 
+def check_padding(n_samples: int, order: int) -> None:
+    """Refuse a recording too short for `filter_zero_phase` with taps of `order`."""
+    if n_samples <= 3 * order:
+        raise LengthError(f"need more than {3 * order} samples for zero-phase filtering, "
+                          f"got {n_samples}")
+
+
 def filter_zero_phase(recording: Recording, taps: np.ndarray) -> Recording:
-    """Apply the FIR taps forward and backward (zero phase distortion), over the
-    recording extended at each end by its odd reflection of 3 * order samples."""
-    padlen = 3 * (taps.size - 1)
-    if recording.n_samples <= padlen:
-        raise LengthError(
-            f"need more than {padlen} samples for zero-phase filtering, "
-            f"got {recording.n_samples}")
-    x = recording.data
-    ext = np.concatenate((2 * x[:, :1] - x[:, padlen:0:-1], x,
-                          2 * x[:, -1:] - x[:, -2:-(padlen + 2):-1]), axis=1)
-    # scipy.signal.filtfilt also starts each pass from lfilter_zi's steady state,
-    # but that only changes the first taps.size - 1 outputs of a pass, and they
-    # land in the padding that is cut off: the kept samples never depend on it.
-    rows = []
-    for row in ext:
-        forward = np.convolve(taps, row)[:row.size]
-        rows.append(np.convolve(taps, forward[::-1])[:row.size][::-1])
-    return replace(recording, data=np.stack(rows)[:, padlen:-padlen])
+    """Apply the FIR taps forward and backward (zero phase distortion), equal bit for bit to
+    scipy.signal.filtfilt with padlen = 3 * order: each kept sample is the dot product that
+    filtfilt takes, over the same operands in the same order. Only the kept samples are
+    computed, so the odd reflection at each end is read `order` samples deep."""
+    order = taps.size - 1
+    check_padding(recording.n_samples, order)
+    ext = np.pad(recording.data, ((0, 0), (order, order)), "reflect", reflect_type="odd")
+    return replace(recording, data=np.stack(
+        [np.convolve(taps, np.convolve(taps, row, "valid")[::-1], "valid")[::-1] for row in ext]))
 
 
 def frame_layout(n_samples: int, fs: float, frame_seconds: float, overlap: float):
@@ -93,8 +92,7 @@ def frame(recording: Recording, frame_seconds: float,
     count, length, step = frame_layout(recording.n_samples, recording.fs,
                                        frame_seconds, overlap_fraction)
     if count < 1:
-        raise LengthError(
-            f"recording has {recording.n_samples} samples, one frame needs {length}")
+        raise LengthError(f"recording has {recording.n_samples} samples, one frame needs {length}")
     return np.stack([recording.data[:, k * step: k * step + length] for k in range(count)])
 
 
@@ -113,9 +111,7 @@ def instantaneous_phase(x: np.ndarray) -> np.ndarray:
         where = ", ".join(" ".join(f"{axis} {i}" for axis, i in zip(axes, index))
                           for index in dead.tolist())
         raise DegenerateSignal(f"all-zero {where}: phase undefined")
-    import scipy.fft  # numpy.fft differs from scipy.signal.hilbert in the last bits
     n = x.shape[-1]
-    spectrum = scipy.fft.fft(x, axis=-1)
+    spectrum = np.fft.rfft(x, axis=-1)
     spectrum[..., 1:(n + 1) // 2] *= 2.0
-    spectrum[..., n // 2 + 1:] = 0.0
-    return np.angle(scipy.fft.ifft(spectrum, axis=-1))
+    return np.angle(np.fft.ifft(spectrum, n, axis=-1))  # zero-fills the negative frequencies

@@ -1,10 +1,14 @@
 """Exception hierarchy shared across the package, and the config value rule."""
 
 import contextlib
+import numbers
+import sys
 
 
 def is_a(value, kind) -> bool:
-    """isinstance check that counts a bool only as a bool, never as a number."""
+    """isinstance, but a bool is only a bool, and an int too large for a float is no Real."""
+    if kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 

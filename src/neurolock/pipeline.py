@@ -87,17 +87,17 @@ def stable_int(text: str) -> int:
 
 def check_extraction(config: DspConfig, fs: float, kind: str = "graph",
                      n_samples: int | None = None, n_channels: int | None = None,
-                     frames_needed: int = 1) -> list[np.ndarray]:
-    """The band-pass taps a `kind` extraction applies at `fs` (the prefilter's, then for graph
-    features the band's) once every rule that needs no data holds, else a ConfigError. Given
+                     frames_needed: int = 1) -> list[tuple[float, float]]:
+    """The bands a `kind` extraction filters with at `fs` (the prefilter, then for graph
+    features the band) once every rule that needs no data holds, else a ConfigError. Given
     a recording's sample and channel counts, it checks them too, for `frames_needed` frames."""
-    if n_samples is not None and n_samples <= 3 * config.fir_order:  # before designing taps
+    if n_samples is not None and n_samples <= 3 * config.fir_order:
         raise ConfigError(f"a recording has {n_samples} samples; zero-phase filtering "
                           f"needs more than 3 * dsp.fir_order = {3 * config.fir_order}")
-    taps = []
-    for name in ("prefilter", "band") if kind == "graph" else ("prefilter",):
+    bands = ("prefilter", "band") if kind == "graph" else ("prefilter",)
+    for name in bands:
         with error_context(f"dsp.{name}"):
-            taps.append(dsp.design_bandpass(fs, *getattr(config, name), config.fir_order))
+            dsp.check_band(fs, *getattr(config, name))
     count, length, _ = dsp.frame_layout(n_samples or 0, fs, config.frame_seconds, config.overlap)
     if kind == "graph" and length < dsp.PHASE_SAMPLES:
         raise ConfigError(f"dsp.frame_seconds = {config.frame_seconds} gives frames of "
@@ -110,7 +110,7 @@ def check_extraction(config: DspConfig, fs: float, kind: str = "graph",
     if kind == "graph" and n_channels is not None and n_channels < graph_features.MIN_NODES:
         raise ConfigError(f"graph features need at least {graph_features.MIN_NODES} "
                           f"channels, got {n_channels}")
-    return taps
+    return [getattr(config, name) for name in bands]
 
 
 def extract_frame_features(recording: Recording, config: DspConfig,
@@ -119,14 +119,16 @@ def extract_frame_features(recording: Recording, config: DspConfig,
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
     with error_context(f"subject {recording.subject_id!r} / {recording.protocol_tag.value}"):
-        taps = check_extraction(config, recording.fs, kind)
-        rec = dsp.filter_zero_phase(dsp.detrend(recording), taps[0])
+        bands = check_extraction(config, recording.fs, kind)
+        dsp.check_padding(recording.n_samples, config.fir_order)  # before designing taps
+        rec = dsp.detrend(recording)
+        for band in bands:
+            rec = dsp.filter_zero_phase(rec, dsp.design_bandpass(rec.fs, *band, config.fir_order))
+        frames = dsp.frame(rec, config.frame_seconds, config.overlap)
         if kind != "graph":
-            frames = dsp.frame(rec, config.frame_seconds, config.overlap)
             return np.stack([bf.baseline_vector(fr, rec.fs, bf.BaselineKind(kind))
                              for fr in frames])
-        rec = dsp.filter_zero_phase(rec, taps[1])
-        phases = dsp.instantaneous_phase(dsp.frame(rec, config.frame_seconds, config.overlap))
+        phases = dsp.instantaneous_phase(frames)
         graphs = np.stack([connectivity.build_graph(phase, config.rho_bins) for phase in phases])
         # per-frame seeds keep the output independent of extraction order
         return graph_features.extract_features(

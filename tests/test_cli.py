@@ -16,6 +16,7 @@ from neurolock.cli import main
 from neurolock.ingest import read_csv_matrix, write_edf
 
 HUGE = 10 ** 22  # a 23-digit integer
+NO_FLOAT = 10 ** 400  # an integer too large for a float
 
 SMALL = [
     "--dataset.synthetic.n_subjects=4",
@@ -355,14 +356,27 @@ class TestEnrollVerify:
         (["enroll", f"--dsp.fir_order={HUGE}"],
          "a recording has 9920 samples; zero-phase filtering needs more than "
          f"3 * dsp.fir_order = {3 * HUGE}"),
+        (["synth", f"--dataset.fs={NO_FLOAT}"],
+         f"dataset.fs must be a finite positive number, got {NO_FLOAT}"),
     ], ids=["long_recording", "synth_long_recording", "fast_rate_23_digits",
-            "channels_23_digits", "two_channels", "slx_long_frame", "fir_order_23_digits"])
+            "channels_23_digits", "two_channels", "slx_long_frame", "fir_order_23_digits",
+            "synth_fast_rate_401_digits"])
     def test_recordings_no_extraction_can_take_exit_before_synthesis(
             self, tmp_path, monkeypatch, args, message):
         result = invoke_never_loading(monkeypatch, [args[0], f"--output_dir={tmp_path}",
                                                     *args[1:]])
         assert result.output == f"config error: {message}\n"
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("leaf", ["dataset.fs", "dataset.synthetic.duration_s",
+                                      "dataset.synthetic.noise_level", "dsp.frame_seconds",
+                                      "transform.calibration_margin"])
+    def test_a_number_too_large_for_a_float_exits_before_loading(self, tmp_path, monkeypatch,
+                                                                 leaf):
+        result = invoke_never_loading(monkeypatch, ["enroll", f"--output_dir={tmp_path}",
+                                                    f"--{leaf}={NO_FLOAT}"])
+        assert result.output.startswith(f"config error: {leaf} must be ")
+        assert result.output.endswith(f", got {NO_FLOAT}\n")
 
     @pytest.mark.parametrize("override, message", [
         ("--dsp.rho_bins=201", "dsp.rho_bins = 201 is more than the 200 samples of a frame"),
@@ -376,6 +390,21 @@ class TestEnrollVerify:
             f"--dataset.path={csv_dataset}", "--dataset.fs=100", override])
         assert result.output == f"config error: {message}\n"
         assert not (out / "cache").exists()
+
+    @pytest.mark.parametrize("fir_order", [1000, HUGE], ids=["1000", "23_digits"])
+    def test_csv_recordings_too_short_to_filter_exit_before_designing_taps(
+            self, tmp_path, monkeypatch, csv_dataset, fir_order):
+        """No sample count is known before a CSV file is read, so this is a data error,
+        raised before the order's taps are designed."""
+        designed = []
+        monkeypatch.setattr(pipeline.dsp, "design_bandpass",
+                            lambda *args: designed.append(args) or 1 / 0)
+        result = invoke(["extract", f"--output_dir={tmp_path / 'out'}", "--dataset.kind=csv",
+                         f"--dataset.path={csv_dataset}", f"--dsp.fir_order={fir_order}"])
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"data error: subject 'S001' / EC: need more than "
+                                 f"{3 * fir_order} samples for zero-phase filtering, got 2240\n")
+        assert designed == []
 
     def test_baseline_features_ignore_the_band_and_bins(self, tmp_path):
         result = invoke(["extract", f"--output_dir={tmp_path}", "--features.kind=psd",
@@ -578,7 +607,7 @@ class TestConfigValidation:
 
 
 HOSTILE_VALUES = ("0", "-1", "2", "1e308", "1e-300", "NaN", "Infinity", "-Infinity", "true",
-                  "null", '"x"', "[]", "[2, 1]", "[0.5, 80]", str(HUGE))
+                  "null", '"x"', "[]", "[2, 1]", "[0.5, 80]", str(HUGE), str(NO_FLOAT))
 # a huge count is legal and would only make a run long or exhaust memory
 COUNT_LEAVES = ("dataset.synthetic.n_subjects", "attack.max_attempts", "slx.seeds")
 
@@ -587,20 +616,39 @@ COUNT_LEAVES = ("dataset.synthetic.n_subjects", "attack.max_attempts", "slx.seed
 def test_hostile_config_values_exit_2_or_reach_the_data(tmp_path, monkeypatch, command):
     """Each config leaf but the two paths, set to each hostile value in turn, either
     exits 2 before any data is read or reaches the data: no other exit, no traceback."""
+    assert hostile_value_failures(monkeypatch, [command, f"--output_dir={tmp_path}"]) == []
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", ["enroll", "eval", "attack", "extract", "slx"])
+def test_hostile_config_values_on_csv_data_exit_2_or_reach_the_data(tmp_path, monkeypatch,
+                                                                    command):
+    """The same on a CSV dataset, whose sample counts are unknown until it is read. Its
+    files are named for four subjects but never read."""
+    (tmp_path / "csv").mkdir()
+    for name in (f"S00{i}_{p}.csv" for i in range(1, 5) for p in ("EO", "EC")):
+        (tmp_path / "csv" / name).write_text("")
+    assert hostile_value_failures(monkeypatch, [
+        command, f"--output_dir={tmp_path}", "--dataset.kind=csv",
+        f"--dataset.path={tmp_path / 'csv'}"]) == []
+    assert not (tmp_path / "cache").exists()
+
+
+def hostile_value_failures(monkeypatch, args):
+    """The cases of the config fuzz gate that neither exit 2 nor reach the data."""
     failures = []
     for dotted in leaves(cli.DEFAULT_CONFIG):
         for value in HOSTILE_VALUES:
-            if dotted in ("dataset.path", "output_dir") or value == str(HUGE) and (
+            huge = value in (str(HUGE), str(NO_FLOAT))
+            if dotted in ("dataset.path", "output_dir") or huge and (
                     dotted in COUNT_LEAVES or dotted.endswith("_keys")):
                 continue
-            result = invoke_with_sentinel(monkeypatch, [command, f"--output_dir={tmp_path}",
-                                                        f"--{dotted}={value}"])
+            result = invoke_with_sentinel(monkeypatch, [*args, f"--{dotted}={value}"])
             if not (isinstance(result.exception, DataReached) or result.exit_code == 2
                     and isinstance(result.exception, SystemExit)):
                 failures.append(f"--{dotted}={value}: exit {result.exit_code}, "
                                 f"{result.exception!r}")
-    assert failures == []
-    assert not (tmp_path / "cache").exists()
+    return failures
 
 
 class TestReports:
@@ -911,7 +959,8 @@ def test_a_cold_graph_enroll_never_imports_scipy_signal(tmp_path):
 import sys
 from neurolock import cli
 cli.main(args={args!r}, standalone_mode=False)
-print([name for name in ("scipy.signal", "scipy.sparse") if name in sys.modules])
+print([name for name in ("scipy.signal", "scipy.sparse", "scipy.fft")
+       if name in sys.modules])
 """
     assert run_in_a_fresh_process(script) == [
         f"enrolled S001 -> {tmp_path / 'S001.ceeg'}", "[]"]

@@ -282,10 +282,46 @@ class TestMatchesScipySignal:
             reference = scipy.signal.filtfilt(taps, [1.0], data, axis=-1, padlen=padlen)
             assert np.array_equal(out, reference), n_samples
 
+    @pytest.mark.parametrize("band", [(0.5, 42.0), (13.0, 30.0)])  # the two default filters
+    @pytest.mark.parametrize("order", [2, 20, 100, 330])
+    def test_filter_zero_phase_equals_the_full_length_passes(self, rng, band, order):
+        import scipy.signal
+        taps = dsp.design_bandpass(160.0, *band, order)
+        padlen = 3 * order
+        for n_samples in sorted({padlen + 1, padlen + 2, padlen + 3, 2 * padlen + 5,
+                                 padlen + 331, 4000, 9920}):
+            data = 40.0 * rng.normal(size=(3, n_samples))
+            out = dsp.filter_zero_phase(make_recording(data), taps).data
+            assert np.array_equal(out, full_length_filtfilt(data, taps)), n_samples
+            assert np.array_equal(out, scipy.signal.filtfilt(taps, [1.0], data, axis=-1,
+                                                             padlen=padlen)), n_samples
+
     @pytest.mark.parametrize("shape", [(1, 8), (1, 9), (16, 320), (16, 321),
-                                       (3, 16, 320), (2, 1, 347)])
+                                       (3, 16, 320), (2, 1, 347),
+                                       *((2, 3, n) for n in [*range(8, 40), 97, 100, 127,
+                                                             320, 321, 331, 640, 1009])])
     def test_instantaneous_phase_equals_hilbert(self, rng, shape):
         import scipy.signal
         x = rng.normal(size=shape)
         assert np.array_equal(dsp.instantaneous_phase(x),
                               np.angle(scipy.signal.hilbert(x, axis=-1)))
+
+    def test_instantaneous_phase_equals_hilbert_on_nan_input(self, rng):
+        import scipy.signal
+        x = rng.normal(size=(2, 4, 321))
+        x[1, 2, 17] = np.nan
+        assert np.array_equal(dsp.instantaneous_phase(x),
+                              np.angle(scipy.signal.hilbert(x, axis=-1)), equal_nan=True)
+
+
+def full_length_filtfilt(data, taps):
+    """Reference: both FIR passes over the whole odd extension by 3 * order samples,
+    each cut to its row's length, then the padding cut off."""
+    padlen = 3 * (taps.size - 1)
+    ext = np.concatenate((2 * data[:, :1] - data[:, padlen:0:-1], data,
+                          2 * data[:, -1:] - data[:, -2:-(padlen + 2):-1]), axis=1)
+    rows = []
+    for row in ext:
+        forward = np.convolve(taps, row)[:row.size]
+        rows.append(np.convolve(taps, forward[::-1])[:row.size][::-1])
+    return np.stack(rows)[:, padlen:-padlen]
