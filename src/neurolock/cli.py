@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import numbers
+from collections.abc import Iterable
 from pathlib import Path
 
 import click
@@ -34,10 +35,10 @@ from . import matching_eval as me
 from . import sl_eval
 from . import transform as tr
 from .errors import ConfigError, NeurolockError, require
-from .ingest import (Protocol, SyntheticSpec, atomic_write, csv_text, read_csv_matrix,
-                     read_edf, synthesize, write_csv_matrix)
+from .ingest import (Protocol, Recording, SyntheticSpec, atomic_write, csv_text,
+                     read_csv_matrix, read_edf, synthesize, write_csv_matrix)
 from .pipeline import (FEATURE_KINDS, DspConfig, FeatureDataset, build_feature_dataset,
-                       check_extraction, write_feature_csv)
+                       check_extraction, same_channels, write_feature_csv)
 from .system import AuthSystem, SystemConfig
 
 EXIT_CONFIG = 2
@@ -227,13 +228,14 @@ def dataset_entries(config: dict) -> list[tuple[str, Protocol]]:
     return [(subject, protocol) for _, subject, protocol in dataset_files(config)]
 
 
-def load_recordings(config: dict) -> list:
+def load_recordings(config: dict) -> Iterable[Recording]:
+    """Synthetic data as a generator; a file dataset read whole and its channels checked."""
     ds = config["dataset"]
     if ds["kind"] == "synthetic":
         return synthesize(synthetic_spec(config))
     read = functools.partial(read_csv_matrix, fs=ds["fs"]) if ds["kind"] == "csv" else read_edf
-    return [read(path, protocol_tag=protocol, subject_id=subject)
-            for path, subject, protocol in dataset_files(config)]
+    return list(same_channels([read(path, protocol_tag=protocol, subject_id=subject)
+                               for path, subject, protocol in dataset_files(config)]))
 
 
 # the modules whose code decides the feature values
@@ -400,15 +402,15 @@ def _stamp(config: dict) -> dict:
 def synth(config):
     """Write the synthetic dataset as CSV matrices."""
     out = _out_dir(config, "dataset")
-    recordings = synthesize(synthetic_spec(config))
-    for rec in recordings:
+    for rec in synthesize(synthetic_spec(config)):  # each written as it is made
         write_csv_matrix(rec, out / f"{rec.subject_id}_{rec.protocol_tag.value}.csv")
-    manifest = {"fs": recordings[0].fs,
-                "subjects": sorted({r.subject_id for r in recordings}),
-                "protocols": sorted({r.protocol_tag.value for r in recordings}),
+    entries = dataset_entries(config)
+    manifest = {"fs": config["dataset"]["fs"],
+                "subjects": sorted({subject for subject, _ in entries}),
+                "protocols": sorted({protocol.value for _, protocol in entries}),
                 **_stamp(config)}
     atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
-    click.echo(f"wrote {len(recordings)} recordings to {out}")
+    click.echo(f"wrote {len(entries)} recordings to {out}")
 
 
 @command()

@@ -198,39 +198,42 @@ def _more_labels(s_tot: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.nd
             np.concatenate([size, np.zeros_like(size)], axis=1))
 
 
-def _greedy_levels(w: np.ndarray, totals: np.ndarray, rngs) -> np.ndarray:
-    """One local-move level for each lane of a (lanes, n, n) stack, all lanes in lockstep.
+def _greedy_levels(graphs: np.ndarray, totals: np.ndarray, rngs, index) -> np.ndarray:
+    """One local-move level for each lane, all lanes in lockstep.
 
-    Lane l shuffles its nodes with rngs[l] and reassigns them greedily until a pass moves
-    none, against the frame total totals[l]. Gains are measured relative to the node
-    sitting in a singleton community, so a move happens only when it strictly beats both
-    staying put and isolating the node. Each step visits one node in every live lane: one
-    bincount sums each lane's community links in node order, and the gains are the scalar
-    scan's, elementwise. The best gain wins outright when the runner-up lies more than
-    1e-15 below it; otherwise that lane takes the scalar scan, whose order decides.
+    `graphs` is a (graphs, n, n) stack and lane l works on graphs[index[l]], so lanes on
+    one graph share its links. Lane l shuffles its nodes with rngs[l] and reassigns them
+    greedily until a pass moves none, against the frame total totals[l]. Gains are
+    measured relative to the node sitting in a singleton community, so a move happens
+    only when it strictly beats both staying put and isolating the node. Each step visits
+    one node in every live lane: one bincount sums each lane's community links in node
+    order, and the gains are the scalar scan's, elementwise. The best gain wins outright
+    when the runner-up lies more than 1e-15 below it; otherwise that lane takes the
+    scalar scan, whose order decides.
     """
-    lanes, n = w.shape[:2]
-    links = np.where(w > 0, 2.0 * w, 0.0)
+    n, index = graphs.shape[1], np.asarray(index)
+    lanes = len(index)
+    links = np.where(graphs > 0, 2.0 * graphs, 0.0)
     links[:, range(n), range(n)] = 0.0  # a node never links to itself
-    strengths = w.sum(axis=2)
+    strengths = graphs.sum(axis=2)
     total_sq = np.array([t ** 2 for t in totals.tolist()])  # Python's pow, as per lane
     out = np.empty((lanes, n), dtype=np.intp)
     live, cap = np.arange(lanes), n + 2
     labels = np.tile(np.arange(n), (lanes, 1))
     s_tot, size = np.zeros((lanes, cap)), np.zeros((lanes, cap), dtype=np.intp)
-    s_tot[:, :n], size[:, :n] = strengths, 1
+    s_tot[:, :n], size[:, :n] = strengths[index], 1
     fresh = np.full(lanes, n)  # each lane's next unused label
     while live.size:
-        lane = np.arange(live.size)
+        lane, graph = np.arange(live.size), index[live]
         order = np.array([rngs[l].permutation(n) for l in live.tolist()])
         moved = np.zeros(live.size, dtype=bool)
         tot, tsq = totals[live, None], total_sq[live, None]
         for i in order.T:
-            k_i = strengths[live, i]
+            k_i = strengths[graph, i]
             cur = labels[lane, i]
             s_tot[lane, cur] -= k_i
             size[lane, cur] -= 1
-            row = links[live, i]
+            row = links[graph, i]
             link = np.bincount((labels + lane[:, None] * cap).ravel(), row.ravel(),
                                live.size * cap).reshape(live.size, cap)
             gain = link / tot
@@ -269,7 +272,8 @@ def _greedy_best_partitions(w: np.ndarray, totals: np.ndarray, seeds) -> tuple[n
     frames, n = w.shape[:2]
     frame, tot = np.repeat(np.arange(frames), _GREEDY_RESTARTS), totals.tolist()
     rngs = [np.random.default_rng([seed, r]) for seed in seeds for r in range(_GREEDY_RESTARTS)]
-    qualities, levels = {}, {}  # restarts repeat: Q by frame and node labels, levels by bytes
+    # restarts repeat: Q by (frame, labels); graphs by key, a frame's index or (key, labels)
+    qualities, levels = {}, dict(enumerate(w))
 
     def quality(f, node_labels):
         key = (f, node_labels.tobytes())
@@ -279,16 +283,18 @@ def _greedy_best_partitions(w: np.ndarray, totals: np.ndarray, seeds) -> tuple[n
 
     node_labels = [np.arange(n)] * len(frame)
     best_q = [quality(f, node_labels[0]) for f in frame.tolist()]
-    level = {l: w[f] for l, f in enumerate(frame.tolist())}  # lanes still agglomerating
+    level = dict(enumerate(frame.tolist()))  # the key of each agglomerating lane's graph
     while level:
         by_size = {}
-        for l, g in level.items():
-            by_size.setdefault(g.shape[0], []).append(l)
+        for l, key in level.items():
+            by_size.setdefault(levels[key].shape[0], []).append(l)
         for group in by_size.values():
-            found = _greedy_levels(np.stack([level[l] for l in group]), totals[frame[group]],
-                                   [rngs[l] for l in group])
+            keys = list(dict.fromkeys(level[l] for l in group))  # each graph once
+            found = _greedy_levels(np.stack([levels[k] for k in keys]), totals[frame[group]],
+                                   [rngs[l] for l in group], [keys.index(level[l]) for l in group])
             for l, level_labels in zip(group, found):
-                g = level.pop(l)
+                key = level.pop(l)
+                g = levels[key]
                 if level_labels.max() + 1 == g.shape[0]:
                     continue  # no community merged: the partition and its Q are unchanged
                 merged = level_labels[node_labels[l]]
@@ -296,11 +302,11 @@ def _greedy_best_partitions(w: np.ndarray, totals: np.ndarray, seeds) -> tuple[n
                 if q <= best_q[l] + 1e-14:
                     continue
                 best_q[l], node_labels[l] = q, merged
-                key = (g.tobytes(), level_labels.tobytes())
+                key = (key, level_labels.tobytes())
                 if key not in levels:
                     levels[key] = _aggregate(g, level_labels)
                 if levels[key].shape[0] > 1:
-                    level[l] = levels[key]
+                    level[l] = key
     labels, q = np.zeros((frames, n), dtype=int), np.full(frames, -np.inf)
     for l, f in enumerate(frame.tolist()):  # restarts in order: the first best wins
         if best_q[l] > q[f]:

@@ -17,6 +17,7 @@ import io
 import math
 import numbers
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -439,34 +440,27 @@ def _subject_latents(spec: SyntheticSpec, subject_idx: int):
     return freqs, coupling
 
 
-def synthesize(spec: SyntheticSpec) -> list[Recording]:
-    """Generate one Recording per subject and protocol tag.
+def synthesize(spec: SyntheticSpec) -> Iterator[Recording]:
+    """Yield one Recording per subject and protocol tag, subject by subject.
 
     Channel i mixes every channel's oscillator cos(2*pi*f_j*t + phi_j)
     weighted by coupling[i, j], then adds pink noise scaled by noise_level.
     Seeding is per (master_seed, subject, protocol), so output is independent
-    of generation order.
+    of generation order. Nothing holds a yielded recording but the caller.
     """
     t = np.arange(spec.n_samples) / spec.fs
-
-    recordings = []
     for s_idx, subject in enumerate(spec.subject_ids()):
         freqs, coupling = _subject_latents(spec, s_idx)
         weights = coupling / coupling.sum(axis=1, keepdims=True)
         for p_idx, protocol in enumerate(spec.protocols):
             rng = np.random.default_rng([spec.master_seed, s_idx, p_idx])
             phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_channels)
-            oscillators = np.cos(2.0 * np.pi * freqs[:, None] * t[None, :]
-                                 + phases[:, None])
-            clean = weights @ oscillators
-            noise = np.stack([_pink_noise(rng, spec.n_samples)
-                              for _ in range(spec.n_channels)])
-            data = clean + spec.noise_level * noise
-            recordings.append(Recording(
+            yield Recording(  # no local holds an array of the recording's size
                 channels=[f"ch{i:02d}" for i in range(spec.n_channels)],
                 fs=spec.fs,
-                data=data,
+                data=weights @ np.cos(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
+                + spec.noise_level * np.stack([_pink_noise(rng, spec.n_samples)
+                                               for _ in range(spec.n_channels)]),
                 protocol_tag=protocol,
                 subject_id=subject,
-            ))
-    return recordings
+            )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,30 +136,37 @@ def extract_frame_features(recording: Recording, config: DspConfig,
             graphs, [stable_int(f"{recording.subject_id}:{k}") for k in range(len(graphs))])
 
 
-def build_feature_dataset(recordings: list[Recording], config: DspConfig,
+def same_channels(recordings: Iterable[Recording]) -> Iterator[Recording]:
+    """Each recording in turn, once it has the first one's channel count; else ShapeError."""
+    first = None
+    for rec in recordings:
+        name = f"{rec.subject_id}/{rec.protocol_tag.value}"
+        first = first or (name, rec.n_channels)
+        if rec.n_channels != first[1]:
+            raise ShapeError(f"recording {name} has {rec.n_channels} channels, "
+                             f"{first[0]} has {first[1]}")
+        yield rec
+
+
+def build_feature_dataset(recordings: Iterable[Recording], config: DspConfig,
                           kind: str = "graph") -> FeatureDataset:
     """Extract features for every recording, grouped by (subject, protocol).
 
-    Every recording must have the first one's channel count; a mismatch
-    raises ShapeError before any extraction.
+    One pass over any iterable, keeping only each recording's feature matrix: fed
+    by a generator such as `synthesize`, it holds one recording at a time. A
+    recording with another channel count than the first raises ShapeError as it
+    arrives, after the recordings before it are extracted.
     """
-    if not recordings:
-        raise ConfigError("no recordings to extract features from")
-    first = recordings[0]
-    for rec in recordings:
-        if rec.n_channels != first.n_channels:
-            raise ShapeError(
-                f"recording {rec.subject_id}/{rec.protocol_tag.value} has "
-                f"{rec.n_channels} channels, {first.subject_id}/"
-                f"{first.protocol_tag.value} has {first.n_channels}")
-    vectors = {}
-    for rec in recordings:
+    vectors, n_channels = {}, 0
+    for rec in same_channels(recordings):
         key = (rec.subject_id, rec.protocol_tag)
         if key in vectors:
             raise ConfigError(f"duplicate recording for {key}")
-        vectors[key] = extract_frame_features(rec, config, kind)
-    names = (graph_features.feature_names(first.n_channels) if kind == "graph"
-             else bf.baseline_feature_names(bf.BaselineKind(kind), first.n_channels))
+        vectors[key], n_channels = extract_frame_features(rec, config, kind), rec.n_channels
+    if not vectors:
+        raise ConfigError("no recordings to extract features from")
+    names = (graph_features.feature_names(n_channels) if kind == "graph"
+             else bf.baseline_feature_names(bf.BaselineKind(kind), n_channels))
     return FeatureDataset(vectors=vectors, feature_kind=kind, names=names)
 
 

@@ -10,7 +10,7 @@ def small_recordings():
     """Six-subject, 8-channel synthetic recordings (12 frames each)."""
     spec = SyntheticSpec(n_subjects=6, n_channels=8, duration_s=28.0, fs=160.0,
                          master_seed=424, noise_level=0.1)
-    return synthesize(spec)
+    return list(synthesize(spec))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ the oracle for shortest paths, in tests only. A stack with faulty frames
 raises the error a frame-by-frame run raised first.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -140,8 +142,8 @@ def test_dense_dijkstra_equals_scipy(n):
 
 def test_a_recording_equals_its_frames_extracted_one_by_one(monkeypatch):
     # a real recording's graphs, 16 channels: greedy modularity with per-frame seeds
-    rec = synthesize(SyntheticSpec(n_subjects=1, n_channels=16, duration_s=20.0, fs=160.0,
-                                   master_seed=3))[0]
+    rec = list(synthesize(SyntheticSpec(n_subjects=1, n_channels=16, duration_s=20.0,
+                                        fs=160.0, master_seed=3)))[0]
     graphs = []
     build = pipeline.connectivity.build_graph
     monkeypatch.setattr(pipeline.connectivity, "build_graph",
@@ -159,9 +161,9 @@ def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatc
     events = []
     levels, quality = gf._greedy_levels, gf._partition_quality
 
-    def logged_levels(w, totals, rngs):
-        labels = levels(w, totals, rngs)
-        events.extend(("level", lane.max() + 1 < w.shape[1]) for lane in labels)
+    def logged_levels(graphs, totals, rngs, index):
+        labels = levels(graphs, totals, rngs, index)
+        events.extend(("level", lane.max() + 1 < graphs.shape[1]) for lane in labels)
         return labels
 
     monkeypatch.setattr(gf, "_greedy_levels", logged_levels)
@@ -189,6 +191,20 @@ def test_a_non_finite_weight_leaves_the_greedy_search_quiet(bad):
     w[0, 1] = w[1, 0] = bad
     labels, q = gf.best_partition(w, 3)
     assert labels.tolist() == [0] * 12 and q == 0.0
+
+
+def test_the_greedy_search_keeps_one_copy_of_each_frame():
+    # 62 frames of 64 nodes: a search that stacked a copy of the frame, and its links,
+    # for each of the 8 restarts peaked above 25 times the stack's bytes
+    w = stack(np.random.default_rng(64), 62, 64)
+    gf.best_partition(w[:2], 0)  # warm every cache first
+    tracemalloc.start()
+    try:
+        gf.best_partition(w, list(range(62)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * w.nbytes, peak / w.nbytes
 
 
 # -- errors name the frame -----------------------------------------------------
@@ -246,8 +262,8 @@ def test_each_stage_names_the_lowest_faulty_frame():
 
 
 def test_an_extraction_error_names_subject_protocol_and_frame(monkeypatch):
-    rec = synthesize(SyntheticSpec(n_subjects=1, n_channels=6, duration_s=12.0, fs=160.0,
-                                   master_seed=3))[0]
+    rec = list(synthesize(SyntheticSpec(n_subjects=1, n_channels=6, duration_s=12.0,
+                                        fs=160.0, master_seed=3)))[0]
     calls = []
     original = pipeline.connectivity.build_graph
 

@@ -210,8 +210,8 @@ class TestReadEdf:
     ], ids=["one-record", "1s-records"])
     def test_synthetic_recording_file_bytes_pinned(self, tmp_path, record_seconds, digest):
         # digests taken from the writer that listed every header field width inline
-        rec = synthesize(SyntheticSpec(n_subjects=1, n_channels=5, duration_s=3.0,
-                                       fs=160.0, master_seed=77))[1]
+        rec = list(synthesize(SyntheticSpec(n_subjects=1, n_channels=5, duration_s=3.0,
+                                            fs=160.0, master_seed=77)))[1]
         path = tmp_path / "pinned.edf"
         write_edf(rec, path, record_seconds=record_seconds)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -260,8 +260,8 @@ class TestSynthesize:
     def test_deterministic(self):
         spec = SyntheticSpec(n_subjects=2, n_channels=4, duration_s=4.0, fs=160.0,
                              master_seed=5)
-        a = synthesize(spec)
-        b = synthesize(spec)
+        a = list(synthesize(spec))
+        b = list(synthesize(spec))
         assert len(a) == len(b) == 4  # 2 subjects x 2 protocols
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.data, rb.data)
@@ -271,8 +271,8 @@ class TestSynthesize:
                               master_seed=5)
         large = SyntheticSpec(n_subjects=3, n_channels=4, duration_s=2.0, fs=160.0,
                               master_seed=5)
-        a = synthesize(small)
-        b = synthesize(large)
+        a = list(synthesize(small))
+        b = list(synthesize(large))
         assert np.array_equal(a[0].data, b[0].data)
 
     def test_too_few_channels(self):

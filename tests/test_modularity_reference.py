@@ -220,7 +220,7 @@ def test_sparse_and_self_loop_graphs_match_reference(n):
 def lockstep(graphs, rngs):
     """`gf._greedy_levels` on a (lanes, n, n) stack, each lane against its own total."""
     graphs = np.asarray(graphs, float)
-    return gf._greedy_levels(graphs, graphs.sum(axis=(1, 2)), rngs)
+    return gf._greedy_levels(graphs, graphs.sum(axis=(1, 2)), rngs, range(len(graphs)))
 
 
 def assert_lanes_match_reference(graphs, seeds):
