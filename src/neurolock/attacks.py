@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -106,6 +106,14 @@ def nelder_mead(objective, x0, initial_step: np.ndarray | float):
     evaluations) go through it; reflection, expansion and contraction stay
     single calls. An objective without `batch` is called one row at a time,
     first to last: the reference that a batch must reproduce.
+
+    The vertices stay in the order a stable sort by value gives. Only the
+    initial simplex and a shrink are sorted in full; any other step changes
+    the worst vertex alone, which moves behind every value not above its
+    own. The diameter test reads each vertex's largest coordinate distance
+    to the best, remeasured for every vertex only when the best changes.
+    The centroid is summed afresh from the sorted rows on every step, never
+    updated incrementally: its row-order sum feeds every later vertex.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
@@ -115,31 +123,53 @@ def nelder_mead(objective, x0, initial_step: np.ndarray | float):
     step[step == 0.0] = 1e-3
     batch = getattr(objective, "batch", None)
 
-    def checked(value):
-        value = float(value)
+    def evaluate(x):
+        value = float(objective(x))
         if math.isnan(value):
             raise ObjectiveError("objective returned NaN")
         return value
 
-    def evaluate(x):
-        return checked(objective(x))
-
     def evaluate_rows(rows):
-        return [checked(value) for value in
-                (batch(rows) if batch is not None else map(objective, rows))]
+        values = np.array(batch(rows) if batch is not None
+                          else [evaluate(row) for row in rows], dtype=float)
+        if np.isnan(values).any():
+            raise ObjectiveError("objective returned NaN")
+        return values
 
     simplex = np.tile(x0, (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += step
-    fvals = np.array(evaluate_rows(simplex))
+    fvals = evaluate_rows(simplex)
+    centroid = np.empty(n)
+    spread = np.empty((n, n))   # scratch for the radii and the shrink
+    radius = np.zeros(n + 1)    # max |vertex - best| of each vertex, in simplex order
+    shrunk = True               # the initial simplex is unsorted, as a shrunk one is
     while True:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if np.max(np.abs(simplex[1:] - simplex[0])) < 1e-10:
+        if shrunk:
+            order = fvals.argsort(kind="stable")
+            simplex, fvals = simplex[order], fvals[order]
+            best_moved = True
+        else:  # fvals[:-1] is sorted: the stable argsort would move the new vertex to k
+            k = int(fvals[:-1].searchsorted(fvals[-1], "right"))
+            if k < n:
+                vertex, value = simplex[-1].copy(), fvals[-1]
+                simplex[k + 1:], fvals[k + 1:], radius[k + 1:] = (
+                    simplex[k:-1], fvals[k:-1], radius[k:-1])
+                simplex[k], fvals[k] = vertex, value
+            best_moved = k == 0
+            if not best_moved:
+                radius[k] = np.abs(simplex[k] - simplex[0]).max()
+        if best_moved:
+            np.subtract(simplex[1:], simplex[0], out=spread)
+            np.abs(spread, out=spread)
+            spread.max(axis=1, out=radius[1:])
+        if radius.max() < 1e-10:
             return simplex[0].copy(), float(fvals[0])
-        centroid = simplex[:-1].mean(axis=0)
+        np.add.reduce(simplex[:-1], axis=0, out=centroid)  # .mean(axis=0), bit for bit
+        centroid /= n
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_reflected = evaluate(reflected)
+        shrunk = False
         if f_reflected < fvals[0]:
             expanded = centroid + 2.0 * (centroid - worst)
             f_expanded = evaluate(expanded)
@@ -157,8 +187,12 @@ def nelder_mead(objective, x0, initial_step: np.ndarray | float):
             if f_contracted < fvals[-1]:
                 simplex[-1], fvals[-1] = contracted, f_contracted
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                # simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0]), in place
+                np.subtract(simplex[1:], simplex[0], out=spread)
+                np.multiply(spread, 0.5, out=spread)
+                np.add(simplex[0], spread, out=simplex[1:])
                 fvals[1:] = evaluate_rows(simplex[1:])
+                shrunk = True
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +211,11 @@ class ScoreOracle:
     counting it. The search succeeded when `best_score <= theta`.
 
     `batch` scores a block of candidates (rows) with one `batch_fn` call,
-    trimmed to the rows the budget covers, then counts and traces them one at
-    a time, in order, exactly as calls would. Rows after an accept are
-    scored, but never counted, traced or kept as the best query.
+    trimmed to the rows the budget covers, and counts the block as calls
+    one row at a time would: up to and including its first accepted row,
+    or to its end. The block's first lowest score, NaN counting as no
+    lower, replaces the best only when it is strictly lower. Rows after an
+    accept are scored, but never counted, traced or kept as the best query.
     """
 
     def __init__(self, score_fn, theta: float, max_attempts: int, batch_fn):
@@ -193,21 +229,31 @@ class ScoreOracle:
         self.best_score = math.inf
 
     def __call__(self, candidate: np.ndarray) -> float:
-        return self._count([candidate], [self.score_fn(candidate)])[0]
+        score = self.score_fn(candidate)
+        self.attempts += 1
+        self.trace.append((self.attempts, score))
+        if score < self.best_score:
+            self.best_x, self.best_score = np.array(candidate, dtype=float), score
+        if score <= self.theta or self.attempts >= self.max_attempts:
+            raise _SearchOver()
+        return score
 
     def batch(self, candidates: np.ndarray) -> list[float]:
         candidates = candidates[:self.max_attempts - self.attempts]
-        return self._count(candidates, self.batch_fn(candidates).tolist())
-
-    def _count(self, candidates, scores: list[float]) -> list[float]:
-        for candidate, score in zip(candidates, scores):
-            self.attempts += 1
-            self.trace.append((self.attempts, score))
-            if score < self.best_score:
-                self.best_x, self.best_score = np.array(candidate, dtype=float), score
-            if score <= self.theta or self.attempts >= self.max_attempts:
-                raise _SearchOver()
-        return scores
+        scores = self.batch_fn(candidates)
+        accepted = scores <= self.theta
+        stop = int(accepted.argmax()) + 1 if accepted.any() else len(scores)
+        counted = scores[:stop]
+        low = int(np.where(np.isnan(counted), np.inf, counted).argmin())
+        if counted[low] < self.best_score:
+            self.best_x = np.array(candidates[low], dtype=float)
+            self.best_score = float(counted[low])
+        first = self.attempts + 1
+        self.attempts += stop
+        self.trace.extend(zip(range(first, self.attempts + 1), counted.tolist()))
+        if accepted[stop - 1] or self.attempts >= self.max_attempts:
+            raise _SearchOver()
+        return scores.tolist()
 
 
 def default_feature_bounds(system: AuthSystem) -> np.ndarray:
@@ -274,6 +320,10 @@ def hill_climb_attack(system: AuthSystem, subject: str,
 
 
 def run_hill_climb_campaign(system: AuthSystem, config: AttackConfig) -> AttackReport:
+    """Hill climb on every account. The feature-space box is the same for
+    every account, so a default one is computed once for the campaign."""
+    if config.case == AttackCase.FEATURE_SPACE and config.bounds is None:
+        config = replace(config, bounds=default_feature_bounds(system))
     outcomes = [hill_climb_attack(system, subject, config)
                 for subject in system.subjects]
     successes = [o for o in outcomes if o.success]

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from neurolock.ingest import SyntheticSpec, synthesize
 from neurolock.pipeline import DspConfig, build_feature_dataset, random_feature_dataset
+from neurolock.system import AuthSystem, SystemConfig
+
+# `--hypothesis-profile=ci` runs a test that leaves max_examples unset on
+# twenty times the default number of examples
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +29,13 @@ def small_dataset(small_recordings):
 def random_dataset():
     """Random (non-signal) feature dataset for protocol plumbing tests."""
     return random_feature_dataset(n_subjects=8, n_frames=30, dim=14, seed=99)
+
+
+@pytest.fixture(scope="module")
+def small_system():
+    """Six-subject system on random 10-dimensional features, for attack tests."""
+    dataset = random_feature_dataset(n_subjects=6, n_frames=20, dim=10, seed=55)
+    return AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1, delta=0.5))
 
 
 @pytest.fixture

@@ -41,6 +41,16 @@ PINNED = {
     # taken from the second attack that drew each fresh key inline
     "second_attack":
         "055dd79ba7b530adc34dab5d60d151a8f13ccf69f37b30ad1b30ab5f41315c0a",
+    # taken from the simplex that re-sorted every vertex by a stable argsort and
+    # measured the diameter over the whole simplex on every iteration
+    "published_feature_accept":
+        "70fea19d818ebe9f10d7871cd6c7395ab1a9a82f91d9a750a9186c94a9d6e27c",
+    "published_feature_budget":
+        "86620bd6d6804c468f59897ac8ba12ed54c4e26c2f6d154840a69daf27d5aefa",
+    "published_template_accept":
+        "4dba66b324a22c69e8238639cb5753f314c6db48e17eb280783b4c84c469e83f",
+    "published_template_budget":
+        "4cc56ea7c6a7eef6604aee622d4292c625fbc07fe685219af4077c5296763e2f",
 }
 
 # tag: (subject, case, theta, max_attempts, seed, success, attempts); the
@@ -50,6 +60,15 @@ CLIMBS = {
     "feature_budget": ("S001", "feature_space", 0.1, 3000, 4, False, 3000),
     "template_accept": ("S003", "template_space", 0.16, 3000, 4, True, 549),
     "template_budget": ("S002", "template_space", 0.0, 1500, 4, False, 1500),
+}
+
+# the same at the published shape (140 feature-space and 60 template-space
+# dimensions); the feature-space budget run sits on a plateau of tied scores
+PUBLISHED_CLIMBS = {
+    "published_feature_accept": ("S002", "feature_space", 0.36, 3000, 3, True, 509),
+    "published_feature_budget": ("S003", "feature_space", 0.0, 3000, 3, False, 3000),
+    "published_template_accept": ("S001", "template_space", 0.44, 3000, 3, True, 2640),
+    "published_template_budget": ("S002", "template_space", 0.0, 3000, 3, False, 3000),
 }
 
 
@@ -69,9 +88,13 @@ def system():
     return AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1, delta=0.5))
 
 
-@pytest.mark.parametrize("tag", sorted(CLIMBS))
-def test_hill_climb_outcome(system, tag):
-    subject, case, theta, budget, seed, success, attempts = CLIMBS[tag]
+@pytest.fixture(scope="module")
+def published_system():
+    dataset = random_feature_dataset(n_subjects=109, n_frames=30, dim=70, seed=1234)
+    return AuthSystem(dataset, SystemConfig(enroll_frames=10, query_frames=1, delta=0.85))
+
+
+def check_climb(system, subject, case, theta, budget, seed, success, attempts, tag):
     outcome = atk.hill_climb_attack(system, subject, atk.AttackConfig(
         case=case, theta=theta, max_attempts=budget, seed=seed))
     assert (outcome.success, outcome.attempts) == (success, attempts)
@@ -79,6 +102,16 @@ def test_hill_climb_outcome(system, tag):
                 float(outcome.best_score), outcome.similarity,
                 [(int(a), float(s)) for a, s in outcome.trace],
                 outcome.solution) == PINNED[tag]
+
+
+@pytest.mark.parametrize("tag", sorted(CLIMBS))
+def test_hill_climb_outcome(system, tag):
+    check_climb(system, *CLIMBS[tag], tag)
+
+
+@pytest.mark.parametrize("tag", sorted(PUBLISHED_CLIMBS))
+def test_published_shape_climb(published_system, tag):
+    check_climb(published_system, *PUBLISHED_CLIMBS[tag], tag)
 
 
 @pytest.mark.parametrize("case", atk.CASES)

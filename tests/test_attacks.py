@@ -66,13 +66,6 @@ class TestNelderMead:
             nelder_mead(lambda v: float("nan"), np.zeros(2))
 
 
-@pytest.fixture(scope="module")
-def small_system():
-    dataset = random_feature_dataset(n_subjects=6, n_frames=20, dim=10, seed=55)
-    config = SystemConfig(enroll_frames=5, query_frames=1, delta=0.5)
-    return AuthSystem(dataset, config)
-
-
 class TestHillClimb:
     def test_vacuous_threshold_succeeds_immediately(self, small_system):
         config = atk.AttackConfig(case=atk.AttackCase.FEATURE_SPACE, theta=1.0,
@@ -113,6 +106,19 @@ class TestHillClimb:
         payload = report.to_json_dict()
         assert payload["case"] == "feature_space"
         assert len(payload["per_user"]) == 6
+
+    def test_campaign_computes_the_feature_box_once(self, small_system, monkeypatch):
+        calls = []
+        feature_bounds = atk.default_feature_bounds
+
+        def counted(system):
+            calls.append(system)
+            return feature_bounds(system)
+        monkeypatch.setattr(atk, "default_feature_bounds", counted)
+        for case in atk.CASES:  # template space searches each key's own range
+            atk.run_hill_climb_campaign(small_system, atk.AttackConfig(
+                case=case, theta=0.0, max_attempts=30, seed=2))
+        assert calls == [small_system]
 
     @pytest.mark.parametrize("case,bounds", [
         ("feature_space", np.tile([-1.0, 1.0], (3, 1))),   # searches 2 * dim = 20 values
