@@ -495,7 +495,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     for solution in solutions:
         account = system.users[solution.subject]
         sol_scores = []
-        for new_key in fresh_keys(rng, n_keys, forbidden={account.params.user_key}):
+        for new_key in fresh_keys(rng, n_keys, forbidden={account.key}):
             fresh = system.reissue(solution.subject, new_key)
             if solution.kind == "feature":
                 sol_scores.append(AccountScorer(system, fresh).feature_score(solution.payload))

@@ -5,6 +5,9 @@ Genuine/impostor test counts follow the enrollment schedule: the first F_e
 frame pairs enroll each subject, every following group of F_t frames is one
 genuine query, and one frame group from every other subject is one impostor
 query. All scores are normalized Hamming distances (smaller = more similar).
+The protocols score gray bytes end to end: each distinct key encodes the
+stacked windows it needs once with `transform.encode_bytes`, and
+`transform.packed_hamming` counts them against the enrolled templates' bytes.
 """
 
 from __future__ import annotations
@@ -92,9 +95,12 @@ def eer(score_set: ScoreSet) -> tuple[float, float]:
     Sweeps every distinct score; at the threshold minimizing |FAR - FRR| the
     EER is reported as (FAR + FRR) / 2.
     """
-    points = roc_points(score_set)
-    best = min(points, key=lambda p: (abs(p[1] - p[2]), p[0]))
-    threshold, far, frr = best
+    return _eer_of(roc_points(score_set))
+
+
+def _eer_of(points: list[tuple[float, float, float]]) -> tuple[float, float]:
+    """`eer` read from `roc_points` already built."""
+    threshold, far, frr = min(points, key=lambda p: (abs(p[1] - p[2]), p[0]))
     return (far + frr) / 2.0, threshold
 
 
@@ -161,6 +167,9 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
     other subject's first post-enrollment frame group, transformed with the
     claimed account's parameters. Each query is scored against the claimed
     account's enrolled bits; scores run by claimed subject, then query.
+    Every genuine window is cut in one `windows` call, and each distinct key
+    encodes the windows its accounts are scored against once: under the
+    shared lost key, every window once.
     A `system` already built over `dataset` with these frame counts is
     reused instead of enrolling the population again; any other system,
     or a `config` passed along with it, raises ConfigError.
@@ -180,19 +189,37 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
             f"queries F_t = {system.config.query_frames} frames, not "
             f"{enroll_frames} and {query_frames}")
     subjects = system.subjects
-    # every subject's first post-enrollment window, cut once for all claims
-    first_v1, first_v2 = system.windows(subjects, enroll_frames, query_frames)
-    genuine, impostor = [], []
-    for index, subject in enumerate(subjects):
-        account = system.users[subject]
-        n_queries = (system.usable_frames(subject) - enroll_frames) // query_frames
-        starts = enroll_frames + query_frames * np.arange(n_queries)
-        others = np.arange(len(subjects)) != index
-        own = tr.encode(*system.windows(subject, starts, query_frames), account.params)
-        claims = tr.encode(first_v1[others], first_v2[others], account.params)
-        genuine.append(score_pairs(account.template.bits, own))
-        impostor.append(score_pairs(account.template.bits, claims))
-    return np.concatenate(genuine), np.concatenate(impostor)
+    accounts = [system.users[subject] for subject in subjects]
+    n_queries = [(system.usable_frames(s) - enroll_frames) // query_frames for s in subjects]
+    # every genuine query window, subject by subject; `first` indexes each
+    # subject's first one, which is also its impostor query against the others
+    owner = np.repeat(np.arange(len(subjects)), n_queries)
+    first = np.cumsum(n_queries) - n_queries
+    v1, v2 = system.windows(np.asarray(subjects)[owner], enroll_frames + query_frames
+                            * (np.arange(owner.size) - first[owner]), query_frames)
+    enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
+    n_bits = enrolled.shape[-1] * tr.BITS_PER_DIM
+    genuine = np.empty(owner.size)
+    impostor = np.empty((len(subjects), len(subjects)))
+    codes = np.empty((owner.size, enrolled.shape[-1]), dtype=np.uint8)
+    for key, claims in _accounts_by_key(accounts).items():
+        # encode what any of the key's accounts is scored against, once each
+        mine = np.isin(owner, claims)
+        needed = mine.copy()
+        needed[first] = True
+        codes[needed] = tr.encode_bytes(v1[needed], v2[needed], accounts[claims[0]].params)
+        genuine[mine] = tr.packed_hamming(enrolled[owner[mine]], codes[mine]) / n_bits
+        impostor[claims] = tr.packed_hamming(enrolled[claims, None],
+                                             codes[first]) / n_bits
+    return genuine, impostor[~np.eye(len(subjects), dtype=bool)]
+
+
+def _accounts_by_key(accounts: list) -> dict[int, list[int]]:
+    """Indices of the accounts under each distinct key, in account order."""
+    groups: dict[int, list[int]] = {}
+    for index, account in enumerate(accounts):
+        groups.setdefault(account.key, []).append(index)
+    return groups
 
 
 def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -201,7 +228,9 @@ def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
     Bit strings run along the last axis and leading axes broadcast: one
     enrolled string against a batch of queries, or batch against batch.
     Both sides are packed to bytes and counted by `transform.packed_hamming`;
-    the counts, and so the scores, equal `transform.hamming_score`'s.
+    the counts, and so the scores, equal `transform.hamming_score`'s. The
+    protocols never unpack their gray bytes, so they count them with
+    `packed_hamming` directly; this is the same score for arrays of bits.
     """
     n_bits = enrolled.shape[-1]
     if queries.shape[-1] != n_bits:
@@ -222,34 +251,44 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
 
     Genuine: every unordered pair of the subject's single-frame encodings.
     Impostor: every subject frame against every frame of every other
-    subject, scored one other subject at a time. Every frame is encoded with
-    the claimed subject's parameters (and their calibrated quantization
-    range), exactly as queries against that account would be.
+    subject, in subject order, each other frame against each subject frame.
+    Every frame is encoded with the claimed subject's parameters (and their
+    calibrated quantization range), exactly as queries against that account
+    would be: all frames are cut in one `windows` call and encoded to gray
+    bytes in one `encode_bytes` call, and only the claimed key is calibrated.
     """
     system = AuthSystem(dataset, config)
-
-    def frame_bits(source: str) -> np.ndarray:
-        starts = np.arange(system.usable_frames(source))
-        return tr.encode(*system.windows(source, starts, 1), system.users[subject].params)
-
-    own_bits = frame_bits(subject)
-    first, second = np.triu_indices(own_bits.shape[0], k=1)
-    genuine = score_pairs(own_bits[first], own_bits[second])
-    impostor = [score_pairs(own_bits, frame_bits(other)[:, None, :]).ravel()
-                for other in dataset.subjects if other != subject]
-    return ScoreSet(genuine=genuine, impostor=np.concatenate(impostor))
+    params = system.users[subject].params
+    sources = dataset.subjects
+    n_frames = [system.usable_frames(source) for source in sources]
+    owner = np.repeat(np.arange(len(sources)), n_frames)
+    start = np.cumsum(n_frames) - n_frames
+    codes = tr.encode_bytes(*system.windows(np.asarray(sources)[owner],
+                                            np.arange(owner.size) - start[owner], 1), params)
+    own = owner == sources.index(subject)
+    n_bits = codes.shape[-1] * tr.BITS_PER_DIM
+    first, second = np.triu_indices(np.count_nonzero(own), k=1)
+    genuine = tr.packed_hamming(codes[own][first], codes[own][second]) / n_bits
+    impostor = tr.packed_hamming(codes[~own][:, None], codes[own]) / n_bits
+    return ScoreSet(genuine=genuine, impostor=impostor.ravel())
 
 
 def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
                         params_list: list[tr.TransformParams],
-                        enrolled_templates: list[tr.CancellableTemplate]
-                        ) -> np.ndarray:
+                        enrolled_templates: list[tr.CancellableTemplate],
+                        *, margin: float | None = None) -> np.ndarray:
     """Pseudo-impostor scores: original templates vs same-feature new-key templates.
 
     `user_features` holds standardized (v1, v2) frames of shape (..., F, dim).
     The enrolled templates' bits stack along a leading axis that broadcasts
     against the feature batch: several templates of one user's features, or
     one template per user of a batch. Scores are ordered by template, then key.
+    With a `margin`, params that have no quantization range yet are
+    calibrated over these very features (`transform.calibrate_encode`), so one
+    projection both fits the range and encodes the features; fed the whole
+    enrolled population, that is the range `AuthSystem.calibrated_params`
+    gives. Each new key's gray bytes are counted against the templates'
+    packed bytes by `transform.packed_hamming`.
     """
     if not params_list or not enrolled_templates:
         raise ConfigError("revocability needs at least one new key and one "
@@ -262,30 +301,43 @@ def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
     n_frames = enrolled_templates[0].meta.frames_averaged
     if any(t.meta.frames_averaged != n_frames for t in enrolled_templates):
         raise ConfigError("enrolled templates must average the same number of frames")
-    enrolled = np.stack([t.bits for t in enrolled_templates])
+    enrolled = np.packbits(np.stack([t.bits for t in enrolled_templates]), axis=-1)
     v1, v2 = (np.asarray(v, dtype=float)[..., :n_frames, :] for v in user_features)
     if min(v1.shape[-2], v2.shape[-2]) < n_frames:
         raise ConfigError(f"enrolled templates average {n_frames} frames; "
                           "the features hold fewer")
-    scores = [score_pairs(enrolled, tr.encode(v1, v2, params))
-              for params in params_list]
+    n_bits = enrolled_templates[0].n_bits
+    scores = []
+    for params in params_list:
+        if params.quant_range is None and margin is not None:
+            codes = tr.calibrate_encode(params, v1, v2, margin)
+        else:
+            codes = tr.encode_bytes(v1, v2, params)
+        if codes.shape[-1] != enrolled.shape[-1]:
+            raise IncompatibleTemplates(f"bit lengths differ: {n_bits} vs "
+                                        f"{codes.shape[-1] * tr.BITS_PER_DIM}")
+        scores.append(tr.packed_hamming(enrolled, codes) / n_bits)
     return np.stack(scores, axis=-1).ravel()
 
 
 def revocability_protocol(dataset: FeatureDataset, config: SystemConfig,
                           n_keys: int = 50, seed: int = 0) -> ScoreSet:
-    """Genuine/impostor/pseudo-impostor distributions over the whole population."""
+    """Genuine/impostor/pseudo-impostor distributions over the whole population.
+
+    Each new key is calibrated over the stacked enrollment windows, which
+    are the enrolled population, and encodes them from that one projection.
+    """
     system = AuthSystem(dataset, config)
     genuine, impostor = protocol_tests(dataset, config.enroll_frames,
                                        config.query_frames, system=system)
     accounts = [system.users[s] for s in system.subjects]
     keys = fresh_keys(np.random.default_rng(seed), n_keys,
-                      forbidden={a.params.user_key for a in accounts})
+                      forbidden={a.key for a in accounts})
     pseudo = revocability_scores(
         (np.stack([a.enroll_v1 for a in accounts]),
          np.stack([a.enroll_v2 for a in accounts])),
-        [system.calibrated_params(k) for k in keys],
-        [a.template for a in accounts])
+        [tr.derive_params(k, system.dim, config.delta) for k in keys],
+        [a.template for a in accounts], margin=config.calibration_margin)
     return ScoreSet(genuine=genuine, impostor=impostor, pseudo_impostor=pseudo)
 
 
@@ -296,7 +348,8 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
     Mated: templates built from the same single frame of a subject under
     two different keys; every frame contributes, which multiplies the mated
     sample count (histogram densities need it). Non-mated: different
-    subjects' first frames under different keys.
+    subjects' first frames under different keys. Each key encodes the
+    stacked frames once, to gray bytes.
     """
     if n_keys < 2:
         raise ConfigError(f"unlinkability needs at least two keys, got {n_keys}")
@@ -305,15 +358,16 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
     system = AuthSystem(dataset, config)
     n_frames = min(system.usable_frames(s) for s in subjects)
     v1, v2 = system.windows(np.array(subjects)[:, None], np.arange(n_frames), 1)
-    # one (subjects, frames, n_bits) database per key
-    bits = [tr.encode(v1, v2, system.calibrated_params(key)) for key in keys]
+    # one (subjects, frames, n_out) database of gray bytes per key
+    codes = [tr.encode_bytes(v1, v2, system.calibrated_params(key)) for key in keys]
+    n_bits = codes[0].shape[-1] * tr.BITS_PER_DIM
     other = ~np.eye(len(subjects), dtype=bool)
     mated, non_mated = [], []
     for a_idx in range(n_keys):
         for b_idx in range(a_idx + 1, n_keys):
-            mated.append(score_pairs(bits[a_idx], bits[b_idx]).ravel())
-            firsts = score_pairs(bits[a_idx][:, None, 0], bits[b_idx][None, :, 0])
-            non_mated.append(firsts[other])
+            mated.append(tr.packed_hamming(codes[a_idx], codes[b_idx]).ravel() / n_bits)
+            firsts = tr.packed_hamming(codes[a_idx][:, None, 0], codes[b_idx][None, :, 0])
+            non_mated.append(firsts[other] / n_bits)
     return np.concatenate(mated), np.concatenate(non_mated)
 
 
@@ -326,7 +380,8 @@ def evaluate(dataset: FeatureDataset, config: SystemConfig, revocability_keys: i
     else:
         scores = protocol_score_set(dataset, config.enroll_frames,
                                     config.query_frames, config)
-    eer_value, threshold = eer(scores)
+    roc = roc_points(scores)
+    eer_value, threshold = _eer_of(roc)
     d_prime = decidability(scores)
     report = EvalReport(
         eer=float(eer_value),
@@ -339,7 +394,7 @@ def evaluate(dataset: FeatureDataset, config: SystemConfig, revocability_keys: i
         genuine_std=float(scores.genuine.std()),
         impostor_mean=float(scores.impostor.mean()),
         impostor_std=float(scores.impostor.std()),
-        roc=roc_points(scores),
+        roc=roc,
         scores=scores,
     )
     if scores.pseudo_impostor is not None:

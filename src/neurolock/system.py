@@ -3,7 +3,9 @@
 Templates are enrolled from the first F_e frame pairs of each subject. In the
 lost-key evaluation scenario every user shares one key (the attacker is
 assumed to hold it); otherwise each user gets a key drawn from the master key.
-`reissue` and `revoke` are the one way to give an account another key.
+`reissue` and `revoke` are the one way to give an account another key. A
+key is calibrated when an account's `params` are first read, through the
+system's `Keyring`.
 Every query is a frame window cut by `windows`, within the frame pairs that
 `usable_frames` counts, and encoded under the claimed account's key. Every
 raw attack query is scored by an account's `AccountScorer` (`scorer`, or one
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,11 +57,18 @@ class SystemConfig:
 @dataclass
 class UserAccount:
     subject_id: str
-    params: tr.TransformParams
+    key: int                   # the user key; `params` are its calibrated set
     enroll_v1: np.ndarray      # F_e x dim, standardized working space
     enroll_v2: np.ndarray
     raw_v1: np.ndarray         # F_e x dim, as extracted
     raw_v2: np.ndarray
+    keyring: Keyring = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def params(self) -> tr.TransformParams:
+        """`key`'s parameter set from the system's keyring, calibrated on first
+        read."""
+        return self.keyring(self.key)
 
     @functools.cached_property
     def template(self) -> tr.CancellableTemplate:
@@ -92,13 +101,38 @@ def fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> lis
     return list(keys)
 
 
+class Keyring:
+    """Each key's parameter set, derived and calibrated against one enrolled
+    population on first request and kept for later ones.
+
+    Accounts hold the keyring rather than their system, so an account keeps
+    only the population and the parameter sets alive.
+    """
+
+    def __init__(self, population_v1: np.ndarray, population_v2: np.ndarray,
+                 config: SystemConfig):
+        self.population_v1, self.population_v2 = population_v1, population_v2
+        self.config = config
+        self.params: dict[int, tr.TransformParams] = {}
+
+    def __call__(self, key: int) -> tr.TransformParams:
+        if key not in self.params:
+            params = tr.derive_params(key, self.population_v1.shape[-1], self.config.delta)
+            self.params[key] = tr.calibrate_params(
+                params, self.population_v1, self.population_v2,
+                margin=self.config.calibration_margin)
+        return self.params[key]
+
+
 class AuthSystem:
     """Enrolled population over a feature dataset.
 
     Parameter sets are calibrated per key against the whole enrolled
     population: the quantization range spans everyone's projections under
     that key, so a template's levels encode where the user sits within the
-    population rather than a self-referential enrollment window.
+    population rather than a self-referential enrollment window. A key is
+    calibrated when its parameters are first read, so building the system
+    calibrates none.
     """
 
     def __init__(self, dataset: FeatureDataset, config: SystemConfig):
@@ -122,9 +156,9 @@ class AuthSystem:
         pooled_b = np.concatenate([raw[s][1] for s in dataset.subjects])
         self._mean_a, self._scale_a = _standardizer(pooled_a)
         self._mean_b, self._scale_b = _standardizer(pooled_b)
-        self._population_v1 = self.standardize_a(pooled_a)
-        self._population_v2 = self.standardize_b(pooled_b)
-        self._params_cache: dict[int, tr.TransformParams] = {}
+        population_v1 = self.standardize_a(pooled_a)
+        population_v2 = self.standardize_b(pooled_b)
+        self._keyring = Keyring(population_v1, population_v2, config)
 
         self.users = Accounts()
         for index, subject in enumerate(dataset.subjects):
@@ -133,27 +167,22 @@ class AuthSystem:
             else:
                 key = int(np.random.default_rng(
                     [config.master_key, stable_int(subject)]).integers(0, 2 ** 63))
-            params = self.calibrated_params(key)
             own = slice(index * config.enroll_frames, (index + 1) * config.enroll_frames)
-            self.users[subject] = UserAccount(subject, params, self._population_v1[own],
-                                              self._population_v2[own],
-                                              raw[subject][0], raw[subject][1])
+            self.users[subject] = UserAccount(subject, key, population_v1[own],
+                                              population_v2[own], raw[subject][0],
+                                              raw[subject][1], self._keyring)
 
     def standardize_a(self, v: np.ndarray) -> np.ndarray:
-        """Map first-protocol features into the calibrated z-score space."""
-        return (np.asarray(v, dtype=float) - self._mean_a) / self._scale_a
+        """Map first-protocol features into the calibrated z-score space:
+        (v - mean) / scale, in place on one copy."""
+        return _standardized(v, self._mean_a, self._scale_a)
 
     def standardize_b(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v, dtype=float) - self._mean_b) / self._scale_b
+        return _standardized(v, self._mean_b, self._scale_b)
 
     def calibrated_params(self, key: int) -> tr.TransformParams:
         """Parameter set for a key with its population-calibrated range."""
-        if key not in self._params_cache:
-            params = tr.derive_params(key, self.dim, self.config.delta)
-            self._params_cache[key] = tr.calibrate_params(
-                params, self._population_v1, self._population_v2,
-                margin=self.config.calibration_margin)
-        return self._params_cache[key]
+        return self._keyring(key)
 
     @property
     def subjects(self) -> list[str]:
@@ -173,23 +202,34 @@ class AuthSystem:
         entry of the broadcast shape is one window of n_frames frame pairs, so
         v1 and v2 have shape broadcast.shape + (n_frames, dim). A negative
         start or a window past the subject's usable frames raises ConfigError.
+        The frames of every subject named are stacked once per protocol and
+        every window is read from the stack in one gather.
         """
         if n_frames < 1:
             raise ConfigError(f"a window needs at least one frame, got {n_frames}")
         sources, starts = np.broadcast_arrays(np.asarray(sources), np.asarray(starts))
-        rows = starts[..., None] + np.arange(n_frames)
-        frames = np.empty((2,) + rows.shape + (self.dim,))
-        for subject in np.unique(sources).tolist():
-            here = sources == subject
-            if starts[here].min() < 0:
-                raise ConfigError(f"subject {subject}: negative frame offset "
-                                  f"{starts[here].min()}")
-            if starts[here].max() + n_frames > self.usable_frames(subject):
-                raise ConfigError(f"subject {subject}: not enough frames at offset "
-                                  f"{starts[here].max()}")
-            for stream, protocol in zip(frames, PROTOCOL_PAIR):
-                stream[here] = self.dataset.frames(subject, protocol)[rows[here]]
-        return self.standardize_a(frames[0]), self.standardize_b(frames[1])
+        names, which = np.unique(sources, return_inverse=True)
+        which = which.reshape(sources.shape)
+        first = np.full(names.size, np.iinfo(np.int64).max)
+        last = np.full(names.size, np.iinfo(np.int64).min)
+        np.minimum.at(first, which, starts)
+        np.maximum.at(last, which, starts)
+        for subject, lo, hi in zip(names.tolist(), first.tolist(), last.tolist()):
+            if lo < 0:
+                raise ConfigError(f"subject {subject}: negative frame offset {lo}")
+            if hi + n_frames > self.usable_frames(subject):
+                raise ConfigError(f"subject {subject}: not enough frames at offset {hi}")
+        v1, v2 = (self._gather(protocol, names.tolist(), which, starts, n_frames)
+                  for protocol in PROTOCOL_PAIR)
+        return self.standardize_a(v1), self.standardize_b(v2)
+
+    def _gather(self, protocol, subjects: list[str], which: np.ndarray,
+                starts: np.ndarray, n_frames: int) -> np.ndarray:
+        """Windows of one protocol's frames: `subjects[which]` from `starts`."""
+        frames = [self.dataset.frames(subject, protocol) for subject in subjects]
+        offsets = np.cumsum([0] + [f.shape[0] for f in frames])[:-1]
+        rows = (offsets[which] + starts)[..., None] + np.arange(n_frames)
+        return np.concatenate(frames or [np.empty((0, self.dim))])[rows]
 
     def query_template(self, claimed: str, source: str, start_frame: int,
                        n_frames: int | None = None) -> tr.CancellableTemplate:
@@ -221,8 +261,11 @@ class AuthSystem:
     # -- revocation ----------------------------------------------------------
 
     def reissue(self, subject: str, new_key: int) -> UserAccount:
-        """Fresh account state under a new key; does not mutate the system."""
-        return replace(self.users[subject], params=self.calibrated_params(new_key))
+        """Fresh account state under a new key, calibrated now (a key that
+        `derive_params` refuses fails here); does not mutate the system."""
+        account = self.users[subject]
+        self.calibrated_params(new_key)  # the new account reads the cached set
+        return replace(account, key=new_key)
 
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""
@@ -294,6 +337,13 @@ class AccountScorer:
 def _as_int(gray: np.ndarray) -> int:
     """Gray code bytes read as one big-endian integer."""
     return int.from_bytes(gray.tobytes(), "big")
+
+
+def _standardized(v, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    z = np.array(v, dtype=float)
+    z -= mean
+    z /= scale
+    return z
 
 
 def _standardizer(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,9 @@ first, taking the elementwise product with the second, and projecting; the
 projected vector (averaged over frames) is quantized to 8-bit gray codes.
 Because the projection discards dimensions, recovering the features from a
 template and its key is underdetermined; revoking a template simply means
-issuing a new key. `encode` turns any batch of frame stacks into bit arrays;
-a `CancellableTemplate` is one such bit string with its public metadata.
+issuing a new key. `encode_bytes` turns any batch of frame stacks into gray
+code bytes, one per projected dimension, and `encode` unpacks them to bits; a
+`CancellableTemplate` is one such bit string with its public metadata.
 
 Template file layout (magic "CEEG1"): 5 magic bytes, 4-byte big-endian JSON
 length, UTF-8 JSON metadata, then the bit payload packed big-endian
@@ -193,18 +194,24 @@ def _gray_levels(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  scale: np.ndarray) -> np.ndarray:
     """The quantization rule, unchecked: clamp into [lo, hi], scale by
     `scale` = LEVELS / (hi - lo), round half up and cap at LEVELS; one gray
-    code byte per value."""
-    clipped = np.minimum(np.maximum(x, lo), hi)
-    scaled = (clipped - lo) * scale
-    levels = np.minimum(np.floor(scaled + 0.5), LEVELS).astype(np.uint8)
+    code byte per value. Every step after the clamp's first runs in place:
+    on a large batch, fresh temporaries cost several times the arithmetic."""
+    scaled = np.maximum(x, lo)
+    np.minimum(scaled, hi, out=scaled)
+    np.subtract(scaled, lo, out=scaled)
+    np.multiply(scaled, scale, out=scaled)
+    np.add(scaled, 0.5, out=scaled)
+    np.floor(scaled, out=scaled)
+    levels = np.minimum(scaled, LEVELS, out=scaled).astype(np.uint8)
     return levels ^ (levels >> 1)
 
 
-def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
-    """Quantize each entry to 256 levels over its range and emit 8-bit gray codes.
+def gray_bytes(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
+    """Quantize each entry to 256 levels over its range: one gray code byte each.
 
-    Values are clamped into the range first; bits are MSB-first per dimension.
-    The last axis holds one vector's values; leading axes are a batch.
+    Values are clamped into the range first. The last axis holds one vector's
+    values; leading axes are a batch. Packed MSB-first, these bytes are the
+    bits `gray_encode` gives.
     """
     r = np.asarray(r, dtype=float)
     quant_range = np.asarray(quant_range, dtype=float).reshape(-1, 2)
@@ -214,7 +221,12 @@ def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
     if (quant_range[:, 0] >= quant_range[:, 1]).any():
         raise ConfigError("every quantization range needs r_min < r_max")
     lo, hi = quant_range[:, 0], quant_range[:, 1]
-    return np.unpackbits(_gray_levels(r, lo, hi, LEVELS / (hi - lo)), axis=-1)
+    return _gray_levels(r, lo, hi, LEVELS / (hi - lo))
+
+
+def gray_encode(r: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
+    """`gray_bytes` unpacked: 8 bits per value, MSB-first."""
+    return np.unpackbits(gray_bytes(r, quant_range), axis=-1)
 
 
 def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
@@ -248,8 +260,13 @@ def calibrate_params(params: TransformParams, population_frames_v1,
     for fixed inputs; the range is stored on the returned params, and
     make_template copies it into public template metadata.
     """
-    projected = project(combine(population_frames_v1, population_frames_v2, params),
-                        params)
+    _fit_range(params, project(combine(population_frames_v1, population_frames_v2, params),
+                               params), margin)
+    return params
+
+
+def _fit_range(params: TransformParams, projected: np.ndarray, margin: float) -> None:
+    """`calibrate_params`'s rule over already projected rows (last axis)."""
     samples = projected.reshape(-1, projected.shape[-1])
     lo = samples.min(axis=0)
     hi = samples.max(axis=0)
@@ -258,21 +275,40 @@ def calibrate_params(params: TransformParams, population_frames_v1,
                    margin * width,
                    np.maximum(margin * np.abs((lo + hi) / 2.0), 1e-6))
     params.quant_range = np.stack([lo - pad, hi + pad], axis=1)
-    return params
 
 
-def encode(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
-    """The one path from standardized feature frames to bits.
+def encode_bytes(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
+    """The one path from standardized feature frames to template bytes.
 
     Frames run along axis -2, features along axis -1, after any batch axes.
     Each stack of frame pairs is fused, projected and averaged, and the mean
-    gray-encoded over the params' range: bits of shape (..., n_bits).
+    quantized over the params' range: gray code bytes of shape (..., n_out),
+    one per projected dimension, as `packed_hamming` counts them.
     """
     if params.quant_range is None:
         raise ConfigError(f"key {params.key_id} has no quantization range; "
                           "calibrate its params first (calibrate_params)")
     projected = project(combine(v1, v2, params), params)
-    return gray_encode(projected.mean(axis=-2), params.quant_range)
+    return gray_bytes(projected.mean(axis=-2), params.quant_range)
+
+
+def calibrate_encode(params: TransformParams, v1: np.ndarray, v2: np.ndarray,
+                     margin: float) -> np.ndarray:
+    """`calibrate_params` over every frame pair of the windows, then
+    `encode_bytes` of the same windows, from one projection.
+
+    Frames run along axis -2, as in `encode_bytes`; the range spans every
+    frame of every window, so windows that hold a whole population get the
+    range `calibrate_params` fits to that population.
+    """
+    projected = project(combine(v1, v2, params), params)
+    _fit_range(params, projected, margin)
+    return gray_bytes(projected.mean(axis=-2), params.quant_range)
+
+
+def encode(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
+    """`encode_bytes` unpacked to bits, shape (..., n_bits), MSB-first per byte."""
+    return np.unpackbits(encode_bytes(v1, v2, params), axis=-1)
 
 
 def make_template(frames_v1, frames_v2, params: TransformParams,
@@ -305,19 +341,17 @@ def hamming_score(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple:
     return raw, raw / n_bits
 
 
-# set bits of every byte value
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
-
-
 def packed_hamming(bytes_a: np.ndarray, bytes_b: np.ndarray) -> np.ndarray:
     """Differing bit counts of bit strings packed MSB-first into uint8 bytes.
 
     Strings run along the last axis and leading axes broadcast, as in
-    `hamming_score`, whose raw counts these equal: each XORed byte's set bits
-    come from a 256-entry table, and the sum of the bytes' counts is the sum
-    of the unpacked XOR.
+    `hamming_score`, whose raw counts these equal: `np.bitwise_count` counts
+    each XORed byte's set bits in place, and the sum of the bytes' counts is
+    the sum of the unpacked XOR. The evaluation protocols and the batch
+    scorer count gray code bytes here without ever unpacking them.
     """
-    return _POPCOUNT.take(np.bitwise_xor(bytes_a, bytes_b)).sum(axis=-1)
+    xor = np.bitwise_xor(bytes_a, bytes_b)
+    return np.bitwise_count(xor, out=xor).sum(axis=-1)
 
 
 def match(query: CancellableTemplate, enrolled: CancellableTemplate,

@@ -147,6 +147,41 @@ class TestProtocolCounts:
         assert scores.impostor.size == 30 * (7 * 30)
 
 
+class TestWorkDoneOnce:
+    def test_decidability_calibrates_only_the_claimed_key(self, random_dataset,
+                                                          monkeypatch):
+        calls = []
+        calibrate = tr.calibrate_params
+        monkeypatch.setattr(tr, "calibrate_params",
+                            lambda *args, **kwargs: calls.append(1) or calibrate(*args,
+                                                                                  **kwargs))
+        config = SystemConfig(enroll_frames=5, query_frames=1, lost_key=False)
+        me.decidability_protocol(random_dataset, "S003", config)
+        assert len(calls) == 1
+
+    def test_evaluate_builds_the_roc_once(self, random_dataset, monkeypatch):
+        built = []
+        roc_points = me.roc_points
+        monkeypatch.setattr(me, "roc_points",
+                            lambda scores: built.append(1) or roc_points(scores))
+        report = me.evaluate(random_dataset, SystemConfig(enroll_frames=5, query_frames=1))
+        assert len(built) == 1
+        assert (report.eer, report.threshold_at_eer) == me.eer(report.scores)
+
+    def test_revocability_projects_each_new_key_once(self, random_dataset, monkeypatch):
+        """Each new key's one projection of the enrolled population both
+        calibrates it and encodes the pseudo-impostor templates."""
+        projected = []
+        project = tr.project
+        monkeypatch.setattr(tr, "project", lambda c, params: projected.append(
+            params.key_id) or project(c, params))
+        config = SystemConfig(enroll_frames=5, query_frames=1)
+        me.revocability_protocol(random_dataset, config, n_keys=3, seed=4)
+        master = tr.key_identifier(config.master_key)
+        new_keys = [key_id for key_id in projected if key_id != master]
+        assert len(new_keys) == 3 and len(set(new_keys)) == 3
+
+
 class TestProtocolScores:
     @pytest.mark.parametrize("lost_key", [True, False])
     @pytest.mark.parametrize("query_frames", [1, 2])

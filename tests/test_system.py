@@ -34,6 +34,33 @@ class TestEnrollment:
             assert account.params.user_key == keys[s]
             assert account.template.meta.key_id == tr.key_identifier(keys[s])
 
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_keys_are_calibrated_on_first_use(self, dataset, monkeypatch, lost_key):
+        """Building the system calibrates no key; an account's params calibrate
+        its key once, and accounts sharing it reuse that one calibration."""
+        calls = []
+        calibrate = tr.calibrate_params
+        monkeypatch.setattr(tr, "calibrate_params",
+                            lambda *args, **kwargs: calls.append(1) or calibrate(*args,
+                                                                                  **kwargs))
+        config = SystemConfig(enroll_frames=5, query_frames=1, lost_key=lost_key)
+        system = AuthSystem(dataset, config)
+        assert calls == []
+        first, second = system.users["S001"], system.users["S002"]
+        assert first.params is first.params and len(calls) == 1
+        assert (second.params is first.params) == lost_key
+        assert len(calls) == (1 if lost_key else 2)
+        assert second.template.meta.key_id == second.params.key_id
+        assert len(calls) == (1 if lost_key else 2)
+
+    def test_an_account_outlives_its_system(self, dataset):
+        account = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                   lost_key=False)).users["S003"]
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                  lost_key=False))
+        assert account.key == system.users["S003"].key
+        assert np.array_equal(account.template.bits, system.users["S003"].template.bits)
+
     def test_too_few_frames_raises(self, dataset):
         with pytest.raises(ConfigError):
             AuthSystem(dataset, SystemConfig(enroll_frames=20, query_frames=1))

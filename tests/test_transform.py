@@ -229,6 +229,24 @@ class TestMakeTemplate:
         for index in np.ndindex(*batch):
             assert np.array_equal(bits[index], tr.encode(v1[index], v2[index], params))
 
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+    def test_bits_unpack_the_gray_bytes(self, rng, batch):
+        """encode and gray_encode are their byte forms unpacked, and
+        calibrate_encode is calibrate_params followed by encode_bytes."""
+        params = self.params()
+        v1 = rng.normal(0.5, 0.6, batch + (4, 6))
+        v2 = rng.normal(0.5, 0.6, batch + (4, 6))
+        codes = tr.calibrate_encode(params, v1, v2, margin=0.1)
+        fitted = params.quant_range
+        assert np.array_equal(
+            tr.calibrate_params(self.params(), v1, v2, margin=0.1).quant_range, fitted)
+        assert codes.dtype == np.uint8 and codes.shape == batch + (3,)
+        assert np.array_equal(codes, tr.encode_bytes(v1, v2, params))
+        assert np.array_equal(np.unpackbits(codes, axis=-1), tr.encode(v1, v2, params))
+        r = rng.normal(0.0, 2.0, batch + (3,))
+        assert np.array_equal(np.unpackbits(tr.gray_bytes(r, fitted), axis=-1),
+                              tr.gray_encode(r, fitted))
+
     @pytest.mark.parametrize("shape", [(2, 24), (1, 24), (), (20,)],
                              ids=["2-d", "one-row-2-d", "0-d", "not-whole-bytes"])
     def test_template_holds_one_bit_string(self, shape):
