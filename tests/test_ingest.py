@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,3 +355,32 @@ class TestReaderInvariants:
         assert back.n_channels == n_channels
         assert back.n_samples == n_samples
         assert np.all(np.isfinite(back.data))
+
+
+FREED_ARRAY_REUSE = """
+import resource
+import numpy as np
+import neurolock
+
+def fill():
+    np.empty(20 << 20, dtype=np.uint8).fill(1)
+
+fill()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fill()
+fill()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+def test_a_freed_array_is_reused_without_page_faults():
+    # glibc's own rule hands the first freed block back to the kernel, so the
+    # next array of its size page-faults again; neurolock fixes the thresholds
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FREED_ARRAY_REUSE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 32
