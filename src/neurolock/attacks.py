@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError, ObjectiveError, ShapeError, require
+from .errors import MAX_COUNT, ConfigError, ObjectiveError, ShapeError, require
 from .ingest import PROTOCOL_PAIR
 from .pipeline import stable_int
 from .system import AccountScorer, AuthSystem, fresh_keys
@@ -45,8 +45,8 @@ class AttackConfig:
                 ("case", (AttackCase, str), lambda v: isinstance(v, AttackCase) or v in CASES,
                  f"one of {', '.join(CASES)}"),
                 ("theta", numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-                ("max_attempts", numbers.Integral, lambda v: v >= 1,
-                 "an integer of at least 1"),
+                ("max_attempts", numbers.Integral, lambda v: 1 <= v <= MAX_COUNT,
+                 f"an integer from 1 to {MAX_COUNT}"),
                 ("seed", numbers.Integral, lambda v: v >= 0, "a non-negative integer")):
             require(name, getattr(self, name), kind, ok, what)
         self.case = AttackCase(self.case)

@@ -1,5 +1,5 @@
 """Classical per-channel comparison features: AR reflection coefficients,
-spectral band powers, and fuzzy entropy."""
+spectral band powers, and fuzzy entropy, in numpy alone."""
 
 from __future__ import annotations
 
@@ -57,27 +57,38 @@ def ar_reflection_coeffs(channel: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def band_powers(channel: np.ndarray, fs: float) -> np.ndarray:
-    """Band power over delta/theta/alpha/beta/gamma from a Welch periodogram.
-
-    Each entry integrates the spectral density across its band, so the five
-    values sum to (roughly) the in-band signal power.
-    """
+def welch(channel: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and one-sided density (Welch 1967) of a series x: periodic Hamming
+    windows of n = min(160, x.size) samples, overlapping by n // 2, no detrend. Bit for
+    bit ``scipy.signal.welch(x, fs, "hamming", n, n // 2, detrend=False)`` (scipy 1.17)."""
     x = np.asarray(channel, dtype=float).ravel()
     if x.size < 64:
         raise LengthError(f"need at least 64 samples, got {x.size}")
-    import scipy.signal  # here, not at module level: a cache hit never imports it
-    nperseg = min(160, x.size)
-    freqs, psd = scipy.signal.welch(x, fs=fs, window="hamming", nperseg=nperseg,
-                                    noverlap=nperseg // 2, detrend=False)
+    n = min(160, x.size)
+    hop = n - n // 2
+    # periodic: the first n points of the symmetric (n + 1)-point window
+    w = 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+    w = w * (1.0 / np.sqrt(sum(w ** 2) / (1.0 / fs)))  # Python's sum, to density
+    starts = np.arange((x.size - n // 2) // hop) * hop
+    # (frequencies, segments): the mean then sums each row as scipy's does
+    spectrum = np.fft.rfft(x[np.arange(n)[:, None] + starts] * w[:, None], axis=0)
+    psd = spectrum.real ** 2 + spectrum.imag ** 2
+    psd[1:-1 if n % 2 == 0 else None] *= 2  # one-sided: all but DC and Nyquist
+    return np.fft.rfftfreq(n, 1.0 / fs), psd.mean(axis=-1)
+
+
+def band_powers(channel: np.ndarray, fs: float) -> np.ndarray:
+    """Band power over delta/theta/alpha/beta/gamma from a Welch periodogram.
+
+    Each entry integrates the spectral density (`welch`) across its band, so
+    the five values sum to (roughly) the in-band signal power.
+    """
+    freqs, psd = welch(channel, fs)
     df = freqs[1] - freqs[0]
     out = np.empty(len(BANDS))
     for i, (lo, hi) in enumerate(BANDS):
-        if i == len(BANDS) - 1:
-            mask = (freqs >= lo) & (freqs <= hi)
-        else:
-            mask = (freqs >= lo) & (freqs < hi)
-        out[i] = psd[mask].sum() * df
+        upper = freqs <= hi if i == len(BANDS) - 1 else freqs < hi  # the last band is closed
+        out[i] = psd[(freqs >= lo) & upper].sum() * df
     return out
 
 

@@ -34,7 +34,7 @@ from . import attacks as atk
 from . import matching_eval as me
 from . import sl_eval
 from . import transform as tr
-from .errors import ConfigError, NeurolockError, require
+from .errors import MAX_COUNT, ConfigError, NeurolockError, require
 from .ingest import (Protocol, Recording, SyntheticSpec, atomic_write, csv_text,
                      read_csv_matrix, read_edf, synthesize, write_csv_matrix)
 from .pipeline import (FEATURE_KINDS, DspConfig, FeatureDataset, build_feature_dataset,
@@ -150,7 +150,7 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
     if seed_flag is not None:
         config["master_seed"] = seed_flag
     ds, slx = config["dataset"], config["slx"]
-    non_negative = (numbers.Integral, lambda v: v >= 0, "a non-negative integer")
+    count = (numbers.Integral, lambda v: 0 <= v <= MAX_COUNT, f"an integer from 0 to {MAX_COUNT}")
     for name, value, kind, ok, what in (
             ("dataset.kind", ds["kind"], str, lambda v: v in DATASET_KINDS,
              f"one of {', '.join(DATASET_KINDS)}"),
@@ -161,19 +161,19 @@ def load_config(config_path: str | None, overrides: tuple[str, ...],
              "a finite positive number"),
             ("features.kind", config["features"]["kind"], str, lambda v: v in FEATURE_KINDS,
              f"one of {', '.join(FEATURE_KINDS)}"),
-            ("eval.revocability_keys", config["eval"]["revocability_keys"], *non_negative),
+            ("eval.revocability_keys", config["eval"]["revocability_keys"], *count),
             ("eval.unlink_keys", config["eval"]["unlink_keys"], numbers.Integral,
-             lambda v: v == 0 or v >= 2, "0 or an integer of at least 2"),
-            ("attack.second_attack_keys", config["attack"]["second_attack_keys"],
-             *non_negative),
+             lambda v: v == 0 or 2 <= v <= MAX_COUNT, f"0 or an integer from 2 to {MAX_COUNT}"),
+            ("attack.second_attack_keys", config["attack"]["second_attack_keys"], *count),
             ("slx.split", slx["split"], numbers.Real, lambda v: 0 < v < 1,
              "a number in (0, 1)"),
             ("slx.n_users", slx["n_users"], (numbers.Integral, type(None)),
              lambda v: v is None or v >= 2, "null or an integer of at least 2"),
-            ("slx.seeds", slx["seeds"], numbers.Integral, lambda v: v >= 1,
-             "an integer of at least 1"),
+            ("slx.seeds", slx["seeds"], numbers.Integral, lambda v: 1 <= v <= MAX_COUNT,
+             f"an integer from 1 to {MAX_COUNT}"),
             ("output_dir", config["output_dir"], str, lambda v: True, "a string"),
-            ("master_seed", config["master_seed"], *non_negative)):
+            ("master_seed", config["master_seed"], numbers.Integral, lambda v: v >= 0,
+             "a non-negative integer")):
         require(name, value, kind, ok, what)
     for section, build in (("transform", system_config), ("dsp", dsp_config),
                            ("dataset.synthetic", synthetic_spec), ("attack", attack_config)):
@@ -246,8 +246,8 @@ _EXTRACTION_MODULES = (ingest, dsp, connectivity, graph_features, baseline_featu
 def feature_key(config: dict) -> str:
     """Hash of everything the features depend on: the dataset, dsp and features
     sections and master_seed, the name and bytes of each input file, the
-    extraction modules' source, and the numpy and scipy versions."""
-    import scipy  # the bare package, for its version; scipy.signal stays unloaded
+    extraction modules' source, and the numpy version: the package's one
+    numerical dependency."""
     files = ([] if config["dataset"]["kind"] == "synthetic" else
              [[path.name, hashlib.sha256(path.read_bytes()).hexdigest()]
               for path, _, _ in dataset_files(config)])
@@ -256,7 +256,7 @@ def feature_key(config: dict) -> str:
         "files": files,
         "sources": {module.__name__: hashlib.sha256(Path(module.__file__).read_bytes()).hexdigest()
                     for module in _EXTRACTION_MODULES},
-        "versions": [np.__version__, scipy.__version__]})
+        "versions": [np.__version__]})
 
 
 def read_feature_cache(path: Path, entries: list[tuple[str, Protocol]],
@@ -491,6 +491,10 @@ def verify(config, template_path, subject, user_key, from_frame, n_frames):
 @command()
 def eval(config):
     """Run the evaluation protocol and emit report, ROC, and histograms."""
+    n = len({s for s, _ in dataset_entries(config)})  # each key pair scores n (n - 1) non-mated
+    require("eval.unlink_keys", config["eval"]["unlink_keys"], numbers.Integral,
+            lambda k: k == 0 or k * (k - 1) // 2 * n * (n - 1) >= me.MIN_UNLINK_SCORES,
+            f"0 or enough keys for {me.MIN_UNLINK_SCORES} non-mated scores of {n} subjects")
     dataset = system_features(config)
     report = me.evaluate(dataset, system_config(config),
                          revocability_keys=config["eval"]["revocability_keys"],

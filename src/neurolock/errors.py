@@ -4,6 +4,8 @@ import contextlib
 import numbers
 import sys
 
+MAX_COUNT = sys.maxsize  # np.iinfo(np.intp).max: the most items one array can index
+
 
 def is_a(value, kind) -> bool:
     """isinstance, but a bool is only a bool, and an int too large for a float is no Real."""

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRecording, ParseError, error_context, require
+from .errors import MAX_COUNT, ConfigError, EmptyRecording, ParseError, error_context, require
 
 EDF_HEADER = (("version", 8), ("patient", 80), ("recording", 80), ("start_date", 8),
               ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
@@ -380,7 +380,8 @@ class SyntheticSpec:
     def __post_init__(self):
         """Check types and ranges; cheap enough to run before any synthesis."""
         for name, kind, ok, what in (
-                ("n_subjects", numbers.Integral, lambda v: v >= 1, "an integer of at least 1"),
+                ("n_subjects", numbers.Integral, lambda v: 1 <= v <= MAX_COUNT,
+                 f"an integer from 1 to {MAX_COUNT}"),
                 ("n_channels", numbers.Integral, lambda v: v >= 2, "an integer of at least 2"),
                 ("master_seed", numbers.Integral, lambda v: v >= 0, "a non-negative integer"),
                 ("duration_s", numbers.Real, lambda v: 0 < v < np.inf,
@@ -392,7 +393,7 @@ class SyntheticSpec:
         require("duration_s", self.duration_s, numbers.Real,
                 lambda v: v * self.fs > 0.5, f"at least one sample at fs={self.fs}")
         require("duration_s", self.duration_s, numbers.Real, lambda v: v * self.fs < np.inf
-                and self.n_channels * round(v * self.fs) <= np.iinfo(np.intp).max,
+                and self.n_channels * round(v * self.fs) <= MAX_COUNT,
                 f"short enough that {self.n_channels} channels at fs={self.fs} fit in one array")
 
     def subject_ids(self) -> list[str]:

@@ -21,6 +21,8 @@ from .errors import ConfigError, IncompatibleTemplates, LengthError
 from .pipeline import FeatureDataset
 from .system import AuthSystem, SystemConfig, fresh_keys
 
+MIN_UNLINK_SCORES = 100  # mated and non-mated scores each, for `unlinkability`'s densities
+
 
 @dataclass
 class ScoreSet:
@@ -131,8 +133,8 @@ def unlinkability(mated: np.ndarray, non_mated: np.ndarray) -> UnlinkabilityResu
     """
     mated = np.asarray(mated, dtype=float)
     non_mated = np.asarray(non_mated, dtype=float)
-    if mated.size < 100 or non_mated.size < 100:
-        raise LengthError("need at least 100 mated and non-mated scores")
+    if mated.size < MIN_UNLINK_SCORES or non_mated.size < MIN_UNLINK_SCORES:
+        raise LengthError(f"need at least {MIN_UNLINK_SCORES} mated and non-mated scores")
     bins = 50
     lo = min(mated.min(), non_mated.min())
     hi = max(mated.max(), non_mated.max())

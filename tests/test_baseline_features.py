@@ -87,6 +87,44 @@ class TestBandPowers:
     def test_short_signal_raises(self):
         with pytest.raises(LengthError):
             bf.band_powers(np.zeros(32), fs=160.0)
+        with pytest.raises(LengthError):
+            bf.welch(np.zeros(63), fs=160.0)
+
+
+def band_powers_reference(x, fs):
+    """The band sums over scipy.signal.welch, the call `band_powers` replaced."""
+    import scipy.signal
+    nperseg = min(160, x.size)
+    freqs, psd = scipy.signal.welch(x, fs=fs, window="hamming", nperseg=nperseg,
+                                    noverlap=nperseg // 2, detrend=False)
+    df = freqs[1] - freqs[0]
+    out = np.empty(len(bf.BANDS))
+    for i, (lo, hi) in enumerate(bf.BANDS):
+        if i == len(bf.BANDS) - 1:
+            mask = (freqs >= lo) & (freqs <= hi)
+        else:
+            mask = (freqs >= lo) & (freqs < hi)
+        out[i] = psd[mask].sum() * df
+    return freqs, psd, out
+
+
+class TestMatchesScipyWelch:
+    """The numpy Welch periodogram equals scipy.signal.welch bit for bit."""
+
+    EDGES = (64, 65, 158, 159, 160, 161, 239, 240, 241, 320, 9919, 9920)
+
+    @pytest.mark.parametrize("fs", [128.0, 160.0, 173.61, 256.0])
+    def test_welch_and_band_powers_equal_scipy(self, fs):
+        rng = np.random.default_rng(int(fs * 100))
+        # below 160 samples nperseg is the length, odd or even; above it is 160
+        sizes = [*self.EDGES, *rng.integers(64, 160, 15), *rng.integers(160, 9921, 15)]
+        assert {n % 2 for n in sizes if n < 160} == {0, 1}
+        for size in sizes:
+            x = rng.uniform(0.1, 100.0) * rng.standard_normal(int(size))
+            freqs, psd, powers = band_powers_reference(x, fs)
+            ours = bf.welch(x, fs)
+            assert np.array_equal(ours[0], freqs) and np.array_equal(ours[1], psd), size
+            assert np.array_equal(bf.band_powers(x, fs), powers), size
 
 
 class TestFuzzyEntropy:

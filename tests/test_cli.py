@@ -13,10 +13,14 @@ from click.testing import CliRunner
 from neurolock import __version__, cli, matching_eval, pipeline
 from neurolock import transform as tr
 from neurolock.cli import main
+from neurolock.errors import ConfigError
 from neurolock.ingest import read_csv_matrix, write_edf
 
 HUGE = 10 ** 22  # a 23-digit integer
 NO_FLOAT = 10 ** 400  # an integer too large for a float
+# leaves that count items; load_config refuses a count no array can index
+COUNT_LEAVES = ("dataset.synthetic.n_subjects", "attack.max_attempts", "slx.seeds",
+                "eval.revocability_keys", "eval.unlink_keys", "attack.second_attack_keys")
 
 SMALL = [
     "--dataset.synthetic.n_subjects=4",
@@ -378,6 +382,28 @@ class TestEnrollVerify:
         assert result.output.startswith(f"config error: {leaf} must be ")
         assert result.output.endswith(f", got {NO_FLOAT}\n")
 
+    @pytest.mark.parametrize("value", [HUGE, NO_FLOAT], ids=["23_digits", "401_digits"])
+    @pytest.mark.parametrize("leaf", COUNT_LEAVES)
+    def test_a_count_no_array_can_index_is_refused(self, leaf, value):
+        """Checked on the config alone: a run with such a count would exhaust memory."""
+        with pytest.raises(ConfigError) as refused:
+            cli.load_config(None, (f"--{leaf}={value}",), None)
+        message = str(refused.value)
+        assert message.startswith(f"{leaf} must be ")
+        assert message.endswith(f" to {np.iinfo(np.intp).max}, got {value}")
+
+    def test_unlinkability_keys_too_few_for_its_scores_exit_before_loading(
+            self, tmp_path, monkeypatch):
+        # one key pair of 8 subjects scores 8 * 7 = 56 non-mated pairs, fewer than 100
+        result = invoke_never_loading(monkeypatch, ["eval", f"--output_dir={tmp_path}",
+                                                    "--eval.unlink_keys=2"])
+        assert result.output == ("config error: eval.unlink_keys must be 0 or enough keys "
+                                 "for 100 non-mated scores of 8 subjects, got 2\n")
+        assert not (tmp_path / "cache").exists()
+        result = invoke_with_sentinel(monkeypatch, ["eval", f"--output_dir={tmp_path}",
+                                                    "--eval.unlink_keys=3"])
+        assert isinstance(result.exception, DataReached)  # three pairs score 168
+
     @pytest.mark.parametrize("override, message", [
         ("--dsp.rho_bins=201", "dsp.rho_bins = 201 is more than the 200 samples of a frame"),
         ("--dsp.band=[13, 50]", "dsp.band: band [13, 50] invalid for fs=100"),
@@ -608,8 +634,6 @@ class TestConfigValidation:
 
 HOSTILE_VALUES = ("0", "-1", "2", "1e308", "1e-300", "NaN", "Infinity", "-Infinity", "true",
                   "null", '"x"', "[]", "[2, 1]", "[0.5, 80]", str(HUGE), str(NO_FLOAT))
-# a huge count is legal and would only make a run long or exhaust memory
-COUNT_LEAVES = ("dataset.synthetic.n_subjects", "attack.max_attempts", "slx.seeds")
 
 
 @pytest.mark.parametrize("command", ["enroll", "eval", "attack", "extract", "slx"])
@@ -640,8 +664,9 @@ def hostile_value_failures(monkeypatch, args):
     for dotted in leaves(cli.DEFAULT_CONFIG):
         for value in HOSTILE_VALUES:
             huge = value in (str(HUGE), str(NO_FLOAT))
-            if dotted in ("dataset.path", "output_dir") or huge and (
-                    dotted in COUNT_LEAVES or dotted.endswith("_keys")):
+            # a huge count is refused by load_config, and tested there alone
+            # (test_a_count_no_array_can_index_is_refused): a run would exhaust memory
+            if dotted in ("dataset.path", "output_dir") or huge and dotted in COUNT_LEAVES:
                 continue
             result = invoke_with_sentinel(monkeypatch, [*args, f"--{dotted}={value}"])
             if not (isinstance(result.exception, DataReached) or result.exit_code == 2
@@ -935,43 +960,45 @@ class TestFeatureCache:
             f"features-{cli.feature_key(config)}.npz"]  # the stale file is gone
 
 
-def test_cli_and_a_warm_verify_never_import_scipy_signal_or_sparse(tmp_path):
-    args = [f"--output_dir={tmp_path}"] + SMALL
-    assert invoke(["enroll", "--subject=S001", "--key=777"] + args).exit_code == 0
+def test_the_cli_runs_without_scipy(tmp_path):
+    """A cold graph enroll, a warm verify and a cold concat extract exit 0 in a
+    process where `import scipy` fails, and write what an unblocked process writes,
+    which loads no scipy module either."""
     script = f"""
 import sys
-def loaded():
-    return sorted(name for name in ("scipy.signal", "scipy.sparse") if name in sys.modules)
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy or a submodule now raises
 from neurolock import cli
-print(loaded())
-cli.main(args={["verify", f"--template={tmp_path / 'S001.ceeg'}", "--subject=S001",
-                "--key=777", "--from-frame=0", "--frames=3"] + args!r},
-         standalone_mode=False)
-print(loaded())
+for args in ({["enroll", "--subject=S001", "--key=777"]!r},
+             {["verify", "--template=out/S001.ceeg", "--subject=S001", "--key=777",
+               "--from-frame=0", "--frames=3"]!r},
+             {["extract", "--features.kind=concat"]!r}):
+    cli.main(args=args + {SMALL!r}, standalone_mode=False)
+print(sorted(name for name, module in sys.modules.items()
+             if name.split(".")[0] == "scipy" and module is not None))
 """
-    assert run_in_a_fresh_process(script) == [
-        "[]", "ACCEPT score=0.000000 raw=0 threshold=0.389", "[]"]
+    outputs = {}
+    for mode in ("blocked", "unblocked"):
+        (tmp_path / mode).mkdir()
+        lines = run_in_a_fresh_process(script, mode, cwd=tmp_path / mode)
+        out = tmp_path / mode / "out"
+        files = {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")
+                 if path.is_file() and path.parent.name != "cache"}
+        outputs[mode] = lines, files, sorted(path.name for path in (out / "cache").iterdir())
+    lines, files, cache = outputs["blocked"]
+    assert lines == ["enrolled S001 -> out/S001.ceeg",
+                     "ACCEPT score=0.000000 raw=0 threshold=0.389",
+                     "wrote 8 feature files to out/features", "[]"]
+    assert {"S001.ceeg", "features/S001_EO.csv", "features/manifest.json"} <= set(files)
+    assert len(cache) == 1  # the concat features replaced the graph features
+    assert outputs["unblocked"] == outputs["blocked"]
 
 
-def test_a_cold_graph_enroll_never_imports_scipy_signal(tmp_path):
-    args = ["enroll", "--subject=S001", "--key=777", f"--output_dir={tmp_path}"] + SMALL
-    script = f"""
-import sys
-from neurolock import cli
-cli.main(args={args!r}, standalone_mode=False)
-print([name for name in ("scipy.signal", "scipy.sparse", "scipy.fft")
-       if name in sys.modules])
-"""
-    assert run_in_a_fresh_process(script) == [
-        f"enrolled S001 -> {tmp_path / 'S001.ceeg'}", "[]"]
-    assert len(list((tmp_path / "cache").glob("features-*.npz"))) == 1  # it extracted
-
-
-def run_in_a_fresh_process(script):
-    """The stdout lines of a Python script run in a new interpreter."""
+def run_in_a_fresh_process(script, *argv, cwd=None):
+    """The stdout lines of a Python script run with `argv` in a new interpreter."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
