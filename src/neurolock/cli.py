@@ -429,16 +429,13 @@ def extract(config):
     click.echo(f"wrote {len(dataset.vectors)} feature files to {out}")
 
 
-_KEY_RULE = (numbers.Integral, lambda v: 0 <= v < 2 ** 64, "an unsigned 64-bit integer")
-
-
 @command(click.option("--subject", required=True, help="Subject id to enroll."),
          click.option("--key", "user_key", type=int, required=True, help="User key."),
          click.option("--out", "template_path", type=str, default=None,
                       help="Template file path (default: <output_dir>/<subject>.ceeg)."))
 def enroll(config, subject, user_key, template_path):
     """Enroll one subject and write the template file."""
-    require("--key", user_key, *_KEY_RULE)
+    require("--key", user_key, *tr.KEY_RULE)
     path = Path(template_path) if template_path else _out_dir(config) / f"{subject}.ceeg"
     if not path.parent.is_dir():
         raise NotADirectoryError(f"cannot write the template {path}: "
@@ -461,7 +458,7 @@ def enroll(config, subject, user_key, template_path):
 def verify(config, template_path, subject, user_key, from_frame, n_frames):
     """Generate a query from the subject's frames and match the template."""
     for name, value, kind, ok, what in (
-            ("--key", user_key, *_KEY_RULE),
+            ("--key", user_key, *tr.KEY_RULE),
             ("--from-frame", from_frame, numbers.Integral, lambda v: v >= 0,
              "a non-negative integer"),
             ("--frames", n_frames, numbers.Integral, lambda v: v >= 1,
@@ -491,10 +488,22 @@ def verify(config, template_path, subject, user_key, from_frame, n_frames):
 @command()
 def eval(config):
     """Run the evaluation protocol and emit report, ROC, and histograms."""
-    n = len({s for s, _ in dataset_entries(config)})  # each key pair scores n (n - 1) non-mated
-    require("eval.unlink_keys", config["eval"]["unlink_keys"], numbers.Integral,
-            lambda k: k == 0 or k * (k - 1) // 2 * n * (n - 1) >= me.MIN_UNLINK_SCORES,
-            f"0 or enough keys for {me.MIN_UNLINK_SCORES} non-mated scores of {n} subjects")
+    synthetic = config["dataset"]["kind"] == "synthetic"
+    n = len({s for s, _ in dataset_entries(config)})
+    if n < 2:  # an impostor score pairs two subjects
+        source = "dataset.synthetic.n_subjects" if synthetic else "dataset.path"
+        raise ConfigError(f"{source} gives {n} subject; eval's impostor scores need 2")
+    k, floor = config["eval"]["unlink_keys"], me.MIN_UNLINK_SCORES
+    require("eval.unlink_keys", k, numbers.Integral,
+            lambda k: k == 0 or me.non_mated_unlink_scores(k, n) >= floor,
+            f"0 or enough keys for {floor} non-mated scores of {n} subjects")
+    if k and synthetic:  # a file dataset's frames are counted as it is extracted
+        frames = dsp.frame_layout(synthetic_spec(config).n_samples, config["dataset"]["fs"],
+                                  config["dsp"]["frame_seconds"], config["dsp"]["overlap"])[0]
+        require("eval.unlink_keys", k, numbers.Integral,
+                lambda k: me.mated_unlink_scores(k, n, frames) >= floor,
+                f"0 or enough keys for {floor} mated scores of {n} subjects "
+                f"with {frames} frames each")
     dataset = system_features(config)
     report = me.evaluate(dataset, system_config(config),
                          revocability_keys=config["eval"]["revocability_keys"],

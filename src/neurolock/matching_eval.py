@@ -8,6 +8,8 @@ query. All scores are normalized Hamming distances (smaller = more similar).
 The protocols score gray bytes end to end: each distinct key encodes the
 stacked windows it needs once with `transform.encode_bytes`, and
 `transform.packed_hamming` counts them against the enrolled templates' bytes.
+Every key is calibrated by the system's `Keyring`, which also encodes the
+enrollment under each new key of the revocability protocol.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from .pipeline import FeatureDataset
 from .system import AuthSystem, SystemConfig, fresh_keys
 
 MIN_UNLINK_SCORES = 100  # mated and non-mated scores each, for `unlinkability`'s densities
+
+
+def mated_unlink_scores(n_keys: int, n_subjects: int, n_frames: int) -> int:
+    """Mated scores `unlinkability_protocol` gives: every frame, per key pair."""
+    return n_keys * (n_keys - 1) // 2 * n_subjects * n_frames
+
+
+def non_mated_unlink_scores(n_keys: int, n_subjects: int) -> int:
+    """Non-mated scores it gives: every ordered pair of subjects, per key pair."""
+    return n_keys * (n_keys - 1) // 2 * n_subjects * (n_subjects - 1)
 
 
 @dataclass
@@ -275,72 +287,32 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
     return ScoreSet(genuine=genuine, impostor=impostor.ravel())
 
 
-def revocability_scores(user_features: tuple[np.ndarray, np.ndarray],
-                        params_list: list[tr.TransformParams],
-                        enrolled_templates: list[tr.CancellableTemplate],
-                        *, margin: float | None = None) -> np.ndarray:
-    """Pseudo-impostor scores: original templates vs same-feature new-key templates.
-
-    `user_features` holds standardized (v1, v2) frames of shape (..., F, dim).
-    The enrolled templates' bits stack along a leading axis that broadcasts
-    against the feature batch: several templates of one user's features, or
-    one template per user of a batch. Scores are ordered by template, then key.
-    With a `margin`, params that have no quantization range yet are
-    calibrated over these very features (`transform.calibrate_encode`), so one
-    projection both fits the range and encodes the features; fed the whole
-    enrolled population, that is the range `AuthSystem.calibrated_params`
-    gives. Each new key's gray bytes are counted against the templates'
-    packed bytes by `transform.packed_hamming`.
-    """
-    if not params_list or not enrolled_templates:
-        raise ConfigError("revocability needs at least one new key and one "
-                          "enrolled template")
-    enrolled_ids = {t.meta.key_id for t in enrolled_templates}
-    for params in params_list:
-        if params.key_id in enrolled_ids:
-            raise ConfigError(
-                f"revocation key list contains the enrolled key {params.key_id}")
-    n_frames = enrolled_templates[0].meta.frames_averaged
-    if any(t.meta.frames_averaged != n_frames for t in enrolled_templates):
-        raise ConfigError("enrolled templates must average the same number of frames")
-    enrolled = np.packbits(np.stack([t.bits for t in enrolled_templates]), axis=-1)
-    v1, v2 = (np.asarray(v, dtype=float)[..., :n_frames, :] for v in user_features)
-    if min(v1.shape[-2], v2.shape[-2]) < n_frames:
-        raise ConfigError(f"enrolled templates average {n_frames} frames; "
-                          "the features hold fewer")
-    n_bits = enrolled_templates[0].n_bits
-    scores = []
-    for params in params_list:
-        if params.quant_range is None and margin is not None:
-            codes = tr.calibrate_encode(params, v1, v2, margin)
-        else:
-            codes = tr.encode_bytes(v1, v2, params)
-        if codes.shape[-1] != enrolled.shape[-1]:
-            raise IncompatibleTemplates(f"bit lengths differ: {n_bits} vs "
-                                        f"{codes.shape[-1] * tr.BITS_PER_DIM}")
-        scores.append(tr.packed_hamming(enrolled, codes) / n_bits)
+def revocability_scores(system: AuthSystem, keys: list[int]) -> np.ndarray:
+    """Pseudo-impostor scores, by account, then key: each account's enrolled
+    template against its enrollment frames encoded under each new key by the
+    system's `Keyring`. The keys must be new to every account."""
+    if not keys:
+        raise ConfigError("revocability needs at least one new key")
+    accounts = [system.users[s] for s in system.subjects]
+    if {a.key for a in accounts}.intersection(keys):
+        raise ConfigError("the revocation keys include a key an account holds")
+    enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
+    n_bits = enrolled.shape[-1] * tr.BITS_PER_DIM
+    scores = [tr.packed_hamming(enrolled, system.keyring.enrolled_codes(key)) / n_bits
+              for key in keys]
     return np.stack(scores, axis=-1).ravel()
 
 
 def revocability_protocol(dataset: FeatureDataset, config: SystemConfig,
                           n_keys: int = 50, seed: int = 0) -> ScoreSet:
-    """Genuine/impostor/pseudo-impostor distributions over the whole population.
-
-    Each new key is calibrated over the stacked enrollment windows, which
-    are the enrolled population, and encodes them from that one projection.
-    """
+    """Genuine/impostor/pseudo-impostor distributions over the whole population."""
     system = AuthSystem(dataset, config)
     genuine, impostor = protocol_tests(dataset, config.enroll_frames,
                                        config.query_frames, system=system)
-    accounts = [system.users[s] for s in system.subjects]
     keys = fresh_keys(np.random.default_rng(seed), n_keys,
-                      forbidden={a.key for a in accounts})
-    pseudo = revocability_scores(
-        (np.stack([a.enroll_v1 for a in accounts]),
-         np.stack([a.enroll_v2 for a in accounts])),
-        [tr.derive_params(k, system.dim, config.delta) for k in keys],
-        [a.template for a in accounts], margin=config.calibration_margin)
-    return ScoreSet(genuine=genuine, impostor=impostor, pseudo_impostor=pseudo)
+                      forbidden={a.key for a in system.users.values()})
+    return ScoreSet(genuine=genuine, impostor=impostor,
+                    pseudo_impostor=revocability_scores(system, keys))
 
 
 def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,

@@ -3,9 +3,9 @@
 Templates are enrolled from the first F_e frame pairs of each subject. In the
 lost-key evaluation scenario every user shares one key (the attacker is
 assumed to hold it); otherwise each user gets a key drawn from the master key.
-`reissue` and `revoke` are the one way to give an account another key. A
-key is calibrated when an account's `params` are first read, through the
-system's `Keyring`.
+`reissue` and `revoke` are the one way to give an account another key. Every
+key is calibrated by the system's `Keyring`: an account's when its `params`
+are first read, a revocation key's as it encodes the enrollment under it.
 Every query is a frame window cut by `windows`, within the frame pairs that
 `usable_frames` counts, and encoded under the claimed account's key. Every
 raw attack query is scored by an account's `AccountScorer` (`scorer`, or one
@@ -47,8 +47,7 @@ class SystemConfig:
                 ("enroll_frames", *count), ("query_frames", *count),
                 ("theta", numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
                 ("lost_key", bool, lambda v: True, "true or false"),
-                ("master_key", numbers.Integral, lambda v: 0 <= v < 2 ** 64,
-                 "an unsigned 64-bit integer"),
+                ("master_key", *tr.KEY_RULE),
                 ("calibration_margin", numbers.Real, lambda v: 0 <= v < float("inf"),
                  "a finite non-negative number")):
             require(name, getattr(self, name), kind, ok, what)
@@ -102,8 +101,9 @@ def fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> lis
 
 
 class Keyring:
-    """Each key's parameter set, derived and calibrated against one enrolled
-    population on first request and kept for later ones.
+    """The one place a key is derived and calibrated against the enrolled
+    population: each account's parameter set on first request, kept for later
+    ones, and every account's enrollment under a key no account holds.
 
     Accounts hold the keyring rather than their system, so an account keeps
     only the population and the parameter sets alive.
@@ -117,11 +117,22 @@ class Keyring:
 
     def __call__(self, key: int) -> tr.TransformParams:
         if key not in self.params:
-            params = tr.derive_params(key, self.population_v1.shape[-1], self.config.delta)
             self.params[key] = tr.calibrate_params(
-                params, self.population_v1, self.population_v2,
+                self._derive(key), self.population_v1, self.population_v2,
                 margin=self.config.calibration_margin)
         return self.params[key]
+
+    def enrolled_codes(self, key: int) -> np.ndarray:
+        """Gray bytes of every account's enrollment frames under `key`, a row per
+        account in subject order: one `calibrate_encode` projection of the
+        population viewed as (accounts, F_e, dim) fits the range `__call__`
+        fits and encodes it. The parameter set is not kept."""
+        v1, v2 = (p.reshape(-1, self.config.enroll_frames, p.shape[-1])
+                  for p in (self.population_v1, self.population_v2))
+        return tr.calibrate_encode(self._derive(key), v1, v2, self.config.calibration_margin)
+
+    def _derive(self, key: int) -> tr.TransformParams:
+        return tr.derive_params(key, self.population_v1.shape[-1], self.config.delta)
 
 
 class AuthSystem:
@@ -132,7 +143,7 @@ class AuthSystem:
     that key, so a template's levels encode where the user sits within the
     population rather than a self-referential enrollment window. A key is
     calibrated when its parameters are first read, so building the system
-    calibrates none.
+    calibrates none; `keyring` calibrates every key.
     """
 
     def __init__(self, dataset: FeatureDataset, config: SystemConfig):
@@ -158,7 +169,7 @@ class AuthSystem:
         self._mean_b, self._scale_b = _standardizer(pooled_b)
         population_v1 = self.standardize_a(pooled_a)
         population_v2 = self.standardize_b(pooled_b)
-        self._keyring = Keyring(population_v1, population_v2, config)
+        self.keyring = Keyring(population_v1, population_v2, config)
 
         self.users = Accounts()
         for index, subject in enumerate(dataset.subjects):
@@ -170,7 +181,7 @@ class AuthSystem:
             own = slice(index * config.enroll_frames, (index + 1) * config.enroll_frames)
             self.users[subject] = UserAccount(subject, key, population_v1[own],
                                               population_v2[own], raw[subject][0],
-                                              raw[subject][1], self._keyring)
+                                              raw[subject][1], self.keyring)
 
     def standardize_a(self, v: np.ndarray) -> np.ndarray:
         """Map first-protocol features into the calibrated z-score space:
@@ -182,7 +193,7 @@ class AuthSystem:
 
     def calibrated_params(self, key: int) -> tr.TransformParams:
         """Parameter set for a key with its population-calibrated range."""
-        return self._keyring(key)
+        return self.keyring(key)
 
     @property
     def subjects(self) -> list[str]:

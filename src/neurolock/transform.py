@@ -20,18 +20,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigError, IncompatibleTemplates, ParseError,
-                     ShapeError, error_context)
+                     ShapeError, error_context, require)
 from .ingest import atomic_write
 
 TEMPLATE_MAGIC = b"CEEG1"
 BITS_PER_DIM = 8
 LEVELS = (1 << BITS_PER_DIM) - 1  # 255
+# the key domain, as `errors.require` checks it
+KEY_RULE = (numbers.Integral, lambda v: 0 <= v < 2 ** 64, "an unsigned 64-bit integer")
 
 # stream labels keeping permutation and projection draws independent
 _PERM_STREAM = 0x7065726D
@@ -148,8 +151,7 @@ def derive_params(user_key: int, dim: int, delta: float) -> TransformParams:
         raise ConfigError(f"feature dimension must be at least 2, got {dim}")
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"dimension ratio must lie in (0, 1), got {delta}")
-    if not (0 <= int(user_key) < 2 ** 64):
-        raise ConfigError("user key must be an unsigned 64-bit integer")
+    require("user key", user_key, *KEY_RULE)
     n_out = output_dim(dim, delta)
     if n_out < 1:
         raise ConfigError(f"delta={delta} with dim={dim} projects to zero dimensions")

@@ -404,6 +404,35 @@ class TestEnrollVerify:
                                                     "--eval.unlink_keys=3"])
         assert isinstance(result.exception, DataReached)  # three pairs score 168
 
+    def test_unlinkability_keys_too_few_for_its_mated_scores_exit_before_loading(
+            self, tmp_path, monkeypatch):
+        # 8 s at 160 Hz cut in 2 s frames is 4 frames: three key pairs of 8 subjects score 96
+        args = ["eval", f"--output_dir={tmp_path}", "--eval.unlink_keys=3",
+                "--transform.enroll_frames=2", "--dataset.synthetic.n_channels=4"]
+        result = invoke_never_loading(monkeypatch, args + ["--dataset.synthetic.duration_s=8"])
+        assert result.output == ("config error: eval.unlink_keys must be 0 or enough keys "
+                                 "for 100 mated scores of 8 subjects with 4 frames each, "
+                                 "got 3\n")
+        assert not (tmp_path / "cache").exists()
+        result = invoke_with_sentinel(monkeypatch, args + ["--dataset.synthetic.duration_s=10"])
+        assert isinstance(result.exception, DataReached)  # 5 frames score 120
+
+    def test_one_subject_exits_before_loading(self, tmp_path, monkeypatch):
+        result = invoke_never_loading(monkeypatch, ["eval", f"--output_dir={tmp_path}",
+                                                    "--dataset.synthetic.n_subjects=1"])
+        assert result.output == ("config error: dataset.synthetic.n_subjects gives 1 "
+                                 "subject; eval's impostor scores need 2\n")
+        assert not (tmp_path / "cache").exists()
+        files = tmp_path / "one"
+        files.mkdir()
+        for protocol in ("EO", "EC"):  # never read: the subject count comes from the names
+            (files / f"S001_{protocol}.csv").write_text("not,read\n")
+        result = invoke_never_loading(monkeypatch, [
+            "eval", f"--output_dir={tmp_path}", "--dataset.kind=csv", f"--dataset.path={files}"])
+        assert result.output == ("config error: dataset.path gives 1 subject; eval's "
+                                 "impostor scores need 2\n")
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("override, message", [
         ("--dsp.rho_bins=201", "dsp.rho_bins = 201 is more than the 200 samples of a frame"),
         ("--dsp.band=[13, 50]", "dsp.band: band [13, 50] invalid for fs=100"),

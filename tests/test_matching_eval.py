@@ -212,22 +212,20 @@ class TestProtocolScores:
 
 class TestRevocability:
     def test_original_key_in_list_rejected(self, random_dataset):
-        config = SystemConfig(enroll_frames=5, query_frames=1)
-        system = AuthSystem(random_dataset, config)
-        account = system.users["S001"]
-        params_list = [system.calibrated_params(config.master_key)]
-        with pytest.raises(ConfigError):
-            me.revocability_scores((account.enroll_v1, account.enroll_v2),
-                                   params_list, [account.template])
+        """Under either key mode, a key held from enrollment or after a revoke."""
+        for lost_key in (True, False):
+            config = SystemConfig(enroll_frames=5, query_frames=1, lost_key=lost_key)
+            system = AuthSystem(random_dataset, config)
+            system.revoke("S002", 99)
+            for held in (system.users["S001"].key, 99):
+                with pytest.raises(ConfigError, match="^the revocation keys include a "
+                                                      "key an account holds$"):
+                    me.revocability_scores(system, [7, held])
 
     def test_empty_lists_refused(self, random_dataset):
         system = AuthSystem(random_dataset, SystemConfig(enroll_frames=5, query_frames=1))
-        account = system.users["S001"]
-        features = (account.enroll_v1, account.enroll_v2)
-        with pytest.raises(ConfigError, match="at least one"):
-            me.revocability_scores(features, [], [account.template])
-        with pytest.raises(ConfigError, match="at least one"):
-            me.revocability_scores(features, [system.calibrated_params(7)], [])
+        with pytest.raises(ConfigError, match="^revocability needs at least one new key$"):
+            me.revocability_scores(system, [])
 
     def test_pseudo_impostor_overlaps_impostor(self, random_dataset):
         config = SystemConfig(enroll_frames=5, query_frames=1)
@@ -275,6 +273,14 @@ class TestUnlinkability:
         assert mated.size == 3 * 8 * 30
         assert non_mated.size == 3 * 56
         assert np.all((mated >= 0) & (mated <= 1))
+
+    @pytest.mark.parametrize("n_keys", [2, 3, 5])
+    def test_score_counts_are_the_protocols(self, n_keys):
+        dataset = random_feature_dataset(n_subjects=4, n_frames=9, dim=6, seed=2)
+        mated, non_mated = me.unlinkability_protocol(
+            dataset, SystemConfig(enroll_frames=3, query_frames=1), n_keys=n_keys)
+        assert mated.size == me.mated_unlink_scores(n_keys, 4, 9)
+        assert non_mated.size == me.non_mated_unlink_scores(n_keys, 4)
 
 
 class TestEvaluate:

@@ -73,6 +73,29 @@ class TestEnrollment:
                                   account.params.quant_range)
 
 
+class TestKeyring:
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_enrolled_codes_encode_each_enrollment_under_the_calibrated_key(
+            self, dataset, monkeypatch, lost_key):
+        """A new key's codes are `encode_bytes` of each account's enrollment windows
+        under `calibrated_params`, from a range fitted as it fits one; the
+        parameter set is not kept."""
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                  lost_key=lost_key))
+        fitted = []
+        calibrate_encode = tr.calibrate_encode
+        monkeypatch.setattr(tr, "calibrate_encode",
+                            lambda params, *args: fitted.append(params)
+                            or calibrate_encode(params, *args))
+        codes = system.keyring.enrolled_codes(4242)
+        assert len(fitted) == 1 and 4242 not in system.keyring.params
+        params = system.calibrated_params(4242)
+        assert np.array_equal(fitted[0].quant_range, params.quant_range)
+        expected = [tr.encode_bytes(system.users[s].enroll_v1, system.users[s].enroll_v2,
+                                    params) for s in system.subjects]
+        assert codes.dtype == np.uint8 and np.array_equal(codes, np.stack(expected))
+
+
 class TestQueriesAndVerify:
     def test_self_query_on_enrollment_frames_matches_exactly(self, dataset):
         config = SystemConfig(enroll_frames=5, query_frames=5)

@@ -68,6 +68,16 @@ class TestDeriveParams:
         with pytest.raises(ConfigError):
             tr.derive_params(1, 10, delta)
 
+    @pytest.mark.parametrize("key", [-1, 2 ** 64, True, 7.0, "7"])
+    def test_a_key_outside_the_key_rule_is_refused(self, key):
+        with pytest.raises(ConfigError, match=r"^user key must be an unsigned 64-bit "
+                                              rf"integer, got {key!r}$"):
+            tr.derive_params(key, 10, 0.5)
+
+    def test_the_key_rule_spans_unsigned_64_bit_integers(self):
+        for key in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            assert tr.derive_params(key, 10, 0.5).user_key == int(key)
+
 
 class TestCombineProject:
     def test_worked_example_products(self):
