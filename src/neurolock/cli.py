@@ -459,10 +459,10 @@ def verify(config, template_path, subject, user_key, from_frame, n_frames):
     """Generate a query from the subject's frames and match the template."""
     for name, value, kind, ok, what in (
             ("--key", user_key, *tr.KEY_RULE),
-            ("--from-frame", from_frame, numbers.Integral, lambda v: v >= 0,
-             "a non-negative integer"),
-            ("--frames", n_frames, numbers.Integral, lambda v: v >= 1,
-             "an integer of at least 1")):
+            ("--from-frame", from_frame, numbers.Integral, lambda v: 0 <= v <= MAX_COUNT,
+             f"an integer from 0 to {MAX_COUNT}"),
+            ("--frames", n_frames, numbers.Integral, lambda v: 1 <= v <= MAX_COUNT,
+             f"an integer from 1 to {MAX_COUNT}")):
         if value is not None:
             require(name, value, kind, ok, what)
     enrolled = tr.load_template(template_path)

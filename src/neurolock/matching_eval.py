@@ -6,8 +6,8 @@ frame pairs enroll each subject, every following group of F_t frames is one
 genuine query, and one frame group from every other subject is one impostor
 query. All scores are normalized Hamming distances (smaller = more similar).
 The protocols score gray bytes end to end: each distinct key encodes the
-stacked windows it needs once with `transform.encode_bytes`, and
-`transform.packed_hamming` counts them against the enrolled templates' bytes.
+stacked windows it needs once with `transform.encode_bytes`, and every
+distance is `score_pairs` of those bytes and the enrolled templates' bytes.
 Every key is calibrated by the system's `Keyring`, which also encodes the
 enrollment under each new key of the revocability protocol.
 """
@@ -171,37 +171,19 @@ def unlinkability(mated: np.ndarray, non_mated: np.ndarray) -> UnlinkabilityResu
 # protocols
 # ---------------------------------------------------------------------------
 
-def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: int,
-                   config: SystemConfig | None = None,
-                   system: AuthSystem | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Genuine and impostor scores per the frame schedule.
+def system_tests(system: AuthSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Genuine and impostor scores per the frame schedule of `system.config`.
 
-    Genuine: per subject, one query per consecutive group of query_frames
-    after the enrollment block. Impostor: per subject, one query from every
+    Genuine: per subject, one query per consecutive group of F_t frames after
+    the F_e enrollment frames. Impostor: per subject, one query from every
     other subject's first post-enrollment frame group, transformed with the
     claimed account's parameters. Each query is scored against the claimed
-    account's enrolled bits; scores run by claimed subject, then query.
+    account's enrolled template; scores run by claimed subject, then query.
     Every genuine window is cut in one `windows` call, and each distinct key
     encodes the windows its accounts are scored against once: under the
     shared lost key, every window once.
-    A `system` already built over `dataset` with these frame counts is
-    reused instead of enrolling the population again; any other system,
-    or a `config` passed along with it, raises ConfigError.
     """
-    if system is None:
-        config = SystemConfig() if config is None else config
-        system = AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
-                                             query_frames=query_frames))
-    elif config is not None:
-        raise ConfigError("pass a config or a system built from one, not both")
-    elif system.dataset is not dataset:
-        raise ConfigError("the system passed in was built over another dataset")
-    elif (system.config.enroll_frames, system.config.query_frames) != (enroll_frames,
-                                                                       query_frames):
-        raise ConfigError(
-            f"the system passed in enrolls F_e = {system.config.enroll_frames} and "
-            f"queries F_t = {system.config.query_frames} frames, not "
-            f"{enroll_frames} and {query_frames}")
+    enroll_frames, query_frames = system.config.enroll_frames, system.config.query_frames
     subjects = system.subjects
     accounts = [system.users[subject] for subject in subjects]
     n_queries = [(system.usable_frames(s) - enroll_frames) // query_frames for s in subjects]
@@ -212,7 +194,6 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
     v1, v2 = system.windows(np.asarray(subjects)[owner], enroll_frames + query_frames
                             * (np.arange(owner.size) - first[owner]), query_frames)
     enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
-    n_bits = enrolled.shape[-1] * tr.BITS_PER_DIM
     genuine = np.empty(owner.size)
     impostor = np.empty((len(subjects), len(subjects)))
     codes = np.empty((owner.size, enrolled.shape[-1]), dtype=np.uint8)
@@ -222,10 +203,17 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
         needed = mine.copy()
         needed[first] = True
         codes[needed] = tr.encode_bytes(v1[needed], v2[needed], accounts[claims[0]].params)
-        genuine[mine] = tr.packed_hamming(enrolled[owner[mine]], codes[mine]) / n_bits
-        impostor[claims] = tr.packed_hamming(enrolled[claims, None],
-                                             codes[first]) / n_bits
+        genuine[mine] = score_pairs(enrolled[owner[mine]], codes[mine])
+        impostor[claims] = score_pairs(enrolled[claims, None], codes[first])
     return genuine, impostor[~np.eye(len(subjects), dtype=bool)]
+
+
+def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: int,
+                   config: SystemConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`system_tests` of a system enrolled over `dataset` with these frame counts."""
+    config = SystemConfig() if config is None else config
+    return system_tests(AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
+                                                    query_frames=query_frames)))
 
 
 def _accounts_by_key(accounts: list) -> dict[int, list[int]]:
@@ -237,20 +225,17 @@ def _accounts_by_key(accounts: list) -> dict[int, list[int]]:
 
 
 def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Normalized Hamming distances of enrolled bits to query bits.
+    """Normalized Hamming distances of enrolled gray bytes to query gray bytes.
 
-    Bit strings run along the last axis and leading axes broadcast: one
-    enrolled string against a batch of queries, or batch against batch.
-    Both sides are packed to bytes and counted by `transform.packed_hamming`;
-    the counts, and so the scores, equal `transform.hamming_score`'s. The
-    protocols never unpack their gray bytes, so they count them with
-    `packed_hamming` directly; this is the same score for arrays of bits.
+    Byte strings run along the last axis and leading axes broadcast: one
+    enrolled template against a batch of queries, or batch against batch.
+    `transform.packed_hamming` counts the differing bits, so the scores
+    equal `transform.hamming_score`'s over the unpacked bits.
     """
-    n_bits = enrolled.shape[-1]
-    if queries.shape[-1] != n_bits:
-        raise IncompatibleTemplates(f"bit lengths differ: {n_bits} vs {queries.shape[-1]}")
-    return tr.packed_hamming(np.packbits(enrolled, axis=-1),
-                             np.packbits(queries, axis=-1)) / n_bits
+    n_bytes = enrolled.shape[-1]
+    if queries.shape[-1] != n_bytes:
+        raise IncompatibleTemplates(f"byte lengths differ: {n_bytes} vs {queries.shape[-1]}")
+    return tr.packed_hamming(enrolled, queries) / (tr.BITS_PER_DIM * n_bytes)
 
 
 def protocol_score_set(dataset: FeatureDataset, enroll_frames: int,
@@ -280,10 +265,9 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
     codes = tr.encode_bytes(*system.windows(np.asarray(sources)[owner],
                                             np.arange(owner.size) - start[owner], 1), params)
     own = owner == sources.index(subject)
-    n_bits = codes.shape[-1] * tr.BITS_PER_DIM
     first, second = np.triu_indices(np.count_nonzero(own), k=1)
-    genuine = tr.packed_hamming(codes[own][first], codes[own][second]) / n_bits
-    impostor = tr.packed_hamming(codes[~own][:, None], codes[own]) / n_bits
+    genuine = score_pairs(codes[own][first], codes[own][second])
+    impostor = score_pairs(codes[~own][:, None], codes[own])
     return ScoreSet(genuine=genuine, impostor=impostor.ravel())
 
 
@@ -297,9 +281,7 @@ def revocability_scores(system: AuthSystem, keys: list[int]) -> np.ndarray:
     if {a.key for a in accounts}.intersection(keys):
         raise ConfigError("the revocation keys include a key an account holds")
     enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
-    n_bits = enrolled.shape[-1] * tr.BITS_PER_DIM
-    scores = [tr.packed_hamming(enrolled, system.keyring.enrolled_codes(key)) / n_bits
-              for key in keys]
+    scores = [score_pairs(enrolled, system.keyring.enrolled_codes(key)) for key in keys]
     return np.stack(scores, axis=-1).ravel()
 
 
@@ -307,8 +289,7 @@ def revocability_protocol(dataset: FeatureDataset, config: SystemConfig,
                           n_keys: int = 50, seed: int = 0) -> ScoreSet:
     """Genuine/impostor/pseudo-impostor distributions over the whole population."""
     system = AuthSystem(dataset, config)
-    genuine, impostor = protocol_tests(dataset, config.enroll_frames,
-                                       config.query_frames, system=system)
+    genuine, impostor = system_tests(system)
     keys = fresh_keys(np.random.default_rng(seed), n_keys,
                       forbidden={a.key for a in system.users.values()})
     return ScoreSet(genuine=genuine, impostor=impostor,
@@ -334,14 +315,13 @@ def unlinkability_protocol(dataset: FeatureDataset, config: SystemConfig,
     v1, v2 = system.windows(np.array(subjects)[:, None], np.arange(n_frames), 1)
     # one (subjects, frames, n_out) database of gray bytes per key
     codes = [tr.encode_bytes(v1, v2, system.calibrated_params(key)) for key in keys]
-    n_bits = codes[0].shape[-1] * tr.BITS_PER_DIM
     other = ~np.eye(len(subjects), dtype=bool)
     mated, non_mated = [], []
     for a_idx in range(n_keys):
         for b_idx in range(a_idx + 1, n_keys):
-            mated.append(tr.packed_hamming(codes[a_idx], codes[b_idx]).ravel() / n_bits)
-            firsts = tr.packed_hamming(codes[a_idx][:, None, 0], codes[b_idx][None, :, 0])
-            non_mated.append(firsts[other] / n_bits)
+            mated.append(score_pairs(codes[a_idx], codes[b_idx]).ravel())
+            firsts = score_pairs(codes[a_idx][:, None, 0], codes[b_idx][None, :, 0])
+            non_mated.append(firsts[other])
     return np.concatenate(mated), np.concatenate(non_mated)
 
 

@@ -218,11 +218,14 @@ class AuthSystem:
         """
         if n_frames < 1:
             raise ConfigError(f"a window needs at least one frame, got {n_frames}")
-        sources, starts = np.broadcast_arrays(np.asarray(sources), np.asarray(starts))
-        names, which = np.unique(sources, return_inverse=True)
+        offsets = np.asarray(starts)
+        if offsets.dtype.kind == "f":  # ints past int64 beside smaller ones: keep them exact
+            offsets = np.asarray(starts, dtype=object)
+        sources, starts = np.broadcast_arrays(np.asarray(sources), offsets)
+        names, seen, which = np.unique(sources, return_index=True, return_inverse=True)
         which = which.reshape(sources.shape)
-        first = np.full(names.size, np.iinfo(np.int64).max)
-        last = np.full(names.size, np.iinfo(np.int64).min)
+        # each subject's first and last start in the starts' own dtype: none wraps
+        first, last = starts.ravel()[seen], starts.ravel()[seen]
         np.minimum.at(first, which, starts)
         np.maximum.at(last, which, starts)
         for subject, lo, hi in zip(names.tolist(), first.tolist(), last.tolist()):

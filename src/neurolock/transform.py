@@ -358,13 +358,20 @@ def packed_hamming(bytes_a: np.ndarray, bytes_b: np.ndarray) -> np.ndarray:
 
 def match(query: CancellableTemplate, enrolled: CancellableTemplate,
           threshold: float) -> MatchResult:
-    """XOR-and-count matcher; accepts when the normalized distance is <= threshold."""
+    """XOR-and-count matcher; accepts when the normalized distance is <= threshold.
+
+    Templates under other keys, ratios or quantization ranges raise
+    IncompatibleTemplates: their bits do not code the same space."""
     if query.meta.key_id != enrolled.meta.key_id:
         raise IncompatibleTemplates(
             f"key ids differ: {query.meta.key_id} vs {enrolled.meta.key_id}")
     if query.meta.delta != enrolled.meta.delta:
         raise IncompatibleTemplates(
             f"dimension ratios differ: {query.meta.delta} vs {enrolled.meta.delta}")
+    if not np.array_equal(query.meta.quant_range, enrolled.meta.quant_range):
+        raise IncompatibleTemplates(
+            "quantization ranges differ: the template was calibrated over another "
+            "population or config than the query")
     raw, score = hamming_score(query.bits, enrolled.bits)
     return MatchResult(score=score, raw=raw, decision=score <= threshold,
                        threshold=threshold)

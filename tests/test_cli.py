@@ -225,6 +225,18 @@ class TestEnrollVerify:
                          "--key=42", f"--output_dir={tmp_path}"] + SMALL)
         assert result.exit_code == 3
 
+    def test_template_calibrated_under_another_config_exits_data_error(self, tmp_path):
+        """A query quantized over another range than the template's is refused,
+        not scored: the genuine user would otherwise be rejected."""
+        shared = ["--subject=S001", "--key=777", f"--output_dir={tmp_path}"] + SMALL
+        assert invoke(["enroll"] + shared).exit_code == 0
+        result = invoke(["verify", f"--template={tmp_path / 'S001.ceeg'}",
+                         "--transform.calibration_margin=0.5"] + shared)
+        assert result.exit_code == 3, result.output
+        assert result.output == ("data error: quantization ranges differ: the template was "
+                                 "calibrated over another population or config than "
+                                 "the query\n")
+
     def test_impostor_rejected_at_strict_threshold(self, tmp_path):
         template = tmp_path / "u.ceeg"
         invoke(["enroll", "--subject=S001", "--key=777", f"--out={template}",
@@ -616,6 +628,7 @@ class TestConfigValidation:
         ("verify", "--key=-1"), ("verify", "--transform.theta=NaN"),
         ("verify", "--transform.theta=5"), ("verify", "--transform.theta=-0.1"),
         ("verify", "--from-frame=-3"), ("verify", "--frames=0"),
+        ("verify", "--from-frame=99999999999999999999999"), ("verify", f"--frames={2 ** 64}"),
     ])
     def test_bad_enroll_or_verify_option_exits_before_loading(self, tmp_path, monkeypatch,
                                                               command, option):
@@ -708,12 +721,12 @@ def hostile_value_failures(monkeypatch, args):
 class TestReports:
     def test_eval_scores_the_protocol_once(self, tmp_path, monkeypatch):
         calls = []
-        original = matching_eval.protocol_tests
+        original = matching_eval.system_tests
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(matching_eval, "protocol_tests", counted)
+        monkeypatch.setattr(matching_eval, "system_tests", counted)
         for revocability_keys in (0, 3):
             calls.clear()
             result = invoke(["eval", f"--output_dir={tmp_path}",

@@ -110,35 +110,14 @@ class TestProtocolCounts:
             assert len(genuine) == ((n_frames - f_e) // f_t) * n_subjects
             assert len(impostor) == (n_subjects - 1) * n_subjects
 
-    @pytest.mark.parametrize("frames", [(2, 3), (4, 3), (2, 1)])
-    def test_system_with_other_frame_counts_refused(self, monkeypatch, frames):
-        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
-        system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1))
-        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
-        with pytest.raises(ConfigError, match="F_e = 4"):
-            me.protocol_tests(dataset, *frames, system=system)
-
-    def test_system_over_another_dataset_refused(self, monkeypatch):
-        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
-        twin = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
-        system = AuthSystem(twin, SystemConfig(enroll_frames=4, query_frames=1))
-        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
-        with pytest.raises(ConfigError, match="another dataset"):
-            me.protocol_tests(dataset, 4, 1, system=system)
-
-    def test_config_with_a_system_refused(self, monkeypatch):
-        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=10, seed=5)
-        system = AuthSystem(dataset, SystemConfig(enroll_frames=4, query_frames=1))
-        monkeypatch.setattr(me.tr, "encode", None)  # refused before any encoding
-        with pytest.raises(ConfigError, match="not both"):
-            me.protocol_tests(dataset, 4, 1, SystemConfig(delta=0.3), system=system)
-
-    def test_fitting_system_is_reused(self, random_dataset):
-        config = SystemConfig(enroll_frames=5, query_frames=2)
-        system = AuthSystem(random_dataset, config)
-        reused = me.protocol_tests(random_dataset, 5, 2, system=system)
-        built = me.protocol_tests(random_dataset, 5, 2, config)
-        for mine, theirs in zip(reused, built):
+    @pytest.mark.parametrize("lost_key", [True, False])
+    @pytest.mark.parametrize("query_frames", [1, 2])
+    def test_system_tests_equal_protocol_tests(self, random_dataset, lost_key,
+                                               query_frames):
+        config = SystemConfig(enroll_frames=5, query_frames=query_frames, lost_key=lost_key)
+        scored = me.system_tests(AuthSystem(random_dataset, config))
+        built = me.protocol_tests(random_dataset, 5, query_frames, config)
+        for mine, theirs in zip(scored, built, strict=True):
             assert np.array_equal(mine, theirs)
 
     def test_decidability_protocol_counts(self, random_dataset):
@@ -192,7 +171,7 @@ class TestProtocolScores:
         config = SystemConfig(enroll_frames=4, query_frames=query_frames, delta=0.6,
                               lost_key=lost_key)
         system = AuthSystem(dataset, config)
-        genuine, impostor = me.protocol_tests(dataset, 4, query_frames, system=system)
+        genuine, impostor = me.system_tests(system)
         expected_genuine, expected_impostor = [], []
         for claimed in system.subjects:
             account = system.users[claimed]

@@ -183,6 +183,16 @@ class TestWindows:
         with pytest.raises(ConfigError, match="at least one frame"):
             system.windows("S002", 0, 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("start", [2 ** 63, 2 ** 64, 10 ** 23, -2 ** 63 - 1, -10 ** 23])
+    def test_start_outside_int64_names_the_real_offset(self, system, start):
+        """No OverflowError or wrapped offset, alone or beside valid starts."""
+        message = (f"subject S002: negative frame offset {start}" if start < 0
+                   else f"subject S002: not enough frames at offset {start}")
+        for sources, starts in (("S002", start), (["S001", "S002"], [0, start])):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                system.windows(sources, starts, 1)
+
     def test_usable_frames_is_the_shorter_stream(self):
         dataset = random_feature_dataset(n_subjects=3, n_frames=12, dim=6, seed=4)
         dataset.vectors[("S002", Protocol.EC)] = dataset.vectors[("S002", Protocol.EC)][:9]

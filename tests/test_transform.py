@@ -274,11 +274,11 @@ class TestMakeTemplate:
 
 
 class TestMatch:
-    def bits_template(self, bits, key_id="k", delta=0.5):
+    def bits_template(self, bits, key_id="k", delta=0.5, hi=1.0):
         n = len(bits) // 8
         meta = tr.TemplateMeta(subject_id="S", key_id=key_id, delta=delta,
                                frames_averaged=1,
-                               quant_range=np.tile([0.0, 1.0], (n, 1)))
+                               quant_range=np.tile([0.0, hi], (n, 1)))
         return tr.CancellableTemplate(
             bits=np.array([int(b) for b in bits], dtype=np.uint8), meta=meta)
 
@@ -308,6 +308,15 @@ class TestMatch:
         with pytest.raises(IncompatibleTemplates):
             tr.match(a, b, threshold=0.5)
 
+    @pytest.mark.parametrize("hi", [np.nextafter(1.0, 2.0), 2.0])
+    def test_range_mismatch_raises(self, hi):
+        """Equal bits quantized over other ranges code other values."""
+        a = self.bits_template("00100011")
+        b = self.bits_template("00100011", hi=hi)
+        with pytest.raises(IncompatibleTemplates, match="quantization ranges differ"):
+            tr.match(a, b, threshold=0.5)
+        assert tr.match(b, self.bits_template("00100011", hi=hi), threshold=0.0).decision
+
     def test_length_mismatch_raises(self):
         a = self.bits_template("00100011")
         b = self.bits_template("0010001100100011")
@@ -330,8 +339,8 @@ class TestMatch:
 
 
 class TestPackedHamming:
-    """packed_hamming over packed bytes, and score_pairs over bits, against
-    hamming_score's counts and scores, with ==."""
+    """packed_hamming and score_pairs over packed bytes against
+    hamming_score's counts and scores over the bits, with ==."""
 
     @pytest.mark.parametrize("shape_a,shape_b", [
         ((64,), (64,)), ((64,), (7, 64)), ((7, 64), (64,)), ((5, 64), (5, 64)),
@@ -341,12 +350,13 @@ class TestPackedHamming:
         a = rng.integers(0, 2, shape_a).astype(np.uint8)
         b = rng.integers(0, 2, shape_b).astype(np.uint8)
         raw, score = tr.hamming_score(a, b)
-        packed = tr.packed_hamming(np.packbits(a, axis=-1), np.packbits(b, axis=-1))
+        a_bytes, b_bytes = np.packbits(a, axis=-1), np.packbits(b, axis=-1)
+        packed = tr.packed_hamming(a_bytes, b_bytes)
         assert np.shape(packed) == np.shape(raw)
         assert np.array_equal(packed, raw)
-        assert np.array_equal(score_pairs(a, b), score)
-        assert np.array_equal(score_pairs(a, a), np.zeros(np.shape(a)[:-1]))
-        assert np.array_equal(score_pairs(a, 1 - a), np.ones(np.shape(a)[:-1]))
+        assert np.array_equal(score_pairs(a_bytes, b_bytes), score)
+        assert np.array_equal(score_pairs(a_bytes, a_bytes), np.zeros(np.shape(a)[:-1]))
+        assert np.array_equal(score_pairs(a_bytes, ~a_bytes), np.ones(np.shape(a)[:-1]))
 
     def test_every_byte_value(self):
         bytes_ = np.arange(256, dtype=np.uint8)
@@ -355,7 +365,7 @@ class TestPackedHamming:
 
     def test_score_pairs_refuses_different_lengths(self):
         with pytest.raises(IncompatibleTemplates):
-            score_pairs(np.zeros(16, np.uint8), np.zeros((2, 8), np.uint8))
+            score_pairs(np.zeros(2, np.uint8), np.zeros((2, 1), np.uint8))
 
 
 class TestRevocation:
