@@ -56,11 +56,11 @@ class AttackConfig:
 class HillClimbOutcome:
     subject: str
     success: bool
-    attempts: int                 # oracle calls up to success, or the budget
+    attempts: int                 # oracle calls up to success, or the budget: len(trace)
     best_score: float
     solution: np.ndarray          # accepted candidate, or best found
     similarity: float | None      # cosine to true features (feature-space case)
-    trace: list = field(default_factory=list)  # (attempt, score) pairs
+    trace: list[float] = field(default_factory=list)  # query i's score is trace[i - 1]
 
 
 @dataclass
@@ -204,11 +204,11 @@ class _SearchOver(Exception):
 
 
 class ScoreOracle:
-    """The one owner of a hill climb's state: it counts and traces every
-    matcher query, keeps the first-seen lowest-scoring query as `best_x` and
-    `best_score`, and alone ends the search by raising `_SearchOver` at the
-    first accepted query or at the query that spends the budget, after
-    counting it. The search succeeded when `best_score <= theta`.
+    """The one owner of a hill climb's state: it counts every matcher query and
+    traces its score (query i's is `trace[i - 1]`), keeps the first-seen lowest
+    query as `best_x` and `best_score`, and alone ends the search by raising
+    `_SearchOver` at the first accepted query or at the query that spends the
+    budget, after counting it. The search succeeded when `best_score <= theta`.
 
     `batch` scores a block of candidates (rows) with one `batch_fn` call,
     trimmed to the rows the budget covers, and counts the block as calls
@@ -224,14 +224,14 @@ class ScoreOracle:
         self.theta = theta
         self.max_attempts = max_attempts
         self.attempts = 0
-        self.trace: list[tuple[int, float]] = []
+        self.trace: list[float] = []
         self.best_x: np.ndarray | None = None
         self.best_score = math.inf
 
     def __call__(self, candidate: np.ndarray) -> float:
         score = self.score_fn(candidate)
         self.attempts += 1
-        self.trace.append((self.attempts, score))
+        self.trace.append(score)
         if score < self.best_score:
             self.best_x, self.best_score = np.array(candidate, dtype=float), score
         if score <= self.theta or self.attempts >= self.max_attempts:
@@ -248,9 +248,8 @@ class ScoreOracle:
         if counted[low] < self.best_score:
             self.best_x = np.array(candidates[low], dtype=float)
             self.best_score = float(counted[low])
-        first = self.attempts + 1
         self.attempts += stop
-        self.trace.extend(zip(range(first, self.attempts + 1), counted.tolist()))
+        self.trace.extend(counted.tolist())
         if accepted[stop - 1] or self.attempts >= self.max_attempts:
             raise _SearchOver()
         return scores.tolist()

@@ -547,8 +547,8 @@ def attack(config):
     atomic_write(out / "attack_report.json", json.dumps(payload, indent=2, sort_keys=True))
     atomic_write(out / "attack_trace.csv", csv_text(
         [["subject", "attempt", "score"],
-         *([outcome.subject, attempt, repr(score)]
-           for outcome in report.outcomes for attempt, score in outcome.trace)]))
+         *([outcome.subject, attempt, repr(score)] for outcome in report.outcomes
+           for attempt, score in enumerate(outcome.trace, 1))]))
     click.echo(f"SR {report.success_rate:.3f}; reports in {out}")
 
 

@@ -1,28 +1,29 @@
 """Protected authentication system: enrollment store, score oracle, and re-keying.
 
 Templates are enrolled from the first F_e frame pairs of each subject. In the
-lost-key evaluation scenario every user shares one key (the attacker is
-assumed to hold it); otherwise each user gets a key drawn from the master key.
+lost-key evaluation scenario every user shares one key (the attacker is assumed
+to hold it); otherwise each user gets a key drawn from the master key.
 `reissue` and `revoke` are the one way to give an account another key. Every
-key is calibrated by the system's `Keyring`: an account's when its `params`
-are first read, a revocation key's as it encodes the enrollment under it.
-Every query is a frame window cut by `windows`, within the frame pairs that
-`usable_frames` counts, and encoded under the claimed account's key. Every
-raw attack query is scored by an account's `AccountScorer` (`scorer`, or one
-built over a `reissue`d state); `feature_query_bits` and `score_bits` are
-the checked reference path whose scores it equals.
+key is calibrated by the system's `Keyring`: an account's as its `params` are
+first read (it alone holds the set), a revocation key's as it encodes the
+enrollment under it. Every query is a frame window cut by `windows`, within the
+frame pairs that `usable_frames` counts, and encoded under the claimed
+account's key. Every raw attack query is scored by an account's `AccountScorer`
+(`scorer`, or one built over a `reissue`d state); `feature_query_bits` and
+`score_bits` are the checked reference path whose scores it equals.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import transform as tr
-from .errors import ConfigError, require
+from .errors import ConfigError, is_a, require
 from .ingest import PROTOCOL_PAIR
 from .pipeline import FeatureDataset, stable_int
 
@@ -102,25 +103,25 @@ def fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> lis
 
 class Keyring:
     """The one place a key is derived and calibrated against the enrolled
-    population: each account's parameter set on first request, kept for later
-    ones, and every account's enrollment under a key no account holds.
-
-    Accounts hold the keyring rather than their system, so an account keeps
-    only the population and the parameter sets alive.
+    population: each account's parameter set on first request, shared with
+    the accounts that hold the key while one does (`params` is weak), and
+    every account's enrollment under a key no account holds. Accounts hold
+    the keyring rather than their system, so an account keeps only the
+    population and its own parameter set alive.
     """
 
     def __init__(self, population_v1: np.ndarray, population_v2: np.ndarray,
                  config: SystemConfig):
         self.population_v1, self.population_v2 = population_v1, population_v2
         self.config = config
-        self.params: dict[int, tr.TransformParams] = {}
+        self.params = weakref.WeakValueDictionary()  # key -> its TransformParams
 
     def __call__(self, key: int) -> tr.TransformParams:
-        if key not in self.params:
-            self.params[key] = tr.calibrate_params(
+        if (params := self.params.get(key)) is None:  # the local name keeps a new set alive
+            params = self.params[key] = tr.calibrate_params(
                 self._derive(key), self.population_v1, self.population_v2,
                 margin=self.config.calibration_margin)
-        return self.params[key]
+        return params
 
     def enrolled_codes(self, key: int) -> np.ndarray:
         """Gray bytes of every account's enrollment frames under `key`, a row per
@@ -192,7 +193,7 @@ class AuthSystem:
         return _standardized(v, self._mean_b, self._scale_b)
 
     def calibrated_params(self, key: int) -> tr.TransformParams:
-        """Parameter set for a key with its population-calibrated range."""
+        """`key`'s population-calibrated parameter set, kept while anyone holds it."""
         return self.keyring(key)
 
     @property
@@ -211,16 +212,22 @@ class AuthSystem:
 
         `sources` (subject ids) and `starts` (frame offsets) broadcast; each
         entry of the broadcast shape is one window of n_frames frame pairs, so
-        v1 and v2 have shape broadcast.shape + (n_frames, dim). A negative
-        start or a window past the subject's usable frames raises ConfigError.
-        The frames of every subject named are stacked once per protocol and
-        every window is read from the stack in one gather.
+        v1 and v2 have shape broadcast.shape + (n_frames, dim). A start or an
+        n_frames that is not an integer (a float, even a whole one, or a bool),
+        a negative start, or a window past the subject's usable frames raises
+        ConfigError before any frame is read. The frames of every subject named
+        are stacked once per protocol and every window is read from the stack
+        in one gather.
         """
-        if n_frames < 1:
-            raise ConfigError(f"a window needs at least one frame, got {n_frames}")
+        if not is_a(n_frames, numbers.Integral) or n_frames < 1:
+            raise ConfigError(f"a window needs an integer count of at least one frame, "
+                              f"got {n_frames!r}")
         offsets = np.asarray(starts)
-        if offsets.dtype.kind == "f":  # ints past int64 beside smaller ones: keep them exact
-            offsets = np.asarray(starts, dtype=object)
+        if offsets.dtype.kind not in "iu":  # ints past int64 come as float or object arrays,
+            offsets = np.asarray(starts, dtype=object)  # so read each start as given
+            for offset in offsets.ravel().tolist():
+                if not is_a(offset, numbers.Integral):
+                    raise ConfigError(f"a frame offset must be an integer, got {offset!r}")
         sources, starts = np.broadcast_arrays(np.asarray(sources), offsets)
         names, seen, which = np.unique(sources, return_index=True, return_inverse=True)
         which = which.reshape(sources.shape)
@@ -275,11 +282,11 @@ class AuthSystem:
     # -- revocation ----------------------------------------------------------
 
     def reissue(self, subject: str, new_key: int) -> UserAccount:
-        """Fresh account state under a new key, calibrated now (a key that
-        `derive_params` refuses fails here); does not mutate the system."""
-        account = self.users[subject]
-        self.calibrated_params(new_key)  # the new account reads the cached set
-        return replace(account, key=new_key)
+        """Fresh account state under a new key, calibrated now and held by it alone
+        (a key that `derive_params` refuses fails here); does not mutate the system."""
+        account = replace(self.users[subject], key=new_key)
+        account.params  # read once: the keyring keeps no set that no account holds
+        return account
 
     def revoke(self, subject: str, new_key: int) -> None:
         """Replace the stored account state under a new key."""

@@ -100,7 +100,7 @@ def check_climb(system, subject, case, theta, budget, seed, success, attempts, t
     assert (outcome.success, outcome.attempts) == (success, attempts)
     assert _sha(outcome.subject, outcome.success, outcome.attempts,
                 float(outcome.best_score), outcome.similarity,
-                [(int(a), float(s)) for a, s in outcome.trace],
+                [(a, float(s)) for a, s in enumerate(outcome.trace, 1)],
                 outcome.solution) == PINNED[tag]
 
 

@@ -88,7 +88,7 @@ class TestHillClimb:
         outcome = atk.hill_climb_attack(small_system, "S001", config)
         assert outcome.attempts == 137
         assert len(outcome.trace) == 137
-        assert outcome.trace[-1][0] == 137
+        assert all(type(score) is float for score in outcome.trace)
 
     def test_template_space_dimension(self, small_system):
         config = atk.AttackConfig(case=atk.AttackCase.TEMPLATE_SPACE, theta=0.45,
@@ -221,8 +221,8 @@ class TestOracleBatch:
         with pytest.raises(atk._SearchOver):
             query(oracle, rows_of(6))
         assert oracle.attempts == 4
-        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7), (4, 0.2)]
-        assert all(type(score) is float for _, score in oracle.trace)
+        assert oracle.trace == [0.9, 0.8, 0.7, 0.2]
+        assert all(type(score) is float for score in oracle.trace)
         assert np.array_equal(oracle.best_x, [3.0, 0.0])
         assert oracle.best_score == 0.2
 
@@ -233,7 +233,7 @@ class TestOracleBatch:
         with pytest.raises(atk._SearchOver):
             query(oracle, rows_of(5))
         assert oracle.attempts == oracle.max_attempts == 3
-        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.7)]
+        assert oracle.trace == [0.9, 0.8, 0.7]
         assert (oracle.best_score, oracle.best_x.tolist()) == (0.7, [2.0, 0.0])
         assert blocks == ([3] if query is atk.ScoreOracle.batch else [])  # no row past it
 
@@ -259,22 +259,22 @@ class TestOracleBatch:
         with pytest.raises(atk._SearchOver):
             atk.nelder_mead(oracle, np.array([2.0, 0.0]), initial_step=-1.0)
         assert blocks == [1]
-        assert oracle.trace == [(1, 0.7)]
+        assert oracle.trace == [0.7]
         assert (oracle.best_score, oracle.best_x.tolist()) == (0.7, [2.0, 0.0])
 
     def test_nelder_mead_stops_at_the_first_accepted_row(self):
         oracle = table_oracle([0.9, 0.8, 0.3, 0.1], max_attempts=100)
         with pytest.raises(atk._SearchOver):
             atk.nelder_mead(oracle, np.zeros(3), initial_step=[1.0, 2.0, 3.0])
-        assert oracle.trace == [(1, 0.9), (2, 0.8), (3, 0.3)]
+        assert oracle.trace == [0.9, 0.8, 0.3]
         assert (oracle.best_score, oracle.best_x.tolist()) == (0.3, [0.0, 2.0, 0.0])
 
     def test_nan_row_raises_objective_error(self):
         oracle = table_oracle([0.9, 0.8, float("nan"), 0.6])
         with pytest.raises(ObjectiveError):
             atk.nelder_mead(oracle, np.zeros(3), initial_step=[1.0, 2.0, 3.0])
-        assert oracle.trace[:2] == [(1, 0.9), (2, 0.8)]
-        assert oracle.trace[2][0] == 3 and np.isnan(oracle.trace[2][1])
+        assert oracle.trace[:2] == [0.9, 0.8]
+        assert np.isnan(oracle.trace[2])
 
 
 class TestBatchedSimplex:
@@ -309,7 +309,8 @@ class TestBatchedSimplex:
         start, size = blocks[-1]
         assert outcome.success
         assert start + 1 < outcome.attempts < start + size  # neither first nor last row
-        assert outcome.trace[-1] == (outcome.attempts, outcome.best_score)
+        assert (len(outcome.trace), outcome.trace[-1]) == (outcome.attempts,
+                                                           outcome.best_score)
         assert outcome.best_score <= theta
 
     @pytest.mark.parametrize("case", ["feature_space", "template_space"])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -818,6 +819,40 @@ class TestReports:
         first = [path.read_bytes() for path in outputs]
         assert invoke(args).exit_code == 0
         assert [path.read_bytes() for path in outputs] == first
+
+    # sha256 of attack_report.json and attack_trace.csv, taken when each climb
+    # traced (attempt, score) pairs; the stamp's config hash names output_dir,
+    # so the command runs in tmp_path with a relative one
+    ATTACK_PINS = {
+        ("feature_space", "true"): (
+            "422488badd3235b0b822eb25e4f8ddbd47e4251eb9c2fce5fd17e49ebd4f12c3",
+            "8ac1d9fc22907612ade0fe4ac3f3da8e69c4d0fcf65c01beb61a77db7992c9f4"),
+        ("template_space", "true"): (
+            "f882aefa6967bec808497020cc6edb5f6d69ee96539b312725342eeaeae3438c",
+            "6be1a41775e1dbdb77e588da8c3c46c3479ea27ca3bee257b63666471a7d13e2"),
+        ("feature_space", "false"): (
+            "54cfbc579f071bc316af9233bb4dd6900685a1a30300586c43d810f2a9c51c22",
+            "df0c72b736db47f238ef537b248990747f56b3d66036df6574ccb0e74aea90d1"),
+        ("template_space", "false"): (
+            "0f9640127d3c7304a662e86dad9bd1c94a082a81a2663108e308211b5f478330",
+            "e5cb4d24e347f27a7e6ed94a75863d0239553cbbe3211a1b1ea4c47aca146109"),
+    }
+
+    @pytest.mark.parametrize("case, lost_key", sorted(ATTACK_PINS))
+    def test_attack_outputs_are_pinned(self, tmp_path, monkeypatch, case, lost_key):
+        """A campaign with a budget-spent climb (lost key, feature space) and a
+        second attack of 3 keys a success, under both key modes."""
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["attack", "--output_dir=out", f"--attack.case={case}",
+                         "--transform.theta=0.4", "--attack.max_attempts=300",
+                         "--attack.second_attack_keys=3",
+                         f"--transform.lost_key={lost_key}"] + SMALL)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "attack_report.json").read_text())
+        assert report["second_attack"]["n_tests"] > 0
+        assert tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                     for name in ("attack_report.json", "attack_trace.csv")
+                     ) == self.ATTACK_PINS[case, lost_key]
 
     def test_slx_report(self, tmp_path):
         args = ["slx", f"--output_dir={tmp_path}", "--slx.seeds=2",

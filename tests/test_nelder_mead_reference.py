@@ -8,8 +8,9 @@ same loop as a single query. On seeded random objectives, with plateaus and
 ties, infinite and NaN values, accepts and spent budgets anywhere in a block
 or between blocks, both must return the same point and value or raise the
 same exception, and leave the oracle with the same attempts, trace and best
-query, bit for bit. Tier-1 draws the default number of examples;
-`--hypothesis-profile=ci` draws more.
+query, bit for bit. The reference traces (attempt, score) pairs; the oracle
+traces the scores alone, so each pair's attempt must be its position. Tier-1
+draws the default number of examples; `--hypothesis-profile=ci` draws more.
 """
 
 import math
@@ -196,6 +197,13 @@ def problems(draw):
     return problem, step, theta, budget, draw(st.booleans())
 
 
+def scores(pairs: list) -> list:
+    """The reference's (attempt, score) trace as the scores the oracle traces;
+    each attempt must be its pair's position, from 1."""
+    assert [attempt for attempt, _ in pairs] == list(range(1, len(pairs) + 1))
+    return [score for _, score in pairs]
+
+
 def search(nelder_mead, oracle_class, problem, step, theta, budget, batched):
     """Everything a search leaves behind, with exact floats and types."""
     oracle = oracle_class(problem.score, theta, budget, problem.scores)
@@ -206,7 +214,8 @@ def search(nelder_mead, oracle_class, problem, step, theta, budget, batched):
     except (_SearchOver, ObjectiveError, ConfigError) as error:
         result = type(error)
     best_x = None if oracle.best_x is None else oracle.best_x.tobytes()
-    return result, oracle.attempts, repr(oracle.trace), best_x, repr(oracle.best_score)
+    trace = scores(oracle.trace) if oracle_class is ReferenceScoreOracle else oracle.trace
+    return result, oracle.attempts, repr(trace), best_x, repr(oracle.best_score)
 
 
 @settings(deadline=None)
@@ -261,15 +270,16 @@ def test_hill_climb_matches_reference(small_system, monkeypatch, batched,
                                       case, subject, theta, budget, seed):
     config = atk.AttackConfig(case=case, theta=theta, max_attempts=budget, seed=seed)
 
-    def climb():
+    def climb(trace_scores):
         if not batched:
             monkeypatch.delattr(atk.ScoreOracle, "batch")
         outcome = atk.hill_climb_attack(small_system, subject, config)
         monkeypatch.undo()
         return (outcome.success, outcome.attempts, repr(outcome.best_score),
-                outcome.similarity, repr(outcome.trace), outcome.solution.tobytes())
-    changed = climb()
+                outcome.similarity, repr(trace_scores(outcome.trace)),
+                outcome.solution.tobytes())
+    changed = climb(list)
     monkeypatch.setattr(atk, "nelder_mead", reference_nelder_mead)
     monkeypatch.setattr(atk, "ScoreOracle", ReferenceScoreOracle)
-    reference = climb()
+    reference = climb(scores)
     assert changed == reference

@@ -1,12 +1,16 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from neurolock import attacks as atk
 from neurolock import matching_eval as me
 from neurolock import transform as tr
 from neurolock.errors import ConfigError, IncompatibleTemplates
 from neurolock.ingest import Protocol
 from neurolock.pipeline import random_feature_dataset
-from neurolock.system import AuthSystem, SystemConfig, fresh_keys
+from neurolock.system import AccountScorer, AuthSystem, SystemConfig, fresh_keys
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,92 @@ class TestKeyring:
         assert codes.dtype == np.uint8 and np.array_equal(codes, np.stack(expected))
 
 
+class TestKeyLifetime:
+    """The keyring shares a calibrated set among the accounts that hold its
+    key and keeps none that no account holds, so a re-keyed or revoked set
+    dies with its account."""
+
+    @staticmethod
+    def read_every_key(dataset, lost_key):
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                  lost_key=lost_key))
+        for account in system.users.values():
+            account.template
+        return system
+
+    @staticmethod
+    def held(system):
+        return {account.key for account in system.users.values()}
+
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_second_attack_leaves_only_held_keys(self, dataset, lost_key):
+        system = self.read_every_key(dataset, lost_key)
+        solutions = atk.public_data_solutions(system, seed=1)
+        report = atk.second_attack(system, solutions, n_keys=5, seed=2)
+        assert report.n_tests == 5 * len(solutions)
+        assert set(system.keyring.params) == self.held(system)
+
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_second_attack_retains_no_memory_per_key(self, lost_key):
+        """Each calibrated set of this shape takes about 8 KiB; a second attack
+        of 4 solutions keeps what it returns, whatever its number of keys."""
+        dataset = random_feature_dataset(n_subjects=4, n_frames=12, dim=30, seed=3)
+        system = self.read_every_key(dataset, lost_key)
+        solutions = atk.public_data_solutions(system, seed=1)
+        atk.second_attack(system, solutions, n_keys=2, seed=0)  # first-call allocations
+
+        def retained(n_keys, seed):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = atk.second_attack(system, solutions, n_keys=n_keys, seed=seed)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, report
+            finally:
+                tracemalloc.stop()
+        few, _ = retained(2, seed=10)
+        many, report = retained(40, seed=11)
+        assert report.n_tests == 40 * len(solutions)
+        assert many - few < 16 * 1024, (few, many)
+
+    def test_revoke_under_per_user_keys_drops_the_old_key(self, dataset):
+        system = self.read_every_key(dataset, lost_key=False)
+        old = system.users["S002"].key
+        system.revoke("S002", 4321)
+        assert old not in system.keyring.params
+        assert set(system.keyring.params) == self.held(system)
+        assert system.keyring.params[4321] is system.users["S002"].params
+
+    def test_revoke_under_the_lost_key_keeps_the_shared_key(self, dataset):
+        system = self.read_every_key(dataset, lost_key=True)
+        master = system.config.master_key
+        shared = system.keyring.params[master]
+        system.revoke("S002", 4321)
+        system.revoke("S002", 8765)  # the first new key dies with the account it replaced
+        assert set(system.keyring.params) == {master, 8765}
+        assert system.keyring.params[master] is shared is system.users["S001"].params
+
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_each_reissue_calibrates_once(self, dataset, monkeypatch, lost_key):
+        """A fresh account reads the set its reissue calibrated: it is not dropped
+        in between and calibrated again."""
+        system = self.read_every_key(dataset, lost_key)
+        calls = []
+        calibrate = tr.calibrate_params
+        monkeypatch.setattr(tr, "calibrate_params",
+                            lambda *args, **kwargs: calls.append(1) or calibrate(*args,
+                                                                                  **kwargs))
+        for count, key in enumerate((11, 12, 13), 1):
+            fresh = system.reissue("S003", key)
+            assert len(calls) == count
+            assert fresh.template.meta.key_id == fresh.params.key_id
+            AccountScorer(system, fresh)  # built from the account's own set
+            assert len(calls) == count
+        atk.second_attack(system, atk.public_data_solutions(system, seed=1), n_keys=4)
+        assert len(calls) == 3 + 4 * len(system.subjects)
+
+
 class TestQueriesAndVerify:
     def test_self_query_on_enrollment_frames_matches_exactly(self, dataset):
         config = SystemConfig(enroll_frames=5, query_frames=5)
@@ -182,6 +272,35 @@ class TestWindows:
             system.windows("S002", -1, 1)
         with pytest.raises(ConfigError, match="at least one frame"):
             system.windows("S002", 0, 0)
+
+    @pytest.mark.parametrize("sources, starts, bad", [
+        ("S002", 3.5, "3.5"),
+        ("S002", [1, 2.5], "2.5"),
+        ("S002", True, "True"),
+        ("S002", np.array([1.0, 2.0]), "1.0"),
+        (["S001", "S002"], np.array([True, False]), "True"),
+        ("S002", [0, 2 ** 64, 0.5], "0.5"),
+    ], ids=["float", "float-in-list", "bool", "whole-float-array", "bool-array",
+            "float-beside-a-big-int"])
+    def test_non_integer_start_refused_before_any_gather(self, system, monkeypatch,
+                                                         sources, starts, bad):
+        monkeypatch.setattr(system, "_gather", lambda *args: pytest.fail("gathered"))
+        with pytest.raises(ConfigError, match=f"^a frame offset must be an integer, got {bad}$"):
+            system.windows(sources, starts, 1)
+
+    @pytest.mark.parametrize("n_frames", [1.5, True, 2.0, "2"])
+    def test_non_integer_window_length_refused_before_any_gather(self, system, monkeypatch,
+                                                                 n_frames):
+        monkeypatch.setattr(system, "_gather", lambda *args: pytest.fail("gathered"))
+        with pytest.raises(ConfigError, match=f"at least one frame, got {n_frames!r}$"):
+            system.windows("S002", 0, n_frames)
+
+    def test_numpy_integers_are_integers(self, system):
+        want = system.windows("S002", [3, 5], 2)
+        for starts, n_frames in ((np.array([3, 5], dtype=np.uint8), np.int64(2)),
+                                 ([np.int32(3), 5], np.uint16(2))):
+            got = system.windows("S002", starts, n_frames)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("start", [2 ** 63, 2 ** 64, 10 ** 23, -2 ** 63 - 1, -10 ** 23])
