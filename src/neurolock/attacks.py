@@ -471,7 +471,9 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
 
     For every solution and every fresh key the account is re-enrolled from
     its true features under the new key; feature solutions are scored by the
-    re-keyed account's `AccountScorer`, template solutions bit-for-bit.
+    re-keyed account's `AccountScorer`, template solutions bit for bit: packed
+    once, they are counted against the re-keyed account's enrolled gray bytes
+    (`UserAccount.codes`) by `transform.packed_hamming`.
     """
     if n_keys < 1:
         raise ConfigError(f"a second attack needs at least one fresh key, got {n_keys}")
@@ -482,7 +484,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
         if s.kind == "feature" and np.shape(s.payload) != (2 * system.dim,):
             raise ShapeError(f"feature solution for {s.subject} is not {2 * system.dim} values")
         if s.kind == "template":
-            n_bits = account.template.n_bits
+            n_bits = tr.BITS_PER_DIM * account.params.n_out
             bits = np.asarray(s.payload)
             if (bits.shape != (n_bits,) or bits.dtype.kind not in "biu"
                     or not np.isin(bits, (0, 1)).all()):
@@ -493,13 +495,15 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     scores, sims, per_solution = [], [], []
     for solution in solutions:
         account = system.users[solution.subject]
+        packed = np.packbits(solution.payload) if solution.kind == "template" else None
         sol_scores = []
         for new_key in fresh_keys(rng, n_keys, forbidden={account.key}):
             fresh = system.reissue(solution.subject, new_key)
             if solution.kind == "feature":
                 sol_scores.append(AccountScorer(system, fresh).feature_score(solution.payload))
             else:
-                sol_scores.append(tr.hamming_score(solution.payload, fresh.template.bits)[1])
+                raw = tr.packed_hamming(packed, fresh.codes)
+                sol_scores.append(float(raw / (tr.BITS_PER_DIM * packed.size)))
         if solution.kind == "feature":
             sims.append(cosine_similarity(solution.payload, account.true_features))
         else:

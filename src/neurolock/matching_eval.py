@@ -7,7 +7,8 @@ genuine query, and one frame group from every other subject is one impostor
 query. All scores are normalized Hamming distances (smaller = more similar).
 The protocols score gray bytes end to end: each distinct key encodes the
 stacked windows it needs once with `transform.encode_bytes`, and every
-distance is `score_pairs` of those bytes and the enrolled templates' bytes.
+distance is `score_pairs` of those bytes and the accounts' enrolled gray
+bytes (`AuthSystem.codes`); no template is built.
 Every key is calibrated by the system's `Keyring`, which also encodes the
 enrollment under each new key of the revocability protocol.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from . import transform as tr
 from .errors import ConfigError, IncompatibleTemplates, LengthError
 from .pipeline import FeatureDataset
-from .system import AuthSystem, SystemConfig, fresh_keys
+from .system import AuthSystem, SystemConfig, accounts_by_key, fresh_keys
 
 MIN_UNLINK_SCORES = 100  # mated and non-mated scores each, for `unlinkability`'s densities
 
@@ -178,10 +179,10 @@ def system_tests(system: AuthSystem) -> tuple[np.ndarray, np.ndarray]:
     the F_e enrollment frames. Impostor: per subject, one query from every
     other subject's first post-enrollment frame group, transformed with the
     claimed account's parameters. Each query is scored against the claimed
-    account's enrolled template; scores run by claimed subject, then query.
-    Every genuine window is cut in one `windows` call, and each distinct key
-    encodes the windows its accounts are scored against once: under the
-    shared lost key, every window once.
+    account's enrolled gray bytes (`AuthSystem.codes`); scores run by claimed
+    subject, then query. Every genuine window is cut in one `windows` call,
+    and each distinct key encodes the windows its accounts are scored against
+    once: under the shared lost key, every window once.
     """
     enroll_frames, query_frames = system.config.enroll_frames, system.config.query_frames
     subjects = system.subjects
@@ -193,11 +194,11 @@ def system_tests(system: AuthSystem) -> tuple[np.ndarray, np.ndarray]:
     first = np.cumsum(n_queries) - n_queries
     v1, v2 = system.windows(np.asarray(subjects)[owner], enroll_frames + query_frames
                             * (np.arange(owner.size) - first[owner]), query_frames)
-    enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
+    enrolled = system.codes()
     genuine = np.empty(owner.size)
     impostor = np.empty((len(subjects), len(subjects)))
     codes = np.empty((owner.size, enrolled.shape[-1]), dtype=np.uint8)
-    for key, claims in _accounts_by_key(accounts).items():
+    for claims in accounts_by_key(accounts).values():
         # encode what any of the key's accounts is scored against, once each
         mine = np.isin(owner, claims)
         needed = mine.copy()
@@ -216,21 +217,14 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
                                                     query_frames=query_frames)))
 
 
-def _accounts_by_key(accounts: list) -> dict[int, list[int]]:
-    """Indices of the accounts under each distinct key, in account order."""
-    groups: dict[int, list[int]] = {}
-    for index, account in enumerate(accounts):
-        groups.setdefault(account.key, []).append(index)
-    return groups
-
-
 def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Normalized Hamming distances of enrolled gray bytes to query gray bytes.
 
     Byte strings run along the last axis and leading axes broadcast: one
-    enrolled template against a batch of queries, or batch against batch.
-    `transform.packed_hamming` counts the differing bits, so the scores
-    equal `transform.hamming_score`'s over the unpacked bits.
+    account's bytes against a batch of queries, or batch against batch.
+    `transform.packed_hamming` counts the differing bits a machine word at a
+    time, so the scores equal `transform.hamming_score`'s over the unpacked
+    bits.
     """
     n_bytes = enrolled.shape[-1]
     if queries.shape[-1] != n_bytes:
@@ -273,14 +267,15 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
 
 def revocability_scores(system: AuthSystem, keys: list[int]) -> np.ndarray:
     """Pseudo-impostor scores, by account, then key: each account's enrolled
-    template against its enrollment frames encoded under each new key by the
-    system's `Keyring`. The keys must be new to every account."""
+    gray bytes (`AuthSystem.codes`) against its enrollment frames encoded
+    under each new key by the system's `Keyring`. The keys must be new to
+    every account."""
     if not keys:
         raise ConfigError("revocability needs at least one new key")
     accounts = [system.users[s] for s in system.subjects]
     if {a.key for a in accounts}.intersection(keys):
         raise ConfigError("the revocation keys include a key an account holds")
-    enrolled = np.stack([np.packbits(a.template.bits) for a in accounts])
+    enrolled = system.codes()
     scores = [score_pairs(enrolled, system.keyring.enrolled_codes(key)) for key in keys]
     return np.stack(scores, axis=-1).ravel()
 

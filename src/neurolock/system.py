@@ -6,11 +6,14 @@ to hold it); otherwise each user gets a key drawn from the master key.
 `reissue` and `revoke` are the one way to give an account another key. Every
 key is calibrated by the system's `Keyring`: an account's as its `params` are
 first read (it alone holds the set), a revocation key's as it encodes the
-enrollment under it. Every query is a frame window cut by `windows`, within the
-frame pairs that `usable_frames` counts, and encoded under the claimed
-account's key. Every raw attack query is scored by an account's `AccountScorer`
-(`scorer`, or one built over a `reissue`d state); `feature_query_bits` and
-`score_bits` are the checked reference path whose scores it equals.
+enrollment under it. Every account keeps its enrolled gray bytes, which the
+protocols and the scorers count against; `codes` encodes them for the whole
+population, once per distinct key. Every query is a frame window cut by
+`windows`, within the frame pairs that `usable_frames` counts, and encoded
+under the claimed account's key. Every raw attack query is scored by an
+account's `AccountScorer` (`scorer`, or one built over a `reissue`d state);
+`feature_query_bits` and `score_bits` are the checked reference path whose
+scores it equals.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class SystemConfig:
 
 @dataclass
 class UserAccount:
+    """One enrolled account: its key and enrollment frames, and what it derives
+    from them on first read and keeps: `params`, its enrolled gray bytes
+    `codes`, which every scoring path counts against, and `template`."""
+
     subject_id: str
     key: int                   # the user key; `params` are its calibrated set
     enroll_v1: np.ndarray      # F_e x dim, standardized working space
@@ -71,6 +78,13 @@ class UserAccount:
         return self.keyring(self.key)
 
     @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """The enrolled gray bytes, one per projected dimension: `encode_bytes` of
+        all F_e frame pairs under `params`, which are `template`'s bits packed.
+        Encoded on first read, or with every account's by `AuthSystem.codes`."""
+        return tr.encode_bytes(self.enroll_v1, self.enroll_v2, self.params)
+
+    @functools.cached_property
     def template(self) -> tr.CancellableTemplate:
         """The enrolled template of all F_e frame pairs under `params`, built on
         first read."""
@@ -81,6 +95,14 @@ class UserAccount:
     def true_features(self) -> np.ndarray:
         """Mean raw enrollment feature pair (reference for attack similarity)."""
         return np.concatenate([self.raw_v1.mean(axis=0), self.raw_v2.mean(axis=0)])
+
+
+def accounts_by_key(accounts: list[UserAccount]) -> dict[int, list[int]]:
+    """Indices of the accounts under each distinct key, in account order."""
+    groups: dict[int, list[int]] = {}
+    for index, account in enumerate(accounts):
+        groups.setdefault(account.key, []).append(index)
+    return groups
 
 
 class Accounts(dict):
@@ -152,8 +174,9 @@ class AuthSystem:
         self.config = config
         self.dim = dataset.dim
         raw: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._usable_frames: dict[str, int] = {}
         for subject in dataset.subjects:
-            n_frames = self.usable_frames(subject)
+            n_frames = self._usable_frames[subject] = self.usable_frames(subject)
             if n_frames < config.enroll_frames + config.query_frames:
                 raise ConfigError(
                     f"subject {subject}: {n_frames} frames < F_e + F_t = "
@@ -200,12 +223,31 @@ class AuthSystem:
     def subjects(self) -> list[str]:
         return sorted(self.users)
 
+    def codes(self) -> np.ndarray:
+        """Every account's enrolled gray bytes (`UserAccount.codes`), a row per
+        account in subject order. The accounts that have not encoded theirs
+        are encoded together: one `encode_bytes` call per distinct key over
+        that key's stacked enrollment windows, so under the shared lost key one
+        call for the whole population."""
+        accounts = [self.users[subject] for subject in self.subjects]
+        pending = [account for account in accounts if "codes" not in vars(account)]
+        for group in accounts_by_key(pending).values():
+            held = [pending[index] for index in group]
+            rows = tr.encode_bytes(np.stack([a.enroll_v1 for a in held]),
+                                   np.stack([a.enroll_v2 for a in held]), held[0].params)
+            for account, row in zip(held, rows):
+                vars(account)["codes"] = row  # where cached_property keeps its value
+        return np.stack([account.codes for account in accounts])
+
     # -- query construction -------------------------------------------------
 
     def usable_frames(self, subject: str) -> int:
-        """Frame pairs `subject` offers: the shorter of its two protocol streams."""
-        return min(self.dataset.n_frames(subject, protocol)
-                   for protocol in PROTOCOL_PAIR)
+        """Frame pairs `subject` offers: the shorter of its two protocol streams,
+        counted once when the system is built. Any other subject is counted in
+        the dataset, which names an unknown one in a ConfigError."""
+        if subject in self._usable_frames:
+            return self._usable_frames[subject]
+        return min(self.dataset.n_frames(subject, protocol) for protocol in PROTOCOL_PAIR)
 
     def windows(self, sources, starts, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
         """Standardized frame windows: the one way a query reads its frames.
@@ -213,21 +255,25 @@ class AuthSystem:
         `sources` (subject ids) and `starts` (frame offsets) broadcast; each
         entry of the broadcast shape is one window of n_frames frame pairs, so
         v1 and v2 have shape broadcast.shape + (n_frames, dim). A start or an
-        n_frames that is not an integer (a float, even a whole one, or a bool),
-        a negative start, or a window past the subject's usable frames raises
-        ConfigError before any frame is read. The frames of every subject named
-        are stacked once per protocol and every window is read from the stack
-        in one gather.
+        n_frames that is not an integer (a float, even a whole one, or a bool,
+        also one inside a list of ints), a negative start, or a window past the
+        subject's usable frames raises ConfigError before any frame is read.
+        The frames of every subject named are stacked once per protocol and
+        every window is read from the stack in one gather.
         """
         if not is_a(n_frames, numbers.Integral) or n_frames < 1:
             raise ConfigError(f"a window needs an integer count of at least one frame, "
                               f"got {n_frames!r}")
         offsets = np.asarray(starts)
-        if offsets.dtype.kind not in "iu":  # ints past int64 come as float or object arrays,
-            offsets = np.asarray(starts, dtype=object)  # so read each start as given
-            for offset in offsets.ravel().tolist():
+        if not (isinstance(starts, np.ndarray) and offsets.dtype.kind in "iu"):
+            # read each start as given: numpy makes [1, True] an int array, and
+            # ints past int64 a float or object one
+            given = np.asarray(starts, dtype=object)
+            for offset in given.ravel().tolist():
                 if not is_a(offset, numbers.Integral):
                     raise ConfigError(f"a frame offset must be an integer, got {offset!r}")
+            if offsets.dtype.kind not in "iu":
+                offsets = given
         sources, starts = np.broadcast_arrays(np.asarray(sources), offsets)
         names, seen, which = np.unique(sources, return_index=True, return_inverse=True)
         which = which.reshape(sources.shape)
@@ -300,14 +346,14 @@ class AccountScorer:
     one projected vector; each returns exactly what `score_bits` gives for
     `feature_query_bits` or `gray_encode` of the same input. Every float step
     keeps the reference chain's order and form. The gray bytes, one per
-    projected value, are read as one integer and XORed with the enrolled
-    template's bytes read the same way; its set-bit count is the integer
-    that the reference's unpacked XOR-and-sum gives.
+    projected value, are read as one integer and XORed with the account's
+    enrolled gray bytes (`UserAccount.codes`) read the same way; its set-bit
+    count is the integer that the reference's unpacked XOR-and-sum gives.
     `feature_scores` and `projected_scores` score a (k, ·) block of such
     vectors at once, each row exactly as the single-query method scores it:
     the same elementwise steps, `project`'s one vector-matrix product per
-    row, and the packed gray bytes XORed with the enrolled bytes and counted
-    by `transform.packed_hamming`. One query alone is faster through the
+    row, and the gray bytes XORed with the enrolled bytes and counted by
+    `transform.packed_hamming`. One query alone is faster through the
     single-query methods, a block of tens of queries through the batch ones.
     Queries are not checked: they must be float vectors of the right length.
     The scorer does not follow a later `revoke`; build a new one.
@@ -325,9 +371,9 @@ class AccountScorer:
         self._projection = params.projection
         self._lo, self._hi = params.quant_range[:, 0], params.quant_range[:, 1]
         self._scale = tr.LEVELS / (self._hi - self._lo)
-        self._enrolled_bytes = np.packbits(account.template.bits)
+        self._enrolled_bytes = account.codes
         self._enrolled = _as_int(self._enrolled_bytes)
-        self._n_bits = account.template.n_bits
+        self._n_bits = tr.BITS_PER_DIM * self._enrolled_bytes.size
 
     def feature_score(self, x: np.ndarray) -> float:
         """Score of one raw feature pair, v1 and v2 concatenated."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -347,13 +348,17 @@ def packed_hamming(bytes_a: np.ndarray, bytes_b: np.ndarray) -> np.ndarray:
     """Differing bit counts of bit strings packed MSB-first into uint8 bytes.
 
     Strings run along the last axis and leading axes broadcast, as in
-    `hamming_score`, whose raw counts these equal: `np.bitwise_count` counts
-    each XORed byte's set bits in place, and the sum of the bytes' counts is
-    the sum of the unpacked XOR. The evaluation protocols and the batch
-    scorer count gray code bytes here without ever unpacking them.
+    `hamming_score`, whose raw counts these equal, as uint64. The XORed
+    bytes are read as the widest unsigned words (8, 4, 2 or 1 bytes) that
+    divide a string's length, so 60 bytes are 15 uint32 words;
+    `np.bitwise_count` counts each word's set bits, and one reduction sums
+    a string's counts, which is the sum of the unpacked XOR. The evaluation
+    protocols and the batch scorer count gray code bytes here without ever
+    unpacking them.
     """
-    xor = np.bitwise_xor(bytes_a, bytes_b)
-    return np.bitwise_count(xor, out=xor).sum(axis=-1)
+    xor = np.ascontiguousarray(np.bitwise_xor(bytes_a, bytes_b))  # `view` needs C order
+    words = xor.view(f"u{math.gcd(xor.shape[-1], 8)}")
+    return np.einsum("...i->...", np.bitwise_count(words), dtype=np.uint64)
 
 
 def match(query: CancellableTemplate, enrolled: CancellableTemplate,

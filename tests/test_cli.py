@@ -854,6 +854,29 @@ class TestReports:
                      for name in ("attack_report.json", "attack_trace.csv")
                      ) == self.ATTACK_PINS[case, lost_key]
 
+    # sha256 of eval_report.json, roc.csv and score_histograms.csv; 4 subjects
+    # give 3 keys 36 of unlinkability's 100 non-mated scores, so the pin adds
+    # subjects, and runs in tmp_path with a relative output_dir, as above
+    EVAL_PINS = {
+        "true": ("e938dde37089ab39708e376283229fea4875e88ec65c601c1ccbf98bb7e3ca2f",
+                 "e0ccbfaa8978b27e3d279bec8d3f3d9d9075695899c3b801871aa66b8cdcb653",
+                 "5a71c2ec85e0727a8481e2cb74df0a51c4d423d7ccad24b962e4940aa4c318b3"),
+        "false": ("644e7da736197a7edaff0d6fa01ef237123e7a55526b5708eff1e072021a2835",
+                  "5ad0a64546c34ba6a81c1245e57133350c1b5b70224ba6ca98d5bae3454d9b1c",
+                  "43a13a938fd580dd0cc6f9cea0598d526defb805e13613d3cfc76457d063e1d5"),
+    }
+
+    @pytest.mark.parametrize("lost_key", sorted(EVAL_PINS))
+    def test_eval_outputs_are_pinned(self, tmp_path, monkeypatch, lost_key):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["eval", "--output_dir=out", "--eval.revocability_keys=3",
+                         "--eval.unlink_keys=3", f"--transform.lost_key={lost_key}"]
+                        + SMALL + ["--dataset.synthetic.n_subjects=7"])
+        assert result.exit_code == 0, result.output
+        assert tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                     for name in ("eval_report.json", "roc.csv", "score_histograms.csv")
+                     ) == self.EVAL_PINS[lost_key]
+
     def test_slx_report(self, tmp_path):
         args = ["slx", f"--output_dir={tmp_path}", "--slx.seeds=2",
                 "--dataset.synthetic.n_subjects=5",

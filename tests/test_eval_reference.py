@@ -520,11 +520,21 @@ def test_windows_with_no_window_match_reference(random_dataset):
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([((7,), (7,)), ((3, 5), (5,)),
-                                                     ((4, 1, 6), (1, 3, 6)), ((2, 9), (2, 9))]))
-def test_packed_hamming_matches_reference(seed, shapes):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 70),
+       st.sampled_from([((), ()), ((3,), ()), ((3, 5), (5,)), ((4, 1, 6), (1, 3, 6)),
+                        ((2, 9), (2, 9)), ((0,), ()), ((0, 3), (1, 3))]),
+       st.sampled_from(["C", "F", "reversed"]))
+def test_packed_hamming_matches_reference(seed, n_bytes, shapes, layout):
+    """Every string length from 1 to 70 bytes, so every word width; strings
+    that broadcast or number none, and F-ordered or reversed inputs, whose
+    XOR is not C-contiguous."""
     rng = np.random.default_rng(seed)
-    a, b = (rng.integers(0, 256, size=shape, dtype=np.uint8) for shape in shapes)
+    a, b = (rng.integers(0, 256, size=shape + (n_bytes,), dtype=np.uint8)
+            for shape in shapes)
+    if layout == "F":
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    elif layout == "reversed":
+        a, b = a[(slice(None, None, -1),) * a.ndim], b[(slice(None, None, -1),) * b.ndim]
     assert same_bits(tr.packed_hamming(a, b), reference_packed_hamming(a, b))
 
 

@@ -77,6 +77,45 @@ class TestEnrollment:
                                   account.params.quant_range)
 
 
+class TestEnrolledCodes:
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """Row counts of the enrollment stacks passed to transform.encode_bytes."""
+        calls = []
+        original = tr.encode_bytes
+
+        def counted(v1, v2, params):
+            calls.append(v1.reshape(-1, *v1.shape[-2:]).shape[0])
+            return original(v1, v2, params)
+        monkeypatch.setattr(tr, "encode_bytes", counted)
+        return calls
+
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_codes_are_the_packed_template(self, dataset, encoded, lost_key):
+        """Every account's gray bytes, encoded once per distinct key, equal its
+        template's bits packed: after a revoke, and for a reissued account."""
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                  lost_key=lost_key))
+        system.revoke("S002", 4242)
+        codes = system.codes()
+        assert encoded == ([5, 1] if lost_key else [1] * 6)
+        assert codes.dtype == np.uint8
+        assert codes.shape == (6, system.users["S001"].params.n_out)
+        for row, subject in zip(codes, system.subjects):
+            account = system.users[subject]
+            assert np.array_equal(row, account.codes)
+            assert np.array_equal(account.codes, np.packbits(account.template.bits))
+        encoded.clear()
+        assert np.array_equal(system.codes(), codes) and encoded == []
+        reissued = system.reissue("S004", 777)
+        assert np.array_equal(reissued.codes, np.packbits(reissued.template.bits))
+        system.revoke("S005", 778)
+        encoded.clear()
+        row = system.codes()[4]
+        assert encoded == [1]
+        assert np.array_equal(row, np.packbits(system.users["S005"].template.bits))
+
+
 class TestKeyring:
     @pytest.mark.parametrize("lost_key", [True, False])
     def test_enrolled_codes_encode_each_enrollment_under_the_calibrated_key(
@@ -280,8 +319,13 @@ class TestWindows:
         ("S002", np.array([1.0, 2.0]), "1.0"),
         (["S001", "S002"], np.array([True, False]), "True"),
         ("S002", [0, 2 ** 64, 0.5], "0.5"),
+        ("S002", [1, True], "True"),
+        (["S001", "S002"], (True, 2), "True"),
+        ("S002", np.array([1, True], dtype=object), "True"),
+        ("S002", [[1], [np.True_]], "np.True_"),
     ], ids=["float", "float-in-list", "bool", "whole-float-array", "bool-array",
-            "float-beside-a-big-int"])
+            "float-beside-a-big-int", "bool-in-list", "bool-in-tuple", "bool-in-object-array",
+            "numpy-bool-in-nested-list"])
     def test_non_integer_start_refused_before_any_gather(self, system, monkeypatch,
                                                          sources, starts, bad):
         monkeypatch.setattr(system, "_gather", lambda *args: pytest.fail("gathered"))
@@ -311,6 +355,16 @@ class TestWindows:
         for sources, starts in (("S002", start), (["S001", "S002"], [0, start])):
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 system.windows(sources, starts, 1)
+
+    def test_usable_frames_are_counted_once(self, dataset, monkeypatch):
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1))
+        monkeypatch.setattr(dataset, "n_frames", lambda *args: pytest.fail("counted again"))
+        me.system_tests(system)
+        me.revocability_scores(system, [4242])
+        assert [system.usable_frames(s) for s in system.subjects] == [20] * 6
+        monkeypatch.undo()
+        with pytest.raises(ConfigError, match="^no features for subject 'S009' / EO$"):
+            system.usable_frames("S009")
 
     def test_usable_frames_is_the_shorter_stream(self):
         dataset = random_feature_dataset(n_subjects=3, n_frames=12, dim=6, seed=4)
@@ -409,6 +463,12 @@ class TestLazyTemplates:
         assert system.users["S002"].template is system.users["S002"].template
         assert built == ["S002"]
 
-    def test_protocol_tests_builds_one_per_account(self, dataset, built):
-        me.protocol_tests(dataset, 5, 1, SystemConfig())
-        assert built == dataset.subjects
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_protocol_tests_builds_no_template(self, dataset, built, lost_key):
+        """The protocols and the scorer count the accounts' gray bytes."""
+        config = SystemConfig(enroll_frames=5, query_frames=1, lost_key=lost_key)
+        me.protocol_tests(dataset, 5, 1, config)
+        system = AuthSystem(dataset, config)
+        me.revocability_scores(system, [4242])
+        system.scorer("S003").feature_score(np.ones(2 * system.dim))
+        assert built == []
