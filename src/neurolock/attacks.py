@@ -20,6 +20,7 @@ import numpy as np
 from . import transform as tr
 from .errors import MAX_COUNT, ConfigError, ObjectiveError, ShapeError, require
 from .ingest import PROTOCOL_PAIR
+from .matching_eval import score_pairs
 from .pipeline import stable_int
 from .system import AccountScorer, AuthSystem, fresh_keys
 
@@ -473,7 +474,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
     its true features under the new key; feature solutions are scored by the
     re-keyed account's `AccountScorer`, template solutions bit for bit: packed
     once, they are counted against the re-keyed account's enrolled gray bytes
-    (`UserAccount.codes`) by `transform.packed_hamming`.
+    (`UserAccount.codes`) by `matching_eval.score_pairs`.
     """
     if n_keys < 1:
         raise ConfigError(f"a second attack needs at least one fresh key, got {n_keys}")
@@ -502,8 +503,7 @@ def second_attack(system: AuthSystem, solutions: list[Solution],
             if solution.kind == "feature":
                 sol_scores.append(AccountScorer(system, fresh).feature_score(solution.payload))
             else:
-                raw = tr.packed_hamming(packed, fresh.codes)
-                sol_scores.append(float(raw / (tr.BITS_PER_DIM * packed.size)))
+                sol_scores.append(float(score_pairs(packed, fresh.codes)))
         if solution.kind == "feature":
             sims.append(cosine_similarity(solution.payload, account.true_features))
         else:

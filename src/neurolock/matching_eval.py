@@ -22,7 +22,7 @@ import numpy as np
 from . import transform as tr
 from .errors import ConfigError, IncompatibleTemplates, LengthError
 from .pipeline import FeatureDataset
-from .system import AuthSystem, SystemConfig, accounts_by_key, fresh_keys
+from .system import AuthSystem, SystemConfig, fresh_keys
 
 MIN_UNLINK_SCORES = 100  # mated and non-mated scores each, for `unlinkability`'s densities
 
@@ -198,7 +198,7 @@ def system_tests(system: AuthSystem) -> tuple[np.ndarray, np.ndarray]:
     genuine = np.empty(owner.size)
     impostor = np.empty((len(subjects), len(subjects)))
     codes = np.empty((owner.size, enrolled.shape[-1]), dtype=np.uint8)
-    for claims in accounts_by_key(accounts).values():
+    for claims in _accounts_by_key(accounts).values():
         # encode what any of the key's accounts is scored against, once each
         mine = np.isin(owner, claims)
         needed = mine.copy()
@@ -215,6 +215,14 @@ def protocol_tests(dataset: FeatureDataset, enroll_frames: int, query_frames: in
     config = SystemConfig() if config is None else config
     return system_tests(AuthSystem(dataset, replace(config, enroll_frames=enroll_frames,
                                                     query_frames=query_frames)))
+
+
+def _accounts_by_key(accounts: list) -> dict[int, list[int]]:
+    """Indices of the accounts under each distinct key, in account order."""
+    groups: dict[int, list[int]] = {}
+    for index, account in enumerate(accounts):
+        groups.setdefault(account.key, []).append(index)
+    return groups
 
 
 def score_pairs(enrolled: np.ndarray, queries: np.ndarray) -> np.ndarray:

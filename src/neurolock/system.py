@@ -7,13 +7,12 @@ to hold it); otherwise each user gets a key drawn from the master key.
 key is calibrated by the system's `Keyring`: an account's as its `params` are
 first read (it alone holds the set), a revocation key's as it encodes the
 enrollment under it. Every account keeps its enrolled gray bytes, which the
-protocols and the scorers count against; `codes` encodes them for the whole
-population, once per distinct key. Every query is a frame window cut by
-`windows`, within the frame pairs that `usable_frames` counts, and encoded
-under the claimed account's key. Every raw attack query is scored by an
-account's `AccountScorer` (`scorer`, or one built over a `reissue`d state);
-`feature_query_bits` and `score_bits` are the checked reference path whose
-scores it equals.
+protocols and the scorers count against; `codes` stacks them in subject
+order. Every query is a frame window cut by `windows`, within the frame
+pairs that `usable_frames` counts, and encoded under the claimed account's
+key. Every raw attack query is scored by an account's `AccountScorer`
+(`scorer`, or one built over a `reissue`d state); `feature_query_bits` and
+`score_bits` are the checked reference path whose scores it equals.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class UserAccount:
     def codes(self) -> np.ndarray:
         """The enrolled gray bytes, one per projected dimension: `encode_bytes` of
         all F_e frame pairs under `params`, which are `template`'s bits packed.
-        Encoded on first read, or with every account's by `AuthSystem.codes`."""
+        Encoded on first read."""
         return tr.encode_bytes(self.enroll_v1, self.enroll_v2, self.params)
 
     @functools.cached_property
@@ -95,14 +94,6 @@ class UserAccount:
     def true_features(self) -> np.ndarray:
         """Mean raw enrollment feature pair (reference for attack similarity)."""
         return np.concatenate([self.raw_v1.mean(axis=0), self.raw_v2.mean(axis=0)])
-
-
-def accounts_by_key(accounts: list[UserAccount]) -> dict[int, list[int]]:
-    """Indices of the accounts under each distinct key, in account order."""
-    groups: dict[int, list[int]] = {}
-    for index, account in enumerate(accounts):
-        groups.setdefault(account.key, []).append(index)
-    return groups
 
 
 class Accounts(dict):
@@ -225,19 +216,8 @@ class AuthSystem:
 
     def codes(self) -> np.ndarray:
         """Every account's enrolled gray bytes (`UserAccount.codes`), a row per
-        account in subject order. The accounts that have not encoded theirs
-        are encoded together: one `encode_bytes` call per distinct key over
-        that key's stacked enrollment windows, so under the shared lost key one
-        call for the whole population."""
-        accounts = [self.users[subject] for subject in self.subjects]
-        pending = [account for account in accounts if "codes" not in vars(account)]
-        for group in accounts_by_key(pending).values():
-            held = [pending[index] for index in group]
-            rows = tr.encode_bytes(np.stack([a.enroll_v1 for a in held]),
-                                   np.stack([a.enroll_v2 for a in held]), held[0].params)
-            for account, row in zip(held, rows):
-                vars(account)["codes"] = row  # where cached_property keeps its value
-        return np.stack([account.codes for account in accounts])
+        account in subject order."""
+        return np.stack([self.users[subject].codes for subject in self.subjects])
 
     # -- query construction -------------------------------------------------
 

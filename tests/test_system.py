@@ -80,7 +80,7 @@ class TestEnrollment:
 class TestEnrolledCodes:
     @pytest.fixture
     def encoded(self, monkeypatch):
-        """Row counts of the enrollment stacks passed to transform.encode_bytes."""
+        """Enrollment windows passed to transform.encode_bytes, one count a call."""
         calls = []
         original = tr.encode_bytes
 
@@ -92,13 +92,13 @@ class TestEnrolledCodes:
 
     @pytest.mark.parametrize("lost_key", [True, False])
     def test_codes_are_the_packed_template(self, dataset, encoded, lost_key):
-        """Every account's gray bytes, encoded once per distinct key, equal its
-        template's bits packed: after a revoke, and for a reissued account."""
+        """Every account's gray bytes, encoded once each, equal its template's
+        bits packed: after a revoke, and for a reissued account."""
         system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
                                                   lost_key=lost_key))
         system.revoke("S002", 4242)
         codes = system.codes()
-        assert encoded == ([5, 1] if lost_key else [1] * 6)
+        assert encoded == [1] * 6
         assert codes.dtype == np.uint8
         assert codes.shape == (6, system.users["S001"].params.n_out)
         for row, subject in zip(codes, system.subjects):
