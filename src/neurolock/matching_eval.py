@@ -9,8 +9,8 @@ The protocols score gray bytes end to end: each distinct key encodes the
 stacked windows it needs once with `transform.encode_bytes`, and every
 distance is `score_pairs` of those bytes and the accounts' enrolled gray
 bytes (`AuthSystem.codes`); no template is built.
-Every key is calibrated by the system's `Keyring`, which also encodes the
-enrollment under each new key of the revocability protocol.
+Every key is calibrated by the system's `Keyring`, which encodes every
+account's enrollment under it in the same pass, new revocation keys too.
 """
 
 from __future__ import annotations
@@ -275,16 +275,16 @@ def decidability_protocol(dataset: FeatureDataset, subject: str,
 
 def revocability_scores(system: AuthSystem, keys: list[int]) -> np.ndarray:
     """Pseudo-impostor scores, by account, then key: each account's enrolled
-    gray bytes (`AuthSystem.codes`) against its enrollment frames encoded
-    under each new key by the system's `Keyring`. The keys must be new to
-    every account."""
+    gray bytes (`AuthSystem.codes`) against its row of each new key's
+    calibrated `codes` from the system's `Keyring`, which keeps no such set
+    past its use. The keys must be new to every account."""
     if not keys:
         raise ConfigError("revocability needs at least one new key")
     accounts = [system.users[s] for s in system.subjects]
     if {a.key for a in accounts}.intersection(keys):
         raise ConfigError("the revocation keys include a key an account holds")
     enrolled = system.codes()
-    scores = [score_pairs(enrolled, system.keyring.enrolled_codes(key)) for key in keys]
+    scores = [score_pairs(enrolled, system.keyring(key).codes) for key in keys]
     return np.stack(scores, axis=-1).ravel()
 
 

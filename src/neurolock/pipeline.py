@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baseline_features as bf
 from . import connectivity, dsp, graph_features
-from .errors import ConfigError, ShapeError, error_context, is_a, require
+from .errors import ConfigError, DegenerateSignal, ShapeError, error_context, is_a, require
 from .ingest import PROTOCOL_PAIR, Protocol, Recording, atomic_write, csv_text
 
 FEATURE_KINDS = ("graph", *(kind.value for kind in bf.BaselineKind))
@@ -122,9 +122,12 @@ def extract_frame_features(recording: Recording, config: DspConfig,
     with error_context(f"subject {recording.subject_id!r} / {recording.protocol_tag.value}"):
         bands = check_extraction(config, recording.fs, kind)
         dsp.check_padding(recording.n_samples, config.fir_order)  # before designing taps
-        rec = dsp.detrend(recording)
-        for band in bands:
-            rec = dsp.filter_zero_phase(rec, dsp.design_bandpass(rec.fs, *band, config.fir_order))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below unless finite
+            rec = dsp.detrend(recording)
+            for taps in (dsp.design_bandpass(rec.fs, *band, config.fir_order) for band in bands):
+                rec = dsp.filter_zero_phase(rec, taps)
+        if not np.isfinite(rec.data).all():
+            raise DegenerateSignal("samples too large: the detrended, filtered signal overflows")
         frames = dsp.frame(rec, config.frame_seconds, config.overlap)
         if kind != "graph":
             return np.stack([bf.baseline_vector(fr, rec.fs, bf.BaselineKind(kind))

@@ -4,15 +4,16 @@ Templates are enrolled from the first F_e frame pairs of each subject. In the
 lost-key evaluation scenario every user shares one key (the attacker is assumed
 to hold it); otherwise each user gets a key drawn from the master key.
 `reissue` and `revoke` are the one way to give an account another key. Every
-key is calibrated by the system's `Keyring`: an account's as its `params` are
-first read (it alone holds the set), a revocation key's as it encodes the
-enrollment under it. Every account keeps its enrolled gray bytes, which the
-protocols and the scorers count against; `codes` stacks them in subject
-order. Every query is a frame window cut by `windows`, within the frame
-pairs that `usable_frames` counts, and encoded under the claimed account's
-key. Every raw attack query is scored by an account's `AccountScorer`
-(`scorer`, or one built over a `reissue`d state); `feature_query_bits` and
-`score_bits` are the checked reference path whose scores it equals.
+key is calibrated by the system's `Keyring`, which encodes every account's
+enrollment under it in the same pass: an account's key as its `params` are
+first read, a revocation key as the protocol asks. An account's enrolled gray
+bytes, which the protocols and the scorers count against, are its row of its
+set's; `codes` stacks them in subject order. Every query is a frame window
+cut by `windows`, within the frame pairs that `usable_frames` counts, and
+encoded under the claimed account's key. Every raw attack query is scored by
+an account's `AccountScorer` (`scorer`, or one built over a `reissue`d
+state); `feature_query_bits` and `score_bits` are the checked reference path
+whose scores it equals.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ class SystemConfig:
 
 @dataclass
 class UserAccount:
-    """One enrolled account: its key and enrollment frames, and what it derives
-    from them on first read and keeps: `params`, its enrolled gray bytes
-    `codes`, which every scoring path counts against, and `template`."""
+    """One enrolled account: its key, its row in the enrolled population and its
+    enrollment frames; `params` and `template`, derived on first read and kept;
+    and its enrolled gray bytes `codes`, which every scoring path counts against."""
 
     subject_id: str
     key: int                   # the user key; `params` are its calibrated set
+    row: int                   # the account's window in the keyring's population
     enroll_v1: np.ndarray      # F_e x dim, standardized working space
     enroll_v2: np.ndarray
     raw_v1: np.ndarray         # F_e x dim, as extracted
@@ -76,12 +78,11 @@ class UserAccount:
         read."""
         return self.keyring(self.key)
 
-    @functools.cached_property
+    @property
     def codes(self) -> np.ndarray:
-        """The enrolled gray bytes, one per projected dimension: `encode_bytes` of
-        all F_e frame pairs under `params`, which are `template`'s bits packed.
-        Encoded on first read."""
-        return tr.encode_bytes(self.enroll_v1, self.enroll_v2, self.params)
+        """The enrolled gray bytes, one per projected dimension: the account's
+        read-only row of `params.codes`, which are `template`'s bits packed."""
+        return self.params.codes[self.row]
 
     @functools.cached_property
     def template(self) -> tr.CancellableTemplate:
@@ -116,10 +117,11 @@ def fresh_keys(rng: np.random.Generator, count: int, forbidden: set[int]) -> lis
 
 class Keyring:
     """The one place a key is derived and calibrated against the enrolled
-    population: each account's parameter set on first request, shared with
-    the accounts that hold the key while one does (`params` is weak), and
-    every account's enrollment under a key no account holds. Accounts hold
-    the keyring rather than their system, so an account keeps only the
+    population, (accounts, F_e, dim) windows in subject order: each key's
+    parameter set on first request, with every account's enrolled gray bytes
+    under it (`TransformParams.codes`, a row per account), shared with the
+    accounts that hold the key while one does (`params` is weak). Accounts
+    hold the keyring rather than their system, so an account keeps only the
     population and its own parameter set alive.
     """
 
@@ -132,21 +134,9 @@ class Keyring:
     def __call__(self, key: int) -> tr.TransformParams:
         if (params := self.params.get(key)) is None:  # the local name keeps a new set alive
             params = self.params[key] = tr.calibrate_params(
-                self._derive(key), self.population_v1, self.population_v2,
-                margin=self.config.calibration_margin)
+                tr.derive_params(key, self.population_v1.shape[-1], self.config.delta),
+                self.population_v1, self.population_v2, margin=self.config.calibration_margin)
         return params
-
-    def enrolled_codes(self, key: int) -> np.ndarray:
-        """Gray bytes of every account's enrollment frames under `key`, a row per
-        account in subject order: one `calibrate_encode` projection of the
-        population viewed as (accounts, F_e, dim) fits the range `__call__`
-        fits and encodes it. The parameter set is not kept."""
-        v1, v2 = (p.reshape(-1, self.config.enroll_frames, p.shape[-1])
-                  for p in (self.population_v1, self.population_v2))
-        return tr.calibrate_encode(self._derive(key), v1, v2, self.config.calibration_margin)
-
-    def _derive(self, key: int) -> tr.TransformParams:
-        return tr.derive_params(key, self.population_v1.shape[-1], self.config.delta)
 
 
 class AuthSystem:
@@ -182,8 +172,8 @@ class AuthSystem:
         pooled_b = np.concatenate([raw[s][1] for s in dataset.subjects])
         self._mean_a, self._scale_a = _standardizer(pooled_a)
         self._mean_b, self._scale_b = _standardizer(pooled_b)
-        population_v1 = self.standardize_a(pooled_a)
-        population_v2 = self.standardize_b(pooled_b)
+        population_v1 = self.standardize_a(pooled_a).reshape(len(raw), -1, self.dim)
+        population_v2 = self.standardize_b(pooled_b).reshape(len(raw), -1, self.dim)
         self.keyring = Keyring(population_v1, population_v2, config)
 
         self.users = Accounts()
@@ -193,10 +183,8 @@ class AuthSystem:
             else:
                 key = int(np.random.default_rng(
                     [config.master_key, stable_int(subject)]).integers(0, 2 ** 63))
-            own = slice(index * config.enroll_frames, (index + 1) * config.enroll_frames)
-            self.users[subject] = UserAccount(subject, key, population_v1[own],
-                                              population_v2[own], raw[subject][0],
-                                              raw[subject][1], self.keyring)
+            self.users[subject] = UserAccount(subject, key, index, population_v1[index],
+                                              population_v2[index], *raw[subject], self.keyring)
 
     def standardize_a(self, v: np.ndarray) -> np.ndarray:
         """Map first-protocol features into the calibrated z-score space:
@@ -326,9 +314,9 @@ class AccountScorer:
     one projected vector; each returns exactly what `score_bits` gives for
     `feature_query_bits` or `gray_encode` of the same input. Every float step
     keeps the reference chain's order and form. The gray bytes, one per
-    projected value, are read as one integer and XORed with the account's
-    enrolled gray bytes (`UserAccount.codes`) read the same way; its set-bit
-    count is the integer that the reference's unpacked XOR-and-sum gives.
+    projected value, are read as one integer and XORed with the enrolled gray
+    bytes its key's calibration fixed (`UserAccount.codes`), read the same
+    way; its set-bit count is what the reference's unpacked XOR-and-sum gives.
     `feature_scores` and `projected_scores` score a (k, ·) block of such
     vectors at once, each row exactly as the single-query method scores it:
     the same elementwise steps, `project`'s one vector-matrix product per

@@ -7,9 +7,10 @@ first, taking the elementwise product with the second, and projecting; the
 projected vector (averaged over frames) is quantized to 8-bit gray codes.
 Because the projection discards dimensions, recovering the features from a
 template and its key is underdetermined; revoking a template simply means
-issuing a new key. `encode_bytes` turns any batch of frame stacks into gray
-code bytes, one per projected dimension, and `encode` unpacks them to bits; a
-`CancellableTemplate` is one such bit string with its public metadata.
+issuing a new key. `calibrate_params` fits a key's range over population
+windows and keeps their gray code bytes, one per projected dimension;
+`encode_bytes` encodes any batch of frame stacks so, and `encode` unpacks
+bytes to bits. A `CancellableTemplate` is one bit string and its metadata.
 
 Template file layout (magic "CEEG1"): 5 magic bytes, 4-byte big-endian JSON
 length, UTF-8 JSON metadata, then the bit payload packed big-endian
@@ -64,6 +65,7 @@ class TransformParams:
     projection: np.ndarray       # dim x output_dim(dim, delta)
     key_id: str
     quant_range: np.ndarray | None = None  # n_out x 2, set by calibration
+    codes: np.ndarray | None = None        # the calibration windows' gray bytes, likewise
 
     @property
     def n_out(self) -> int:
@@ -250,34 +252,35 @@ def gray_decode(bits: np.ndarray, quant_range: np.ndarray) -> np.ndarray:
     return lo + levels.astype(float) * (hi - lo) / LEVELS
 
 
-def calibrate_params(params: TransformParams, population_frames_v1,
-                     population_frames_v2, margin: float) -> TransformParams:
-    """Fix the quantization range of a parameter set from population data.
+def calibrate_params(params: TransformParams, windows_v1, windows_v2,
+                     margin: float) -> TransformParams:
+    """Fix a parameter set's quantization range from population windows, and
+    keep each window's gray bytes under it: the one calibration path.
 
-    Projects every provided frame pair under the parameters and spans the
-    per-dimension [min, max] widened by margin times the span. Fed the whole
-    enrolled population under one key, quantization then encodes where a
-    user's average sits within the population, which is what makes template
-    bits carry identity. A degenerate dimension falls back to a
-    magnitude-proportional margin so the range stays non-empty. Deterministic
-    for fixed inputs; the range is stored on the returned params, and
-    make_template copies it into public template metadata.
+    Frames run along axis -2, as in `encode_bytes`. One projection of every
+    frame pair spans the per-dimension [min, max], widened by margin times the
+    span (a degenerate dimension gets a magnitude-proportional margin, so the
+    range stays non-empty); its window means, encoded over that range, are
+    the read-only `codes`. Fed the whole enrolled population under one key,
+    the bytes encode where each user's average sits within the population,
+    which makes them carry identity. A range past the largest float raises
+    ConfigError.
     """
-    _fit_range(params, project(combine(population_frames_v1, population_frames_v2, params),
-                               params), margin)
-    return params
-
-
-def _fit_range(params: TransformParams, projected: np.ndarray, margin: float) -> None:
-    """`calibrate_params`'s rule over already projected rows (last axis)."""
+    projected = project(combine(windows_v1, windows_v2, params), params)
     samples = projected.reshape(-1, projected.shape[-1])
-    lo = samples.min(axis=0)
-    hi = samples.max(axis=0)
-    width = hi - lo
-    pad = np.where(width > 1e-12,
-                   margin * width,
-                   np.maximum(margin * np.abs((lo + hi) / 2.0), 1e-6))
-    params.quant_range = np.stack([lo - pad, hi + pad], axis=1)
+    lo, hi = samples.min(axis=0), samples.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite range is refused below
+        width = hi - lo
+        pad = np.where(width > 1e-12, margin * width,
+                       np.maximum(margin * np.abs((lo + hi) / 2.0), 1e-6))
+        params.quant_range = np.stack([lo - pad, hi + pad], axis=1)
+        finite = np.isfinite(np.diff(params.quant_range)).all()  # gray_bytes divides by it
+    if not finite:
+        raise ConfigError(f"calibration_margin = {margin} widens the range of key "
+                          f"{params.key_id} past the largest float")
+    params.codes = gray_bytes(projected.mean(axis=-2), params.quant_range)
+    params.codes.flags.writeable = False
+    return params
 
 
 def encode_bytes(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.ndarray:
@@ -292,20 +295,6 @@ def encode_bytes(v1: np.ndarray, v2: np.ndarray, params: TransformParams) -> np.
         raise ConfigError(f"key {params.key_id} has no quantization range; "
                           "calibrate its params first (calibrate_params)")
     projected = project(combine(v1, v2, params), params)
-    return gray_bytes(projected.mean(axis=-2), params.quant_range)
-
-
-def calibrate_encode(params: TransformParams, v1: np.ndarray, v2: np.ndarray,
-                     margin: float) -> np.ndarray:
-    """`calibrate_params` over every frame pair of the windows, then
-    `encode_bytes` of the same windows, from one projection.
-
-    Frames run along axis -2, as in `encode_bytes`; the range spans every
-    frame of every window, so windows that hold a whole population get the
-    range `calibrate_params` fits to that population.
-    """
-    projected = project(combine(v1, v2, params), params)
-    _fit_range(params, projected, margin)
     return gray_bytes(projected.mean(axis=-2), params.quant_range)
 
 

@@ -182,6 +182,7 @@ def test_scorer_keeps_every_ulp():
     r0 = tr.project(tr.combine(system.standardize_a(x0[:dim]),
                                system.standardize_b(x0[dim:]), params), params)
     ulps = 64 * np.spacing(np.abs(r0))
+    system.users["S001"].template  # enrolled under the calibrated range, as its bytes are
     params.quant_range = np.stack([r0 - ulps, r0 + ulps], axis=1)
     scorer = system.scorer("S001")
     xs = x0 + rng.integers(-3, 4, (QUERIES, 2 * dim)) * np.spacing(x0)

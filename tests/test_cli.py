@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -147,6 +148,21 @@ class TestSynthExtract:
                          f"--dataset.path={tmp_path / 'dataset'}"] + SMALL)
         assert result.exit_code == 3, result.output
         assert "S002_EC.csv: non-finite cell 'nan' at row 2, col 6" in result.output
+        assert not (out / "features").exists()
+
+    def test_samples_that_overflow_extraction_exit_data_error(self, tmp_path):
+        """Finite cells too large to detrend and filter exit 3 before any
+        feature file is written."""
+        assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0
+        path = tmp_path / "dataset" / "S001_EO.csv"
+        rows = [[repr(1e307 * float(cell)) for cell in row.split(",")]
+                for row in path.read_text().splitlines()]
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        out = tmp_path / "second"
+        result = invoke(["extract", f"--output_dir={out}", "--dataset.kind=csv",
+                         f"--dataset.path={tmp_path / 'dataset'}"] + SMALL)
+        assert result.exit_code == 3, result.output
+        assert "subject 'S001' / EO: samples too large" in result.output
         assert not (out / "features").exists()
 
     def test_mixed_channel_counts_exit_data_error_before_extraction(self, tmp_path,
@@ -876,6 +892,27 @@ class TestReports:
         assert tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                      for name in ("eval_report.json", "roc.csv", "score_histograms.csv")
                      ) == self.EVAL_PINS[lost_key]
+
+    def test_enroll_and_verify_are_pinned(self, tmp_path, monkeypatch):
+        """At the default config: the template file's sha256, and a genuine and
+        an impostor verdict with their exit codes."""
+        monkeypatch.chdir(tmp_path)
+        assert invoke(["enroll", "--subject=S001", "--key=777"]).exit_code == 0
+        assert hashlib.sha256((tmp_path / "out" / "S001.ceeg").read_bytes()).hexdigest() \
+            == "202b94cf533b31577ac4953e413aca3a55828678b500b998b2dbc9442f1f084d"
+        for subject, verdict, code in (
+                ("S001", "ACCEPT score=0.339286 raw=19 threshold=0.389", 0),
+                ("S002", "REJECT score=0.428571 raw=24 threshold=0.389", 4)):
+            result = invoke(["verify", "--template=out/S001.ceeg", f"--subject={subject}",
+                             "--key=777"])
+            assert (result.output, result.exit_code) == (verdict + "\n", code)
+
+    def test_calibration_margin_past_the_largest_float_exits_2(self, tmp_path):
+        result = invoke(["eval", f"--output_dir={tmp_path}",
+                         "--transform.calibration_margin=1e308"] + SMALL)
+        assert result.exit_code == 2, result.output
+        assert re.fullmatch(r"config error: calibration_margin = 1e\+308 widens the range of "
+                            r"key [0-9a-f]{12} past the largest float\n", result.output)
 
     def test_slx_report(self, tmp_path):
         args = ["slx", f"--output_dir={tmp_path}", "--slx.seeds=2",

@@ -255,6 +255,16 @@ def test_pipeline_errors_name_the_recording(rng):
         extract_frame_features(rec, DspConfig(), "graph")
 
 
+def test_pipeline_refuses_samples_that_overflow(rng):
+    """Finite samples too large to detrend: refused, naming the recording,
+    before numpy warns of an overflow or of casting a NaN phase."""
+    from neurolock.pipeline import DspConfig, extract_frame_features
+    rec = Recording(channels=["a", "b", "c"], fs=160.0, data=1e307 * rng.normal(size=(3, 1600)),
+                    protocol_tag=Protocol.EO, subject_id="S042")
+    with pytest.raises(DegenerateSignal, match=r"^subject 'S042' / EO: samples too large"):
+        extract_frame_features(rec, DspConfig(), "graph")
+
+
 class TestMatchesScipySignal:
     """The numpy filters equal the scipy.signal calls they replace, bit for bit."""
 

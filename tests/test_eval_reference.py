@@ -542,18 +542,30 @@ def test_packed_hamming_matches_reference(seed, n_bytes, shapes, layout):
 @settings(deadline=None)
 def test_keyring_calibrates_as_reference(case):
     """An account's params, calibrated on first read, against the earlier
-    eager calibration over the stacked enrollment frames."""
+    eager calibration over the stacked enrollment frames; its enrolled bytes,
+    and a fresh key's, against the reference encode of each enrollment under
+    the reference's range."""
     dataset, config = case["dataset"], case["config"]
     system = AuthSystem(dataset, config)
     accounts = [system.users[s] for s in system.subjects]
     population = [np.concatenate([getattr(a, name) for a in accounts])
                   for name in ("enroll_v1", "enroll_v2")]
-    for account in accounts[:3]:
+    codes = system.codes()
+    for index, account in enumerate(accounts[:3]):
         want = reference_calibrate_params(
             tr.derive_params(account.key, system.dim, config.delta), *population,
             margin=config.calibration_margin)
         assert same_bits(account.params.quant_range, want.quant_range)
         assert same_bits(account.params.projection, want.projection)
+        enrolled = np.packbits(reference_encode(account.enroll_v1, account.enroll_v2, want))
+        assert same_bits(account.codes, enrolled) and same_bits(codes[index], enrolled)
+    key = fresh_keys(np.random.default_rng(0), 1, forbidden={a.key for a in accounts})[0]
+    want = reference_calibrate_params(tr.derive_params(key, system.dim, config.delta),
+                                      *population, margin=config.calibration_margin)
+    windows = [np.stack([getattr(a, name) for a in accounts])
+               for name in ("enroll_v1", "enroll_v2")]
+    assert same_bits(system.keyring(key).codes,
+                     np.packbits(reference_encode(*windows, want), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import gc
 import tracemalloc
 
@@ -92,48 +93,69 @@ class TestEnrolledCodes:
 
     @pytest.mark.parametrize("lost_key", [True, False])
     def test_codes_are_the_packed_template(self, dataset, encoded, lost_key):
-        """Every account's gray bytes, encoded once each, equal its template's
-        bits packed: after a revoke, and for a reissued account."""
+        """Every account's gray bytes come from its key's calibration, with no
+        `encode_bytes` call, and equal its template's bits packed: after a
+        revoke, and for a reissued account. They are read-only."""
         system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
                                                   lost_key=lost_key))
         system.revoke("S002", 4242)
         codes = system.codes()
-        assert encoded == [1] * 6
+        reissued = system.reissue("S004", 777)
+        reissued_codes = reissued.codes
+        assert encoded == []
         assert codes.dtype == np.uint8
         assert codes.shape == (6, system.users["S001"].params.n_out)
         for row, subject in zip(codes, system.subjects):
             account = system.users[subject]
             assert np.array_equal(row, account.codes)
             assert np.array_equal(account.codes, np.packbits(account.template.bits))
-        encoded.clear()
-        assert np.array_equal(system.codes(), codes) and encoded == []
-        reissued = system.reissue("S004", 777)
-        assert np.array_equal(reissued.codes, np.packbits(reissued.template.bits))
+        assert np.array_equal(reissued_codes, np.packbits(reissued.template.bits))
         system.revoke("S005", 778)
         encoded.clear()
         row = system.codes()[4]
-        assert encoded == [1]
+        assert encoded == []
         assert np.array_equal(row, np.packbits(system.users["S005"].template.bits))
+        with pytest.raises(ValueError, match="read-only"):
+            system.users["S005"].codes[0] = 0
+
+    @pytest.mark.parametrize("lost_key", [True, False])
+    def test_each_key_projects_the_population_once(self, dataset, monkeypatch, lost_key):
+        """`system_tests`, enrolled bytes (`codes`) included, projects the 6 x 5
+        enrollment frames once per key, besides the query windows that key
+        encodes: under the shared key all 6 x 15 genuine windows, under a
+        user's key its own 15 and the other 5 subjects' first."""
+        projected = collections.Counter()
+        project = tr.project
+
+        def counted(c, params):
+            projected[params.key_id] += np.size(c) // params.dim
+            return project(c, params)
+        monkeypatch.setattr(tr, "project", counted)
+        system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
+                                                  lost_key=lost_key))
+        me.system_tests(system)
+        keys = {system.users[s].params.key_id for s in system.subjects}
+        assert projected == dict.fromkeys(keys, 30 + (90 if lost_key else 15 + 5))
 
 
 class TestKeyring:
     @pytest.mark.parametrize("lost_key", [True, False])
     def test_enrolled_codes_encode_each_enrollment_under_the_calibrated_key(
             self, dataset, monkeypatch, lost_key):
-        """A new key's codes are `encode_bytes` of each account's enrollment windows
-        under `calibrated_params`, from a range fitted as it fits one; the
-        parameter set is not kept."""
+        """A new key's codes, from its one calibration, are `encode_bytes` of each
+        account's enrollment windows under that set; the set is not kept once
+        its codes are read."""
         system = AuthSystem(dataset, SystemConfig(enroll_frames=5, query_frames=1,
                                                   lost_key=lost_key))
         fitted = []
-        calibrate_encode = tr.calibrate_encode
-        monkeypatch.setattr(tr, "calibrate_encode",
-                            lambda params, *args: fitted.append(params)
-                            or calibrate_encode(params, *args))
-        codes = system.keyring.enrolled_codes(4242)
-        assert len(fitted) == 1 and 4242 not in system.keyring.params
+        calibrate = tr.calibrate_params
+        monkeypatch.setattr(tr, "calibrate_params",
+                            lambda params, *args, **kwargs: fitted.append(params.key_id)
+                            or calibrate(params, *args, **kwargs))
+        codes = system.keyring(4242).codes
+        assert fitted == [tr.key_identifier(4242)] and 4242 not in system.keyring.params
         params = system.calibrated_params(4242)
-        assert np.array_equal(fitted[0].quant_range, params.quant_range)
+        assert len(fitted) == 2 and np.array_equal(codes, params.codes)
         expected = [tr.encode_bytes(system.users[s].enroll_v1, system.users[s].enroll_v2,
                                     params) for s in system.subjects]
         assert codes.dtype == np.uint8 and np.array_equal(codes, np.stack(expected))

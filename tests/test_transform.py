@@ -213,6 +213,12 @@ class TestMakeTemplate:
         tpl = tr.make_template(pop1[:5], pop2[:5], params)
         assert np.array_equal(tpl.meta.quant_range, params.quant_range)
 
+    def test_margin_past_the_largest_float_raises_naming_it(self, rng):
+        params = self.params()
+        with pytest.raises(ConfigError, match=r"^calibration_margin = 1e\+308 widens the "
+                                              f"range of key {params.key_id} past the largest"):
+            tr.calibrate_params(params, *self.frames(rng, 40), margin=1e308)
+
     @pytest.mark.parametrize("build", [
         lambda params, v1, v2: tr.encode(v1, v2, params),
         lambda params, v1, v2: tr.make_template(v1, v2, params),
@@ -241,16 +247,19 @@ class TestMakeTemplate:
 
     @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
     def test_bits_unpack_the_gray_bytes(self, rng, batch):
-        """encode and gray_encode are their byte forms unpacked, and
-        calibrate_encode is calibrate_params followed by encode_bytes."""
-        params = self.params()
+        """encode and gray_encode are their byte forms unpacked, and the codes
+        calibrate_params keeps are encode_bytes of its windows over a range
+        that spans every frame of every window."""
         v1 = rng.normal(0.5, 0.6, batch + (4, 6))
         v2 = rng.normal(0.5, 0.6, batch + (4, 6))
-        codes = tr.calibrate_encode(params, v1, v2, margin=0.1)
-        fitted = params.quant_range
+        params = tr.calibrate_params(self.params(), v1, v2, margin=0.1)
+        codes, fitted = params.codes, params.quant_range
+        frames = (v.reshape(-1, 6) for v in (v1, v2))
         assert np.array_equal(
-            tr.calibrate_params(self.params(), v1, v2, margin=0.1).quant_range, fitted)
+            tr.calibrate_params(self.params(), *frames, margin=0.1).quant_range, fitted)
         assert codes.dtype == np.uint8 and codes.shape == batch + (3,)
+        with pytest.raises(ValueError, match="read-only"):
+            codes[...] = 0
         assert np.array_equal(codes, tr.encode_bytes(v1, v2, params))
         assert np.array_equal(np.unpackbits(codes, axis=-1), tr.encode(v1, v2, params))
         r = rng.normal(0.0, 2.0, batch + (3,))
