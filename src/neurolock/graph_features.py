@@ -1,11 +1,11 @@
 """Nodal and global descriptors of weighted synchronization graphs.
 
-The extracted vector has length N + 6: N random-walk centrality scores
-followed by transitivity, modularity, characteristic path length, global
-efficiency, radius, and diameter, in that order. Each public function takes one
-(n, n) graph or a whole (frames, n, n) stack, and gives each frame its bits alone.
-Above 8 nodes the greedy modularity search runs every (frame, restart) lane of a
-stack in lockstep, one node visit per lane a step.
+The extracted vector has length N + 6: N random-walk centrality scores followed by
+transitivity, modularity, characteristic path length, global efficiency, radius, and
+diameter, in that order. Each public function takes one (n, n) graph or a whole
+(frames, n, n) stack, and gives each frame its bits alone. Above 8 nodes the greedy
+modularity search runs every (frame, restart) lane of a stack in lockstep, one node
+visit per lane a step, and sums the community blocks of a level's lanes in one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ GLOBAL_FEATURE_NAMES = ("transitivity", "modularity", "char_path_length",
 _EXACT_MODULARITY_NODES = 8
 # seeded restarts of the greedy search; the best partition found wins
 _GREEDY_RESTARTS = 8
+_BLOCK_BUDGET = 1 << 16  # the most block cells, or block elements, `_block_sums` holds at once
 MIN_NODES = 3  # the fewest nodes `transitivity`, and so a feature vector, takes
 
 
@@ -91,23 +92,48 @@ def transitivity(graph):
 
 # -- modularity -------------------------------------------------------------
 
-def _community_blocks(w: np.ndarray, labels: np.ndarray):
-    """w with its nodes stably sorted by community label (0..k-1), that order, and each
-    community's [start, end) span; a block's contiguous copy sums as w[np.ix_(m, n)] would."""
-    order = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
-    return w[np.ix_(order, order)], order, list(zip(cuts, cuts[1:]))
+def _block_sums(values: np.ndarray, index, labels: np.ndarray, upper: bool = False):
+    """Community sums of many lanes, padded with 0: lane l sorts the nodes of values[index[l]]
+    stably by its compact labels[l]. Of node values (G, n), each community's run (lanes, k);
+    of graphs (G, n, n), each diagonal block (lanes, k), or with `upper` every block a <= b,
+    mirrored (lanes, k, k). Blocks of one shape are gathered as one C-ordered (blocks, m, p)
+    array and each summed as its contiguous copy sums, pairwise (np.add.reduceat is not)."""
+    lanes, n = labels.shape
+    k, each = int(labels.max()) + 1, np.arange(lanes)[:, None]
+    out, step = np.zeros((lanes, k, k) if upper else (lanes, k)), max(1, _BLOCK_BUDGET // k ** 2)
+    if lanes > step:  # a bounded number of blocks a pass
+        for i in range(0, lanes, step):
+            part = _block_sums(values, index[i:i + step], labels[i:i + step], upper)
+            out[(slice(i, i + step), *map(slice, part.shape[1:]))] = part  # padded to its k
+        return out
+    size = np.bincount((labels + each * k).ravel(), minlength=lanes * k).reshape(lanes, k)
+    start = np.cumsum(size, axis=1) - size + each * n  # into the lanes' sorted nodes
+    node = np.argsort(labels, axis=1, kind="stable")
+    pos, node, flat = (node + np.asarray(index)[:, None] * n).ravel(), node.ravel(), values.ravel()
+    lane, a, b = np.nonzero((size[:, :, None] > 0) & (size[:, None, :] > 0)
+                            & (np.triu(np.ones((k, k), bool)) if upper else np.eye(k, dtype=bool)))
+    m, p = size[lane, a], (size[lane, b] if values.ndim == 3 else np.ones_like(a))
+    sa, sb, shape = start[lane, a], start[lane, b], m * n + p
+    by_shape, sums = np.argsort(shape, kind="stable"), np.empty(len(lane))
+    for same in np.split(by_shape, np.flatnonzero(np.diff(shape[by_shape])) + 1):
+        rows, cols = np.arange(m[same[0]]), np.arange(p[same[0]])
+        step = max(1, _BLOCK_BUDGET // (rows.size * cols.size))
+        for part in (same[i:i + step] for i in range(0, len(same), step)):
+            at = pos[sa[part, None] + rows]  # the block's rows, as rows of `values`
+            if values.ndim == 3:
+                at = (at * n)[:, :, None] + node[sb[part, None] + cols][:, None, :]
+            sums[part] = flat.take(at).reshape(len(part), -1).sum(axis=1)
+    out[(lane, a, b)[:out.ndim]] = out[(lane, b, a)[:out.ndim]] = sums  # mirrored if upper
+    return out
 
 
-def _partition_quality(w: np.ndarray, labels: np.ndarray, total: float) -> float:
-    """Q = (1/l) sum_ij [w_ij - k_i k_j / l] delta(c_i, c_j), diagonal included."""
-    ws, order, spans = _community_blocks(w, labels)
-    strengths = w.sum(axis=1)[order]
-    q = 0.0
-    for a, b in spans:
-        s_tot = float(strengths[a:b].sum())
-        q += float(ws[a:b, a:b].copy().sum()) / total - (s_tot / total) ** 2
-    return q
+def _qualities(w: np.ndarray, frames, labels: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Q = (1/l) sum_ij [w_ij - k_i k_j / l] delta(c_i, c_j), diagonal included, of each lane's
+    labels[l] of w[frames[l]] with l = totals[l] > 0; terms in label order, Python's pow."""
+    s_in, s_tot = _block_sums(w, frames, labels), _block_sums(w.sum(axis=2), frames, labels)
+    square = np.reshape([r ** 2 for r in (s_tot / totals[:, None]).ravel().tolist()], s_tot.shape)
+    # a padded community adds 0/l - 0 = +0.0, which leaves a sum that starts at +0.0 as it is
+    return sum((s_in / totals[:, None] - square).T, np.zeros(len(labels)))
 
 
 @functools.lru_cache(maxsize=_EXACT_MODULARITY_NODES)
@@ -165,15 +191,6 @@ def _exact_best_partitions(w: np.ndarray, totals: np.ndarray) -> tuple[np.ndarra
     return member.argmax(axis=1), q[np.arange(frames), best]
 
 
-def _aggregate(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    ws, _, spans = _community_blocks(w, labels)
-    agg = np.zeros((len(spans), len(spans)))
-    for a, (a0, a1) in enumerate(spans):
-        for b, (b0, b1) in enumerate(spans[a:], start=a):
-            agg[a, b] = agg[b, a] = float(ws[a0:a1, b0:b1].copy().sum())
-    return agg
-
-
 def _first_seen_scan(gain: np.ndarray, labels: np.ndarray, row: np.ndarray, cur: int,
                      stays: bool, fresh: int) -> int:
     """One lane's move by the scalar scan: staying put is the default, isolating the node
@@ -219,94 +236,100 @@ def _greedy_levels(graphs: np.ndarray, totals: np.ndarray, rngs, index) -> np.nd
     total_sq = np.array([t ** 2 for t in totals.tolist()])  # Python's pow, as per lane
     out = np.empty((lanes, n), dtype=np.intp)
     live, cap = np.arange(lanes), n + 2
-    labels = np.tile(np.arange(n), (lanes, 1))
+    labels = np.arange(n) + np.arange(lanes)[:, None] * cap  # flat: lane * cap + label
     s_tot, size = np.zeros((lanes, cap)), np.zeros((lanes, cap), dtype=np.intp)
     s_tot[:, :n], size[:, :n] = strengths[index], 1
     fresh = np.full(lanes, n)  # each lane's next unused label
     while live.size:
-        lane, graph = np.arange(live.size), index[live]
+        graph, base, row_at = index[live], np.arange(live.size) * cap, np.arange(live.size) * n
         order = np.array([rngs[l].permutation(n) for l in live.tolist()])
         moved = np.zeros(live.size, dtype=bool)
         tot, tsq = totals[live, None], total_sq[live, None]
-        for i in order.T:
-            k_i = strengths[graph, i]
-            cur = labels[lane, i]
-            s_tot[lane, cur] -= k_i
-            size[lane, cur] -= 1
+        for i in order.T:  # lane l visits its node i[l], at flat position row_at[l] + i[l]
+            k_i, at = strengths[graph, i], row_at + i
+            cur = labels.take(at)
+            s_tot.put(cur, s_tot.take(cur) - k_i)
+            size.put(cur, size.take(cur) - 1)
             row = links[graph, i]
-            link = np.bincount((labels + lane[:, None] * cap).ravel(), row.ravel(),
-                               live.size * cap).reshape(live.size, cap)
+            link = np.bincount(labels.ravel(), row.ravel(), live.size * cap).reshape(live.size, cap)
             gain = link / tot
             gain -= 2.0 * s_tot * k_i[:, None] / tsq
-            stays = size[lane, cur] > 0
+            stays = size.take(cur) > 0
             cand = np.where(link > 0, gain, -np.inf)
-            cand[lane, cur] = np.where(stays, gain[lane, cur], 0.0)
-            cand[lane[stays], fresh[stays]] = 0.0  # isolating the node
-            best = cand.argmax(axis=1)
-            top = cand[lane, best]
-            cand[lane, best] = -np.inf
-            runner_up = cand[lane, cand.argmax(axis=1)]
-            for l in np.flatnonzero(~(top > runner_up + 1e-15)).tolist():
-                best[l] = _first_seen_scan(gain[l], labels[l], row[l], cur[l], stays[l],
-                                           fresh[l])
-            moved |= best != cur
+            cand.put(cur, np.where(stays, gain.take(cur), 0.0))
+            cand.put((fresh + base)[stays], 0.0)  # isolating the node
+            best, top = cand.argmax(axis=1), cand.max(axis=1)  # NaN, if any, is both
+            cand.put(best + base, -np.inf)
+            for l in np.flatnonzero(~(top > cand.max(axis=1) + 1e-15)).tolist():
+                best[l] = _first_seen_scan(gain[l], labels[l] - base[l], row[l],
+                                           cur[l] - base[l], stays[l], fresh[l])
             fresh += best == fresh
-            labels[lane, i] = best
-            s_tot[lane, best] += k_i
-            size[lane, best] += 1
+            best += base
+            moved |= best != cur
+            labels.put(at, best)
+            s_tot.put(best, s_tot.take(best) + k_i)
+            size.put(best, size.take(best) + 1)
             if fresh.max() == cap:
                 s_tot, size = _more_labels(s_tot, size)
-                cap *= 2
+                labels += base[:, None]
+                cap, base = 2 * cap, 2 * base
         done = ~moved
-        flat = np.unique((labels[done] + lane[:done.sum(), None] * cap).ravel(),
-                         return_inverse=True)[1].reshape(-1, n)
+        flat = np.unique(labels[done], return_inverse=True)[1].reshape(-1, n)
         out[live[done]] = flat - flat.min(axis=1, keepdims=True)
-        live, labels, s_tot, size, fresh = (a[moved] for a in (live, labels, s_tot, size, fresh))
+        labels = labels[moved] + (np.arange(moved.sum()) * cap - base[moved])[:, None]
+        live, s_tot, size, fresh = (a[moved] for a in (live, s_tot, size, fresh))
     return out
 
 
 def _greedy_best_partitions(w: np.ndarray, totals: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Multi-level greedy agglomeration (local moves + aggregation) of each frame from
-    seeded restarts; the best restart wins. Every (frame, restart) lane runs its levels
-    in lockstep with the other lanes whose level has as many nodes."""
+    seeded restarts; the best restart wins. Every (frame, restart) lane runs its levels in
+    lockstep with the lanes whose level has as many nodes; a level is scored in one pass."""
     frames, n = w.shape[:2]
-    frame, tot = np.repeat(np.arange(frames), _GREEDY_RESTARTS), totals.tolist()
+    frame = np.repeat(np.arange(frames), _GREEDY_RESTARTS)
     rngs = [np.random.default_rng([seed, r]) for seed in seeds for r in range(_GREEDY_RESTARTS)]
     # restarts repeat: Q by (frame, labels); graphs by key, a frame's index or (key, labels)
     qualities, levels = {}, dict(enumerate(w))
 
-    def quality(f, node_labels):
-        key = (f, node_labels.tobytes())
-        if key not in qualities:
-            qualities[key] = _partition_quality(w[f], node_labels, tot[f])
-        return qualities[key]
+    def quality(lanes, lane_labels):
+        keys = [(int(frame[l]), labels.tobytes()) for l, labels in zip(lanes, lane_labels)]
+        new = {key: labels for key, labels in zip(keys, lane_labels) if key not in qualities}
+        if new:
+            f = np.array([key[0] for key in new])
+            qualities.update(zip(new, _qualities(w, f, np.stack(list(new.values())),
+                                                 totals[f]).tolist()))
+        return [qualities[key] for key in keys]
 
     node_labels = [np.arange(n)] * len(frame)
-    best_q = [quality(f, node_labels[0]) for f in frame.tolist()]
+    best_q = quality(range(len(frame)), node_labels)
     level = dict(enumerate(frame.tolist()))  # the key of each agglomerating lane's graph
     while level:
-        by_size = {}
+        by_size, merges, sources = {}, [], {}
         for l, key in level.items():
             by_size.setdefault(levels[key].shape[0], []).append(l)
         for group in by_size.values():
-            keys = list(dict.fromkeys(level[l] for l in group))  # each graph once
+            at = [level.pop(l) for l in group]
+            keys = {k: i for i, k in enumerate(dict.fromkeys(at))}  # each graph once
             found = _greedy_levels(np.stack([levels[k] for k in keys]), totals[frame[group]],
-                                   [rngs[l] for l in group], [keys.index(level[l]) for l in group])
-            for l, level_labels in zip(group, found):
-                key = level.pop(l)
-                g = levels[key]
-                if level_labels.max() + 1 == g.shape[0]:
-                    continue  # no community merged: the partition and its Q are unchanged
-                merged = level_labels[node_labels[l]]
-                q = quality(int(frame[l]), merged)
-                if q <= best_q[l] + 1e-14:
-                    continue
-                best_q[l], node_labels[l] = q, merged
-                key = (key, level_labels.tobytes())
+                                   [rngs[l] for l in group], [keys[k] for k in at])
+            merges += [(l, key, ll) for l, key, ll, fewer in zip(  # else Q is unchanged
+                group, at, found, found.max(axis=1) + 1 < found.shape[1]) if fewer]
+        merged = [ll[node_labels[l]] for l, _, ll in merges]
+        for (l, key, level_labels), labels, q in zip(
+                merges, merged, quality([l for l, _, _ in merges], merged)):
+            if not q <= best_q[l] + 1e-14:
+                best_q[l], node_labels[l], key = q, labels, (key, level_labels.tobytes())
                 if key not in levels:
-                    levels[key] = _aggregate(g, level_labels)
-                if levels[key].shape[0] > 1:
+                    sources.setdefault(len(level_labels), {})[key] = level_labels
+                if level_labels.max() > 0:  # more than one community left
                     level[l] = key
+        for new in sources.values():  # each aggregation once, one pass a graph size
+            keys = {k: i for i, k in enumerate(dict.fromkeys(key for key, _ in new))}
+            parts = np.stack(list(new.values()))
+            levels.update((key, s[:k, :k].copy()) for key, s, k in zip(  # unpadded copies
+                new, _block_sums(np.stack([levels[k] for k in keys]),
+                                 [keys[key] for key, _ in new], parts, True),
+                (parts.max(axis=1) + 1).tolist()))
     labels, q = np.zeros((frames, n), dtype=int), np.full(frames, -np.inf)
     for l, f in enumerate(frame.tolist()):  # restarts in order: the first best wins
         if best_q[l] > q[f]:

@@ -24,7 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import MAX_COUNT, ConfigError, EmptyRecording, ParseError, error_context, require
+from .errors import (MAX_COUNT, ConfigError, DegenerateSignal, EmptyRecording, ParseError,
+                     error_context, require)
 
 EDF_HEADER = (("version", 8), ("patient", 80), ("recording", 80), ("start_date", 8),
               ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
@@ -441,6 +442,23 @@ def _subject_latents(spec: SyntheticSpec, subject_idx: int):
     return freqs, coupling
 
 
+def _synthetic_recording(spec: SyntheticSpec, t: np.ndarray, s_idx: int, subject: str, p_idx: int):
+    """One recording at sample times t; DegenerateSignal, naming it, if its samples overflow."""
+    freqs, coupling = _subject_latents(spec, s_idx)
+    weights = coupling / coupling.sum(axis=1, keepdims=True)
+    protocol, rng = spec.protocols[p_idx], np.random.default_rng([spec.master_seed, s_idx, p_idx])
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_channels)
+    with error_context(f"subject {subject!r} / {protocol.value}"), \
+            np.errstate(over="ignore", invalid="ignore"):  # refused below unless finite
+        data = (weights @ np.cos(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
+                + spec.noise_level * np.stack([_pink_noise(rng, spec.n_samples)
+                                               for _ in range(spec.n_channels)]))
+        if not np.isfinite(data).all():
+            raise DegenerateSignal(f"samples too large: noise_level = {spec.noise_level} overflows")
+    return Recording(channels=[f"ch{i:02d}" for i in range(spec.n_channels)], fs=spec.fs,
+                     data=data, protocol_tag=protocol, subject_id=subject)
+
+
 def synthesize(spec: SyntheticSpec) -> Iterator[Recording]:
     """Yield one Recording per subject and protocol tag, subject by subject.
 
@@ -448,20 +466,9 @@ def synthesize(spec: SyntheticSpec) -> Iterator[Recording]:
     weighted by coupling[i, j], then adds pink noise scaled by noise_level.
     Seeding is per (master_seed, subject, protocol), so output is independent
     of generation order. Nothing holds a yielded recording but the caller.
+    A recording whose samples overflow raises DegenerateSignal.
     """
-    t = np.arange(spec.n_samples) / spec.fs
+    t = np.arange(spec.n_samples) / spec.fs  # made once: per recording, it grows the heap
     for s_idx, subject in enumerate(spec.subject_ids()):
-        freqs, coupling = _subject_latents(spec, s_idx)
-        weights = coupling / coupling.sum(axis=1, keepdims=True)
-        for p_idx, protocol in enumerate(spec.protocols):
-            rng = np.random.default_rng([spec.master_seed, s_idx, p_idx])
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_channels)
-            yield Recording(  # no local holds an array of the recording's size
-                channels=[f"ch{i:02d}" for i in range(spec.n_channels)],
-                fs=spec.fs,
-                data=weights @ np.cos(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
-                + spec.noise_level * np.stack([_pink_noise(rng, spec.n_samples)
-                                               for _ in range(spec.n_channels)]),
-                protocol_tag=protocol,
-                subject_id=subject,
-            )
+        for p_idx in range(len(spec.protocols)):  # no local holds the recording
+            yield _synthetic_recording(spec, t, s_idx, subject, p_idx)

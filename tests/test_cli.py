@@ -165,6 +165,16 @@ class TestSynthExtract:
         assert "subject 'S001' / EO: samples too large" in result.output
         assert not (out / "features").exists()
 
+    def test_synthetic_samples_that_overflow_exit_data_error(self, tmp_path):
+        """A noise level whose samples overflow exits 3 naming the recording, before any
+        dataset file is written."""
+        result = invoke(["synth", f"--output_dir={tmp_path}",
+                         "--dataset.synthetic.noise_level=1e308"] + SMALL)
+        assert result.exit_code == 3, result.output
+        assert result.output == ("data error: subject 'S001' / EO: samples too large: "
+                                 "noise_level = 1e+308 overflows\n")
+        assert not list(tmp_path.glob("dataset/*.csv"))
+
     def test_mixed_channel_counts_exit_data_error_before_extraction(self, tmp_path,
                                                                      monkeypatch):
         assert invoke(["synth", f"--output_dir={tmp_path}"] + SMALL).exit_code == 0

@@ -159,7 +159,7 @@ def test_a_recording_equals_its_frames_extracted_one_by_one(monkeypatch):
 
 def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatch):
     events = []
-    levels, quality = gf._greedy_levels, gf._partition_quality
+    levels, qualities = gf._greedy_levels, gf._qualities
 
     def logged_levels(graphs, totals, rngs, index):
         labels = levels(graphs, totals, rngs, index)
@@ -167,19 +167,22 @@ def test_a_greedy_level_that_merges_nothing_ends_its_restart_unscored(monkeypatc
         return labels
 
     monkeypatch.setattr(gf, "_greedy_levels", logged_levels)
-    monkeypatch.setattr(gf, "_partition_quality",
-                        lambda *a: events.append(("quality", None)) or quality(*a))
+    monkeypatch.setattr(gf, "_qualities",  # the lanes handed to the batched scorer
+                        lambda *a: events.append(("quality", len(a[2]))) or qualities(*a))
     monkeypatch.setattr(gf, "_GREEDY_RESTARTS", 1)  # one lane, so its events come in order
     w = stack(np.random.default_rng(16), 1, 16)[0]
     merged_nothing = False
     for seed in range(8):
         events.clear()
         gf.best_partition(w, seed)
-        assert events[0] == ("quality", None)  # the singleton partition
+        assert events[0] == ("quality", 1)  # the singleton partition
         merged_nothing |= ("level", False) in events
         for before, after in zip(events[1:], events[2:]):
             if after[0] == "quality":
                 assert before == ("level", True)
+        # each level that merged is scored once, one lane; one that merged nothing never
+        assert sum(lanes for kind, lanes in events[1:] if kind == "quality") == \
+            events.count(("level", True))
     assert merged_nothing  # some level merged nothing
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurolock import dsp, connectivity
-from neurolock.errors import ConfigError, EmptyRecording, ParseError
+from neurolock.errors import ConfigError, DegenerateSignal, EmptyRecording, ParseError
 from neurolock.ingest import (Protocol, Recording, SyntheticSpec, atomic_write,
                               read_csv_matrix, read_edf, synthesize, write_csv_matrix,
                               write_edf)
@@ -310,6 +310,13 @@ class TestSynthesize:
                 fs_b = small_dataset.frames(t, Protocol.EO)
                 across.append(cosine(fs_a[0], fs_b[0]))
         assert np.mean(within) > np.mean(across)
+
+    def test_samples_that_overflow_raise_naming_the_recording(self):
+        # the suite turns RuntimeWarning into an error: the overflow must stay quiet
+        spec = SyntheticSpec(n_subjects=2, n_channels=3, duration_s=2.0, fs=160.0,
+                             master_seed=3, noise_level=1e308)
+        with pytest.raises(DegenerateSignal, match=r"^subject 'S001' / EO: samples too large"):
+            next(synthesize(spec))
 
     def test_recording_invariants(self):
         spec = SyntheticSpec(n_subjects=2, n_channels=3, duration_s=2.0, fs=160.0,

@@ -292,10 +292,47 @@ def test_greedy_steps_match_reference(n):
         assert level_labels.tolist() == ref_greedy_level(w, total, ref_rng).tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for labels in (level_labels, np.random.default_rng(seed).integers(0, 4, n)):
-            assert gf._partition_quality(w, labels, total) == \
-                ref_partition_quality(w, labels, total)
             compact = np.unique(labels, return_inverse=True)[1]
-            assert np.array_equal(gf._aggregate(w, compact), ref_aggregate(w, compact))
+            assert gf._qualities(w[None], [0], compact[None], np.array([total]))[0] == \
+                ref_partition_quality(w, labels, total)
+            k = compact.max() + 1
+            assert np.array_equal(gf._block_sums(w[None], [0], compact[None], True)[0, :k, :k],
+                                  ref_aggregate(w, compact))
+
+
+def block_sum_lanes(n, seed):
+    """(graphs, lanes) on n nodes: dense, sparse and self-loop graphs, each split at random
+    into 1, 2, a few and n communities; the first lanes come again at the end, as restarts
+    that found the same partition."""
+    rng = np.random.default_rng([n, seed, 34])
+    graphs = np.stack([graph(n, seed), graph(n, seed, zero_fraction=0.6),
+                       graph(n, seed, LEVELS["four_levels"], zero_fraction=0.3, diagonal=0.5),
+                       heavy_self_loops(n, seed)])
+    lanes = []
+    for g in range(len(graphs)):
+        for k in (1, 2, int(rng.integers(3, n)), n):
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            lanes.append((g, np.unique(rng.permutation(labels), return_inverse=True)[1]))
+    return graphs, lanes + lanes[:5]
+
+
+@pytest.mark.parametrize("budget", [gf._BLOCK_BUDGET, 64])  # 64: many passes and parts
+def test_block_sums_equal_the_reference_lane_by_lane(monkeypatch, budget):
+    # one batch per node count, as the search hands them over: each lane's Q and aggregated
+    # graph must be the reference's bit for bit, and the padding past its communities 0
+    monkeypatch.setattr(gf, "_BLOCK_BUDGET", budget)
+    for n in (9, 12, 16, 24, 33, 40, 64):
+        graphs, lanes = block_sum_lanes(n, seed=n % 3)
+        index, labels = [g for g, _ in lanes], np.stack([lab for _, lab in lanes])
+        totals = np.array([float(graphs[g].sum()) for g in index])
+        q = gf._qualities(graphs, np.array(index), labels, totals)
+        agg = gf._block_sums(graphs, index, labels, upper=True)
+        assert agg.shape == (len(lanes), n, n)
+        for lane, (g, lab) in enumerate(lanes):
+            assert q[lane] == ref_partition_quality(graphs[g], lab, totals[lane]), (n, lane)
+            k = lab.max() + 1
+            assert np.array_equal(agg[lane, :k, :k], ref_aggregate(graphs[g], lab)), (n, lane)
+            assert not agg[lane, k:].any() and not agg[lane, :, k:].any()
 
 
 def test_greedy_level_ties_match_reference(monkeypatch):
